@@ -53,24 +53,6 @@ def test_mle_scaling(benchmark, n_tasks):
     assert result.converged
 
 
-@pytest.mark.parametrize("n_shards", [1, 2])
-def test_mle_parallel_overhead(benchmark, n_shards):
-    """Sharded solve (in-process runner: pure coordination overhead) and
-    the correctness gate: results must be bit-identical to serial."""
-    from repro.core.parallel import ParallelConfig, ParallelTruthEngine
-
-    n_tasks = 300 if QUICK else 1000
-    observations, domains = _mle_inputs(100, n_tasks)
-    serial = estimate_truth(observations, domains)
-    engine = ParallelTruthEngine(ParallelConfig(n_shards=n_shards, use_processes=False))
-    try:
-        result = benchmark(lambda: engine.estimate_truth(observations, domains))
-    finally:
-        engine.close()
-    np.testing.assert_array_equal(result.truths, serial.truths)
-    np.testing.assert_array_equal(result.expertise, serial.expertise)
-
-
 @pytest.mark.parametrize("n_tasks", [100, 300] if QUICK else [200, 1000])
 def test_greedy_allocation_scaling(benchmark, n_tasks):
     rng = np.random.default_rng(1)

@@ -72,7 +72,6 @@ APPROACHES = {
         robust=_build_robust(args),
         reputation=_build_reputation(args),
         guards=args.guards,
-        parallel_domains=getattr(args, "parallel_domains", 0),
     ),
     "eta2-mc": lambda args: ETA2Approach(
         gamma=args.gamma,
@@ -85,7 +84,6 @@ APPROACHES = {
         robust=_build_robust(args),
         reputation=_build_reputation(args),
         guards=args.guards,
-        parallel_domains=getattr(args, "parallel_domains", 0),
     ),
     "hubs-authorities": lambda args: ReliabilityApproach(HubsAuthorities()),
     "average-log": lambda args: ReliabilityApproach(AverageLog()),
@@ -191,14 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--round-budget", type=float, default=100.0, dest="round_budget")
     simulate.add_argument("--drift", type=float, default=0.0, help="per-day expertise drift std")
     simulate.add_argument("--bias", type=float, default=0.0, help="non-normal observation fraction")
-    simulate.add_argument(
-        "--parallel-domains",
-        type=int,
-        default=0,
-        dest="parallel_domains",
-        help="shard the truth-analysis MLE across N domain shards "
-        "(bit-identical to serial; 0 = serial, eta2/eta2-mc only)",
-    )
     telemetry = simulate.add_argument_group(
         "telemetry", "structured tracing and metrics export (repro.observability)"
     )

@@ -176,7 +176,6 @@ class ETA2System:
         clustering_metric: str = "euclidean",
         robust: "RobustConfig | None" = None,
         seed=None,
-        parallel_domains: int = 0,
     ):
         capacities = np.asarray(capacities, dtype=float)
         if capacities.shape != (n_users,):
@@ -222,18 +221,6 @@ class ETA2System:
         if robust is not None and not isinstance(robust, RobustConfig):
             raise TypeError("robust must be a RobustConfig or None")
         self._robust = robust
-        if parallel_domains < 0:
-            raise ValueError("parallel_domains must be non-negative")
-        #: Domain-sharded truth analysis (None = serial).  The engine is
-        #: bit-identical to the serial path, so this is purely a
-        #: performance knob; robust configs delegate back to serial.
-        self._parallel = None
-        if parallel_domains >= 1:
-            from repro.core.parallel import ParallelConfig, ParallelTruthEngine
-
-            self._parallel = ParallelTruthEngine(
-                ParallelConfig(n_shards=int(parallel_domains))
-            )
         #: Cross-day reputation tracker (None until enable_reputation()).
         self.reputation = None
         #: Phase-boundary invariant guard (None until enable_guards()).
@@ -249,39 +236,16 @@ class ETA2System:
         self.run_manifest = None
 
     def _estimate_truth_phase(self, observations, domains):
-        """Batch MLE (Section 4.1), sharded when parallel_domains is set."""
+        """Batch MLE (Section 4.1)."""
         tracer = self.tracer if self.tracer.enabled else None
-        if self._parallel is not None:
-            return self._parallel.estimate_truth(
-                observations,
-                domains,
-                robust=self._robust,
-                tracer=tracer,
-                metrics=self.metrics,
-            )
         return estimate_truth(observations, domains, robust=self._robust, tracer=tracer)
 
     def _incorporate_phase(self, observations, domains, commit=True, traced=True):
-        """Dynamic update (Section 4.2), sharded when parallel_domains is set."""
+        """Dynamic update (Section 4.2)."""
         tracer = self.tracer if (traced and self.tracer.enabled) else None
-        if self._parallel is not None:
-            return self._parallel.incorporate(
-                self._updater,
-                observations,
-                domains,
-                commit=commit,
-                robust=self._robust,
-                tracer=tracer,
-                metrics=self.metrics,
-            )
         return self._updater.incorporate(
             observations, domains, commit=commit, robust=self._robust, tracer=tracer
         )
-
-    def close(self) -> None:
-        """Release runtime resources (the parallel engine's worker pool)."""
-        if self._parallel is not None:
-            self._parallel.close()
 
     @property
     def n_users(self) -> int:

@@ -86,9 +86,8 @@ def update_truths_for_expertise(
     The sums are scatter-sums (``np.bincount``) over the observed entries
     in row-major order, the same kernel :class:`_SparseObservations` uses.
     Beyond skipping the masked zeros, this makes each task's accumulation
-    order a function of its *own* observations only, so computing a column
-    subset (the domain-sharded engine in :mod:`repro.core.parallel` does
-    exactly that) reproduces the full-matrix result bit for bit — a dense
+    order a function of its *own* observations only, so a column subset
+    reproduces the full-matrix result bit for bit — a dense
     ``sum(axis=0)`` does not, its reduction tree changes with the matrix
     width.
     """

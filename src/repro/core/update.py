@@ -32,6 +32,8 @@ from repro.core.robust import RobustConfig, weighted_median_truths
 from repro.core.truth import (
     SIGMA_FLOOR,
     TruthAnalysisResult,
+    _truth_delta,
+    _truths_converged,
     update_truths_for_expertise,
 )
 from repro.truthdiscovery.base import ObservationMatrix
@@ -39,9 +41,6 @@ from repro.truthdiscovery.base import ObservationMatrix
 __all__ = ["ExpertiseUpdater", "IncorporateResult"]
 
 _LOG = logging.getLogger(__name__)
-
-RELATIVE_TOLERANCE = 0.05
-ABSOLUTE_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -112,25 +111,6 @@ class ExpertiseUpdater:
             return np.full(self._n_users, DEFAULT_EXPERTISE)
         return expertise_from_sums(numerator, self._denominators[domain_id])
 
-    def decayed_base(self, domain_ids) -> "tuple[dict, dict]":
-        """Eqs. 7-8 decayed time-``T`` base sums for one update (pure).
-
-        The returned arrays are fresh products, never views of the
-        running sums — callers may accumulate into them freely.  Domains
-        must already be registered (see :meth:`ensure_domain`).
-        """
-        base_n = {d: self._alpha * self._numerators[d] for d in domain_ids}
-        base_d = {d: self._alpha * self._denominators[d] for d in domain_ids}
-        return base_n, base_d
-
-    def commit_sums(self, new_n: dict, new_d: dict) -> None:
-        """Install post-update running sums (the commit step of
-        :meth:`incorporate`, also used by the domain-sharded engine in
-        :mod:`repro.core.parallel`)."""
-        for domain_id in new_n:
-            self._numerators[domain_id] = new_n[domain_id]
-            self._denominators[domain_id] = new_d[domain_id]
-
     def expertise_matrix(self) -> ExpertiseMatrix:
         """Snapshot of all domains as an :class:`ExpertiseMatrix`."""
         matrix = ExpertiseMatrix(self._n_users)
@@ -199,7 +179,8 @@ class ExpertiseUpdater:
             self.ensure_domain(domain_id)
 
         # Snapshots at time T; the decayed base stays fixed across iterations.
-        base_n, base_d = self.decayed_base(distinct)
+        base_n = {d: self._alpha * self._numerators[d] for d in distinct}
+        base_d = {d: self._alpha * self._denominators[d] for d in distinct}
 
         damping = 1.0 if robust is None else robust.damping
         traced = tracer is not None and tracer.enabled
@@ -229,10 +210,10 @@ class ExpertiseUpdater:
                 d: self._column_from_sums(new_n[d], new_d[d]) for d in distinct
             }
             if iterations > 1:
-                final_delta = self._truth_delta(new_truths, truths)
+                final_delta = _truth_delta(new_truths, truths)
                 if traced:
                     tracer.emit("mle.iteration", iteration=iterations, delta=final_delta)
-                if self._truths_converged(new_truths, truths):
+                if _truths_converged(new_truths, truths):
                     truths = new_truths
                     converged = True
                     break
@@ -288,7 +269,9 @@ class ExpertiseUpdater:
                 "weighted-median fallback" if used_fallback else "last iterate",
             )
         if commit:
-            self.commit_sums(new_n, new_d)
+            for domain_id in distinct:
+                self._numerators[domain_id] = new_n[domain_id]
+                self._denominators[domain_id] = new_d[domain_id]
         return IncorporateResult(
             truths=truths,
             sigmas=sigmas,
@@ -341,24 +324,3 @@ class ExpertiseUpdater:
             observations.n_tasks,
             SIGMA_FLOOR,
         )
-
-    @staticmethod
-    def _truth_delta(new: np.ndarray, old: np.ndarray) -> float:
-        """Largest per-task relative change (scale floored for near-zero)."""
-        both = ~(np.isnan(new) | np.isnan(old))
-        if not np.any(both):
-            return 0.0
-        delta = np.abs(new[both] - old[both])
-        scale = np.maximum(np.abs(old[both]), ABSOLUTE_TOLERANCE / RELATIVE_TOLERANCE)
-        return float(np.max(delta / scale))
-
-    @staticmethod
-    def _truths_converged(new: np.ndarray, old: np.ndarray) -> bool:
-        both = ~(np.isnan(new) | np.isnan(old))
-        if not np.any(both):
-            return True
-        delta = np.abs(new[both] - old[both])
-        scale = np.abs(old[both])
-        relative_ok = delta <= RELATIVE_TOLERANCE * np.maximum(scale, 1e-12)
-        absolute_ok = delta <= ABSOLUTE_TOLERANCE
-        return bool(np.all(relative_ok | absolute_ok))

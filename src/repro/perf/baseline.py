@@ -54,29 +54,6 @@ SIZES = {
         "full": {"n_users": 2000, "n_tasks": 5000, "n_domains": 8, "capacity": 1.0},
         "quick": {"n_users": 300, "n_tasks": 600, "n_domains": 8, "capacity": 1.0},
     },
-    # The quick size pins the in-process runner: at 300 tasks the pool's
-    # IPC overhead dominates and the measurement would flip between
-    # machines with different core counts.  In-process sharding overhead
-    # is what CI can check stably; the pool's real speedup is a full-size,
-    # multi-core property recorded by --write (hardware-dependent).
-    "mle_parallel": {
-        "full": {
-            "n_users": 100,
-            "n_tasks": 1000,
-            "density": 0.2,
-            "n_domains": 50,
-            "n_shards": 4,
-            "use_processes": None,
-        },
-        "quick": {
-            "n_users": 60,
-            "n_tasks": 300,
-            "density": 0.2,
-            "n_domains": 12,
-            "n_shards": 2,
-            "use_processes": False,
-        },
-    },
 }
 
 KERNELS = tuple(SIZES)
@@ -191,45 +168,11 @@ def _bench_allocation_greedy(size: dict, rounds: int) -> dict:
     return {"median_s": optimised, "reference_median_s": reference}
 
 
-def _bench_mle_parallel(size: dict, rounds: int) -> dict:
-    from repro.core.parallel import ParallelConfig, ParallelTruthEngine
-    from repro.perf.reference import reference_serial_estimate_truth
-    from repro.truthdiscovery.base import ObservationMatrix
-
-    rng = np.random.default_rng(5678)
-    n_users, n_tasks = size["n_users"], size["n_tasks"]
-    mask = rng.random((n_users, n_tasks)) < size["density"]
-    for task in np.flatnonzero(~mask.any(axis=0)):
-        mask[rng.integers(n_users), task] = True
-    values = np.where(mask, rng.normal(5.0, 2.0, (n_users, n_tasks)), 0.0)
-    observations = ObservationMatrix(values=values, mask=mask)
-    domains = rng.integers(0, size["n_domains"], n_tasks)
-
-    # The persistent worker pool is part of the engine's steady state, so
-    # it is built (and warmed with one solve) outside the timed region —
-    # the paper's pipeline reuses one engine across every day's solve.
-    engine = ParallelTruthEngine(
-        ParallelConfig(n_shards=size["n_shards"], use_processes=size["use_processes"])
-    )
-    try:
-        engine.estimate_truth(observations, domains)
-        optimised = _median_seconds(
-            lambda: engine.estimate_truth(observations, domains), rounds
-        )
-    finally:
-        engine.close()
-    reference = _median_seconds(
-        lambda: reference_serial_estimate_truth(observations, domains), rounds
-    )
-    return {"median_s": optimised, "reference_median_s": reference}
-
-
 _RUNNERS = {
     "average_linkage_construction": _bench_average_linkage,
     "mle_sparse": _bench_mle_sparse,
     "dynamic_add": _bench_dynamic_add,
     "allocation_greedy": _bench_allocation_greedy,
-    "mle_parallel": _bench_mle_parallel,
 }
 
 

@@ -14,13 +14,7 @@ layer replaced:
 - :func:`reference_greedy_allocate` — the eager Algorithm 1 greedy that
   re-evaluates every stale task after every pick (the loop the CELF
   lazy-greedy kernel in :mod:`repro.core.allocation.lazy_greedy`
-  replaced; picks must stay bit-identical),
-- :func:`reference_serial_estimate_truth` — the single-process sparse
-  §4.1 MLE, frozen at the point the domain-sharded engine
-  (:mod:`repro.core.parallel`) was introduced.  The ``mle_parallel``
-  kernel in :mod:`repro.perf.baseline` measures shard speedups against
-  this copy, and equivalence tests hold the engine to bit-identical
-  truths/expertise against it.
+  replaced; picks must stay bit-identical).
 
 They exist so that (a) ``tests/perf/test_equivalence.py`` can prove the
 optimised kernels produce identical clusters and ``allclose`` truths, and
@@ -39,7 +33,6 @@ from repro.core.expertise import DEFAULT_EXPERTISE, clamp_expertise, expertise_f
 from repro.core.truth import (
     ABSOLUTE_TOLERANCE,
     RELATIVE_TOLERANCE,
-    SIGMA_FLOOR,
     TruthAnalysisResult,
     update_truths_for_expertise,
 )
@@ -50,7 +43,6 @@ __all__ = [
     "reference_linkage_sums",
     "reference_labels_from_clusters",
     "reference_estimate_truth",
-    "reference_serial_estimate_truth",
     "reference_greedy_allocate",
     "ReferenceDynamicHierarchicalClustering",
 ]
@@ -270,102 +262,6 @@ def reference_estimate_truth(
         domain_ids=tuple(domain_ids),
         iterations=iterations,
         converged=converged,
-    )
-
-
-def reference_serial_estimate_truth(
-    observations: ObservationMatrix,
-    task_domains,
-    initial_expertise: "np.ndarray | None" = None,
-    domain_ids: "tuple | None" = None,
-    max_iterations: int = 100,
-) -> TruthAnalysisResult:
-    """The single-process sparse §4.1 MLE, frozen as the sharding yardstick.
-
-    Verbatim copy of :func:`repro.core.truth.estimate_truth`'s plain path
-    (no robust reweighting, no tracing) at the point the domain-sharded
-    engine landed: scatter-sum (``np.bincount``) Eq. 5/6 passes over the
-    observed entries, loop-invariant structure hoisted out of the
-    iteration.  ``BENCH_core.json``'s ``mle_parallel`` speedups are
-    measured against this function so later serial-path changes cannot
-    move the baseline.
-    """
-    task_domains = np.asarray(task_domains)
-    if task_domains.shape != (observations.n_tasks,):
-        raise ValueError("task_domains must have one label per task")
-    if observations.observation_count == 0:
-        raise ValueError("observation matrix is empty")
-
-    if domain_ids is None:
-        domain_ids = tuple(sorted(set(task_domains.tolist())))
-    column_of = {domain_id: k for k, domain_id in enumerate(domain_ids)}
-    domain_columns = np.array([column_of[d] for d in task_domains.tolist()], dtype=int)
-    n_domains = len(domain_ids)
-    n_users, n_tasks = observations.n_users, observations.n_tasks
-
-    if initial_expertise is None:
-        expertise = np.full((n_users, n_domains), DEFAULT_EXPERTISE, dtype=float)
-    else:
-        expertise = clamp_expertise(np.asarray(initial_expertise, dtype=float).copy())
-        if expertise.shape != (n_users, n_domains):
-            raise ValueError("initial_expertise has the wrong shape")
-
-    rows, cols = np.nonzero(observations.mask)
-    values = observations.values[rows, cols]
-    obs_domain_cols = domain_columns[cols]
-    flat_user_domain = rows * n_domains + obs_domain_cols
-    task_counts = np.bincount(cols, minlength=n_tasks)
-    count_sums = (
-        np.bincount(flat_user_domain, minlength=n_users * n_domains)
-        .reshape(n_users, n_domains)
-        .astype(float)
-    )
-
-    def truth_pass(expertise: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        weights = expertise[rows, obs_domain_cols] ** 2
-        weight_totals = np.bincount(cols, weights=weights, minlength=n_tasks)
-        weighted_values = np.bincount(cols, weights=weights * values, minlength=n_tasks)
-        observed = weight_totals > 0
-        truths = np.where(
-            observed, weighted_values / np.where(observed, weight_totals, 1.0), np.nan
-        )
-        safe_truths = np.where(np.isnan(truths), 0.0, truths)
-        residuals = values - safe_truths[cols]
-        weighted_square = np.bincount(cols, weights=weights * residuals**2, minlength=n_tasks)
-        variance = np.where(task_counts > 0, weighted_square / np.maximum(task_counts, 1), 0.0)
-        sigmas = np.maximum(np.sqrt(variance), SIGMA_FLOOR)
-        return truths, sigmas
-
-    def expertise_pass(truths: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-        safe_truths = np.where(np.isnan(truths), 0.0, truths)
-        normalised_sq = ((values - safe_truths[cols]) / sigmas[cols]) ** 2
-        denominators = np.bincount(
-            flat_user_domain, weights=normalised_sq, minlength=n_users * n_domains
-        ).reshape(n_users, n_domains)
-        return expertise_from_sums(count_sums, denominators)
-
-    truths = np.full(n_tasks, np.nan)
-    converged = False
-    final_delta = float("nan")
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        new_truths, sigmas = truth_pass(expertise)
-        expertise = expertise_pass(new_truths, sigmas)
-        if iterations > 1 and _reference_truths_converged(new_truths, truths):
-            truths = new_truths
-            converged = True
-            break
-        truths = new_truths
-
-    truths, sigmas = truth_pass(expertise)
-    return TruthAnalysisResult(
-        truths=truths,
-        sigmas=sigmas,
-        expertise=expertise,
-        domain_ids=tuple(domain_ids),
-        iterations=iterations,
-        converged=converged,
-        final_delta=final_delta,
     )
 
 

@@ -108,7 +108,6 @@ class ETA2Approach(Approach):
         robust=None,
         reputation: "bool | object" = False,
         guards: "str | None" = None,
-        parallel_domains: int = 0,
     ):
         if resume and checkpoint_dir is None:
             raise ValueError("resume=True requires a checkpoint_dir")
@@ -138,9 +137,6 @@ class ETA2Approach(Approach):
         self._robust = robust
         self._reputation = reputation
         self._guards = guards
-        #: >= 1 shards the per-day MLE by expertise domain (bit-identical
-        #: to the serial solver; see repro.core.parallel).
-        self._parallel_domains = parallel_domains
         self._system: "ETA2System | None" = None
         self._labels: list = []
         self._telemetry = None
@@ -175,7 +171,6 @@ class ETA2Approach(Approach):
             exploration_rate=self._exploration_rate,
             robust=self._robust,
             seed=seed,
-            parallel_domains=self._parallel_domains,
         )
         if self._telemetry is not None:
             # Before the other subsystems so guards/checkpointing pick the

@@ -195,9 +195,8 @@ class SimulationResult:
         Covers the per-day errors, every collected observation (error and
         hidden expertise), the MLE iteration counts, and each day's truth
         estimates byte-for-byte.  Two runs fingerprint identically iff the
-        solver produced bit-identical numbers — this is the contract the
-        domain-sharded MLE (``--parallel-domains``) is held to against the
-        serial solver.
+        solver produced bit-identical numbers; the golden tests pin the
+        seed-2017 eta2 and eta2-mc digests.
         """
         digest = hashlib.sha256()
         digest.update(np.ascontiguousarray(self.errors_by_day(), dtype=np.float64).tobytes())

@@ -1,9 +1,12 @@
 """Tests for the batch MLE truth analysis (Eqs. 5-6)."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from repro.core.truth import estimate_truth, update_truths_for_expertise
+from repro.core.update import ExpertiseUpdater
 from repro.truthdiscovery.base import ObservationMatrix
 
 
@@ -112,3 +115,48 @@ class TestEstimateTruth:
         result = estimate_truth(obs, np.zeros(2, dtype=int))
         assert np.all(np.isfinite(result.truths))
         assert np.all(result.expertise <= 10.0)
+
+
+class TestDegenerateDomains:
+    """Single-task / single-user / zero-variance domains.
+
+    These are the shapes that historically tripped per-domain code: a
+    domain whose only task has one observer produces a zero residual and
+    a floored sigma; the solve must still converge cleanly, with no
+    non-convergence warnings.
+    """
+
+    def make_degenerate(self):
+        # domain 0: one task, one observer, zero variance.  domain 1: a
+        # single user observing two identical values (zero variance
+        # again, sigma floored).  domain 2: a normal domain.
+        n_users, n_tasks = 6, 7
+        values = np.zeros((n_users, n_tasks))
+        mask = np.zeros((n_users, n_tasks), dtype=bool)
+        domains = np.array([0, 1, 1, 2, 2, 2, 2])
+        mask[3, 0] = True
+        values[3, 0] = 4.25
+        mask[1, 1] = mask[1, 2] = True
+        values[1, 1] = values[1, 2] = 2.0
+        rng = np.random.default_rng(21)
+        for task in range(3, 7):
+            observers = rng.choice(n_users, size=3, replace=False)
+            mask[observers, task] = True
+            values[observers, task] = rng.normal(1.0, 0.5, 3)
+        return ObservationMatrix(values=values, mask=mask), domains
+
+    def test_estimate_converges_cleanly(self, caplog):
+        observations, domains = self.make_degenerate()
+        with caplog.at_level(logging.WARNING):
+            result = estimate_truth(observations, domains)
+        assert result.converged
+        assert caplog.records == []
+        assert result.truths[0] == 4.25
+        assert result.truths[1] == 2.0
+
+    def test_incorporate_converges_cleanly(self, caplog):
+        observations, domains = self.make_degenerate()
+        with caplog.at_level(logging.WARNING):
+            result = ExpertiseUpdater(observations.n_users).incorporate(observations, domains)
+        assert result.converged
+        assert caplog.records == []

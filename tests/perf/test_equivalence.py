@@ -14,14 +14,12 @@ import pytest
 from repro.clustering.dynamic import DynamicHierarchicalClustering
 from repro.clustering.hierarchical import _labels_from_clusters, hierarchical_clustering
 from repro.clustering.linkage import AverageLinkage
-from repro.core.parallel import ParallelConfig, ParallelTruthEngine
 from repro.core.truth import estimate_truth
 from repro.perf.reference import (
     ReferenceDynamicHierarchicalClustering,
     reference_estimate_truth,
     reference_labels_from_clusters,
     reference_linkage_sums,
-    reference_serial_estimate_truth,
 )
 from repro.truthdiscovery.base import ObservationMatrix
 
@@ -145,46 +143,6 @@ def test_estimate_truth_matches_reference_with_empty_domain_column():
     b = reference_estimate_truth(observations, domains, domain_ids=(0, 1, 2, 3))
     np.testing.assert_allclose(a.truths, b.truths, rtol=1e-10)
     np.testing.assert_allclose(a.expertise, b.expertise, rtol=1e-10)
-
-
-# --------------------------------------------------------------------- #
-# Domain-sharded MLE vs the frozen serial path
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("seed", [15, 16, 17])
-def test_serial_reference_matches_live_serial_bitwise(seed):
-    """The frozen copy really is verbatim: bit-identical to the live path."""
-    rng = np.random.default_rng(seed)
-    observations = _random_observations(rng, 30, 90)
-    domains = rng.integers(0, 5, 90)
-    live = estimate_truth(observations, domains)
-    frozen = reference_serial_estimate_truth(observations, domains)
-    assert live.iterations == frozen.iterations
-    assert live.converged == frozen.converged
-    np.testing.assert_array_equal(live.truths, frozen.truths)
-    np.testing.assert_array_equal(live.sigmas, frozen.sigmas)
-    np.testing.assert_array_equal(live.expertise, frozen.expertise)
-
-
-@pytest.mark.parametrize("n_shards", [2, 3])
-def test_parallel_engine_matches_frozen_serial_bitwise(n_shards):
-    """The ``mle_parallel`` kernel's contract: shards reproduce the frozen
-    serial yardstick bit for bit, so its BENCH speedups compare equal work."""
-    rng = np.random.default_rng(18)
-    observations = _random_observations(rng, 30, 90)
-    domains = rng.integers(0, 6, 90)
-    engine = ParallelTruthEngine(ParallelConfig(n_shards=n_shards, use_processes=False))
-    try:
-        sharded = engine.estimate_truth(observations, domains)
-    finally:
-        engine.close()
-    frozen = reference_serial_estimate_truth(observations, domains)
-    assert sharded.iterations == frozen.iterations
-    assert sharded.converged == frozen.converged
-    np.testing.assert_array_equal(sharded.truths, frozen.truths)
-    np.testing.assert_array_equal(sharded.sigmas, frozen.sigmas)
-    np.testing.assert_array_equal(sharded.expertise, frozen.expertise)
 
 
 # --------------------------------------------------------------------- #
