@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.core.allocation.max_quality import MaxQualityAllocator
 from repro.core.allocation.min_cost import MinCostAllocator
 from repro.core.expertise import ExpertiseMatrix
 from repro.core.robust import RobustConfig
-from repro.core.truth import estimate_truth
+from repro.core.truth import SIGMA_FLOOR, estimate_truth
 from repro.core.update import ExpertiseUpdater
 from repro.observability.tracer import NULL_TRACER
 from repro.perf.timers import PHASES, PhaseTimer, merge_timings
@@ -234,11 +235,6 @@ class ETA2System:
         self.metrics = None
         #: Optional run manifest (repro.observability.run_manifest).
         self.run_manifest = None
-
-    def _estimate_truth_phase(self, observations, domains):
-        """Batch MLE (Section 4.1)."""
-        tracer = self.tracer if self.tracer.enabled else None
-        return estimate_truth(observations, domains, robust=self._robust, tracer=tracer)
 
     def _incorporate_phase(self, observations, domains, commit=True, traced=True):
         """Dynamic update (Section 4.2)."""
@@ -480,7 +476,6 @@ class ETA2System:
     def _after_step(self, result: StepResult, kind: str) -> StepResult:
         """End-of-step bookkeeping: convergence surfacing, telemetry,
         checkpointing."""
-        merge_timings(self.phase_totals, result.timings)
         if not result.converged:
             _LOG.warning(
                 "%s step %d produced non-converged truth estimates after %d iterations",
@@ -647,7 +642,7 @@ class ETA2System:
         return labels, (), ()
 
     # ------------------------------------------------------------------ #
-    # Warm-up (random allocation, batch MLE seed)
+    # Entry points: one step sequence, three ways to gather the data
     # ------------------------------------------------------------------ #
 
     def warmup(self, tasks: Sequence[IncomingTask], observe: Callable) -> StepResult:
@@ -660,73 +655,8 @@ class ETA2System:
             raise RuntimeError("warm-up already done; use step()")
         if not tasks:
             raise ValueError("warm-up needs at least one task")
-        observe = self._wrap_observe(observe)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "step.start",
-                step=self.completed_steps + 1,
-                kind="warm-up",
-                n_tasks=len(tasks),
-            )
-        timer = PhaseTimer(tracer=self.tracer)
-        with timer.phase("identify"):
-            domains, merges, new_domains = self._identify_domains(tasks)
-        guard_reports = [self._check_partition(domains, new_domains)]
-
-        with timer.phase("allocate"):
-            eligible, excluded = self._eligibility()
-            problem = self._problem(tasks, self._default_expertise_for(domains), eligible)
-            assignment = self._random.allocate(problem)
-        with timer.phase("collect"):
-            observations = self._collect(assignment, observe)
-        if observations.observation_count == 0:
-            # Total collection outage: nothing to learn from.  Stay in the
-            # warm-up regime (the next day retries warm-up) instead of
-            # seeding expertise from nothing.
-            return self._degraded_result(
-                assignment, observations, domains, merges, new_domains, problem, "warm-up", timer,
-                excluded=excluded,
-            )
-
-        with timer.phase("truth"):
-            result = self._estimate_truth_phase(observations, domains)
-            if self.guard is not None:
-                truths, sigmas, truth_report = self.guard.check_truths(
-                    result.truths, result.sigmas, observed=observations.mask.any(axis=0)
-                )
-                expertise, expertise_report = self.guard.check_expertise(result.expertise)
-                guard_reports += [truth_report, expertise_report]
-                if truth_report.repaired or expertise_report.repaired:
-                    result = replace(result, truths=truths, sigmas=sigmas, expertise=expertise)
-            self._updater.seed_from_batch(observations, domains, result)
-        task_expertise = result.expertise_for_tasks(domains)
-        summary = self._record_reputation(observations, result.truths, result.sigmas, task_expertise)
-        self.iteration_log.append(result.iterations)
-        self._warmed_up = True
-        return self._after_step(
-            StepResult(
-                assignment=assignment,
-                observations=observations,
-                truths=result.truths,
-                sigmas=result.sigmas,
-                task_domains=domains,
-                merges=merges,
-                new_domains=new_domains,
-                mle_iterations=result.iterations,
-                allocation_cost=assignment.total_cost(problem.costs),
-                task_expertise=task_expertise,
-                converged=result.converged,
-                timings=timer.timings(),
-                excluded_users=excluded,
-                reputation=summary,
-                guard_report=self._merge_guard_reports(guard_reports),
-            ),
-            "warm-up",
-        )
-
-    # ------------------------------------------------------------------ #
-    # Daily step (Modules 1 + 3 + 2)
-    # ------------------------------------------------------------------ #
+        gather = partial(self._gather_random, self._wrap_observe(observe))
+        return self._run_step("warm-up", tasks, gather)
 
     def step(self, tasks: Sequence[IncomingTask], observe: Callable) -> StepResult:
         """One time step: identify domains, allocate, collect, analyse."""
@@ -734,94 +664,8 @@ class ETA2System:
             raise RuntimeError("run warmup() first")
         if not tasks:
             raise ValueError("step needs at least one task")
-        observe = self._wrap_observe(observe)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "step.start",
-                step=self.completed_steps + 1,
-                kind="daily",
-                n_tasks=len(tasks),
-            )
-        timer = PhaseTimer(tracer=self.tracer)
-        with timer.phase("identify"):
-            domains, merges, new_domains = self._identify_domains(tasks)
-        guard_reports = [self._check_partition(domains, new_domains)]
-        with timer.phase("allocate"):
-            expertise = self._expertise_for(domains)
-            eligible, excluded = self._eligibility()
-            problem = self._problem(tasks, expertise, eligible)
-
-        if self._allocator_kind == "max-quality":
-            with timer.phase("allocate"):
-                assignment = self._max_quality.allocate(problem)
-            self._record_allocation_stats(self._max_quality.last_stats)
-            with timer.phase("collect"):
-                observations = self._collect(assignment, observe)
-        else:
-            # Algorithm 2 interleaves recruiting with collection and truth
-            # previews inside one call: time the nested callbacks directly
-            # and credit the remainder of the span to allocation.
-            start = timer.now()
-            collected_before = timer.get("collect")
-            truth_before = timer.get("truth")
-            outcome = self._min_cost.run(
-                problem,
-                observe=timer.wrap("collect", observe),
-                estimate=timer.wrap("truth", self._min_cost_estimator(domains)),
-            )
-            span = timer.now() - start
-            nested = (timer.get("collect") - collected_before) + (timer.get("truth") - truth_before)
-            timer.add("allocate", span - nested)
-            self._record_allocation_stats(outcome.greedy_stats)
-            assignment = outcome.assignment
-            observations = outcome.observations
-        if observations.observation_count == 0:
-            # Total collection outage: skip the expertise update entirely —
-            # applying the decay with no fresh data would erode the learned
-            # state the outage already made harder to rebuild.
-            return self._degraded_result(
-                assignment, observations, domains, merges, new_domains, problem, "daily", timer,
-                excluded=excluded,
-            )
-        with timer.phase("truth"):
-            incorporate = self._incorporate_phase(observations, domains)
-
-        self.iteration_log.append(incorporate.iterations)
-        truths, sigmas = incorporate.truths, incorporate.sigmas
-        task_expertise = np.vstack(
-            [incorporate.expertise[d] for d in domains.tolist()]
-        ).T
-        if self.guard is not None:
-            truths, sigmas, truth_report = self.guard.check_truths(
-                truths, sigmas, observed=observations.mask.any(axis=0)
-            )
-            task_expertise, expertise_report = self.guard.check_expertise(task_expertise)
-            guard_reports += [truth_report, expertise_report]
-        summary = self._record_reputation(observations, truths, sigmas, task_expertise)
-        return self._after_step(
-            StepResult(
-                assignment=assignment,
-                observations=observations,
-                truths=truths,
-                sigmas=sigmas,
-                task_domains=domains,
-                merges=merges,
-                new_domains=new_domains,
-                mle_iterations=incorporate.iterations,
-                allocation_cost=assignment.total_cost(problem.costs),
-                task_expertise=task_expertise,
-                converged=incorporate.converged,
-                timings=timer.timings(),
-                excluded_users=excluded,
-                reputation=summary,
-                guard_report=self._merge_guard_reports(guard_reports),
-            ),
-            "daily",
-        )
-
-    # ------------------------------------------------------------------ #
-    # Streamed step (reports arrive from outside; no live allocation)
-    # ------------------------------------------------------------------ #
+        gather = partial(self._gather_allocated, self._wrap_observe(observe))
+        return self._run_step("daily", tasks, gather)
 
     def step_from_batch(self, tasks: Sequence[IncomingTask], reports) -> StepResult:
         """One step driven by externally collected reports.
@@ -842,89 +686,159 @@ class ETA2System:
         if not tasks:
             raise ValueError("step_from_batch needs at least one task")
         kind = "daily" if self._warmed_up else "warm-up"
+        return self._run_step(kind, tasks, partial(self._gather_reports, reports))
+
+    def _run_step(self, kind: str, tasks: Sequence[IncomingTask], gather: Callable) -> StepResult:
+        """The step sequence behind every entry point.
+
+        Identify the tasks' domains, let ``gather(timer, tasks, domains)``
+        run the allocate/collect phases and return ``(problem, excluded,
+        assignment, observations)``, then analyse: a ``"warm-up"`` step
+        seeds the updater from the batch MLE (Section 4.1), a ``"daily"``
+        step folds the data in with the decayed update (Section 4.2).
+        """
         if self.tracer.enabled:
             self.tracer.emit(
-                "step.start",
-                step=self.completed_steps + 1,
-                kind=kind,
-                n_tasks=len(tasks),
+                "step.start", step=self.completed_steps + 1, kind=kind, n_tasks=len(tasks)
             )
         timer = PhaseTimer(tracer=self.tracer)
         with timer.phase("identify"):
             domains, merges, new_domains = self._identify_domains(tasks)
         guard_reports = [self._check_partition(domains, new_domains)]
-        with timer.phase("allocate"):
-            eligible, excluded = self._eligibility()
-            expertise = (
-                self._expertise_for(domains)
-                if self._warmed_up
-                else self._default_expertise_for(domains)
+        problem, excluded, assignment, observations = gather(timer, tasks, domains)
+
+        degraded = observations.observation_count == 0
+        if degraded:
+            # Total collection outage: nothing to learn from, so no state
+            # changes.  A warm-up stays in the warm-up regime (the next day
+            # retries it) instead of seeding expertise from nothing; a daily
+            # decay with no fresh data would erode the learned state the
+            # outage already made harder to rebuild.
+            _LOG.warning(
+                "%s step collected zero observations for %d tasks; "
+                "returning a degraded (all-NaN) result", kind, observations.n_tasks
             )
-            problem = self._problem(tasks, expertise, eligible)
+            if self.tracer.enabled:
+                self.tracer.emit("step.degraded", kind=kind, n_tasks=int(observations.n_tasks))
+            truths = np.full(observations.n_tasks, np.nan)
+            sigmas = np.full(observations.n_tasks, SIGMA_FLOOR)
+            task_expertise = self._expertise_for(domains)
+            iterations, converged = 0, False
+        elif kind == "warm-up":
+            with timer.phase("truth"):
+                tracer = self.tracer if self.tracer.enabled else None
+                batch = estimate_truth(observations, domains, robust=self._robust, tracer=tracer)
+                # Guard before seeding: a repaired estimate is what the
+                # updater must start from.
+                truths, sigmas, expertise = self._guard_truths(
+                    batch.truths, batch.sigmas, batch.expertise, observations, guard_reports
+                )
+                batch = replace(batch, truths=truths, sigmas=sigmas, expertise=expertise)
+                self._updater.seed_from_batch(observations, domains, batch)
+            self._warmed_up = True
+            task_expertise = batch.expertise_for_tasks(domains)
+            iterations, converged = batch.iterations, batch.converged
+        else:
+            with timer.phase("truth"):
+                update = self._incorporate_phase(observations, domains)
+            truths, sigmas, task_expertise = self._guard_truths(
+                update.truths,
+                update.sigmas,
+                np.vstack([update.expertise[d] for d in domains.tolist()]).T,
+                observations,
+                guard_reports,
+            )
+            iterations, converged = update.iterations, update.converged
+        self.iteration_log.append(iterations)
+        summary = (
+            None if degraded else self._record_reputation(observations, truths, sigmas, task_expertise)
+        )
+        result = StepResult(
+            assignment=assignment,
+            observations=observations,
+            truths=truths,
+            sigmas=sigmas,
+            task_domains=domains,
+            merges=merges,
+            new_domains=new_domains,
+            mle_iterations=iterations,
+            allocation_cost=assignment.total_cost(problem.costs),
+            task_expertise=task_expertise,
+            converged=converged,
+            timings=timer.timings(),
+            excluded_users=excluded,
+            reputation=summary,
+            guard_report=self._merge_guard_reports(guard_reports),
+        )
+        merge_timings(self.phase_totals, result.timings)
+        if degraded:
+            # Nothing was learned: no step is counted and no checkpoint
+            # written, but the non-converged result surfaces the bad day.
+            return result
+        return self._after_step(result, kind)
+
+    def _guard_truths(self, truths, sigmas, expertise, observations, reports):
+        """Phase-boundary checks of one truth analysis (no-op without guards).
+
+        Returns the (possibly repaired) ``truths``, ``sigmas`` and
+        ``expertise`` and appends the two reports to ``reports``.
+        """
+        if self.guard is None:
+            return truths, sigmas, expertise
+        truths, sigmas, truth_report = self.guard.check_truths(
+            truths, sigmas, observed=observations.mask.any(axis=0)
+        )
+        expertise, expertise_report = self.guard.check_expertise(expertise)
+        reports += [truth_report, expertise_report]
+        return truths, sigmas, expertise
+
+    def _gather_random(self, observe: Callable, timer: PhaseTimer, tasks, domains):
+        """Warm-up gather: random allocation (no expertise is known yet)."""
+        with timer.phase("allocate"):
+            problem, excluded = self._problem(tasks, domains)
+            assignment = self._random.allocate(problem)
         with timer.phase("collect"):
-            observations = self._observations_from_reports(reports, len(tasks), eligible)
+            observations = self._collect(assignment, observe)
+        return problem, excluded, assignment, observations
+
+    def _gather_allocated(self, observe: Callable, timer: PhaseTimer, tasks, domains):
+        """Daily gather: expertise-aware allocation, then collection."""
+        with timer.phase("allocate"):
+            problem, excluded = self._problem(tasks, domains)
+        if self._allocator_kind == "max-quality":
+            with timer.phase("allocate"):
+                assignment = self._max_quality.allocate(problem)
+            self._record_allocation_stats(self._max_quality.last_stats)
+            with timer.phase("collect"):
+                observations = self._collect(assignment, observe)
+            return problem, excluded, assignment, observations
+        # Algorithm 2 interleaves recruiting with collection and truth
+        # previews inside one call: time the nested callbacks directly and
+        # credit the remainder of the span to allocation.
+        start = timer.now()
+        collected_before = timer.get("collect")
+        truth_before = timer.get("truth")
+        outcome = self._min_cost.run(
+            problem,
+            observe=timer.wrap("collect", observe),
+            estimate=timer.wrap("truth", self._min_cost_estimator(domains)),
+        )
+        span = timer.now() - start
+        nested = (timer.get("collect") - collected_before) + (timer.get("truth") - truth_before)
+        timer.add("allocate", span - nested)
+        self._record_allocation_stats(outcome.greedy_stats)
+        return problem, excluded, outcome.assignment, outcome.observations
+
+    def _gather_reports(self, reports, timer: PhaseTimer, tasks, domains):
+        """Streamed gather: fold replayed reports; nothing is allocated."""
+        with timer.phase("allocate"):
+            problem, excluded = self._problem(tasks, domains)
+        with timer.phase("collect"):
+            observations = self._observations_from_reports(reports, len(tasks), problem.eligible)
             # The implied assignment is exactly the observed pairs: cost
             # accounting charges each task's cost per delivering user.
             assignment = Assignment(matrix=observations.mask.copy())
-        if observations.observation_count == 0:
-            return self._degraded_result(
-                assignment, observations, domains, merges, new_domains, problem, kind, timer,
-                excluded=excluded,
-            )
-        if not self._warmed_up:
-            with timer.phase("truth"):
-                result = self._estimate_truth_phase(observations, domains)
-                if self.guard is not None:
-                    truths, sigmas, truth_report = self.guard.check_truths(
-                        result.truths, result.sigmas, observed=observations.mask.any(axis=0)
-                    )
-                    expertise_arr, expertise_report = self.guard.check_expertise(result.expertise)
-                    guard_reports += [truth_report, expertise_report]
-                    if truth_report.repaired or expertise_report.repaired:
-                        result = replace(
-                            result, truths=truths, sigmas=sigmas, expertise=expertise_arr
-                        )
-                self._updater.seed_from_batch(observations, domains, result)
-            truths, sigmas = result.truths, result.sigmas
-            task_expertise = result.expertise_for_tasks(domains)
-            iterations, converged = result.iterations, result.converged
-            self._warmed_up = True
-        else:
-            with timer.phase("truth"):
-                incorporate = self._incorporate_phase(observations, domains)
-            truths, sigmas = incorporate.truths, incorporate.sigmas
-            task_expertise = np.vstack(
-                [incorporate.expertise[d] for d in domains.tolist()]
-            ).T
-            if self.guard is not None:
-                truths, sigmas, truth_report = self.guard.check_truths(
-                    truths, sigmas, observed=observations.mask.any(axis=0)
-                )
-                task_expertise, expertise_report = self.guard.check_expertise(task_expertise)
-                guard_reports += [truth_report, expertise_report]
-            iterations, converged = incorporate.iterations, incorporate.converged
-        summary = self._record_reputation(observations, truths, sigmas, task_expertise)
-        self.iteration_log.append(iterations)
-        return self._after_step(
-            StepResult(
-                assignment=assignment,
-                observations=observations,
-                truths=truths,
-                sigmas=sigmas,
-                task_domains=domains,
-                merges=merges,
-                new_domains=new_domains,
-                mle_iterations=iterations,
-                allocation_cost=assignment.total_cost(problem.costs),
-                task_expertise=task_expertise,
-                converged=converged,
-                timings=timer.timings(),
-                excluded_users=excluded,
-                reputation=summary,
-                guard_report=self._merge_guard_reports(guard_reports),
-            ),
-            kind,
-        )
+        return problem, excluded, assignment, observations
 
     def _observations_from_reports(self, reports, n_tasks: int, eligible) -> ObservationMatrix:
         """Fold ``(user, local_task, value)`` triples into an observation matrix.
@@ -956,54 +870,6 @@ class ETA2System:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _degraded_result(
-        self,
-        assignment,
-        observations,
-        domains,
-        merges,
-        new_domains,
-        problem,
-        kind: str,
-        timer: "PhaseTimer | None" = None,
-        excluded: tuple = (),
-    ) -> StepResult:
-        """The all-NaN outcome of a step whose collection failed entirely.
-
-        No state is updated and no checkpoint is written (nothing was
-        learned); the day is surfaced as non-converged so operators and the
-        engine's metrics see a degraded day rather than a silent one.
-        """
-        from repro.core.truth import SIGMA_FLOOR
-
-        _LOG.warning(
-            "%s step collected zero observations for %d tasks; "
-            "returning a degraded (all-NaN) result", kind, observations.n_tasks
-        )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "step.degraded", kind=kind, n_tasks=int(observations.n_tasks)
-            )
-        self.iteration_log.append(0)
-        timings = timer.timings() if timer is not None else None
-        if timings is not None:
-            merge_timings(self.phase_totals, timings)
-        return StepResult(
-            assignment=assignment,
-            observations=observations,
-            truths=np.full(observations.n_tasks, np.nan),
-            sigmas=np.full(observations.n_tasks, SIGMA_FLOOR),
-            task_domains=domains,
-            merges=merges,
-            new_domains=new_domains,
-            mle_iterations=0,
-            allocation_cost=assignment.total_cost(problem.costs),
-            task_expertise=self._expertise_for(domains),
-            converged=False,
-            timings=timings,
-            excluded_users=excluded,
-        )
-
     def _merge_guard_reports(self, reports) -> "object | None":
         if self.guard is None:
             return None
@@ -1012,24 +878,19 @@ class ETA2System:
         return GuardReport.merge(reports)
 
     def _problem(
-        self,
-        tasks: Sequence[IncomingTask],
-        expertise: np.ndarray,
-        eligible: "np.ndarray | None" = None,
-    ) -> AllocationProblem:
-        return AllocationProblem(
-            expertise=expertise,
+        self, tasks: Sequence[IncomingTask], domains: np.ndarray
+    ) -> "tuple[AllocationProblem, tuple]":
+        """This step's allocation problem and the users it excludes."""
+        eligible, excluded = self._eligibility()
+        problem = AllocationProblem(
+            expertise=self._expertise_for(domains),
             processing_times=np.array([task.processing_time for task in tasks], dtype=float),
             capacities=self._capacities,
             epsilon=self._epsilon,
             costs=np.array([task.cost for task in tasks], dtype=float),
             eligible=eligible,
         )
-
-    def _default_expertise_for(self, domains: np.ndarray) -> np.ndarray:
-        from repro.core.expertise import DEFAULT_EXPERTISE
-
-        return np.full((self._n_users, len(domains)), DEFAULT_EXPERTISE, dtype=float)
+        return problem, excluded
 
     def _expertise_for(self, domains: np.ndarray) -> np.ndarray:
         matrix = self._updater.expertise_matrix()

@@ -42,7 +42,7 @@ import logging
 import math
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.core.pipeline import IncomingTask
@@ -60,6 +60,7 @@ from repro.core.serialization import (
 from repro.reliability.checkpoint import CheckpointManager
 from repro.reliability.observer import CircuitBreaker
 from repro.reliability.retry import RetryPolicy
+from repro.reliability.sanitize import ScreenResult
 from repro.serve.admission import SHEDDING as _Q_SHEDDING
 from repro.serve.admission import AdmissionController
 from repro.serve.wal import WALError, WriteAheadLog, read_wal
@@ -175,7 +176,8 @@ class SubmitResult:
     reason: "str | None" = None
     #: WAL sequence number of the durable record (accepted batches only).
     seq: "int | None" = None
-    #: Per-report schema rejections ``(report, reason)`` (strict mode only).
+    #: Per-report rejections ``(report, reason)``: ids outside the system or
+    #: the open day, plus every schema failure in strict mode.
     rejected_reports: tuple = ()
 
 
@@ -231,6 +233,8 @@ class _OpenDay:
     tasks: list
     first_seq: int
     batches: list = field(default_factory=list)
+    #: The ingest schema narrowed to this day's tasks (built on first use).
+    schema: "object | None" = None
 
 
 class IngestionService:
@@ -499,8 +503,8 @@ class IngestionService:
 
         rejected_reports: tuple = ()
         reports = batch.reports
-        if self.schema is not None:
-            screen = self.sanitizer.screen_reports(reports, self.schema, day=batch.day)
+        screen = self._screen(batch)
+        if screen is not None:
             rejected_reports = tuple(screen.rejected)
             if screen.rejected:
                 self._count_rejected_reports(screen)
@@ -552,6 +556,34 @@ class IngestionService:
                 "repro_serve_queue_depth", "Batches queued for the open day."
             ).set(self.queue_depth)
         return SubmitResult(True, seq=seq, rejected_reports=rejected_reports)
+
+    def _screen(self, batch: ReportBatch) -> "ScreenResult | None":
+        """Per-report screening of one batch (None: no schema, nothing rejected).
+
+        Whatever the schema allows, a report must name a user of the
+        wrapped system and a task of the open day: replaying one that does
+        not would fail the day on every retry and every restart.
+        """
+        open_day = self._open
+        n_users, n_tasks = self.system.n_users, len(open_day.tasks)
+        if self.schema is not None:
+            if open_day.schema is None:
+                open_day.schema = replace(
+                    self.schema,
+                    n_users=min(self.schema.n_users, n_users),
+                    n_tasks=min(self.schema.n_tasks, n_tasks),
+                )
+            return self.sanitizer.screen_reports(batch.reports, open_day.schema, day=batch.day)
+        accepted, rejected = [], []
+        for report in batch.reports:
+            user, task, _ = report
+            if not 0 <= user < n_users:
+                rejected.append((report, "unknown_user"))
+            elif not 0 <= task < n_tasks:
+                rejected.append((report, "unknown_task"))
+            else:
+                accepted.append(report)
+        return ScreenResult(accepted=accepted, rejected=rejected) if rejected else None
 
     def _rejected(self, batch: ReportBatch, reason: str, rejected_reports=()) -> SubmitResult:
         if self.tracer is not None and self.tracer.enabled:

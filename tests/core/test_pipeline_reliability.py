@@ -7,6 +7,7 @@ days, and the ``configure_resilience`` wiring.
 """
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,106 @@ class TestDegradedDays:
         # Nothing was learned, so nothing new was persisted.
         assert len(system.checkpoint_manager.checkpoints()) == 1
         assert system.completed_steps == 1
+
+    def test_degraded_day_keeps_its_guard_report(self):
+        """A zero-data day still reports what the guards found."""
+        rng = np.random.default_rng(8)
+        system = _system()
+        guard = system.enable_guards()
+        check_partition = guard.check_partition
+        # Pretend domain identification emitted labels nobody tracks.
+        guard.check_partition = lambda domains, known: check_partition(domains, ())
+        result = system.warmup(_tasks(rng), lambda pairs: [float("nan")] * len(pairs))
+        assert result.degraded
+        assert result.guard_report is not None
+        assert not result.guard_report.ok
+        assert [v.check for v in result.guard_report.violations] == ["valid_partition"]
+
+
+def _inject_bad_truth(result, observations):
+    """Corrupt the first observed task's estimate: infinite truth, zero sigma."""
+    task = int(np.flatnonzero(observations.mask.any(axis=0))[0])
+    truths, sigmas = result.truths.copy(), result.sigmas.copy()
+    truths[task], sigmas[task] = np.inf, 0.0
+    return replace(result, truths=truths, sigmas=sigmas), task
+
+
+class TestGuardsThroughEntryPoints:
+    """``enable_guards("repair")`` repairs a corrupt truth step whichever
+    entry point ran it: warm-up guards the batch MLE before seeding the
+    updater, daily steps guard the committed Section 4.2 update."""
+
+    @pytest.mark.parametrize(
+        "entry, warm",
+        [
+            ("warmup", False),
+            ("step", True),
+            ("step_from_batch", False),
+            ("step_from_batch", True),
+        ],
+        ids=["warmup", "step", "step_from_batch-cold", "step_from_batch-warm"],
+    )
+    def test_repair_policy_repairs_non_finite_truth(self, monkeypatch, entry, warm):
+        import repro.core.pipeline as pipeline
+        from repro.core.update import ExpertiseUpdater
+
+        rng = np.random.default_rng(9)
+        system = _system()
+        system.enable_guards("repair")
+        if warm:
+            system.warmup(_tasks(rng), _good_observe(rng))
+        corrupted, seeded = [], []
+        if warm:
+            incorporate = ExpertiseUpdater.incorporate
+
+            def corrupt(self, observations, domains, **kwargs):
+                result, task = _inject_bad_truth(
+                    incorporate(self, observations, domains, **kwargs), observations
+                )
+                corrupted.append(task)
+                return result
+
+            monkeypatch.setattr(ExpertiseUpdater, "incorporate", corrupt)
+        else:
+            estimate_truth = pipeline.estimate_truth
+
+            def corrupt(observations, domains, **kwargs):
+                result, task = _inject_bad_truth(
+                    estimate_truth(observations, domains, **kwargs), observations
+                )
+                corrupted.append(task)
+                return result
+
+            seed_from_batch = ExpertiseUpdater.seed_from_batch
+
+            def spy(self, observations, domains, result):
+                seeded.append(result)
+                return seed_from_batch(self, observations, domains, result)
+
+            monkeypatch.setattr(pipeline, "estimate_truth", corrupt)
+            monkeypatch.setattr(ExpertiseUpdater, "seed_from_batch", spy)
+
+        tasks = _tasks(rng)
+        if entry == "step_from_batch":
+            reports = [
+                (user, task, 10.0 + rng.standard_normal())
+                for task in range(len(tasks))
+                for user in range(system.n_users)
+                if rng.random() < 0.5
+            ]
+            result = system.step_from_batch(tasks, reports)
+        else:
+            result = getattr(system, entry)(tasks, _good_observe(rng))
+
+        [task] = corrupted
+        assert np.isnan(result.truths[task])  # demoted to the missing marker
+        assert np.all(np.isfinite(result.sigmas)) and np.all(result.sigmas > 0)
+        assert result.guard_report.repaired
+        assert not result.guard_report.ok
+        if not warm:
+            [batch] = seeded
+            assert np.array_equal(batch.truths, result.truths, equal_nan=True)
+            assert np.array_equal(batch.sigmas, result.sigmas)
 
 
 class TestConfigureResilience:

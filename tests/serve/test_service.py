@@ -216,6 +216,51 @@ class TestScreening:
         with pytest.raises(ValueError, match="outside the ingest schema"):
             service.open_day(99, make_tasks())
 
+    @pytest.mark.parametrize("loose_schema", [False, True], ids=["no-schema", "loose-schema"])
+    def test_ids_outside_the_open_day_never_reach_the_wal(
+        self, tmp_path, make_system, make_tasks, loose_schema
+    ):
+        """A report naming a user past the roster or a task past the open
+        day's list would make every replay of the day fail; it is rejected
+        before durability even when no schema (or a wider one) lets it by."""
+        system = make_system()
+        schema = (
+            IngestSchema(n_users=system.n_users + 4, n_tasks=10) if loose_schema else None
+        )
+        service = IngestionService(system, tmp_path, schema=schema)
+        tasks = make_tasks()  # 6 tasks
+        service.open_day(0, tasks)
+        result = service.submit(
+            ReportBatch(
+                submitter=0,
+                day=0,
+                reports=[(0, 0, 10.0), (system.n_users, 0, 10.0), (1, 8, 10.0)],
+                batch_id="mixed",
+            )
+        )
+        assert result.accepted
+        assert [reason for _, reason in result.rejected_reports] == [
+            "unknown_user",
+            "unknown_task",
+        ]
+        fully_bad = service.submit(ReportBatch(submitter=1, day=0, reports=[(1, 8, 10.0)]))
+        assert not fully_bad.accepted and fully_bad.reason == "schema"
+        for batch in _batches(np.random.default_rng(5), system.n_users, len(tasks), 0):
+            assert service.submit(batch).accepted
+        service.seal_day()
+        assert service.applied_days == 1
+        fingerprint = service.state_fingerprint()
+        service.close()
+
+        # Drop the checkpoints so recovery must replay the sealed day from
+        # the WAL alone.
+        for path in service.checkpoints.directory.iterdir():
+            path.unlink()
+        resumed = IngestionService(make_system(), tmp_path, resume=True, schema=schema)
+        assert resumed.applied_days == 1
+        assert resumed.state_fingerprint() == fingerprint
+        resumed.close()
+
 
 class TestFailureAndBreaker:
     def test_failed_day_rolls_back_and_retry_day_heals(

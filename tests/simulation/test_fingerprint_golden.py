@@ -2,20 +2,29 @@
 
 :meth:`SimulationResult.fingerprint` hashes a run's per-day errors, every
 observation record, the MLE iteration counts and each day's truth
-estimates byte-for-byte.  These tests pin the digests of one eta2 and one
-eta2-mc run to committed values, so any change to the numbers a
-simulation produces — not just a large one — fails here.  A change that
-is meant to move the numbers must update the constants below and say why.
+estimates byte-for-byte.  These tests pin the digests of eta2 and eta2-mc
+runs — on synthetic data with known domains and on the survey dataset,
+whose tasks go through text clustering — to committed values, so any
+change to the numbers a simulation produces — not just a large one —
+fails here.  A served run (``ETA2System.step_from_batch`` from cold to
+warm) is pinned by its learned-state fingerprint.  A change that is meant
+to move the numbers must update the constants below and say why.
 """
 
+import numpy as np
 import pytest
 
-from repro.datasets import synthetic_dataset
+from repro.core.pipeline import ETA2System, IncomingTask
+from repro.core.serialization import state_fingerprint
+from repro.datasets import survey_dataset, synthetic_dataset
 from repro.simulation import SimulationConfig, run_simulation
 from repro.simulation.approaches import ETA2Approach
 
 ETA2_FINGERPRINT = "dd100c40ca237cc35621347e30c989338008903c10f4c49a592631a2b9d72089"
 ETA2_MC_FINGERPRINT = "b53fd797210739fdb7ff545521bfd6464877195e5d4df651cf4f312c3a7e39ad"
+SURVEY_ETA2_FINGERPRINT = "0d20c69f1c6932236c8634978519e93199a93722652e67da73b0050a4dd21664"
+SURVEY_ETA2_MC_FINGERPRINT = "9d6ea00c96c45406baee6c392f404fe143aef1f4672ee5ce4f34090d194dc406"
+SERVED_STATE_FINGERPRINT = "00c930632eea88b5daa7dcf7c5912c0eb29bf1669dfc48a10ac8632e24c283a7"
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +44,38 @@ def test_eta2_fingerprint_is_golden(dataset):
 def test_eta2_mc_fingerprint_is_golden(dataset):
     result = run(dataset, allocator="min-cost", min_cost_round_budget=60.0)
     assert result.fingerprint() == ETA2_MC_FINGERPRINT
+
+
+@pytest.mark.parametrize(
+    "allocator, expected",
+    [
+        ("max-quality", SURVEY_ETA2_FINGERPRINT),
+        ("min-cost", SURVEY_ETA2_MC_FINGERPRINT),
+    ],
+    ids=["eta2", "eta2-mc"],
+)
+def test_survey_fingerprint_is_golden(allocator, expected):
+    result = run(survey_dataset(seed=2017), allocator=allocator, guards="warn", reputation=True)
+    assert result.fingerprint() == expected
+
+
+def test_served_state_fingerprint_is_golden():
+    """Four days of partial reports replayed cold-to-warm through the
+    serving entry point, with repairing guards and reputation on."""
+    system = ETA2System(n_users=8, capacities=np.full(8, 10.0), seed=3)
+    system.enable_guards("repair")
+    system.enable_reputation()
+    tasks = [IncomingTask(processing_time=1.0, cost=1.0, domain=i % 3) for i in range(6)]
+    rng = np.random.default_rng(2017)
+    for _ in range(4):
+        reports = [
+            (user, task, float(10.0 + task + rng.normal()))
+            for task in range(len(tasks))
+            for user in range(system.n_users)
+            if rng.random() < 0.6
+        ]
+        system.step_from_batch(tasks, reports)
+    assert state_fingerprint(system) == SERVED_STATE_FINGERPRINT
 
 
 def test_fingerprint_distinguishes_different_runs(dataset):
