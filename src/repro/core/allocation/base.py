@@ -114,6 +114,15 @@ class AllocationProblem:
             )
         if capacities.shape != (n_users,):
             raise ValueError("capacities must have one entry per user")
+        # NaN slips through every ordered comparison below and would leave
+        # the greedy's argmax and feasibility tests silently degenerate.
+        for name, values in (
+            ("expertise", expertise),
+            ("processing times", times),
+            ("capacities", capacities),
+        ):
+            if np.isnan(values).any():
+                raise ValueError(f"{name} must not contain NaN")
         if np.any(times <= 0):
             raise ValueError("processing times must be positive")
         if np.any(capacities < 0):
@@ -127,6 +136,8 @@ class AllocationProblem:
             costs = np.asarray(costs, dtype=float)
             if costs.shape != (n_tasks,):
                 raise ValueError("costs must have one entry per task")
+            if np.isnan(costs).any():
+                raise ValueError("costs must not contain NaN")
             if np.any(costs < 0):
                 raise ValueError("costs must be non-negative")
         eligible = self.eligible

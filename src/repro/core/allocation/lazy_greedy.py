@@ -25,19 +25,45 @@ evaluated under; every other change provably cannot alter the task's
 masked argmax (a non-best user dropping out of feasibility only removes
 candidates that were already dominated — ``np.argmax`` returns the first
 maximum, and the cached best user is by construction the lowest-indexed
-one).  A fresh top-of-heap entry is therefore the true global maximum,
-and re-evaluation is a single vectorised masked-argmax over users.
+one).  A fresh top-of-heap entry is therefore the true global maximum.
+
+**Re-evaluation.**  With the paper's per-task processing times (a
+stride-0 ``pair_times`` broadcast, which is how the pipeline builds every
+problem), a task's gain ``p_ij * miss_j / t_j`` scales all users by one
+scalar, so the task's user ranking by ``(-p, index)`` is fixed for the
+whole pass — and every way a user leaves the feasible set (assigned to
+the task, or ``t_j`` above its remaining capacity) is permanent.
+Re-evaluation is then a forward pointer over that ranking, in scalar
+arithmetic:
+
+- rankings are built lazily, when a task is first re-evaluated, and cached
+  per call keyed by the accuracy column's bytes, so all tasks of one
+  expertise domain share one sort;
+- the pointer walks at most ``_WALK_LIMIT`` spent users before jumping to
+  the next feasible one with a single vectorised scan over the rest of the
+  ranking (capacity-1 instances spend users faster than any one task is
+  re-evaluated);
+- the gain is ``p * miss / t`` in Python floats — the same IEEE operations
+  as the vectorised form — and a short scan over the following runs of
+  equal gain keeps ``np.argmax``'s lowest-index tie-break, since rounding
+  can give a slightly smaller ``p`` the leader's gain.
+
+Per-pair (spatial) times break the shared ranking, so there re-evaluation
+stays one vectorised masked-argmax over the task's column.
 
 **Bit-identical picks.**  Heap entries order by ``(-efficiency, task)``,
 so ties in efficiency break toward the lowest task index — exactly
-``np.argmax`` over the per-task efficiency array — and the per-task
-re-evaluation performs the same element-wise operations in the same order
-as the eager loop's ``best_for_task``, so every efficiency value is
-bit-identical too.  ``tests/perf/test_allocation_equivalence.py`` fuzzes
-the kernel against the frozen eager copy
+``np.argmax`` over the per-task efficiency array — and both re-evaluation
+paths compute every efficiency with the same element-wise operations in
+the same order as the eager loop's ``best_for_task``, so every value and
+every user tie-break is bit-identical too.
+``tests/perf/test_allocation_equivalence.py`` fuzzes the kernel against
+the frozen eager copy
 (:func:`repro.perf.reference.reference_greedy_allocate`) across spatial
 pair-times, eligibility masks, cost budgets, warm starts, tie-heavy
-expertise and zero-capacity users.
+expertise and zero-capacity users, with a second block of larger
+per-task-time instances for the pointer walk and a hand-built rounding
+tie.
 """
 
 from __future__ import annotations
@@ -51,13 +77,17 @@ from repro.core.allocation.base import AllocationProblem, Assignment, allocation
 
 __all__ = ["GreedyStats", "GreedyOutcome", "lazy_greedy_allocate"]
 
+#: Longest scalar pointer walk over a task's ranking before the kernel
+#: jumps to the next feasible user with one vectorised scan.
+_WALK_LIMIT = 128
+
 
 @dataclass(frozen=True)
 class GreedyStats:
     """Work counters of one lazy-greedy run (telemetry + CELF audits).
 
-    ``evaluations`` counts vectorised per-task masked-argmax evaluations
-    after the initial build (the build itself evaluates all ``n_tasks``
+    ``evaluations`` counts per-task re-evaluations (pointer walks or
+    masked argmaxes) after the initial build (the build itself evaluates all ``n_tasks``
     columns in one shot); the eager reference instead re-evaluates every
     task sharing the picked user after every pick, so
     ``evaluations / picks`` staying near 2 is the laziness actually
@@ -136,46 +166,9 @@ def lazy_greedy_allocate(
         active = np.asarray(active_tasks, dtype=bool)
         if active.shape != (n_tasks,):
             raise ValueError("active_tasks must have one flag per task")
-        active = active.copy()
 
-    spent = 0.0
-    budget_blocked = np.zeros(n_tasks, dtype=bool)
-
-    # Column-access layout for the per-task re-evaluations: Fortran order
-    # makes ``[:, task]`` slices contiguous (a broadcast per-task time row —
-    # stride 0 — is already free to slice), ``avail`` folds the fixed
-    # eligibility into the assignment complement, and ``remaining_eps``
-    # keeps ``remaining + 1e-12`` maintained incrementally.  Scratch buffers
-    # avoid per-call allocations.  All of it is value-identical to the
-    # frozen eager loop: boolean algebra is exact, and ``x * True`` /
-    # ``x * False`` equal ``np.where``'s ``x`` / ``0.0`` for these finite
-    # non-negative gains.
-    p_f = np.asfortranarray(p)
-    times_f = times if times.ndim == 2 and times.strides[0] == 0 else np.asfortranarray(times)
-    avail = np.asfortranarray(~assigned & eligible[:, None])
-    remaining_eps = remaining + 1e-12
-    feas_buf = np.empty(n_users, dtype=bool)
-    gain_buf = np.empty(n_users, dtype=float)
-
-    def evaluate(task: int) -> "tuple[float, int]":
-        # Same operations (element-wise, in the same order) as the frozen
-        # eager loop's best_for_task — efficiencies must stay bit-identical.
-        if not active[task] or budget_blocked[task]:
-            return (0.0, -1)
-        feasible = np.less_equal(times_f[:, task], remaining_eps, out=feas_buf)
-        feasible &= avail[:, task]
-        if not feasible.any():
-            return (0.0, -1)
-        gain = np.multiply(p_f[:, task], miss[task], out=gain_buf)
-        if divide_by_time:
-            gain /= times_f[:, task]
-        np.multiply(gain, feasible, out=gain)
-        user = int(np.argmax(gain))
-        return (float(gain[user]), user)
-
-    # Initial build: one vectorised masked-argmax over the whole matrix.
-    # Element-wise, these are the same operations evaluate() performs per
-    # column, so the initial efficiencies are bit-identical as well.
+    # Initial build: one vectorised masked-argmax over the whole matrix,
+    # the same element-wise operations as the eager loop's per-task scan.
     feasible = (~assigned) & eligible[:, None] & (times <= remaining[:, None] + 1e-12)
     gain = p * miss[None, :]
     if divide_by_time:
@@ -183,22 +176,143 @@ def lazy_greedy_allocate(
     gain = np.where(feasible, gain, 0.0)
     build_user = np.argmax(gain, axis=0)
     build_eff = gain[build_user, np.arange(n_tasks)]
+    heap_tasks = np.flatnonzero(active & (build_eff > 0.0)).tolist()
+
+    # From here on the loop reads and writes one scalar at a time, where
+    # plain lists are several times cheaper than ndarrays (and Python
+    # floats perform the same IEEE operations as NumPy's float64).
+    miss = miss.tolist()
+    active = active.tolist()
+    budget_blocked = [False] * n_tasks
+    spent = 0.0
 
     # Staleness epochs: a heap entry is current iff the task's coverage and
     # its cached best user's capacity are both unchanged since evaluation.
-    # Plain lists, not ndarrays — the pop loop reads these one scalar at a
-    # time, where list indexing is several times cheaper.
     miss_epoch = [0] * n_tasks
     cap_epoch = [0] * n_users
-    cached_user = [-1] * n_tasks
+    cached_user = build_user.tolist()
     entry_miss_epoch = [0] * n_tasks
     entry_cap_epoch = [0] * n_tasks
-
-    heap: list = []
-    for task in np.flatnonzero(active & (build_eff > 0.0)).tolist():
-        cached_user[task] = int(build_user[task])
-        heap.append((-build_eff[task], task))
+    build_eff = build_eff.tolist()
+    heap = [(-build_eff[task], task) for task in heap_tasks]
     heapq.heapify(heap)
+
+    # Column-access layout for the vectorised scans: Fortran order makes
+    # ``[:, task]`` slices contiguous (a broadcast per-task time row —
+    # stride 0 — is already free to slice), ``avail`` folds the fixed
+    # eligibility into the assignment complement, and ``remaining_eps``
+    # keeps ``remaining + 1e-12`` maintained incrementally, mirrored in
+    # ``remaining_list`` for scalar reads; ``taken`` holds the assigned
+    # pairs as ``user * n_tasks + task``.  All of it is value-identical to
+    # the frozen eager loop: boolean algebra is exact, and ``x * True`` /
+    # ``x * False`` equal ``np.where``'s ``x`` / ``0.0`` for these finite
+    # non-negative gains.
+    per_task_times = times.ndim == 2 and times.strides[0] == 0
+    p_f = np.asfortranarray(p)
+    times_f = times if per_task_times else np.asfortranarray(times)
+    avail = np.asfortranarray(~assigned & eligible[:, None])
+    remaining_eps = remaining + 1e-12
+    remaining_list = remaining_eps.tolist()
+    taken = set(np.flatnonzero(assigned).tolist())
+
+    if per_task_times:
+        # Every user's gain on a task is ``p * (miss / t)`` for one task
+        # scalar, so the task's user ranking by ``(-p, index)`` holds for
+        # the whole pass, and every way a user leaves the feasible set
+        # (assignment, spent capacity) is permanent: re-evaluation is a
+        # forward pointer over the ranking.
+        task_times = times[0].tolist()
+        rankings: dict = {}
+        task_ranking: list = [None] * n_tasks
+        pointer = [0] * n_tasks
+
+        def rank(task: int) -> tuple:
+            """The task's eligible users by ``(-p, index)``, shared by column."""
+            column = p_f[:, task]
+            key = column.tobytes()
+            ranking = rankings.get(key)
+            if ranking is None:
+                order = np.argsort(-column, kind="stable")
+                order = order[eligible[order]]
+                ranked_p = column[order]
+                starts = np.flatnonzero(np.r_[True, ranked_p[1:] != ranked_p[:-1]])
+                ends = np.r_[starts[1:], len(order)]
+                # run_end[k]: the first rank past rank k's run of equal p.
+                run_end = np.repeat(ends, ends - starts)
+                ranking = (order, order.tolist(), ranked_p.tolist(), run_end.tolist(), len(order))
+                rankings[key] = ranking
+            task_ranking[task] = ranking
+            return ranking
+
+        def evaluate(task: int) -> "tuple[float, int]":
+            if not active[task] or budget_blocked[task]:
+                return (0.0, -1)
+            order, users, ranked_p, run_end, n = task_ranking[task] or rank(task)
+            t = task_times[task]
+            k = pointer[task]
+            stop = k + _WALK_LIMIT
+            if stop > n:
+                stop = n
+            while k < stop:
+                user = users[k]
+                if t <= remaining_list[user] and user * n_tasks + task not in taken:
+                    break
+                k += 1
+            else:
+                if k < n:
+                    # A long run of spent users: one vectorised scan finds
+                    # the first feasible rank in the rest of the ranking.
+                    rest = order[k:]
+                    feasible = (t <= remaining_eps[rest]) & avail[rest, task]
+                    k = k + int(np.argmax(feasible)) if feasible.any() else n
+            pointer[task] = k
+            if k == n:
+                return (0.0, -1)
+            scale = miss[task]
+            best = users[k]
+            value = ranked_p[k] * scale
+            if divide_by_time:
+                value /= t
+            if value > 0.0:
+                # Rounding can give a smaller p the same gain, and np.argmax
+                # takes the lowest user index among equal gains.  Ranks
+                # after ``k`` in its own run of equal p all have higher
+                # indices, so the scan starts at the next run.
+                k = run_end[k]
+                while k < n:
+                    gain = ranked_p[k] * scale
+                    if divide_by_time:
+                        gain /= t
+                    if gain != value:
+                        break
+                    for user in users[k : run_end[k]]:
+                        if user > best:
+                            break
+                        if t <= remaining_list[user] and user * n_tasks + task not in taken:
+                            best = user
+                            break
+                    k = run_end[k]
+            return (value, best)
+
+    else:
+        feas_buf = np.empty(n_users, dtype=bool)
+        gain_buf = np.empty(n_users, dtype=float)
+
+        def evaluate(task: int) -> "tuple[float, int]":
+            # Same operations (element-wise, in the same order) as the frozen
+            # eager loop's best_for_task — efficiencies must stay bit-identical.
+            if not active[task] or budget_blocked[task]:
+                return (0.0, -1)
+            feasible = np.less_equal(times_f[:, task], remaining_eps, out=feas_buf)
+            feasible &= avail[:, task]
+            if not feasible.any():
+                return (0.0, -1)
+            gain = np.multiply(p_f[:, task], miss[task], out=gain_buf)
+            if divide_by_time:
+                gain /= times_f[:, task]
+            np.multiply(gain, feasible, out=gain)
+            user = int(np.argmax(gain))
+            return (float(gain[user]), user)
 
     picks = 0
     pops = 0
@@ -237,10 +351,12 @@ def lazy_greedy_allocate(
             continue
         assigned[user, task] = True
         avail[user, task] = False
+        taken.add(user * n_tasks + task)
         remaining[user] -= times_f[user, task]
         remaining_eps[user] = remaining[user] + 1e-12
+        remaining_list[user] = float(remaining_eps[user])
         cap_epoch[user] += 1
-        miss[task] *= 1.0 - p_f[user, task]
+        miss[task] *= 1.0 - float(p_f[user, task])
         miss_epoch[task] += 1
         spent += costs[task]
         added.append((user, task))

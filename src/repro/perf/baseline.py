@@ -54,6 +54,10 @@ SIZES = {
         "full": {"n_users": 2000, "n_tasks": 5000, "n_domains": 8, "capacity": 1.0},
         "quick": {"n_users": 300, "n_tasks": 600, "n_domains": 8, "capacity": 1.0},
     },
+    "allocation_greedy_day": {
+        "full": {"n_users": 100, "n_tasks": 200, "n_domains": 8, "tau": 12.0},
+        "quick": {"n_users": 50, "n_tasks": 100, "n_domains": 8, "tau": 12.0},
+    },
 }
 
 KERNELS = tuple(SIZES)
@@ -138,8 +142,6 @@ def _bench_dynamic_add(size: dict, rounds: int) -> dict:
 
 def _bench_allocation_greedy(size: dict, rounds: int) -> dict:
     from repro.core.allocation.base import AllocationProblem
-    from repro.core.allocation.lazy_greedy import lazy_greedy_allocate
-    from repro.perf.reference import reference_greedy_allocate
 
     rng = np.random.default_rng(121314)
     n_users, n_tasks = size["n_users"], size["n_tasks"]
@@ -154,6 +156,31 @@ def _bench_allocation_greedy(size: dict, rounds: int) -> dict:
         processing_times=rng.uniform(0.5, 1.5, n_tasks),
         capacities=np.full(n_users, float(size["capacity"])),
     )
+    return _time_greedy(problem, rounds)
+
+
+def _bench_allocation_greedy_day(size: dict, rounds: int) -> dict:
+    from repro.core.allocation.base import AllocationProblem
+
+    rng = np.random.default_rng(151617)
+    n_users, n_tasks, tau = size["n_users"], size["n_tasks"], size["tau"]
+    # One simulated day in the pipeline's shape (the Section 6.1.3 synthetic
+    # recipe): expertise U[0, 3] per domain, t_j ~ U[0.5, 1.5] and
+    # capacities U[tau - 4, tau + 4], so every user takes several tasks and
+    # each task several users.
+    domains = rng.integers(0, size["n_domains"], n_tasks)
+    user_domain = rng.uniform(0.0, 3.0, (n_users, size["n_domains"]))
+    problem = AllocationProblem(
+        expertise=user_domain[:, domains],
+        processing_times=rng.uniform(0.5, 1.5, n_tasks),
+        capacities=rng.uniform(tau - 4.0, tau + 4.0, n_users),
+    )
+    return _time_greedy(problem, rounds)
+
+
+def _time_greedy(problem, rounds: int) -> dict:
+    from repro.core.allocation.lazy_greedy import lazy_greedy_allocate
+    from repro.perf.reference import reference_greedy_allocate
 
     # The optimised path is timed as the allocators now invoke it — the
     # Eq. 11 accuracy matrix computed once by the caller and threaded in;
@@ -173,6 +200,7 @@ _RUNNERS = {
     "mle_sparse": _bench_mle_sparse,
     "dynamic_add": _bench_dynamic_add,
     "allocation_greedy": _bench_allocation_greedy,
+    "allocation_greedy_day": _bench_allocation_greedy_day,
 }
 
 

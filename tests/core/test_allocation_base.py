@@ -74,6 +74,20 @@ class TestAllocationProblem:
                 costs=np.array([-1.0]),
             )
 
+    @pytest.mark.parametrize("field", ["expertise", "processing_times", "capacities", "costs"])
+    def test_nan_rejected(self, field):
+        # A NaN passes every ordered check, and the greedy then leaves tasks
+        # unassigned (all of them for a NaN processing time).
+        values = {
+            "expertise": np.array([[1.0, 1.0], [2.0, 1.0]]),
+            "processing_times": np.array([1.0, 1.0]),
+            "capacities": np.array([2.0, 2.0]),
+            "costs": np.array([1.0, 1.0]),
+        }
+        values[field][(0,) * values[field].ndim] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            AllocationProblem(**values)
+
     def test_default_costs_are_unit(self):
         problem = _problem()
         assert np.all(problem.costs == 1.0)

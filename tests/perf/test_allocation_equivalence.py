@@ -16,6 +16,13 @@ adversarial structure the kernel's staleness reasoning must survive:
 - inactive-task masks and both efficiency definitions
   (``divide_by_time`` on/off).
 
+Per-task processing times (the paper's setting, and the only kind the
+pipeline builds) take the kernel's ranked-pointer path, so a second fuzz
+block draws only those, at sizes where pointer walks outgrow their bound
+and jump, with capacity-1 saturation and shared domain columns.
+Hand-built instances pin a jump past a warm-started user and the rounding
+ties the pointer walk must break the way ``np.argmax`` does.
+
 The CELF invariant test asserts the submodularity precondition the kernel
 relies on: re-evaluating a stale heap entry never *increases* its
 efficiency (``max_refresh_delta <= 0``), so a stale cached value is always
@@ -107,6 +114,160 @@ def test_lazy_greedy_matches_reference_fuzz(block):
         assert np.array_equal(lazy.assignment.matrix, ref.assignment.matrix)
         assert lazy.objective == ref.objective
         assert lazy.spent_cost == ref.spent_cost
+
+
+def _per_task_instance(rng):
+    """A larger instance with per-task times only (the ranked-pointer path)."""
+    n_users = int(rng.integers(30, 201))
+    # Capacity-1 saturation: each user fits about one task, and with more
+    # tasks than users a task's leading users are spent long before it is
+    # re-evaluated, so pointer walks outgrow their bound and jump.
+    saturated = rng.random() < 0.5
+    n_tasks = int(rng.integers(n_users, 2 * n_users)) if saturated else int(rng.integers(20, 121))
+    n_domains = int(rng.integers(1, 9))
+    domains = rng.integers(0, n_domains, n_tasks)
+    if rng.random() < 0.3:
+        levels = rng.choice([0.0, 0.5, 1.0, 2.0], size=(n_users, n_domains))
+        if rng.random() < 0.5:
+            # Ulp-level nudges: users whose p differs by a rounding step,
+            # whose gains then tie or not depending on miss and t.
+            levels *= 1.0 + rng.integers(-2, 3, levels.shape) * 2.0**-52
+    elif saturated:
+        # Heavy-tailed, as in the capacity-1 benchmark kernel.
+        levels = rng.gamma(2.0, 2.0, (n_users, n_domains))
+    else:
+        levels = rng.uniform(0.0, 3.0, (n_users, n_domains))
+    # Domain columns shared across tasks (the ranking cache), occasionally
+    # perturbed per task so that some tasks get a ranking of their own.
+    expertise = levels[:, domains]
+    if rng.random() < 0.2:
+        expertise = expertise + rng.uniform(0.0, 0.1, expertise.shape)
+    times = rng.uniform(0.5, 1.5, n_tasks)
+    if saturated:
+        capacities = np.ones(n_users)
+    else:
+        capacities = rng.uniform(0.5, 6.0, n_users)
+        capacities[rng.random(n_users) < 0.1] = 0.0
+    costs = rng.choice([0.5, 1.0, 2.0], size=n_tasks) if rng.random() < 0.5 else None
+    eligible = None
+    if rng.random() < 0.3:
+        eligible = rng.random(n_users) < 0.7
+        eligible[int(rng.integers(n_users))] = True
+    problem = AllocationProblem(
+        expertise=expertise,
+        processing_times=times,
+        capacities=capacities,
+        costs=costs,
+        eligible=eligible,
+    )
+    kwargs = {"divide_by_time": bool(rng.random() < 0.6)}
+    if rng.random() < 0.3:
+        kwargs["cost_budget"] = float(rng.uniform(1.0, n_tasks))
+    if rng.random() < 0.2:
+        kwargs["active_tasks"] = rng.random(n_tasks) < 0.7
+    initial = None
+    if rng.random() < 0.3:
+        initial = Assignment.empty(n_users, n_tasks)
+        remaining = problem.capacities.copy()
+        for _ in range(int(rng.integers(1, 20))):
+            user = int(rng.integers(n_users))
+            task = int(rng.integers(n_tasks))
+            if not initial.matrix[user, task] and times[task] <= remaining[user]:
+                initial.matrix[user, task] = True
+                remaining[user] -= times[task]
+    return problem, initial, kwargs
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_ranked_pointer_path_matches_reference_fuzz(block):
+    """60 per-task-time instances (4 blocks x 15): picks bit-identical."""
+    rng = np.random.default_rng(2000 + block)
+    for _ in range(15):
+        problem, initial, kwargs = _per_task_instance(rng)
+        lazy = lazy_greedy_allocate(problem, initial=initial, **kwargs)
+        ref = reference_greedy_allocate(problem, initial=initial, **kwargs)
+        assert lazy.added_pairs == ref.added_pairs
+        assert np.array_equal(lazy.assignment.matrix, ref.assignment.matrix)
+        assert lazy.objective == ref.objective
+        assert lazy.spent_cost == ref.spent_cost
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ranked_pointer_jumps_match_reference(seed):
+    """Capacity-1 instances in the benchmark kernel's shape, where most
+    re-evaluations find more spent users ahead than the walk bound."""
+    rng = np.random.default_rng(3000 + seed)
+    domains = rng.integers(0, 8, 400)
+    problem = AllocationProblem(
+        expertise=rng.gamma(2.0, 2.0, (200, 8))[:, domains],
+        processing_times=rng.uniform(0.5, 1.5, 400),
+        capacities=np.ones(200),
+    )
+    lazy = lazy_greedy_allocate(problem)
+    assert lazy.added_pairs == reference_greedy_allocate(problem).added_pairs
+
+
+def test_jump_skips_a_warm_started_user():
+    """The vectorised jump must skip users already assigned to the task,
+    not only users out of capacity."""
+    expertise = np.linspace(3.0, 0.5, 200)[:, None]  # rank order == index order
+    capacities = np.full(200, 5.0)
+    capacities[:150] = 0.0  # more spent users ahead than the walk bound
+    problem = AllocationProblem(
+        expertise=expertise, processing_times=np.array([1.0]), capacities=capacities
+    )
+    initial = Assignment.empty(200, 1)
+    initial.matrix[150, 0] = True  # time-feasible, but already on the task
+    lazy = lazy_greedy_allocate(problem, initial=initial)
+    assert lazy.added_pairs == reference_greedy_allocate(problem, initial=initial).added_pairs
+
+
+def _rounding_tie(time, capacity_0=2.0, warm_start_0=False):
+    """User 0's p is one rounding step below user 1's, and user 2 is the
+    clear leader.  Returns the greedy kwargs and whether users 0 and 1
+    have equal gains once user 2 has taken the task."""
+    problem = AllocationProblem(
+        expertise=np.array([[np.nextafter(1.0, 0.0)], [1.0], [3.0]]),
+        processing_times=np.array([time]),
+        capacities=np.array([capacity_0, 2.0, 2.0]),
+    )
+    initial = None
+    p = problem.accuracy_matrix()[:, 0]
+    miss = 1.0
+    if warm_start_0:
+        initial = Assignment.empty(3, 1)
+        initial.matrix[0, 0] = True
+        miss *= 1.0 - p[0]
+    miss *= 1.0 - p[2]
+    assert p[0] < p[1]
+    tied = p[0] * miss / time == p[1] * miss / time
+    return {"problem": problem, "initial": initial}, tied
+
+
+def test_rounding_tie_breaks_to_lowest_user_index():
+    """A smaller p can round to the leader's gain; np.argmax then takes
+    the lower user index, which a tie-break in ranking order would miss."""
+    kwargs, tied = _rounding_tie(0.9)
+    assert tied
+    ref = reference_greedy_allocate(**kwargs)
+    assert ref.added_pairs == ((2, 0), (0, 0), (1, 0))
+    p = kwargs["problem"].accuracy_matrix()[:, 0]
+    ranking = [user for user in np.argsort(-p, kind="stable").tolist() if user != 2]
+    assert ranking[0] == 1 != ref.added_pairs[1][0]
+    assert lazy_greedy_allocate(**kwargs).added_pairs == ref.added_pairs
+
+
+@pytest.mark.parametrize(
+    "tie",
+    [{"time": 0.9, "capacity_0": 0.5}, {"time": 0.8, "warm_start_0": True}],
+    ids=["no-capacity", "already-assigned"],
+)
+def test_rounding_tie_skips_a_lower_index_that_cannot_take_the_task(tie):
+    kwargs, tied = _rounding_tie(**tie)
+    assert tied
+    ref = reference_greedy_allocate(**kwargs)
+    assert ref.added_pairs == ((2, 0), (1, 0))
+    assert lazy_greedy_allocate(**kwargs).added_pairs == ref.added_pairs
 
 
 def test_celf_invariant_refresh_never_increases():
