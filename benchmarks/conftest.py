@@ -1,10 +1,13 @@
 """Shared configuration for the table/figure benchmarks.
 
-Each benchmark regenerates one paper table or figure at a reduced scale
-(fewer replications and smaller datasets than the paper's 100-run setting —
-see ``ExperimentConfig.paper_scale()`` for the full-size knobs), prints the
-same rows/series the paper reports, and asserts the qualitative *shape*:
-who wins, which way curves move, where crossovers sit.
+Each benchmark is a plain pytest test that regenerates one paper table or
+figure at a reduced scale (fewer replications and smaller datasets than the
+paper's 100-run setting — see ``ExperimentConfig.paper_scale()`` for the
+full-size knobs), prints the same rows/series the paper reports, and asserts
+the qualitative *shape*: who wins, which way curves move, where crossovers
+sit.  Timing lives elsewhere: ``test_overhead.py`` gates the robustness
+layers' fault-free overhead, ``bench/run.py`` times the end-to-end
+workloads, and ``python -m repro.perf.baseline`` times the kernels.
 """
 
 import pytest
@@ -24,7 +27,3 @@ def quick_config() -> ExperimentConfig:
         seed=2017,
     )
 
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -25,8 +25,6 @@ from repro.semantics.embeddings import (
 from repro.simulation import SimulationConfig, run_simulation
 from repro.simulation.approaches import ETA2Approach
 
-from conftest import run_once
-
 
 def _heavy_tailed_problem(seed=0):
     """An instance with wildly different processing times, the regime where
@@ -39,7 +37,7 @@ def _heavy_tailed_problem(seed=0):
     return AllocationProblem(expertise=expertise, processing_times=times, capacities=capacities, epsilon=0.5)
 
 
-def test_ablation_extra_greedy_pass(benchmark):
+def test_ablation_extra_greedy_pass():
     def run():
         with_pass = MaxQualityAllocator(extra_pass=True)
         without_pass = MaxQualityAllocator(extra_pass=False)
@@ -51,7 +49,7 @@ def test_ablation_extra_greedy_pass(benchmark):
             gains.append(v_with - v_without)
         return np.asarray(gains)
 
-    gains = benchmark.pedantic(run, rounds=1, iterations=1)
+    gains = run()
     print(f"\nextra-pass objective gain: mean={gains.mean():.4f} max={gains.max():.4f}")
     # The extra pass can only help (the better of two solutions is kept)...
     assert np.all(gains >= -1e-9)
@@ -59,7 +57,7 @@ def test_ablation_extra_greedy_pass(benchmark):
     assert gains.max() > 0.0
 
 
-def test_ablation_domain_knowledge(benchmark, quick_config):
+def test_ablation_domain_knowledge(quick_config):
     def run():
         dataset = survey_dataset(n_tasks=quick_config.survey_tasks, seed=11)
         config = SimulationConfig(n_days=5, seed=23)
@@ -100,14 +98,14 @@ def test_ablation_domain_knowledge(benchmark, quick_config):
                 )
         return {k: v.mean_estimation_error for k, v in results.items()}
 
-    errors = benchmark.pedantic(run, rounds=1, iterations=1)
+    errors = run()
     print(f"\ndomain-knowledge ablation: {errors}")
     # Clustering recovers most of the oracle's benefit.
     assert errors["clustering"] <= errors["oracle-domains"] * 1.35
 
 
 @pytest.mark.parametrize("backend", ["ppmi", "skipgram", "hashing"])
-def test_ablation_embedding_backends(benchmark, backend):
+def test_ablation_embedding_backends(backend):
     def run():
         corpus = generate_topical_corpus(sentences_per_domain=120, seed=5)
         if backend == "ppmi":
@@ -137,7 +135,7 @@ def test_ablation_embedding_backends(benchmark, backend):
             best_purity = max(best_purity, purity)
         return best_purity
 
-    purity = benchmark.pedantic(run, rounds=1, iterations=1)
+    purity = run()
     print(f"\n{backend} clustering purity: {purity:.3f}")
     if backend in ("ppmi", "skipgram"):
         # Trained embeddings separate the topical domains.

@@ -15,12 +15,8 @@ from repro.experiments.adversarial import adversarial_robustness
 
 
 @pytest.mark.parametrize("kind", ["random", "colluding"])
-def test_adversarial_robustness(benchmark, quick_config, kind):
-    result = benchmark.pedantic(
-        lambda: adversarial_robustness(quick_config, kind=kind, fractions=(0.0, 0.2, 0.4)),
-        rounds=1,
-        iterations=1,
-    )
+def test_adversarial_robustness(quick_config, kind):
+    result = adversarial_robustness(quick_config, kind=kind, fractions=(0.0, 0.2, 0.4))
     print()
     print(result.render())
 

@@ -12,12 +12,8 @@ import numpy as np
 from repro.experiments.categorical import categorical_comparison
 
 
-def test_categorical_extension(benchmark):
-    result = benchmark.pedantic(
-        lambda: categorical_comparison(replications=3, n_tasks=300, seed=2017),
-        rounds=1,
-        iterations=1,
-    )
+def test_categorical_extension():
+    result = categorical_comparison(replications=3, n_tasks=300, seed=2017)
     print()
     print(result.render())
 

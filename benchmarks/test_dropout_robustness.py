@@ -14,7 +14,7 @@ from repro.simulation import SimulationConfig, run_simulation
 from repro.simulation.approaches import ETA2Approach, MeanApproach
 
 
-def test_dropout_robustness(benchmark, quick_config):
+def test_dropout_robustness(quick_config):
     rates = (0.0, 0.25, 0.5)
 
     def run():
@@ -37,7 +37,7 @@ def test_dropout_robustness(benchmark, quick_config):
                 series[name].append(float(np.nanmean(errors)))
         return series
 
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+    series = run()
     print("\ndropout rate -> error:")
     for position, rate in enumerate(rates):
         print(

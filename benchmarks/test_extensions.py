@@ -18,7 +18,7 @@ from repro.simulation.approaches import ETA2Approach
 from repro.simulation.metrics import match_domains
 
 
-def test_extension_drift_vs_decay(benchmark):
+def test_extension_drift_vs_decay():
     def run():
         results = {}
         for alpha in (0.1, 0.5, 1.0):
@@ -32,7 +32,7 @@ def test_extension_drift_vs_decay(benchmark):
             results[alpha] = float(np.mean(errors))
         return results
 
-    errors = benchmark.pedantic(run, rounds=1, iterations=1)
+    errors = run()
     print(f"\nlate-day error under expertise drift, by alpha: {errors}")
     # Under drift, remembering everything forever (alpha = 1) must not beat
     # a decayed memory: stale evidence mis-ranks users whose skill moved.
@@ -40,7 +40,7 @@ def test_extension_drift_vs_decay(benchmark):
     assert best_decayed <= errors[1.0] * 1.05
 
 
-def test_extension_exploration_identifies_specialists(benchmark):
+def test_extension_exploration_identifies_specialists():
     def specialists_found(exploration_rate, seed):
         dataset = sfv_dataset(seed=seed)
         config = SimulationConfig(n_days=6, seed=seed)
@@ -63,7 +63,7 @@ def test_extension_exploration_identifies_specialists(benchmark):
             rows[rate] = (float(np.mean(quality)), float(np.mean(error)))
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     print("\nexploration rate -> (true expertise of chosen top-3, estimation error):")
     for rate, (quality, error) in rows.items():
         print(f"  {rate:.1f} -> ({quality:.2f}, {error:.3f})")

@@ -4,13 +4,9 @@ import numpy as np
 
 from repro.experiments import fig11_expertise_accuracy
 
-from conftest import run_once
 
-
-def test_fig11_expertise_accuracy(benchmark, quick_config):
-    result = run_once(
-        benchmark,
-        fig11_expertise_accuracy,
+def test_fig11_expertise_accuracy(quick_config):
+    result = fig11_expertise_accuracy(
         quick_config,
         taus=(6.0, 12.0, 18.0),
     )

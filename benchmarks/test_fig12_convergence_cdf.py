@@ -2,11 +2,9 @@
 
 from repro.experiments import fig12_convergence_cdf
 
-from conftest import run_once
 
-
-def test_fig12_convergence_cdf(benchmark, quick_config):
-    result = run_once(benchmark, fig12_convergence_cdf, quick_config)
+def test_fig12_convergence_cdf(quick_config):
+    result = fig12_convergence_cdf(quick_config)
     print()
     print(result.render())
 

@@ -4,11 +4,9 @@ import numpy as np
 
 from repro.experiments import fig2_error_distribution
 
-from conftest import run_once
 
-
-def test_fig2_error_distribution(benchmark, quick_config):
-    result = run_once(benchmark, fig2_error_distribution, quick_config)
+def test_fig2_error_distribution(quick_config):
+    result = fig2_error_distribution(quick_config)
     print()
     print(result.render())
 

@@ -5,14 +5,10 @@ import pytest
 
 from repro.experiments import fig4_parameter_sweep
 
-from conftest import run_once
-
 
 @pytest.mark.parametrize("dataset_name", ["survey", "synthetic"])
-def test_fig4_parameter_sweep(benchmark, quick_config, dataset_name):
-    result = run_once(
-        benchmark,
-        fig4_parameter_sweep,
+def test_fig4_parameter_sweep(quick_config, dataset_name):
+    result = fig4_parameter_sweep(
         dataset_name,
         quick_config,
         alphas=(0.1, 0.5, 0.9),

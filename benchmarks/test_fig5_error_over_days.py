@@ -5,12 +5,10 @@ import pytest
 
 from repro.experiments import fig5_error_over_days
 
-from conftest import run_once
-
 
 @pytest.mark.parametrize("dataset_name", ["survey", "sfv", "synthetic"])
-def test_fig5_error_over_days(benchmark, quick_config, dataset_name):
-    result = run_once(benchmark, fig5_error_over_days, dataset_name, quick_config)
+def test_fig5_error_over_days(quick_config, dataset_name):
+    result = fig5_error_over_days(dataset_name, quick_config)
     print()
     print(result.render())
 

@@ -5,14 +5,10 @@ import pytest
 
 from repro.experiments import fig6_capability_sweep
 
-from conftest import run_once
-
 
 @pytest.mark.parametrize("dataset_name", ["survey", "synthetic"])
-def test_fig6_capability_sweep(benchmark, quick_config, dataset_name):
-    result = run_once(
-        benchmark,
-        fig6_capability_sweep,
+def test_fig6_capability_sweep(quick_config, dataset_name):
+    result = fig6_capability_sweep(
         dataset_name,
         quick_config,
         taus=(8.0, 12.0, 16.0),

@@ -4,11 +4,9 @@ import numpy as np
 
 from repro.experiments import fig7_expertise_vs_error
 
-from conftest import run_once
 
-
-def test_fig7_expertise_vs_error(benchmark, quick_config):
-    result = run_once(benchmark, fig7_expertise_vs_error, quick_config, dataset_name="sfv")
+def test_fig7_expertise_vs_error(quick_config):
+    result = fig7_expertise_vs_error(quick_config, dataset_name="sfv")
     print()
     print(result.render())
 

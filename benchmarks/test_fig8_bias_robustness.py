@@ -4,13 +4,9 @@ import numpy as np
 
 from repro.experiments import fig8_bias_robustness
 
-from conftest import run_once
 
-
-def test_fig8_bias_robustness(benchmark, quick_config):
-    result = run_once(
-        benchmark,
-        fig8_bias_robustness,
+def test_fig8_bias_robustness(quick_config):
+    result = fig8_bias_robustness(
         quick_config,
         bias_fractions=(0.0, 0.25, 0.5, 0.75),
     )

@@ -5,14 +5,10 @@ import pytest
 
 from repro.experiments import fig9_fig10_mincost_comparison
 
-from conftest import run_once
-
 
 @pytest.mark.parametrize("dataset_name", ["synthetic", "survey"])
-def test_fig9_mincost_error(benchmark, quick_config, dataset_name):
-    result = run_once(
-        benchmark,
-        fig9_fig10_mincost_comparison,
+def test_fig9_mincost_error(quick_config, dataset_name):
+    result = fig9_fig10_mincost_comparison(
         dataset_name,
         quick_config,
         taus=(10.0, 14.0),

@@ -13,12 +13,8 @@ import numpy as np
 from repro.experiments.incentives import incentive_comparison
 
 
-def test_incentive_extension(benchmark):
-    result = benchmark.pedantic(
-        lambda: incentive_comparison(n_days=5, replications=3, seed=2017),
-        rounds=1,
-        iterations=1,
-    )
+def test_incentive_extension():
+    result = incentive_comparison(n_days=5, replications=3, seed=2017)
     print()
     print(result.render())
 

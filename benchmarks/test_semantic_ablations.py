@@ -37,7 +37,7 @@ def _best_purity(vectors, true, metric, n_true_domains):
 
 @pytest.mark.parametrize("composition", ["additive", "idf"])
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-def test_semantic_ablation(benchmark, metric, composition):
+def test_semantic_ablation(metric, composition):
     def run():
         corpus = generate_topical_corpus(sentences_per_domain=120, seed=9)
         model = PPMISVDEmbedding(corpus.sentences, dim=24)
@@ -49,7 +49,7 @@ def test_semantic_ablation(benchmark, metric, composition):
         true = dataset.world().true_domains()
         return _best_purity(vectors, true, metric, dataset.n_true_domains)
 
-    purity = benchmark.pedantic(run, rounds=1, iterations=1)
+    purity = run()
     print(f"\n{metric}+{composition} clustering purity: {purity:.3f}")
     # Every configuration must separate the topical domains cleanly; the
     # paper's pipeline is not fragile to these two design choices.

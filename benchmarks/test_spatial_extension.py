@@ -12,12 +12,8 @@ import numpy as np
 from repro.experiments.spatial import spatial_comparison
 
 
-def test_spatial_extension(benchmark):
-    result = benchmark.pedantic(
-        lambda: spatial_comparison(speeds=(2.0, 4.0, 8.0), replications=3, seed=2017),
-        rounds=1,
-        iterations=1,
-    )
+def test_spatial_extension():
+    result = spatial_comparison(speeds=(2.0, 4.0, 8.0), replications=3, seed=2017)
     print()
     print(result.render())
 

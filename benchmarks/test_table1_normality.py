@@ -2,11 +2,9 @@
 
 from repro.experiments import table1_normality
 
-from conftest import run_once
 
-
-def test_table1_normality(benchmark, quick_config):
-    result = run_once(benchmark, table1_normality, quick_config)
+def test_table1_normality(quick_config):
+    result = table1_normality(quick_config)
     print()
     print(result.render())
 

@@ -4,11 +4,9 @@ import numpy as np
 
 from repro.experiments import table2_allocation_audit
 
-from conftest import run_once
 
-
-def test_table2_allocation_audit(benchmark, quick_config):
-    result = run_once(benchmark, table2_allocation_audit, quick_config)
+def test_table2_allocation_audit(quick_config):
+    result = table2_allocation_audit(quick_config)
     print()
     print(result.render())
 

@@ -213,11 +213,8 @@ class ETA2System:
         self.iteration_log: list = []
         #: Cumulative wall-clock seconds per pipeline phase across all steps.
         self.phase_totals: dict = {name: 0.0 for name in PHASES}
-        # Reliability layer (all optional; see configure_resilience /
-        # enable_checkpointing / enable_reputation / enable_guards).
-        self._resilience: "dict | None" = None
-        self.observer_report = None
-        self.sanitizer = None
+        # Reliability layer (all optional; see enable_checkpointing /
+        # enable_reputation / enable_guards).
         self._checkpoint = None
         if robust is not None and not isinstance(robust, RobustConfig):
             raise TypeError("robust must be a RobustConfig or None")
@@ -256,61 +253,8 @@ class ETA2System:
         return self._updater.expertise_matrix()
 
     # ------------------------------------------------------------------ #
-    # Reliability layer (resilient collection + crash-safe checkpointing)
+    # Reliability layer (reputation, guards, crash-safe checkpointing)
     # ------------------------------------------------------------------ #
-
-    def configure_resilience(
-        self,
-        retry=None,
-        breaker=None,
-        call_timeout: "float | None" = None,
-        sanitizer=None,
-        salvage: bool = True,
-        clock=None,
-        sleep=None,
-    ) -> None:
-        """Harden data collection: wrap every ``observe()`` callback.
-
-        From now on, warm-up and daily steps route collection through a
-        :class:`~repro.reliability.observer.ResilientObserver` (retries with
-        backoff, circuit breaking, per-call timeouts, per-pair salvage) and
-        optionally an
-        :class:`~repro.reliability.sanitize.ObservationSanitizer`.  The
-        breaker, the report, and the sanitizer's counters persist across
-        steps: inspect ``system.observer_report`` / ``system.sanitizer``.
-        """
-        import time
-
-        from repro.reliability.observer import CircuitBreaker, ObserverReport
-
-        clock = clock if clock is not None else time.monotonic
-        self._resilience = {
-            "retry": retry,
-            "breaker": breaker if breaker is not None else CircuitBreaker(clock=clock),
-            "call_timeout": call_timeout,
-            "salvage": salvage,
-            "clock": clock,
-            "sleep": sleep if sleep is not None else time.sleep,
-        }
-        self.observer_report = ObserverReport()
-        self.sanitizer = sanitizer
-
-    def _wrap_observe(self, observe: Callable) -> Callable:
-        if self._resilience is None:
-            return observe
-        from repro.reliability.observer import ResilientObserver
-
-        return ResilientObserver(
-            observe,
-            retry=self._resilience["retry"],
-            breaker=self._resilience["breaker"],
-            call_timeout=self._resilience["call_timeout"],
-            sanitizer=self.sanitizer,
-            salvage=self._resilience["salvage"],
-            clock=self._resilience["clock"],
-            sleep=self._resilience["sleep"],
-            report=self.observer_report,
-        )
 
     def enable_reputation(self, config=None):
         """Track cross-day worker reputation and quarantine misbehaviour.
@@ -649,13 +593,15 @@ class ETA2System:
         """Run the warm-up period: random allocation, then batch MLE.
 
         ``observe(pairs)`` receives ``(user, local_task_index)`` pairs and
-        must return one observed value per pair.
+        must return one observed value per pair.  Pass a
+        :class:`~repro.reliability.observer.ResilientObserver` to retry,
+        circuit-break and salvage a failing collection channel.
         """
         if self._warmed_up:
             raise RuntimeError("warm-up already done; use step()")
         if not tasks:
             raise ValueError("warm-up needs at least one task")
-        gather = partial(self._gather_random, self._wrap_observe(observe))
+        gather = partial(self._gather_random, observe)
         return self._run_step("warm-up", tasks, gather)
 
     def step(self, tasks: Sequence[IncomingTask], observe: Callable) -> StepResult:
@@ -664,7 +610,7 @@ class ETA2System:
             raise RuntimeError("run warmup() first")
         if not tasks:
             raise ValueError("step needs at least one task")
-        gather = partial(self._gather_allocated, self._wrap_observe(observe))
+        gather = partial(self._gather_allocated, observe)
         return self._run_step("daily", tasks, gather)
 
     def step_from_batch(self, tasks: Sequence[IncomingTask], reports) -> StepResult:

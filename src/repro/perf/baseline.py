@@ -291,6 +291,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (args.write or args.check):
         parser.error("pass --write and/or --check")
+    if args.rounds is not None and args.rounds < 1:
+        parser.error("--rounds must be at least 1")
 
     record = run_benchmarks(quick=args.quick, rounds=args.rounds)
     for name, kernel in record["kernels"].items():

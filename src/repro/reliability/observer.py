@@ -148,7 +148,8 @@ class ResilientObserver:
     per pair, with NaN for pairs whose collection ultimately failed (the
     pipeline already treats NaN as a missing observation).  The fault-free
     fast path adds only two clock reads and a couple of comparisons on top
-    of the wrapped call — see ``benchmarks/test_reliability_overhead.py``.
+    of the wrapped call — see the ``observer`` row of
+    ``benchmarks/test_overhead.py``.
 
     Parameters
     ----------

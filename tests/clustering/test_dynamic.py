@@ -32,6 +32,8 @@ def test_add_joins_existing_domain(rng):
     assert result.new_domains == ()
     assert result.merges == ()
     assert set(result.added_labels.tolist()) == {clustering.labels()[0]}
+    clustering.add(_blob(rng, 4.0, 2))
+    assert clustering.point_count == 12 + 3 + 2
 
 
 def test_add_creates_new_domain(rng):

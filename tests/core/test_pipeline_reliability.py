@@ -3,7 +3,7 @@
 Covers the guards that live in :class:`ETA2System` rather than in the
 ``repro.reliability`` package: non-finite payload coercion in ``_collect``,
 convergence surfacing through :class:`StepResult`, degraded (zero-data)
-days, and the ``configure_resilience`` wiring.
+days, and collection through a ``ResilientObserver``.
 """
 
 import logging
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import ETA2System, IncomingTask, StepResult
-from repro.reliability.observer import RetryPolicy
+from repro.reliability.observer import ResilientObserver, RetryPolicy
 
 
 def _system(seed=0, n_users=10):
@@ -224,13 +224,18 @@ class TestGuardsThroughEntryPoints:
             assert np.array_equal(batch.sigmas, result.sigmas)
 
 
+def _resilient(observe):
+    return ResilientObserver(
+        observe, retry=RetryPolicy(max_attempts=2, base_delay=0.0), sleep=lambda _s: None
+    )
+
+
 class TestConfigureResilience:
+    """A ``ResilientObserver`` passed as ``observe`` hardens collection."""
+
     def test_flaky_observe_degrades_instead_of_raising(self):
         rng = np.random.default_rng(6)
         system = _system()
-        system.configure_resilience(
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0), sleep=lambda _s: None
-        )
         calls = {"n": 0}
         inner = _good_observe(rng)
 
@@ -240,22 +245,21 @@ class TestConfigureResilience:
                 raise ConnectionError("flaky")
             return inner(pairs)
 
-        result = system.warmup(_tasks(rng), observe)
+        resilient = _resilient(observe)
+        result = system.warmup(_tasks(rng), resilient)
         assert result.converged
-        assert system.observer_report.exceptions > 0
-        assert system.observer_report.delivered_pairs > 0
+        assert resilient.report.exceptions > 0
+        assert resilient.report.delivered_pairs > 0
 
     def test_hard_outage_becomes_degraded_day(self):
         rng = np.random.default_rng(7)
         system = _system()
-        system.configure_resilience(
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0), sleep=lambda _s: None
-        )
 
         def observe(pairs):
             raise RuntimeError("collection service down")
 
-        result = system.warmup(_tasks(rng), observe)  # must not raise
+        resilient = _resilient(observe)
+        result = system.warmup(_tasks(rng), resilient)  # must not raise
         assert not result.converged
         assert not system.is_warmed_up
-        assert system.observer_report.failed_pairs > 0
+        assert resilient.report.failed_pairs > 0

@@ -119,3 +119,10 @@ def test_cli_check_fails_on_doctored_baseline(tmp_path):
 
 def test_cli_check_missing_baseline(tmp_path):
     assert main(["--check", "--quick", "--rounds", "1", "--path", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_cli_rejects_rounds_below_one(tmp_path, rounds):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--check", "--quick", "--rounds", rounds, "--path", str(tmp_path / "b.json")])
+    assert exit_info.value.code == 2

@@ -115,6 +115,7 @@ class TestCooccurrence:
     def test_model_separates_domains(self, ppmi_model):
         same, cross = _domain_separation(ppmi_model)
         assert cross > 1.5 * same
+        assert ppmi_model.vocabulary_size > 100
 
     def test_oov_fallback_is_deterministic_and_small(self, ppmi_model):
         vec1 = ppmi_model.vector("completely-unseen-word")
