@@ -15,6 +15,10 @@ The reference distance ``d_star`` ("the longest distance between all existing
 tasks ... a fixed value") is frozen at warm-up by default; pass
 ``refresh_d_star=True`` to recompute it as tasks accumulate.
 
+Each batch recomputes the full pairwise distance matrix over every task seen
+so far.  Caching the old block and computing only the new rows measured no
+faster end to end, so the simpler path is the only one.
+
 Points are represented by their concatenated pair-word vectors ``[V_Q, V_T]``;
 Eq. 2's distance is exactly half the squared Euclidean distance between
 concatenated vectors, computed internally.
@@ -28,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.clustering.linkage import AverageLinkage
-from repro.perf.cache import GrowOnlyDistanceMatrix, GrowOnlyRowBuffer
 
 __all__ = ["DomainMerge", "DynamicClusteringResult", "DynamicHierarchicalClustering"]
 
@@ -101,11 +104,8 @@ class DynamicHierarchicalClustering:
         self._gamma = float(gamma)
         self._refresh_d_star = bool(refresh_d_star)
         self._metric = metric
-        # Grow-only buffers: each arrival batch appends its vectors and only
-        # the *new* distance rows/columns; existing pairs are never
-        # recomputed or copied (beyond amortised capacity doubling).
-        self._points = GrowOnlyRowBuffer()
-        self._cache = GrowOnlyDistanceMatrix()
+        self._points = np.zeros((0, 0), dtype=float)
+        self._base = np.zeros((0, 0), dtype=float)
         self._domains: dict = {}
         self._next_domain_id = 0
         self._d_star: "float | None" = None
@@ -128,20 +128,11 @@ class DynamicHierarchicalClustering:
 
     @property
     def is_fitted(self) -> bool:
-        return self._points.count > 0
-
-    @property
-    def _base(self) -> np.ndarray:
-        """The cached pairwise distance matrix (read-only view)."""
-        return self._cache.view()
+        return self.point_count > 0
 
     @property
     def point_count(self) -> int:
-        return self._points.count
-
-    def cache_stats(self) -> dict:
-        """Distance-cache effectiveness (see ``GrowOnlyDistanceMatrix``)."""
-        return self._cache.cache_stats()
+        return self._points.shape[0]
 
     @property
     def domain_ids(self) -> list:
@@ -169,14 +160,11 @@ class DynamicHierarchicalClustering:
         """Warm-up fit over the initial batch of tasks."""
         if self.is_fitted:
             raise RuntimeError("already fitted; use add() for new tasks")
-        points = np.atleast_2d(np.asarray(vectors, dtype=float))
+        points = np.array(vectors, dtype=float, ndmin=2)
         if points.shape[0] == 0:
             raise ValueError("warm-up batch must contain at least one task")
-        self._points.append(points)
-        base = self._distances(points, points)
-        np.fill_diagonal(base, 0.0)
-        self._cache.initialise(base)
-        self._d_star = self._cache.current_max
+        self._set_points(points)
+        self._d_star = float(self._base.max())
         return self._recluster(groups=[[i] for i in range(points.shape[0])], existing_of_group={})
 
     def add(self, vectors: "np.ndarray | Sequence") -> DynamicClusteringResult:
@@ -191,17 +179,13 @@ class DynamicHierarchicalClustering:
                 merges=(),
                 all_labels=self.labels(),
             )
-        if new_points.shape[1] != self._points.dim:
+        if new_points.shape[1] != self._points.shape[1]:
             raise ValueError("new task vectors have a different dimensionality")
 
-        old_count = self._points.count
-        cross = self._distances(self._points.view(), new_points)
-        inner = self._distances(new_points, new_points)
-        np.fill_diagonal(inner, 0.0)
-        self._points.append(new_points)
-        self._ingest_distances(cross, inner)
+        old_count = self.point_count
+        self._set_points(np.vstack([self._points, new_points]))
         if self._refresh_d_star:
-            self._d_star = self._cache.current_max
+            self._d_star = float(self._base.max())
 
         groups = []
         existing_of_group: dict = {}
@@ -212,17 +196,16 @@ class DynamicHierarchicalClustering:
             groups.append([old_count + offset])
         return self._recluster(groups=groups, existing_of_group=existing_of_group, added_from=old_count)
 
-    def _ingest_distances(self, cross: np.ndarray, inner: np.ndarray) -> None:
-        """Fold one batch's new distance rows into the cached matrix.
-
-        Overridden by the recomputing reference implementation in
-        :mod:`repro.perf.reference` (the equivalence yardstick).
-        """
-        self._cache.append(cross, inner)
+    def _set_points(self, points: np.ndarray) -> None:
+        """Store every task vector seen so far and their distance matrix."""
+        base = self._distances(points, points)
+        np.fill_diagonal(base, 0.0)
+        self._points = points
+        self._base = base
 
     def _recluster(self, groups, existing_of_group: dict, added_from: int = 0) -> DynamicClusteringResult:
         threshold = self._gamma * self._d_star
-        engine = AverageLinkage(self._cache.view(), groups)
+        engine = AverageLinkage(self._base, groups)
         slot_members_before = {slot: set(groups[slot]) for slot in range(len(groups))}
         engine.merge_until(threshold)
 

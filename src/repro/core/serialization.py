@@ -128,7 +128,7 @@ def clustering_to_dict(clustering: DynamicHierarchicalClustering) -> dict:
     if clustering.is_fitted:
         data.update(
             {
-                "points": clustering._points.view().tolist(),
+                "points": clustering._points.tolist(),
                 "d_star": clustering._d_star,
                 "domains": {str(d): members for d, members in clustering._domains.items()},
                 "next_domain_id": clustering._next_domain_id,
@@ -147,10 +147,7 @@ def clustering_from_dict(data: dict) -> DynamicHierarchicalClustering:
     if not data.get("fitted", False):
         return clustering
     points = np.asarray(data["points"], dtype=float)
-    clustering._points.append(points)
-    base = clustering._distances(points, points)
-    np.fill_diagonal(base, 0.0)
-    clustering._cache.initialise(base)
+    clustering._set_points(points)
     clustering._d_star = float(data["d_star"])
     domains = {int(d): [int(i) for i in members] for d, members in data["domains"].items()}
     covered = sorted(index for members in domains.values() for index in members)

@@ -6,24 +6,19 @@ import them without cycles:
 - :mod:`repro.perf.timers` — lightweight phase timers recorded on
   :class:`~repro.core.pipeline.StepResult` (``identify/allocate/collect/
   truth``),
-- :mod:`repro.perf.cache` — grow-only buffers behind the dynamic
-  clustering's incremental distance matrix,
 - :mod:`repro.perf.sweep` — a deterministic ``ProcessPoolExecutor`` sweep
   runner fanning ``run_simulation`` configurations across cores,
 - :mod:`repro.perf.baseline` — the benchmark-regression harness that
-  writes and compares ``BENCH_core.json`` (clustering, MLE, and the
-  lazy-greedy allocation kernel),
+  writes and compares ``BENCH_core.json`` (average-linkage construction,
+  the sparse MLE and the lazy-greedy allocation kernels),
 - :mod:`repro.perf.reference` — frozen copies of the pre-optimisation
   kernels (including the eager Algorithm 1 greedy), kept as the
   equivalence and speedup yardstick.
 """
 
-from repro.perf.cache import GrowOnlyDistanceMatrix, GrowOnlyRowBuffer
 from repro.perf.timers import PHASES, PhaseTimer, merge_timings
 
 __all__ = [
-    "GrowOnlyDistanceMatrix",
-    "GrowOnlyRowBuffer",
     "PHASES",
     "PhaseTimer",
     "merge_timings",

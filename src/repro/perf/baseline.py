@@ -46,10 +46,6 @@ SIZES = {
         "full": {"n_users": 100, "n_tasks": 1000, "density": 0.2, "n_domains": 8},
         "quick": {"n_users": 60, "n_tasks": 300, "density": 0.2, "n_domains": 8},
     },
-    "dynamic_add": {
-        "full": {"warmup": 400, "batches": 8, "batch_size": 25, "dim": 64},
-        "quick": {"warmup": 120, "batches": 4, "batch_size": 10, "dim": 64},
-    },
     "allocation_greedy": {
         "full": {"n_users": 2000, "n_tasks": 5000, "n_domains": 8, "capacity": 1.0},
         "quick": {"n_users": 300, "n_tasks": 600, "n_domains": 8, "capacity": 1.0},
@@ -118,28 +114,6 @@ def _bench_mle_sparse(size: dict, rounds: int) -> dict:
     return {"median_s": optimised, "reference_median_s": reference}
 
 
-def _bench_dynamic_add(size: dict, rounds: int) -> dict:
-    from repro.clustering.dynamic import DynamicHierarchicalClustering
-    from repro.perf.reference import ReferenceDynamicHierarchicalClustering
-
-    rng = np.random.default_rng(91011)
-    dim = size["dim"]
-    warmup = rng.normal(0.0, 1.0, (size["warmup"], dim))
-    batches = [
-        rng.normal(0.0, 1.0, (size["batch_size"], dim)) for _ in range(size["batches"])
-    ]
-
-    def run(cls):
-        clustering = cls(gamma=0.5)
-        clustering.fit(warmup)
-        for batch in batches:
-            clustering.add(batch)
-
-    optimised = _median_seconds(lambda: run(DynamicHierarchicalClustering), rounds)
-    reference = _median_seconds(lambda: run(ReferenceDynamicHierarchicalClustering), rounds)
-    return {"median_s": optimised, "reference_median_s": reference}
-
-
 def _bench_allocation_greedy(size: dict, rounds: int) -> dict:
     from repro.core.allocation.base import AllocationProblem
 
@@ -198,7 +172,6 @@ def _time_greedy(problem, rounds: int) -> dict:
 _RUNNERS = {
     "average_linkage_construction": _bench_average_linkage,
     "mle_sparse": _bench_mle_sparse,
-    "dynamic_add": _bench_dynamic_add,
     "allocation_greedy": _bench_allocation_greedy,
     "allocation_greedy_day": _bench_allocation_greedy_day,
 }

@@ -8,9 +8,6 @@ layer replaced:
 - :func:`reference_labels_from_clusters` — the per-point label loop,
 - :func:`reference_estimate_truth` — the dense §4.1 batch MLE (full
   ``(n_users, n_tasks)`` products every coordinate iteration),
-- :class:`ReferenceDynamicHierarchicalClustering` — dynamic clustering that
-  rebuilds the entire pairwise distance matrix from scratch on every
-  arrival batch instead of using the grow-only cache,
 - :func:`reference_greedy_allocate` — the eager Algorithm 1 greedy that
   re-evaluates every stale task after every pick (the loop the CELF
   lazy-greedy kernel in :mod:`repro.core.allocation.lazy_greedy`
@@ -28,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.clustering.dynamic import DynamicHierarchicalClustering
 from repro.core.expertise import DEFAULT_EXPERTISE, clamp_expertise, expertise_from_sums
 from repro.core.truth import (
     ABSOLUTE_TOLERANCE,
@@ -36,7 +32,6 @@ from repro.core.truth import (
     TruthAnalysisResult,
     update_truths_for_expertise,
 )
-from repro.perf.cache import GrowOnlyDistanceMatrix
 from repro.truthdiscovery.base import ObservationMatrix
 
 __all__ = [
@@ -44,7 +39,6 @@ __all__ = [
     "reference_labels_from_clusters",
     "reference_estimate_truth",
     "reference_greedy_allocate",
-    "ReferenceDynamicHierarchicalClustering",
 ]
 
 
@@ -263,21 +257,3 @@ def reference_estimate_truth(
         iterations=iterations,
         converged=converged,
     )
-
-
-class ReferenceDynamicHierarchicalClustering(DynamicHierarchicalClustering):
-    """Dynamic clustering without the incremental cache.
-
-    Every arrival batch recomputes the *full* pairwise distance matrix from
-    the accumulated points (the behaviour the grow-only cache replaced).
-    Classification, d* handling, and the merge loop are shared with the
-    optimised class, so any divergence is the distance bookkeeping's fault.
-    """
-
-    def _ingest_distances(self, cross: np.ndarray, inner: np.ndarray) -> None:
-        points = self._points.view()
-        base = self._distances(points, points)
-        np.fill_diagonal(base, 0.0)
-        cache = GrowOnlyDistanceMatrix()
-        cache.initialise(base)
-        self._cache = cache

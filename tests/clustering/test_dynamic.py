@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.clustering import DynamicHierarchicalClustering
+from repro.clustering.dynamic import DomainMerge
 
 
 def _blob(rng, center, count, dim=4, spread=0.1):
@@ -121,3 +122,55 @@ def test_domain_ids_never_reused(rng):
     first_new = clustering.add(_blob(rng, -5.0, 3)).new_domains[0]
     second_new = clustering.add(_blob(rng, 10.0, 3)).new_domains[0]
     assert second_new > first_new
+
+
+def _eq2_brute_force(points):
+    """Eq. 2 between concatenated pair vectors: half the squared distance."""
+    return 0.5 * ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+
+
+@pytest.mark.parametrize("seed", [20, 21, 22])
+def test_adds_keep_exact_distances_over_all_points(seed):
+    rng = np.random.default_rng(seed)
+    centers = np.random.default_rng(99).uniform(-8, 8, (5, 4))
+    batches = [
+        np.vstack([rng.normal(centers[i % len(centers)], 0.15, size=(1, 4)) for i in range(size)])
+        for size in (40, 8, 8, 8)
+    ]
+    clustering = DynamicHierarchicalClustering(gamma=0.5)
+    clustering.fit(batches[0])
+    warmup_max = _eq2_brute_force(batches[0]).max()
+    for batch in batches[1:]:
+        clustering.add(batch)
+    points = np.vstack(batches)
+    np.testing.assert_allclose(clustering._base, _eq2_brute_force(points), rtol=1e-12, atol=1e-12)
+    assert clustering.d_star == pytest.approx(warmup_max, rel=1e-12)
+    assert sorted(np.unique(clustering.labels()).tolist()) == clustering.domain_ids
+    assert (clustering.labels() >= 0).all()
+
+
+def test_bridging_batch_merges_warmup_domains():
+    """A bridging batch that merges two warm-up domains (the §4.2 k1<-k2 case)."""
+    left = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2]])
+    right = left + 3.0
+    bridge = np.array([[3.0 * i / 6.0] * 2 for i in range(1, 6)])
+    clustering = DynamicHierarchicalClustering(gamma=0.7, refresh_d_star=True)
+    assert clustering.fit(np.vstack([left, right])).new_domains == (0, 1)
+    result = clustering.add(bridge)
+    assert result.merges == (DomainMerge(kept=0, deleted=1),)
+    assert result.new_domains == ()
+    assert np.array_equal(result.all_labels, np.zeros(11, dtype=int))
+
+
+def test_refreshed_d_star_is_exact_max_distance():
+    rng = np.random.default_rng(23)
+    warmup = rng.normal(0.0, 1.0, (30, 4))
+    far = rng.normal(12.0, 1.0, (5, 4))  # extends the longest pairwise distance
+    warmup_only = DynamicHierarchicalClustering(gamma=0.5)
+    warmup_only.fit(warmup)
+    clustering = DynamicHierarchicalClustering(gamma=0.5, refresh_d_star=True)
+    clustering.fit(warmup)
+    clustering.add(far)
+    assert clustering.d_star == clustering._base.max()
+    assert clustering.d_star == pytest.approx(_eq2_brute_force(np.vstack([warmup, far])).max())
+    assert clustering.d_star > warmup_only.d_star

@@ -22,7 +22,6 @@ from repro.observability import (
     validate_prometheus_text,
 )
 from repro.observability.tracer import NULL_TRACER, RunTracer
-from repro.perf.cache import GrowOnlyDistanceMatrix
 from repro.reliability.checkpoint import CheckpointManager
 from repro.reliability.guards import InvariantGuard
 from repro.simulation import SimulationConfig, run_simulation
@@ -290,22 +289,6 @@ class TestCheckpointManifest:
         assert event["step"] == 2
         assert event["file"] == path.name  # name only: byte-identity across tmp dirs
         assert event["bytes"] == len(path.read_text())
-
-
-class TestCacheStats:
-    def test_hit_rate_grows_with_history(self):
-        cache = GrowOnlyDistanceMatrix()
-        cache.initialise(np.zeros((4, 4)))
-        assert cache.cache_stats()["hit_rate"] == 0.0  # warm-up block: nothing cached
-        cache.append(np.ones((4, 2)), np.zeros((2, 2)))
-        stats = cache.cache_stats()
-        assert stats["points"] == 6
-        assert stats["computed_entries"] == 16 + (2 * 8 + 4)
-        assert stats["naive_entries"] == 16 + 36
-        assert 0.0 < stats["hit_rate"] < 1.0
-
-    def test_empty_cache_reports_zero(self):
-        assert GrowOnlyDistanceMatrix().cache_stats()["hit_rate"] == 0.0
 
 
 class TestZeroObservationStep:

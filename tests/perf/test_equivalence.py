@@ -11,12 +11,10 @@ and bounded).
 import numpy as np
 import pytest
 
-from repro.clustering.dynamic import DynamicHierarchicalClustering
 from repro.clustering.hierarchical import _labels_from_clusters, hierarchical_clustering
 from repro.clustering.linkage import AverageLinkage
 from repro.core.truth import estimate_truth
 from repro.perf.reference import (
-    ReferenceDynamicHierarchicalClustering,
     reference_estimate_truth,
     reference_labels_from_clusters,
     reference_linkage_sums,
@@ -143,71 +141,3 @@ def test_estimate_truth_matches_reference_with_empty_domain_column():
     b = reference_estimate_truth(observations, domains, domain_ids=(0, 1, 2, 3))
     np.testing.assert_allclose(a.truths, b.truths, rtol=1e-10)
     np.testing.assert_allclose(a.expertise, b.expertise, rtol=1e-10)
-
-
-# --------------------------------------------------------------------- #
-# Dynamic clustering with the grow-only cache
-# --------------------------------------------------------------------- #
-
-
-def _clustered_batches(rng, centers, sizes):
-    return [
-        np.vstack([rng.normal(centers[i % len(centers)], 0.15, size=(1, 4)) for i in range(size)])
-        for size in sizes
-    ]
-
-
-@pytest.mark.parametrize("seed", [20, 21, 22])
-def test_dynamic_cached_matches_recomputing_reference(seed):
-    rng_a = np.random.default_rng(seed)
-    rng_b = np.random.default_rng(seed)
-    centers = np.random.default_rng(99).uniform(-8, 8, (5, 4))
-
-    cached = DynamicHierarchicalClustering(gamma=0.5)
-    reference = ReferenceDynamicHierarchicalClustering(gamma=0.5)
-    for clustering, rng in ((cached, rng_a), (reference, rng_b)):
-        batches = _clustered_batches(rng, centers, [40, 8, 8, 8])
-        clustering.fit(batches[0])
-        for batch in batches[1:]:
-            clustering.add(batch)
-
-    np.testing.assert_array_equal(cached.labels(), reference.labels())
-    assert cached.domain_ids == reference.domain_ids
-    assert cached.d_star == pytest.approx(reference.d_star)
-    np.testing.assert_allclose(cached._cache.view(), reference._cache.view(), rtol=1e-12)
-
-
-def test_dynamic_cached_matches_reference_through_domain_merge():
-    """A bridging batch that merges two warm-up domains (the §4.2 k1<-k2 case)."""
-    left = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2]])
-    right = left + 3.0
-    bridge = np.array([[3.0 * i / 6.0] * 2 for i in range(1, 6)])
-
-    outcomes = []
-    for cls in (DynamicHierarchicalClustering, ReferenceDynamicHierarchicalClustering):
-        clustering = cls(gamma=0.7, refresh_d_star=True)
-        clustering.fit(np.vstack([left, right]))
-        result = clustering.add(bridge)
-        outcomes.append((clustering, result))
-
-    (cached, cached_result), (reference, reference_result) = outcomes
-    assert cached_result.merges == reference_result.merges
-    assert cached_result.new_domains == reference_result.new_domains
-    np.testing.assert_array_equal(cached_result.all_labels, reference_result.all_labels)
-    assert cached.d_star == pytest.approx(reference.d_star)
-    assert len(cached_result.merges) >= 1  # the bridge really merged domains
-
-
-def test_dynamic_refresh_d_star_tracks_reference():
-    rng = np.random.default_rng(23)
-    warmup = rng.normal(0.0, 1.0, (30, 4))
-    far = rng.normal(12.0, 1.0, (5, 4))  # extends the longest pairwise distance
-    warmup_only = DynamicHierarchicalClustering(gamma=0.5)
-    warmup_only.fit(warmup)
-    cached = DynamicHierarchicalClustering(gamma=0.5, refresh_d_star=True)
-    reference = ReferenceDynamicHierarchicalClustering(gamma=0.5, refresh_d_star=True)
-    for clustering in (cached, reference):
-        clustering.fit(warmup)
-        clustering.add(far)
-    assert cached.d_star == pytest.approx(reference.d_star)
-    assert cached.d_star > warmup_only.d_star

@@ -3,8 +3,8 @@
 :meth:`SimulationResult.fingerprint` hashes a run's per-day errors, every
 observation record, the MLE iteration counts and each day's truth
 estimates byte-for-byte.  These tests pin the digests of eta2 and eta2-mc
-runs — on synthetic data with known domains and on the survey dataset,
-whose tasks go through text clustering — to committed values, so any
+runs — on synthetic data with known domains and on the survey and SFV
+datasets, whose tasks go through text clustering — to committed values, so any
 change to the numbers a simulation produces — not just a large one —
 fails here.  A served run (``ETA2System.step_from_batch`` from cold to
 warm) is pinned by its learned-state fingerprint.  A change that is meant
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.pipeline import ETA2System, IncomingTask
 from repro.core.serialization import state_fingerprint
-from repro.datasets import survey_dataset, synthetic_dataset
+from repro.datasets import sfv_dataset, survey_dataset, synthetic_dataset
 from repro.simulation import SimulationConfig, run_simulation
 from repro.simulation.approaches import ETA2Approach
 
@@ -24,6 +24,7 @@ ETA2_FINGERPRINT = "dd100c40ca237cc35621347e30c989338008903c10f4c49a592631a2b9d7
 ETA2_MC_FINGERPRINT = "b53fd797210739fdb7ff545521bfd6464877195e5d4df651cf4f312c3a7e39ad"
 SURVEY_ETA2_FINGERPRINT = "0d20c69f1c6932236c8634978519e93199a93722652e67da73b0050a4dd21664"
 SURVEY_ETA2_MC_FINGERPRINT = "9d6ea00c96c45406baee6c392f404fe143aef1f4672ee5ce4f34090d194dc406"
+SFV_ETA2_FINGERPRINT = "a79446f93fc45303a6bcd7004e0e115b8570eb06de6eb624d88d20f2fb94e2a7"
 SERVED_STATE_FINGERPRINT = "00c930632eea88b5daa7dcf7c5912c0eb29bf1669dfc48a10ac8632e24c283a7"
 
 
@@ -57,6 +58,11 @@ def test_eta2_mc_fingerprint_is_golden(dataset):
 def test_survey_fingerprint_is_golden(allocator, expected):
     result = run(survey_dataset(seed=2017), allocator=allocator, guards="warn", reputation=True)
     assert result.fingerprint() == expected
+
+
+def test_sfv_fingerprint_is_golden():
+    result = run(sfv_dataset(seed=2017), guards="warn", reputation=True)
+    assert result.fingerprint() == SFV_ETA2_FINGERPRINT
 
 
 def test_served_state_fingerprint_is_golden():
