@@ -18,6 +18,11 @@ from repro.semantics.embeddings.base import EmbeddingModel
 
 __all__ = ["HashingEmbedding", "stable_word_seed"]
 
+#: Words whose vectors one model memoises (~0.4 KB each at dim 32).  A model
+#: can live for a whole process (the shared default embedding's fallback), so
+#: later words are recomputed (~30 us) rather than held forever.
+MEMO_WORDS = 4096
+
 
 def stable_word_seed(word: str, salt: int = 0) -> int:
     """A process-stable 64-bit seed for ``word``."""
@@ -42,5 +47,6 @@ class HashingEmbedding(EmbeddingModel):
             rng = np.random.default_rng(stable_word_seed(word, self._salt))
             cached = rng.standard_normal(self.dim) * (self._scale / np.sqrt(self.dim))
             cached.setflags(write=False)
-            self._cache[word] = cached
+            if len(self._cache) < MEMO_WORDS:
+                self._cache[word] = cached
         return cached

@@ -10,6 +10,7 @@ from repro.semantics.embeddings import (
     generate_topical_corpus,
 )
 from repro.semantics.embeddings.cooccurrence import build_cooccurrence, ppmi_matrix
+from repro.semantics.embeddings import hashing
 from repro.semantics.embeddings.hashing import stable_word_seed
 
 
@@ -51,6 +52,16 @@ class TestHashing:
         vec = HashingEmbedding(dim=8).vector("noise")
         with pytest.raises(ValueError):
             vec[0] = 1.0
+
+    def test_memo_is_bounded_and_later_words_are_unchanged(self, monkeypatch):
+        monkeypatch.setattr(hashing, "MEMO_WORDS", 2)
+        model = HashingEmbedding(dim=8)
+        words = ["noise", "level", "decibel", "street"]
+        vectors = [model.vector(w) for w in words]
+        assert len(model._cache) == 2
+        for word, vec in zip(words, vectors):
+            assert np.array_equal(model.vector(word), vec)
+            assert np.array_equal(HashingEmbedding(dim=8).vector(word), vec)
 
     def test_stable_word_seed_is_stable(self):
         assert stable_word_seed("abc") == stable_word_seed("abc")
