@@ -14,8 +14,8 @@ three guards necessary in practice (the paper leaves them implicit):
 - ``DEFAULT_EXPERTISE = 1`` — the paper's initial value for the iterative
   process, also used for (user, domain) pairs with no observations yet.
 
-:class:`ExpertiseMatrix` maps the library's stable *domain ids* (which grow
-and merge over time) onto matrix columns.
+:class:`ExpertiseMatrix` is a read-only snapshot that maps the library's
+stable *domain ids* (which grow and merge over time) onto matrix columns.
 """
 
 from __future__ import annotations
@@ -67,35 +67,32 @@ def expertise_from_sums(numerators, denominators):
 
 
 class ExpertiseMatrix:
-    """Per-user expertise over a dynamic set of expertise domains.
+    """Read-only snapshot of per-user expertise over a set of domains.
 
-    Columns are addressed by stable external domain ids.  Unknown (user,
+    ``values`` is ``(n_users, n_domains)`` with one column per entry of
+    ``domain_ids`` (stable external ids, in column order).  Unknown (user,
     domain) pairs read as :data:`DEFAULT_EXPERTISE`.
     """
 
-    def __init__(self, n_users: int, domain_ids: Sequence = ()):
-        if n_users <= 0:
-            raise ValueError("n_users must be positive")
-        self._n_users = int(n_users)
-        self._columns: dict = {}
-        self._matrix = np.zeros((self._n_users, 0), dtype=float)
-        for domain_id in domain_ids:
-            self.add_domain(domain_id)
-
-    @classmethod
-    def from_array(cls, values: np.ndarray, domain_ids: Sequence) -> "ExpertiseMatrix":
+    def __init__(self, values, domain_ids: Sequence):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise ValueError("values must be 2-D (users x domains)")
+        if values.shape[0] <= 0:
+            raise ValueError("n_users must be positive")
+        self._columns = {domain_id: k for k, domain_id in enumerate(domain_ids)}
+        if len(self._columns) != len(domain_ids):
+            raise ValueError("domain_ids must be distinct")
         if values.shape[1] != len(domain_ids):
             raise ValueError("domain_ids must match the number of columns")
-        matrix = cls(values.shape[0], domain_ids)
-        matrix._matrix = clamp_expertise(values.copy())
-        return matrix
+        # One trailing DEFAULT_EXPERTISE column: unknown domains gather it.
+        default = np.full((values.shape[0], 1), DEFAULT_EXPERTISE)
+        self._values = np.hstack([clamp_expertise(values), default])
+        self._values.flags.writeable = False
 
     @property
     def n_users(self) -> int:
-        return self._n_users
+        return self._values.shape[0]
 
     @property
     def domain_ids(self) -> list:
@@ -108,68 +105,26 @@ class ExpertiseMatrix:
     def has_domain(self, domain_id: int) -> bool:
         return domain_id in self._columns
 
-    def add_domain(self, domain_id: int, initial=DEFAULT_EXPERTISE) -> None:
-        """Add a new expertise domain, initialised to ``initial`` everywhere."""
-        if domain_id in self._columns:
-            raise ValueError(f"domain {domain_id} already exists")
-        self._columns[domain_id] = self._matrix.shape[1]
-        column = np.full((self._n_users, 1), float(initial))
-        self._matrix = np.hstack([self._matrix, clamp_expertise(column)])
-
-    def drop_domain(self, domain_id: int) -> None:
-        """Remove a domain (used after a merge has absorbed it)."""
-        position = self._require(domain_id)
-        self._matrix = np.delete(self._matrix, position, axis=1)
-        del self._columns[domain_id]
-        for other, column in self._columns.items():
-            if column > position:
-                self._columns[other] = column - 1
-
-    def _require(self, domain_id: int) -> int:
-        try:
-            return self._columns[domain_id]
-        except KeyError:
-            raise KeyError(f"unknown domain id: {domain_id}") from None
-
     def expertise(self, user: int, domain_id: int) -> float:
         """``u_i^k``; default for domains this matrix has never seen."""
-        if domain_id not in self._columns:
-            return DEFAULT_EXPERTISE
-        return float(self._matrix[user, self._columns[domain_id]])
+        return float(self._values[user, self._columns.get(domain_id, -1)])
 
     def column(self, domain_id: int) -> np.ndarray:
         """All users' expertise in one domain (read-only view)."""
-        view = self._matrix[:, self._require(domain_id)]
-        view.flags.writeable = False
-        return view
-
-    def set_column(self, domain_id: int, values) -> None:
-        values = clamp_expertise(values)
-        if values.shape != (self._n_users,):
-            raise ValueError("column must have one value per user")
-        self._matrix[:, self._require(domain_id)] = values
+        try:
+            return self._values[:, self._columns[domain_id]]
+        except KeyError:
+            raise KeyError(f"unknown domain id: {domain_id}") from None
 
     def profile(self, user: int) -> dict:
         """User ``i``'s expertise vector ``U^i`` as a domain-id -> value map."""
-        return {domain_id: float(self._matrix[user, column]) for domain_id, column in self._columns.items()}
+        return {d: float(self._values[user, self._columns[d]]) for d in self.domain_ids}
 
     def for_tasks(self, task_domains: Sequence) -> np.ndarray:
         """The ``(n_users, n_tasks)`` matrix ``u_{i, d_j}`` for given task domains."""
-        columns = np.empty((self._n_users, len(task_domains)), dtype=float)
-        for position, domain_id in enumerate(task_domains):
-            if domain_id in self._columns:
-                columns[:, position] = self._matrix[:, self._columns[domain_id]]
-            else:
-                columns[:, position] = DEFAULT_EXPERTISE
-        return columns
+        columns = [self._columns.get(d, -1) for d in np.asarray(task_domains).tolist()]
+        return self._values[:, np.array(columns, dtype=np.intp)]
 
     def as_dict(self) -> Mapping:
         """Snapshot as ``{domain_id: ndarray of per-user expertise}``."""
-        return {domain_id: self._matrix[:, column].copy() for domain_id, column in self._columns.items()}
-
-    def update_from(self, values: Mapping) -> None:
-        """Bulk-set several domain columns from a mapping."""
-        for domain_id, column_values in values.items():
-            if not self.has_domain(domain_id):
-                self.add_domain(domain_id)
-            self.set_column(domain_id, column_values)
+        return {d: self._values[:, self._columns[d]].copy() for d in self.domain_ids}

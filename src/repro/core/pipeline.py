@@ -681,7 +681,7 @@ class ETA2System:
                 self.tracer.emit("step.degraded", kind=kind, n_tasks=int(observations.n_tasks))
             truths = np.full(observations.n_tasks, np.nan)
             sigmas = np.full(observations.n_tasks, SIGMA_FLOOR)
-            task_expertise = self._expertise_for(domains)
+            task_expertise = self._updater.task_expertise(domains)
             iterations, converged = 0, False
         elif kind == "warm-up":
             with timer.phase("truth"):
@@ -703,7 +703,7 @@ class ETA2System:
             truths, sigmas, task_expertise = self._guard_truths(
                 update.truths,
                 update.sigmas,
-                np.vstack([update.expertise[d] for d in domains.tolist()]).T,
+                update.task_expertise,
                 observations,
                 guard_reports,
             )
@@ -842,7 +842,7 @@ class ETA2System:
         """This step's allocation problem and the users it excludes."""
         eligible, excluded = self._eligibility()
         problem = AllocationProblem(
-            expertise=self._expertise_for(domains),
+            expertise=self._updater.task_expertise(domains),
             processing_times=np.array([task.processing_time for task in tasks], dtype=float),
             capacities=self._capacities,
             epsilon=self._epsilon,
@@ -850,10 +850,6 @@ class ETA2System:
             eligible=eligible,
         )
         return problem, excluded
-
-    def _expertise_for(self, domains: np.ndarray) -> np.ndarray:
-        matrix = self._updater.expertise_matrix()
-        return matrix.for_tasks(domains.tolist())
 
     def _collect(self, assignment: Assignment, observe: Callable) -> ObservationMatrix:
         """Collect observations for an assignment.
@@ -892,9 +888,6 @@ class ETA2System:
             preview = self._incorporate_phase(
                 observations, domains, commit=False, traced=False
             )
-            task_expertise = np.vstack(
-                [preview.expertise[d] for d in domains.tolist()]
-            ).T
-            return preview.truths, preview.sigmas, task_expertise
+            return preview.truths, preview.sigmas, preview.task_expertise
 
         return estimate

@@ -94,26 +94,43 @@ def atomic_write_text(path: "str | Path", text: str, writer: "Callable | None" =
 
 def updater_to_dict(updater: ExpertiseUpdater) -> dict:
     """Snapshot an :class:`ExpertiseUpdater` as JSON-compatible data."""
+    columns = {d: updater._columns[d] for d in updater.domain_ids}
     return {
         "n_users": updater.n_users,
         "alpha": updater.alpha,
-        "numerators": {str(d): updater._numerators[d].tolist() for d in updater.domain_ids},
-        "denominators": {str(d): updater._denominators[d].tolist() for d in updater.domain_ids},
+        "numerators": {str(d): updater._numerators[:, c].tolist() for d, c in columns.items()},
+        "denominators": {str(d): updater._denominators[:, c].tolist() for d, c in columns.items()},
     }
 
 
 def updater_from_dict(data: dict) -> ExpertiseUpdater:
-    """Rebuild an :class:`ExpertiseUpdater` from :func:`updater_to_dict` data."""
+    """Rebuild an :class:`ExpertiseUpdater` from :func:`updater_to_dict` data.
+
+    Both sum maps must cover the same domains with finite, non-negative
+    per-user values; anything else raises a :class:`ValueError` naming the
+    offending domain (a NaN sum would otherwise read silently as the
+    default expertise and survive every decay).
+    """
     updater = ExpertiseUpdater(n_users=int(data["n_users"]), alpha=float(data["alpha"]))
-    for key, numerator in data["numerators"].items():
+    numerators, denominators = data["numerators"], data["denominators"]
+    unpaired = set(numerators).symmetric_difference(denominators)
+    if unpaired:
+        raise ValueError(
+            f"domain {min(unpaired)}: sums present in only one of "
+            "'numerators' and 'denominators'"
+        )
+    for key, numerator in numerators.items():
         domain_id = int(key)
         numerator = np.asarray(numerator, dtype=float)
-        denominator = np.asarray(data["denominators"][key], dtype=float)
+        denominator = np.asarray(denominators[key], dtype=float)
         if numerator.shape != (updater.n_users,) or denominator.shape != (updater.n_users,):
             raise ValueError(f"domain {domain_id}: sums have the wrong length")
+        sums = np.concatenate([numerator, denominator])
+        if not np.all(np.isfinite(sums)) or np.any(sums < 0):
+            raise ValueError(f"domain {domain_id}: sums must be finite and non-negative")
         updater.ensure_domain(domain_id)
-        updater._numerators[domain_id] = numerator
-        updater._denominators[domain_id] = denominator
+        updater._numerators[:, updater._columns[domain_id]] = numerator
+        updater._denominators[:, updater._columns[domain_id]] = denominator
     return updater
 
 

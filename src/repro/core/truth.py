@@ -79,54 +79,73 @@ def update_truths_for_expertise(
     ``task_expertise`` is the ``(n_users, n_tasks)`` matrix ``u_{i, d_j}``.
     Returns ``(truths, sigmas)``; unobserved tasks get NaN truth and the
     sigma floor.  With a :class:`~repro.core.robust.RobustConfig`, the
-    pass is reweighted once (IRLS step): standardized residuals under the
-    plain pass's pilot estimates earn each observation a Huber or trimming
-    weight that multiplies its ``u^2`` likelihood weight.
+    pass is reweighted once (see :func:`_truth_pass`).
+    """
+    rows, cols = np.nonzero(observations.mask)
+    return _truth_pass(
+        cols,
+        observations.values[rows, cols],
+        task_expertise[rows, cols],
+        np.bincount(cols, minlength=observations.n_tasks),
+        observations.n_tasks,
+        robust,
+    )
 
-    The sums are scatter-sums (``np.bincount``) over the observed entries
-    in row-major order, the same kernel :class:`_SparseObservations` uses.
-    Beyond skipping the masked zeros, this makes each task's accumulation
-    order a function of its *own* observations only, so a column subset
-    reproduces the full-matrix result bit for bit — a dense
+
+def _truth_pass(
+    cols: np.ndarray,
+    values: np.ndarray,
+    obs_expertise: np.ndarray,
+    task_counts: np.ndarray,
+    n_tasks: int,
+    robust: "RobustConfig | None" = None,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Eq. 5 over the observed entries: the one truth-pass body.
+
+    ``cols``/``values``/``obs_expertise`` list the observed entries in
+    row-major order with each one's task, value and ``u_{i, d_j}``.  The
+    sums are scatter-sums (``np.bincount``), so each task's accumulation
+    order is a function of its *own* observations only and a column
+    subset reproduces the full-matrix result bit for bit -- a dense
     ``sum(axis=0)`` does not, its reduction tree changes with the matrix
     width.
-    """
-    mask = observations.mask
-    n_tasks = observations.n_tasks
-    rows, cols = np.nonzero(mask)
-    values = observations.values[rows, cols]
-    obs_expertise = task_expertise[rows, cols]
 
+    With a ``robust`` config other than ``"none"`` the plain pass becomes
+    a pilot (one IRLS step): each observation's standardized residual
+    ``z = (x - mu) u / sigma`` earns it a Huber or 0/1 trimming weight
+    that multiplies its likelihood weight ``u^2`` in a second pass.  The
+    sigma line then divides by the *robust* observation count (sum of
+    robustness weights), so down-weighted outliers stop inflating base
+    numbers too.
+    """
     weights = obs_expertise**2
     weight_totals = np.bincount(cols, weights=weights, minlength=n_tasks)
     weighted_values = np.bincount(cols, weights=weights * values, minlength=n_tasks)
-    counts = np.bincount(cols, minlength=n_tasks)
     observed = weight_totals > 0
     truths = np.where(observed, weighted_values / np.where(observed, weight_totals, 1.0), np.nan)
     safe_truths = np.where(np.isnan(truths), 0.0, truths)
     residuals = values - safe_truths[cols]
     weighted_square = np.bincount(cols, weights=weights * residuals**2, minlength=n_tasks)
-    variance = np.where(counts > 0, weighted_square / np.maximum(counts, 1), 0.0)
+    variance = np.where(task_counts > 0, weighted_square / np.maximum(task_counts, 1), 0.0)
     sigmas = np.maximum(np.sqrt(variance), SIGMA_FLOOR)
     if robust is None or robust.method == "none":
         return truths, sigmas
-    safe_truths = np.where(np.isnan(truths), 0.0, truths)
-    z = (values - safe_truths[cols]) * obs_expertise / sigmas[cols]
-    rw = robust_weights(z, cols, observations.n_tasks, robust)
-    combined = obs_expertise**2 * rw
-    robust_totals = np.bincount(cols, weights=combined, minlength=observations.n_tasks)
-    observed = robust_totals > 0
-    weighted_values = np.bincount(cols, weights=combined * values, minlength=observations.n_tasks)
+    z = residuals * obs_expertise / sigmas[cols]
+    rw = robust_weights(z, cols, n_tasks, robust)
+    combined = weights * rw
+    weight_totals = np.bincount(cols, weights=combined, minlength=n_tasks)
+    observed = weight_totals > 0
+    weighted_values = np.bincount(cols, weights=combined * values, minlength=n_tasks)
+    # A task whose every observation got zero robust weight keeps its
+    # pilot estimate instead of collapsing to NaN.
     robust_truths = np.where(
-        observed, weighted_values / np.where(observed, robust_totals, 1.0), truths
+        observed, weighted_values / np.where(observed, weight_totals, 1.0), truths
     )
     safe_truths = np.where(np.isnan(robust_truths), 0.0, robust_truths)
-    obs_residuals = values - safe_truths[cols]
-    weighted_sq = np.bincount(
-        cols, weights=combined * obs_residuals**2, minlength=observations.n_tasks
-    )
-    rw_counts = np.bincount(cols, weights=rw, minlength=observations.n_tasks)
-    variance = np.where(rw_counts > 0, weighted_sq / np.maximum(rw_counts, 1e-12), 0.0)
+    residuals = values - safe_truths[cols]
+    weighted_square = np.bincount(cols, weights=combined * residuals**2, minlength=n_tasks)
+    rw_counts = np.bincount(cols, weights=rw, minlength=n_tasks)
+    variance = np.where(rw_counts > 0, weighted_square / np.maximum(rw_counts, 1e-12), 0.0)
     robust_sigmas = np.where(observed, np.maximum(np.sqrt(variance), SIGMA_FLOOR), sigmas)
     return robust_truths, robust_sigmas
 
@@ -138,10 +157,11 @@ class _SparseObservations:
     per-iteration Eq. 5/6 passes work on the ``nnz`` observed entries
     (gathers plus ``bincount`` scatter-sums) instead of full
     ``(n_users, n_tasks)`` products.  Everything that does not depend on
-    the current truths/expertise — the observed coordinates, their values,
+    the current truths/expertise -- the observed coordinates, their values,
     the per-observation domain column, per-task counts, and the Eq. 6
-    numerators (pure observation counts) — is computed exactly once per
-    :func:`estimate_truth` call instead of once per iteration.
+    numerators (pure observation counts) -- is computed once per solve.
+    The expertise arrays the passes take are ``(n_users, n_domains)``
+    blocks whose columns ``domain_columns`` indexes.
     """
 
     __slots__ = (
@@ -166,76 +186,22 @@ class _SparseObservations:
         self.domain_cols = domain_columns[self.cols]
         self.flat_user_domain = self.rows * self.n_domains + self.domain_cols
         self.task_counts = np.bincount(self.cols, minlength=self.n_tasks)
-        # Eq. 6 numerators: per-(user, domain) observation counts.  They are
-        # independent of the iterate, so the dense version recomputed them
-        # every iteration for nothing.
+        # Eq. 6 / Eq. 7 numerators: per-(user, domain) observation counts.
+        # They are independent of the iterate, so they are counted once.
         self.count_sums = (
             np.bincount(self.flat_user_domain, minlength=self.n_users * self.n_domains)
             .reshape(self.n_users, self.n_domains)
             .astype(float)
         )
 
-    def truth_pass(self, expertise: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Eq. 5 on observed entries only (matches the dense reference)."""
-        weights = expertise[self.rows, self.domain_cols] ** 2
-        weight_totals = np.bincount(self.cols, weights=weights, minlength=self.n_tasks)
-        weighted_values = np.bincount(
-            self.cols, weights=weights * self.values, minlength=self.n_tasks
-        )
-        observed = weight_totals > 0
-        truths = np.where(
-            observed, weighted_values / np.where(observed, weight_totals, 1.0), np.nan
-        )
-        safe_truths = np.where(np.isnan(truths), 0.0, truths)
-        residuals = self.values - safe_truths[self.cols]
-        weighted_square = np.bincount(
-            self.cols, weights=weights * residuals**2, minlength=self.n_tasks
-        )
-        variance = np.where(
-            self.task_counts > 0, weighted_square / np.maximum(self.task_counts, 1), 0.0
-        )
-        sigmas = np.maximum(np.sqrt(variance), SIGMA_FLOOR)
-        return truths, sigmas
-
-    def robust_truth_pass(
-        self, expertise: np.ndarray, config: RobustConfig
+    def truth_pass(
+        self, expertise: np.ndarray, robust: "RobustConfig | None" = None
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Eq. 5 with one IRLS reweighting step per outer iteration.
-
-        A plain pass produces pilot truths/sigmas; each observation's
-        standardized residual ``z = (x - mu) u / sigma`` under that pilot
-        then earns it a robustness weight (Huber or 0/1 trimming) that
-        multiplies its likelihood weight ``u^2`` in a second pass.  The
-        sigma line divides by the *robust* observation count (sum of
-        robustness weights) — the soft-count analogue of Eq. 5's plain
-        count — so down-weighted outliers stop inflating base numbers too.
-        """
-        truths, sigmas = self.truth_pass(expertise)
+        """Eq. 5 (optionally reweighted) for the domain-block ``expertise``."""
         obs_expertise = expertise[self.rows, self.domain_cols]
-        weights = obs_expertise**2
-        safe_truths = np.where(np.isnan(truths), 0.0, truths)
-        z = (self.values - safe_truths[self.cols]) * obs_expertise / sigmas[self.cols]
-        rw = robust_weights(z, self.cols, self.n_tasks, config)
-        combined = weights * rw
-        weight_totals = np.bincount(self.cols, weights=combined, minlength=self.n_tasks)
-        observed = weight_totals > 0
-        weighted_values = np.bincount(
-            self.cols, weights=combined * self.values, minlength=self.n_tasks
+        return _truth_pass(
+            self.cols, self.values, obs_expertise, self.task_counts, self.n_tasks, robust
         )
-        # A task whose every observation got zero robust weight keeps its
-        # pilot estimate instead of collapsing to NaN.
-        robust_truths = np.where(
-            observed, weighted_values / np.where(observed, weight_totals, 1.0), truths
-        )
-        safe_truths = np.where(np.isnan(robust_truths), 0.0, robust_truths)
-        residuals = self.values - safe_truths[self.cols]
-        weighted_square = np.bincount(
-            self.cols, weights=combined * residuals**2, minlength=self.n_tasks
-        )
-        rw_counts = np.bincount(self.cols, weights=rw, minlength=self.n_tasks)
-        variance = np.where(rw_counts > 0, weighted_square / np.maximum(rw_counts, 1e-12), 0.0)
-        robust_sigmas = np.where(observed, np.maximum(np.sqrt(variance), SIGMA_FLOOR), sigmas)
-        return robust_truths, robust_sigmas
 
     def fallback_truths(self, expertise: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Guaranteed-finite weighted-median estimate for diverged runs."""
@@ -351,7 +317,6 @@ def estimate_truth(
 
     sparse = _SparseObservations(observations, domain_columns, n_domains)
 
-    reweight = robust is not None and robust.method != "none"
     damping = 1.0 if robust is None else robust.damping
 
     traced = tracer is not None and tracer.enabled
@@ -361,10 +326,7 @@ def estimate_truth(
     final_delta = float("nan")
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        if reweight:
-            new_truths, sigmas = sparse.robust_truth_pass(expertise, robust)
-        else:
-            new_truths, sigmas = sparse.truth_pass(expertise)
+        new_truths, sigmas = sparse.truth_pass(expertise, robust)
         if damping < 1.0 and iterations > 1:
             both = ~(np.isnan(new_truths) | np.isnan(truths))
             new_truths = np.where(
@@ -404,10 +366,7 @@ def estimate_truth(
             observations.n_tasks,
             observations.observation_count,
         )
-    if reweight:
-        truths, sigmas = sparse.robust_truth_pass(expertise, robust)
-    else:
-        truths, sigmas = sparse.truth_pass(expertise)
+    truths, sigmas = sparse.truth_pass(expertise, robust)
 
     used_fallback = False
     if robust is not None and robust.fallback and not converged:

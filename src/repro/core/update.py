@@ -27,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.expertise import DEFAULT_EXPERTISE, ExpertiseMatrix, expertise_from_sums
-from repro.core.robust import RobustConfig, weighted_median_truths
+from repro.core.expertise import ExpertiseMatrix, expertise_from_sums
+from repro.core.robust import RobustConfig
 from repro.core.truth import (
-    SIGMA_FLOOR,
     TruthAnalysisResult,
+    _SparseObservations,
     _truth_delta,
     _truths_converged,
-    update_truths_for_expertise,
 )
 from repro.truthdiscovery.base import ObservationMatrix
 
@@ -47,16 +46,17 @@ _LOG = logging.getLogger(__name__)
 class IncorporateResult:
     """Truths/sigmas of one time step's new tasks plus convergence info.
 
-    ``expertise`` maps each involved domain id to the post-update per-user
-    expertise column, so callers (e.g. the min-cost quality check) can read
-    the refreshed values without re-deriving them from the updater.
+    ``task_expertise`` is the post-update ``(n_users, n_tasks)`` matrix
+    ``u_{i, d_j}`` for the step's tasks, so callers (e.g. the min-cost
+    quality check) can read the refreshed values without re-deriving them
+    from the updater.
     """
 
     truths: np.ndarray
     sigmas: np.ndarray
     iterations: int
     converged: bool
-    expertise: dict
+    task_expertise: np.ndarray
     #: Largest per-task relative truth change at the last inner iteration
     #: (NaN when only one iteration ran).
     final_delta: float = float("nan")
@@ -64,8 +64,49 @@ class IncorporateResult:
     used_fallback: bool = False
 
 
+class _DomainBlock:
+    """One call's tasks grouped by domain: the loop-invariant Eq. 7-8 layout.
+
+    ``inverse`` gives each task's position among the call's ``k`` distinct
+    domains and ``sparse`` is the Eq. 5 structure over the ``(n_users, k)``
+    expertise block they index.  The dense observation arrays are kept with
+    their tasks sorted (stably) by domain, so each domain's Eq. 8 sum is a
+    contiguous slice.
+    """
+
+    def __init__(self, observations: ObservationMatrix, inverse: np.ndarray, k: int):
+        self.inverse = inverse
+        self.sparse = _SparseObservations(observations, inverse, k)
+        self.order = np.argsort(inverse, kind="stable")
+        self.bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse, minlength=k))))
+        self.mask = observations.mask[:, self.order]
+        self.values = observations.values[:, self.order]
+
+    def denominator_sums(self, truths: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+        """Fresh Eq. 8 sums ``sum_j I(d_j = k) w_ij (x_ij - mu_j)^2 / sigma_j^2``.
+
+        Each domain's sum is a pairwise ``sum(axis=1)`` over its tasks in
+        ascending task order, the dense order the golden fingerprints pin.
+        ``np.bincount`` and ``np.add.reduceat`` accumulate in a different
+        order and change the last bits, so the sorted slices are kept.
+        """
+        safe_truths = np.where(np.isnan(truths), 0.0, truths)[self.order]
+        normalised_sq = np.where(
+            self.mask, ((self.values - safe_truths) / sigmas[self.order]) ** 2, 0.0
+        )
+        sums = np.empty((normalised_sq.shape[0], len(self.bounds) - 1))
+        for k, (start, end) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
+            sums[:, k] = normalised_sq[:, start:end].sum(axis=1)
+        return sums
+
+
 class ExpertiseUpdater:
-    """Running ``N``/``D`` sums per (user, domain) with decay ``alpha``."""
+    """Running ``N``/``D`` sums per (user, domain) with decay ``alpha``.
+
+    The sums are two ``(n_users, n_domains)`` arrays; ``_columns`` maps each
+    domain id to its column (in column order: new domains are appended and
+    a merge deletes the absorbed column).
+    """
 
     def __init__(self, n_users: int, alpha: float = 0.5):
         if n_users <= 0:
@@ -74,8 +115,9 @@ class ExpertiseUpdater:
             raise ValueError("alpha must lie in [0, 1]")
         self._n_users = int(n_users)
         self._alpha = float(alpha)
-        self._numerators: dict = {}
-        self._denominators: dict = {}
+        self._columns: dict = {}
+        self._numerators = np.zeros((self._n_users, 0))
+        self._denominators = np.zeros((self._n_users, 0))
 
     @property
     def n_users(self) -> int:
@@ -87,37 +129,55 @@ class ExpertiseUpdater:
 
     @property
     def domain_ids(self) -> list:
-        return sorted(self._numerators)
+        return sorted(self._columns)
 
     def ensure_domain(self, domain_id: int) -> None:
         """Register ``domain_id`` with empty history (no-op if present)."""
-        if domain_id not in self._numerators:
-            self._numerators[domain_id] = np.zeros(self._n_users, dtype=float)
-            self._denominators[domain_id] = np.zeros(self._n_users, dtype=float)
+        if domain_id not in self._columns:
+            self._columns[domain_id] = self._numerators.shape[1]
+            empty = np.zeros((self._n_users, 1))
+            self._numerators = np.hstack([self._numerators, empty])
+            self._denominators = np.hstack([self._denominators, empty])
 
     def merge_domains(self, kept: int, deleted: int) -> None:
         """Absorb domain ``deleted`` into ``kept`` (Section 4.2, case two)."""
         if kept == deleted:
             raise ValueError("cannot merge a domain with itself")
         self.ensure_domain(kept)
-        if deleted in self._numerators:
-            self._numerators[kept] += self._numerators.pop(deleted)
-            self._denominators[kept] += self._denominators.pop(deleted)
+        if deleted not in self._columns:
+            return
+        target, source = self._columns[kept], self._columns.pop(deleted)
+        self._numerators[:, target] += self._numerators[:, source]
+        self._denominators[:, target] += self._denominators[:, source]
+        self._numerators = np.delete(self._numerators, source, axis=1)
+        self._denominators = np.delete(self._denominators, source, axis=1)
+        for domain_id, column in self._columns.items():
+            if column > source:
+                self._columns[domain_id] = column - 1
 
     def expertise_column(self, domain_id: int) -> np.ndarray:
         """Current ``u_i^k`` for one domain (Eq. 9), defaults where unseen."""
-        numerator = self._numerators.get(domain_id)
-        if numerator is None:
-            return np.full(self._n_users, DEFAULT_EXPERTISE)
-        return expertise_from_sums(numerator, self._denominators[domain_id])
+        return self.task_expertise([domain_id])[:, 0]
 
     def expertise_matrix(self) -> ExpertiseMatrix:
-        """Snapshot of all domains as an :class:`ExpertiseMatrix`."""
-        matrix = ExpertiseMatrix(self._n_users)
-        for domain_id in self.domain_ids:
-            matrix.add_domain(domain_id)
-            matrix.set_column(domain_id, self.expertise_column(domain_id))
-        return matrix
+        """Snapshot of all domains as an :class:`ExpertiseMatrix` (Eq. 9)."""
+        values = expertise_from_sums(self._numerators, self._denominators)
+        return ExpertiseMatrix(values, list(self._columns))
+
+    def task_expertise(self, task_domains) -> np.ndarray:
+        """The ``(n_users, n_tasks)`` matrix ``u_{i, d_j}``; unseen domains default."""
+        return self.expertise_matrix().for_tasks(task_domains)
+
+    def _domain_block(
+        self, observations: ObservationMatrix, task_domains: np.ndarray
+    ) -> "tuple[np.ndarray, _DomainBlock]":
+        """Register the tasks' domains; their updater columns and block."""
+        distinct, inverse = np.unique(task_domains, return_inverse=True)
+        domain_ids = distinct.tolist()
+        for domain_id in domain_ids:
+            self.ensure_domain(domain_id)
+        columns = np.array([self._columns[d] for d in domain_ids], dtype=np.intp)
+        return columns, _DomainBlock(observations, inverse, len(columns))
 
     def seed_from_batch(
         self,
@@ -130,11 +190,11 @@ class ExpertiseUpdater:
         The warm-up contributes undecayed history: its counts and normalised
         errors become the initial ``N``/``D``.
         """
-        fresh_n, fresh_d = self._batch_sums(observations, task_domains, result.truths, result.sigmas)
-        for domain_id in fresh_n:
-            self.ensure_domain(domain_id)
-            self._numerators[domain_id] += fresh_n[domain_id]
-            self._denominators[domain_id] += fresh_d[domain_id]
+        columns, block = self._domain_block(observations, np.asarray(task_domains))
+        self._numerators[:, columns] += block.sparse.count_sums
+        self._denominators[:, columns] += block.denominator_sums(
+            result.truths, result.sigmas
+        )
 
     def incorporate(
         self,
@@ -156,6 +216,8 @@ class ExpertiseUpdater:
         With ``commit=False`` the running sums are left untouched — a
         *preview* used by the min-cost allocator, which re-estimates after
         every recruiting round but must only commit the day's final data.
+        (Domains seen for the first time are still registered, with empty
+        history.)
 
         ``robust`` enables the Huber/trimmed Eq. 5 reweighting, iteration
         damping, and weighted-median fallback (see
@@ -173,42 +235,34 @@ class ExpertiseUpdater:
             raise ValueError("task_domains must have one label per task")
         if observations.n_users != self._n_users:
             raise ValueError("observation matrix has the wrong number of users")
+        if max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
-        distinct = sorted(set(task_domains.tolist()))
-        for domain_id in distinct:
-            self.ensure_domain(domain_id)
-
-        # Snapshots at time T; the decayed base stays fixed across iterations.
-        base_n = {d: self._alpha * self._numerators[d] for d in distinct}
-        base_d = {d: self._alpha * self._denominators[d] for d in distinct}
+        columns, block = self._domain_block(observations, task_domains)
+        sparse = block.sparse
+        # Snapshots at time T; the decayed base stays fixed across iterations
+        # and the fresh Eq. 7 counts do not depend on the iterate.
+        new_n = self._alpha * self._numerators[:, columns] + sparse.count_sums
+        base_d = self._alpha * self._denominators[:, columns]
 
         damping = 1.0 if robust is None else robust.damping
         traced = tracer is not None and tracer.enabled
 
-        expertise = {d: self.expertise_column(d) for d in distinct}
+        expertise = expertise_from_sums(
+            self._numerators[:, columns], self._denominators[:, columns]
+        )
         truths = np.full(observations.n_tasks, np.nan)
-        sigmas = np.full(observations.n_tasks, np.nan)
         converged = False
         final_delta = float("nan")
-        iterations = 0
-        new_n: dict = {}
-        new_d: dict = {}
         for iterations in range(1, max_iterations + 1):
-            task_expertise = np.vstack([expertise[d] for d in task_domains.tolist()]).T
-            new_truths, sigmas = update_truths_for_expertise(
-                observations, task_expertise, robust=robust
-            )
+            new_truths, sigmas = sparse.truth_pass(expertise, robust)
             if damping < 1.0 and iterations > 1:
                 both = ~(np.isnan(new_truths) | np.isnan(truths))
                 new_truths = np.where(
                     both, damping * new_truths + (1.0 - damping) * truths, new_truths
                 )
-            fresh_n, fresh_d = self._batch_sums(observations, task_domains, new_truths, sigmas)
-            new_n = {d: base_n[d] + fresh_n.get(d, 0.0) for d in distinct}
-            new_d = {d: base_d[d] + fresh_d.get(d, 0.0) for d in distinct}
-            expertise = {
-                d: self._column_from_sums(new_n[d], new_d[d]) for d in distinct
-            }
+            new_d = base_d + block.denominator_sums(new_truths, sigmas)
+            expertise = expertise_from_sums(new_n, new_d)
             if iterations > 1:
                 final_delta = _truth_delta(new_truths, truths)
                 if traced:
@@ -226,20 +280,16 @@ class ExpertiseUpdater:
 
         used_fallback = False
         if robust is not None and robust.fallback and not converged:
-            observed = observations.mask.any(axis=0)
+            observed = sparse.task_counts > 0
             diverged = (
                 bool(np.any(~np.isfinite(truths[observed])))
                 or not np.isfinite(final_delta)
                 or final_delta > robust.fallback_delta
             )
             if diverged:
-                truths, sigmas = self._fallback_truths(observations, task_domains, expertise)
-                fresh_n, fresh_d = self._batch_sums(observations, task_domains, truths, sigmas)
-                new_n = {d: base_n[d] + fresh_n.get(d, 0.0) for d in distinct}
-                new_d = {d: base_d[d] + fresh_d.get(d, 0.0) for d in distinct}
-                expertise = {
-                    d: self._column_from_sums(new_n[d], new_d[d]) for d in distinct
-                }
+                truths, sigmas = sparse.fallback_truths(expertise)
+                new_d = base_d + block.denominator_sums(truths, sigmas)
+                expertise = expertise_from_sums(new_n, new_d)
                 used_fallback = True
                 if traced:
                     tracer.emit(
@@ -269,58 +319,14 @@ class ExpertiseUpdater:
                 "weighted-median fallback" if used_fallback else "last iterate",
             )
         if commit:
-            for domain_id in distinct:
-                self._numerators[domain_id] = new_n[domain_id]
-                self._denominators[domain_id] = new_d[domain_id]
+            self._numerators[:, columns] = new_n
+            self._denominators[:, columns] = new_d
         return IncorporateResult(
             truths=truths,
             sigmas=sigmas,
             iterations=iterations,
             converged=converged,
-            expertise={d: expertise[d].copy() for d in distinct},
+            task_expertise=expertise[:, block.inverse],
             final_delta=final_delta,
             used_fallback=used_fallback,
-        )
-
-    @staticmethod
-    def _column_from_sums(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-        return expertise_from_sums(numerator, denominator)
-
-    def _batch_sums(
-        self,
-        observations: ObservationMatrix,
-        task_domains: np.ndarray,
-        truths: np.ndarray,
-        sigmas: np.ndarray,
-    ) -> "tuple[dict, dict]":
-        """Per-domain observation counts and normalised squared error sums."""
-        mask = observations.mask
-        safe_truths = np.where(np.isnan(truths), 0.0, truths)
-        normalised_sq = np.where(mask, ((observations.values - safe_truths) / sigmas) ** 2, 0.0)
-        fresh_n: dict = {}
-        fresh_d: dict = {}
-        for domain_id in sorted(set(np.asarray(task_domains).tolist())):
-            tasks = np.flatnonzero(np.asarray(task_domains) == domain_id)
-            fresh_n[domain_id] = mask[:, tasks].sum(axis=1).astype(float)
-            fresh_d[domain_id] = normalised_sq[:, tasks].sum(axis=1)
-        return fresh_n, fresh_d
-
-    def _fallback_truths(
-        self,
-        observations: ObservationMatrix,
-        task_domains: np.ndarray,
-        expertise: dict,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Guaranteed-finite weighted-median truths for a diverged update."""
-        task_expertise = np.vstack(
-            [expertise[d] for d in np.asarray(task_domains).tolist()]
-        ).T
-        rows, cols = np.nonzero(observations.mask)
-        return weighted_median_truths(
-            rows,
-            cols,
-            observations.values[rows, cols],
-            task_expertise[rows, cols],
-            observations.n_tasks,
-            SIGMA_FLOOR,
         )

@@ -118,9 +118,8 @@ def run_incentive_loop(
             )
             assignment = random_allocator.allocate(problem)
         else:
-            matrix = updater.expertise_matrix()
             problem = AllocationProblem(
-                expertise=matrix.for_tasks(domains.tolist()),
+                expertise=updater.task_expertise(domains),
                 processing_times=times,
                 capacities=capacities,
             )

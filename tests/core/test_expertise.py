@@ -59,64 +59,58 @@ class TestFromSums:
 
 class TestExpertiseMatrix:
     def test_add_and_read_domains(self):
-        matrix = ExpertiseMatrix(3, domain_ids=[10, 20])
+        matrix = ExpertiseMatrix(np.full((3, 2), DEFAULT_EXPERTISE), domain_ids=[20, 10])
         assert matrix.domain_ids == [10, 20]
+        assert matrix.n_users == 3 and matrix.n_domains == 2
+        assert matrix.has_domain(20) and not matrix.has_domain(999)
         assert matrix.expertise(0, 10) == DEFAULT_EXPERTISE
         assert matrix.expertise(0, 999) == DEFAULT_EXPERTISE  # unknown domain
 
     def test_set_and_get_column(self):
-        matrix = ExpertiseMatrix(3, domain_ids=[1])
-        matrix.set_column(1, np.array([0.5, 1.5, 2.5]))
+        matrix = ExpertiseMatrix(np.array([[0.5], [1.5], [2.5]]), domain_ids=[1])
         assert matrix.expertise(2, 1) == 2.5
         column = matrix.column(1)
         assert column.tolist() == [0.5, 1.5, 2.5]
         with pytest.raises(ValueError):
             column[0] = 9.0  # read-only view
+        with pytest.raises(KeyError):
+            matrix.column(9)
 
     def test_set_column_clamps(self):
-        matrix = ExpertiseMatrix(2, domain_ids=[0])
-        matrix.set_column(0, np.array([-5.0, 50.0]))
+        matrix = ExpertiseMatrix(np.array([[-5.0], [50.0]]), domain_ids=[0])
         assert matrix.expertise(0, 0) == MIN_EXPERTISE
         assert matrix.expertise(1, 0) == MAX_EXPERTISE
 
     def test_duplicate_domain_rejected(self):
-        matrix = ExpertiseMatrix(2, domain_ids=[0])
         with pytest.raises(ValueError):
-            matrix.add_domain(0)
-
-    def test_drop_domain_shifts_columns(self):
-        matrix = ExpertiseMatrix(2, domain_ids=[0, 1, 2])
-        matrix.set_column(2, np.array([2.0, 3.0]))
-        matrix.drop_domain(1)
-        assert matrix.domain_ids == [0, 2]
-        assert matrix.expertise(1, 2) == 3.0
+            ExpertiseMatrix(np.ones((2, 2)), domain_ids=[0, 0])
 
     def test_for_tasks_maps_domains(self):
-        matrix = ExpertiseMatrix(2, domain_ids=[0, 1])
-        matrix.set_column(1, np.array([2.0, 0.5]))
+        matrix = ExpertiseMatrix(np.array([[1.0, 2.0], [1.0, 0.5]]), domain_ids=[0, 1])
         task_expertise = matrix.for_tasks([1, 0, 7])
         assert task_expertise.shape == (2, 3)
         assert task_expertise[0, 0] == 2.0
+        assert task_expertise[1, 1] == 1.0
         assert task_expertise[0, 2] == DEFAULT_EXPERTISE  # unseen domain
+        task_expertise[0, 0] = 9.0  # a fresh array, not a view of the snapshot
+        assert matrix.expertise(0, 1) == 2.0
 
     def test_profile(self):
-        matrix = ExpertiseMatrix(2, domain_ids=[3, 4])
-        matrix.set_column(4, np.array([1.5, 2.5]))
+        matrix = ExpertiseMatrix(np.array([[2.0, 1.0], [2.5, 1.0]]), domain_ids=[4, 3])
         assert matrix.profile(1) == {3: DEFAULT_EXPERTISE, 4: 2.5}
+        assert list(matrix.profile(1)) == [3, 4]
 
     def test_from_array(self):
         values = np.array([[1.0, 2.0], [3.0, 0.5]])
-        matrix = ExpertiseMatrix.from_array(values, domain_ids=[7, 8])
+        matrix = ExpertiseMatrix(values, domain_ids=[7, 8])
+        assert matrix.expertise(1, 7) == 3.0
+        values[1, 0] = 4.0  # the snapshot keeps its own copy
         assert matrix.expertise(1, 7) == 3.0
         with pytest.raises(ValueError):
-            ExpertiseMatrix.from_array(values, domain_ids=[7])
-
-    def test_update_from_adds_missing_domains(self):
-        matrix = ExpertiseMatrix(2)
-        matrix.update_from({5: np.array([1.0, 2.0])})
-        assert matrix.domain_ids == [5]
-        assert matrix.expertise(1, 5) == 2.0
+            ExpertiseMatrix(values, domain_ids=[7])
+        with pytest.raises(ValueError):
+            ExpertiseMatrix(np.ones(2), domain_ids=[7, 8])
 
     def test_n_users_validation(self):
         with pytest.raises(ValueError):
-            ExpertiseMatrix(0)
+            ExpertiseMatrix(np.zeros((0, 1)), domain_ids=[0])

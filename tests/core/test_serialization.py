@@ -59,6 +59,31 @@ class TestUpdaterRoundTrip:
         with pytest.raises(ValueError):
             updater_from_dict(data)
 
+    @pytest.mark.parametrize("sums", ["numerators", "denominators"])
+    def test_negative_sum_rejected(self, sums):
+        data = updater_to_dict(_trained_updater())
+        data[sums]["1"][3] = -0.5
+        with pytest.raises(ValueError, match="domain 1: .*non-negative"):
+            updater_from_dict(data)
+
+    @pytest.mark.parametrize("sums", ["numerators", "denominators"])
+    def test_nan_sum_rejected(self, sums):
+        data = updater_to_dict(_trained_updater())
+        data[sums]["2"][0] = float("nan")
+        with pytest.raises(ValueError, match="domain 2: .*finite"):
+            updater_from_dict(data)
+
+    def test_unpaired_domain_rejected(self):
+        data = updater_to_dict(_trained_updater())
+        del data["denominators"]["0"]
+        with pytest.raises(ValueError, match="domain 0: .*'denominators'"):
+            updater_from_dict(data)
+
+    def test_round_trip_is_byte_identical(self):
+        data = updater_to_dict(_trained_updater())
+        text = json.dumps(data)
+        assert json.dumps(updater_to_dict(updater_from_dict(json.loads(text)))) == text
+
 
 class TestClusteringRoundTrip:
     def test_unfitted_round_trip(self):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.expertise import DEFAULT_EXPERTISE, EXPERTISE_PRIOR_STRENGTH
+from repro.core.pipeline import ETA2System
+from repro.core.serialization import state_fingerprint, updater_to_dict
 from repro.core.truth import estimate_truth
 from repro.core.update import ExpertiseUpdater
 from repro.truthdiscovery.base import ObservationMatrix
@@ -72,7 +74,8 @@ def test_incorporate_estimates_new_task_truths(setup):
     error = np.nanmean(np.abs(result.truths - truths) / sigmas)
     assert error < 0.5
     assert result.converged
-    assert set(result.expertise) == {0, 1, 2}
+    assert result.task_expertise.shape == (30, 50)
+    assert np.array_equal(result.task_expertise, updater.task_expertise(domains))
 
 
 def test_preview_mode_leaves_state_untouched(setup):
@@ -97,7 +100,7 @@ def test_decay_reduces_history_weight(setup):
     domains = rng.integers(0, 3, 40)
     obs, _, _ = _batch(rng, true_expertise, domains, 40)
     fast.incorporate(obs, domains)
-    first_counts = {d: fast._numerators[d].copy() for d in fast.domain_ids}
+    first_counts = updater_to_dict(fast)["numerators"]
     first = {d: fast.expertise_column(d).copy() for d in fast.domain_ids}
     # Re-incorporating an identical batch with alpha = 0: the decayed
     # history vanishes, so the observation *counts* are reproduced exactly.
@@ -105,8 +108,8 @@ def test_decay_reduces_history_weight(setup):
     # iteration starts from the learned values the second time and stops at
     # the paper's 5% truth-convergence criterion.
     fast.incorporate(obs, domains)
+    assert updater_to_dict(fast)["numerators"] == first_counts
     for domain_id in first:
-        assert np.array_equal(first_counts[domain_id], fast._numerators[domain_id])
         assert np.allclose(first[domain_id], fast.expertise_column(domain_id), rtol=0.15)
 
 
@@ -116,11 +119,15 @@ def test_merge_domains_combines_sums(setup):
     domains = rng.integers(0, 2, 40)
     obs, _, _ = _batch(rng, true_expertise, domains, 40)
     updater.incorporate(obs, domains)
-    n0 = updater._numerators[0].copy()
-    n1 = updater._numerators[1].copy()
+    before = updater_to_dict(updater)
     updater.merge_domains(0, 1)
+    after = updater_to_dict(updater)
     assert updater.domain_ids == [0]
-    assert np.allclose(updater._numerators[0], n0 + n1)
+    for sums in ("numerators", "denominators"):
+        assert list(after[sums]) == ["0"]
+        assert np.array_equal(
+            after[sums]["0"], np.add(before[sums]["0"], before[sums]["1"])
+        )
 
 
 def test_merge_validation():
@@ -149,3 +156,84 @@ def test_incorporate_input_validation(setup):
     wrong_users = ObservationMatrix(values=np.zeros((5, 10)), mask=np.ones((5, 10), bool))
     with pytest.raises(ValueError):
         updater.incorporate(wrong_users, domains)
+
+
+def test_zero_max_iterations_rejected_before_state_changes(setup):
+    rng, true_expertise = setup
+    updater = ExpertiseUpdater(n_users=30, alpha=0.5)
+    domains = rng.integers(0, 2, 20)
+    obs, _, _ = _batch(rng, true_expertise, domains, 20)
+    updater.incorporate(obs, domains)
+    before = updater_to_dict(updater)
+    new_domains = np.full(20, 5)
+    for max_iterations in (0, -1):
+        with pytest.raises(ValueError, match="max_iterations"):
+            updater.incorporate(obs, new_domains, max_iterations=max_iterations)
+    assert updater.domain_ids == [0, 1]
+    assert updater_to_dict(updater) == before
+
+
+def _brute_force_sums(observations, domains, truths, sigmas):
+    """Eq. 7-8 fresh sums per domain: dense masked sums in task order."""
+    mask = observations.mask
+    safe_truths = np.where(np.isnan(truths), 0.0, truths)
+    normalised_sq = np.where(mask, ((observations.values - safe_truths) / sigmas) ** 2, 0.0)
+    sums = {}
+    for domain_id in np.unique(domains).tolist():
+        tasks = np.flatnonzero(domains == domain_id)
+        sums[domain_id] = (
+            mask[:, tasks].sum(axis=1).astype(float),
+            normalised_sq[:, tasks].sum(axis=1),
+        )
+    return sums
+
+
+def test_running_sums_match_brute_force_exactly(setup):
+    """Warm-up seed, a merge and a committed step reproduce Eqs. 7-8 with ``==``.
+
+    Pins the summation order of the N/D sums (not just their value): the
+    golden fingerprints depend on every last bit of them.
+    """
+    rng, true_expertise = setup
+    alpha = 0.6
+    system = ETA2System(n_users=30, capacities=np.full(30, 8.0), alpha=alpha, seed=0)
+    updater = system._updater
+
+    warm_domains = rng.integers(0, 4, 150)
+    warm, _, _ = _batch(rng, true_expertise[:, [0, 1, 2, 0]], warm_domains, 150, density=0.3)
+    batch = estimate_truth(warm, warm_domains)
+    updater.seed_from_batch(warm, warm_domains, batch)
+    expected = _brute_force_sums(warm, warm_domains, batch.truths, batch.sigmas)
+    state = updater_to_dict(updater)
+    assert state["numerators"] == {str(d): n.tolist() for d, (n, _) in expected.items()}
+    assert state["denominators"] == {str(d): ds.tolist() for d, (_, ds) in expected.items()}
+
+    updater.merge_domains(0, 3)
+    merged = updater_to_dict(updater)
+    assert updater.domain_ids == [0, 1, 2]
+
+    # The step touches two known domains and a new one; domain 1 is idle.
+    day_domains = rng.choice([0, 2, 7], 200)
+    day, _, _ = _batch(rng, true_expertise[:, [0, 0, 2, 0, 0, 0, 0, 1]], day_domains, 200)
+    preview = updater.incorporate(day, day_domains, commit=False)
+    assert updater.domain_ids == [0, 1, 2, 7]  # a preview registers new domains
+    result = updater.incorporate(day, day_domains)
+    assert np.array_equal(result.truths, preview.truths, equal_nan=True)
+    fresh = _brute_force_sums(day, day_domains, result.truths, result.sigmas)
+    state = updater_to_dict(updater)
+    for domain_id in (0, 1, 2, 7):
+        key = str(domain_id)
+        prev_n = np.asarray(merged["numerators"].get(key, np.zeros(30)))
+        prev_d = np.asarray(merged["denominators"].get(key, np.zeros(30)))
+        if domain_id in fresh:
+            fresh_n, fresh_d = fresh[domain_id]
+            want_n, want_d = alpha * prev_n + fresh_n, alpha * prev_d + fresh_d
+        else:
+            want_n, want_d = prev_n, prev_d
+        assert state["numerators"][key] == want_n.tolist()
+        assert state["denominators"][key] == want_d.tolist()
+
+    fingerprint = state_fingerprint(system)
+    later, _, _ = _batch(rng, true_expertise[:, [0, 0, 2, 0, 0, 0, 0, 1]], day_domains, 200)
+    updater.incorporate(later, day_domains, commit=False)
+    assert state_fingerprint(system) == fingerprint

@@ -126,13 +126,8 @@ class TestPipelineEdges:
 
 class TestExpertiseMatrixEdges:
     def test_for_tasks_empty(self):
-        matrix = ExpertiseMatrix(3, domain_ids=[0])
+        matrix = ExpertiseMatrix(np.ones((3, 1)), domain_ids=[0])
         assert matrix.for_tasks([]).shape == (3, 0)
-
-    def test_drop_unknown_domain_raises(self):
-        matrix = ExpertiseMatrix(2, domain_ids=[0])
-        with pytest.raises(KeyError):
-            matrix.drop_domain(9)
 
 
 class TestAssignmentEdges:
