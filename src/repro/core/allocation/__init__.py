@@ -2,9 +2,10 @@
 
 - :mod:`repro.core.allocation.base` — the allocation problem instance, the
   assignment container, and the max-quality objective (Eqs. 10-14),
-- :mod:`repro.core.allocation.max_quality` — the greedy efficiency heuristic
-  (Algorithm 1) plus the cardinality-greedy extra pass that restores the
-  1/2-approximation guarantee,
+- :mod:`repro.core.allocation.max_quality` — the best-of-two greedy step
+  (Algorithm 1's efficiency greedy plus the cardinality-greedy extra pass
+  that restores the 1/2-approximation guarantee) and the max-quality
+  allocator, with optional epsilon-greedy exploration,
 - :mod:`repro.core.allocation.lazy_greedy` — the CELF priority-queue kernel
   the greedy runs on: lazy re-evaluation with staleness epochs,
   bit-identical picks to the exhaustive scan,
@@ -12,9 +13,10 @@
   (Algorithm 2) with the Fisher-information quality check,
 - :mod:`repro.core.allocation.exact` — exhaustive and dynamic-programming
   reference solvers for small instances (tests and approximation audits),
-- :mod:`repro.core.allocation.baselines` — the random allocator (warm-up and
-  the "Baseline" comparison) and the reliability-greedy allocator used by the
-  Hubs-and-Authorities / Average-Log / TruthFinder comparisons.
+- :mod:`repro.core.allocation.baselines` — the random first-fit (warm-up, the
+  "Baseline" comparison and exploration) and the reliability-greedy
+  allocator used by the Hubs-and-Authorities / Average-Log / TruthFinder
+  comparisons.
 """
 
 from repro.core.allocation.base import (
@@ -26,7 +28,7 @@ from repro.core.allocation.base import (
 from repro.core.allocation.baselines import RandomAllocator, ReliabilityGreedyAllocator
 from repro.core.allocation.exact import exhaustive_max_quality, single_user_knapsack
 from repro.core.allocation.lazy_greedy import GreedyOutcome, GreedyStats, lazy_greedy_allocate
-from repro.core.allocation.max_quality import MaxQualityAllocator, greedy_allocate
+from repro.core.allocation.max_quality import MaxQualityAllocator, best_of_two_greedy
 from repro.core.allocation.min_cost import MinCostAllocator, MinCostOutcome, MinCostRound
 
 __all__ = [
@@ -42,8 +44,8 @@ __all__ = [
     "ReliabilityGreedyAllocator",
     "accuracy_probabilities",
     "allocation_objective",
+    "best_of_two_greedy",
     "exhaustive_max_quality",
-    "greedy_allocate",
     "lazy_greedy_allocate",
     "single_user_knapsack",
 ]

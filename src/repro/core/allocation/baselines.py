@@ -16,7 +16,31 @@ import numpy as np
 from repro.core.allocation.base import AllocationProblem, Assignment
 from repro.rng import ensure_rng
 
-__all__ = ["RandomAllocator", "ReliabilityGreedyAllocator"]
+__all__ = ["RandomAllocator", "ReliabilityGreedyAllocator", "random_first_fit"]
+
+
+def random_first_fit(problem: AllocationProblem, budget: np.ndarray, rng) -> Assignment:
+    """Take random feasible pairs until each user's ``budget`` is spent.
+
+    Visits all pairs in one random permutation, taking each pair whose time
+    still fits in its user's remaining budget.  Users are independent under
+    this rule, so the walk runs on plain Python floats (the same IEEE
+    operations as NumPy's float64) with no per-pair array indexing.
+    """
+    n_users, n_tasks = problem.n_users, problem.n_tasks
+    order = rng.permutation(n_users * n_tasks)
+    users, tasks = np.divmod(order, n_tasks)
+    times = problem.pair_times()[users, tasks].tolist()
+    eligible = problem.eligible_mask().tolist()
+    remaining = np.asarray(budget, dtype=float).tolist()
+    taken = []
+    for k, (user, t) in enumerate(zip(users.tolist(), times)):
+        if eligible[user] and t <= remaining[user] + 1e-12:
+            remaining[user] -= t
+            taken.append(k)
+    matrix = np.zeros(n_users * n_tasks, dtype=bool)
+    matrix[order[taken]] = True
+    return Assignment(matrix=matrix.reshape(n_users, n_tasks))
 
 
 class RandomAllocator:
@@ -28,23 +52,11 @@ class RandomAllocator:
     def allocate(self, problem: AllocationProblem) -> Assignment:
         """Assign random feasible (user, task) pairs until none remain.
 
-        Visits all pairs in random order, taking each one that still fits in
-        the user's remaining capacity.  This fills capacity the same way the
-        smarter allocators do, so comparisons measure *which* users answer
-        which tasks rather than how much data is collected.
+        This fills capacity the same way the smarter allocators do, so
+        comparisons measure *which* users answer which tasks rather than how
+        much data is collected.
         """
-        n_users, n_tasks = problem.n_users, problem.n_tasks
-        times = problem.pair_times()
-        remaining = problem.capacities.astype(float).copy()
-        eligible = problem.eligible_mask()
-        matrix = np.zeros((n_users, n_tasks), dtype=bool)
-        order = self._rng.permutation(n_users * n_tasks)
-        for flat in order:
-            user, task = divmod(int(flat), n_tasks)
-            if eligible[user] and times[user, task] <= remaining[user] + 1e-12:
-                matrix[user, task] = True
-                remaining[user] -= times[user, task]
-        return Assignment(matrix=matrix)
+        return random_first_fit(problem, problem.capacities, self._rng)
 
 
 class ReliabilityGreedyAllocator:

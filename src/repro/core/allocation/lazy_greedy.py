@@ -137,11 +137,25 @@ def lazy_greedy_allocate(
 ) -> GreedyOutcome:
     """Run the Algorithm 1 greedy loop via the CELF priority queue.
 
-    Parameters mirror the public
-    :func:`~repro.core.allocation.max_quality.greedy_allocate`;
-    ``accuracy`` and ``pair_times`` accept the precomputed Eq. 11 matrix
-    and the broadcast processing times so callers that run several passes
-    over one problem (extra pass, min-cost rounds) pay for them once.
+    Parameters
+    ----------
+    initial:
+        Pairs assigned earlier (min-cost rounds, exploration).  Their
+        processing time is already deducted from capacities, their ``p_ij``
+        already counts toward task coverage, and their cost does **not**
+        count against ``cost_budget``.
+    divide_by_time:
+        True for Definition 1's efficiency; False for the cardinality-greedy
+        extra pass (gain not divided by ``t_j``).
+    cost_budget:
+        Maximum cost of *newly added* pairs (Algorithm 2's ``c^o``).
+    active_tasks:
+        Boolean mask of tasks eligible for new assignments (min-cost skips
+        tasks whose quality requirement is already met).
+    accuracy, pair_times:
+        Precomputed ``problem.accuracy_matrix()`` (Eq. 11) and
+        ``problem.pair_times()``, so callers that run several passes over
+        one problem (extra pass, min-cost rounds) pay for them once.
     """
     n_users, n_tasks = problem.n_users, problem.n_tasks
     p = problem.accuracy_matrix() if accuracy is None else accuracy

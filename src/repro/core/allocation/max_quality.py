@@ -14,8 +14,9 @@ that ignores processing times in the efficiency — the cardinality greedy —
 is run as well, and the better of the two solutions is returned, giving the
 classic 1/2-approximation guarantee.
 
-The same greedy core also serves Algorithm 2 (min-cost), which adds a
-per-round cost budget and restricts attention to the not-yet-satisfied tasks.
+The same best-of-two step (:func:`best_of_two_greedy`) also serves every
+round of Algorithm 2 (min-cost), which adds a per-round cost budget and
+restricts attention to the not-yet-satisfied tasks.
 
 Since the objective is monotone submodular, the greedy runs on the
 lazy-evaluation (CELF) priority-queue kernel of
@@ -28,57 +29,65 @@ are only re-evaluated when they surface at the top of the heap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.core.allocation.base import AllocationProblem, Assignment
+from repro.core.allocation.baselines import random_first_fit
 from repro.core.allocation.lazy_greedy import GreedyOutcome, GreedyStats, lazy_greedy_allocate
+from repro.rng import ensure_rng
 
-__all__ = ["GreedyOutcome", "GreedyStats", "greedy_allocate", "MaxQualityAllocator"]
+__all__ = ["GreedyOutcome", "GreedyStats", "MaxQualityAllocator", "best_of_two_greedy"]
 
 
-def greedy_allocate(
+def best_of_two_greedy(
     problem: AllocationProblem,
+    extra_pass: bool = True,
     initial: "Assignment | None" = None,
-    divide_by_time: bool = True,
     cost_budget: "float | None" = None,
     active_tasks: "np.ndarray | None" = None,
     accuracy: "np.ndarray | None" = None,
     pair_times: "np.ndarray | None" = None,
-) -> GreedyOutcome:
-    """Run the Algorithm 1 greedy loop (lazy CELF evaluation).
+) -> "tuple[GreedyOutcome, str, GreedyStats | None]":
+    """One Section 5.1.2 greedy step: the better of the two greedy passes.
 
-    Parameters
-    ----------
-    initial:
-        Pairs assigned in earlier rounds (min-cost).  Their processing time
-        is already deducted from capacities, their ``p_ij`` already counts
-        toward task coverage, and their cost does **not** count against
-        ``cost_budget``.
-    divide_by_time:
-        True for Definition 1's efficiency; False for the cardinality-greedy
-        extra pass (gain not divided by ``t_j``).
-    cost_budget:
-        Maximum cost of *newly added* pairs (Algorithm 2's ``c^o``).
-    active_tasks:
-        Boolean mask of tasks eligible for new assignments (min-cost skips
-        tasks whose quality requirement is already met).
-    accuracy:
-        Precomputed ``problem.accuracy_matrix()`` (Eq. 11) — pass it when
-        running several greedy passes over one problem so the ``erf`` over
-        ``n_users x n_tasks`` is paid once.
-    pair_times:
-        Precomputed ``problem.pair_times()`` broadcast, same idea.
+    Runs Definition 1's efficiency greedy and, with ``extra_pass``, the
+    cardinality greedy (gain not divided by ``t_j``) from the same
+    ``initial`` assignment; the higher objective wins, ties going to the
+    efficiency pass.  Returns the winning outcome, its name
+    (``"efficiency"`` or ``"cardinality"``) and both passes' merged
+    :class:`GreedyStats`.  The other arguments are those of
+    :func:`~repro.core.allocation.lazy_greedy.lazy_greedy_allocate`;
+    ``accuracy`` and ``pair_times`` are computed once here when omitted.
     """
-    return lazy_greedy_allocate(
+    if accuracy is None:
+        accuracy = problem.accuracy_matrix()
+    if pair_times is None:
+        pair_times = problem.pair_times()
+    # Every pass resolves ``lazy_greedy_allocate`` through this module's
+    # global, the one name that times and counts all greedy passes.
+    greedy = partial(
+        lazy_greedy_allocate,
         problem,
         initial=initial,
-        divide_by_time=divide_by_time,
         cost_budget=cost_budget,
         active_tasks=active_tasks,
         accuracy=accuracy,
         pair_times=pair_times,
     )
+    efficiency = greedy(divide_by_time=True)
+    if not extra_pass:
+        return efficiency, "efficiency", efficiency.stats
+    cardinality = greedy(divide_by_time=False)
+    stats = (
+        efficiency.stats.merged(cardinality.stats)
+        if efficiency.stats is not None
+        else cardinality.stats
+    )
+    if cardinality.objective > efficiency.objective:
+        return cardinality, "cardinality", stats
+    return efficiency, "efficiency", stats
 
 
 @dataclass
@@ -89,9 +98,21 @@ class MaxQualityAllocator:
     time-divided greedy and the cardinality greedy both run and the higher-
     objective solution wins.  The Eq. 11 accuracy matrix is computed once
     per :meth:`allocate` and threaded through both passes and the objective.
+
+    ``exploration_rate`` (an extension beyond the paper) is epsilon-greedy
+    exploration: Algorithm 1 is purely exploitative, so users whose
+    expertise was never observed, or was under-estimated early, may never
+    get another chance.  A positive rate first fills up to ``rate * T_i`` of
+    each user's capacity with the warm-up's
+    :func:`~repro.core.allocation.baselines.random_first_fit`, drawn from
+    ``seed``; the greedy then treats those pairs as already assigned.  The
+    generator is drawn from only when the rate is positive, so it may be
+    shared with a :class:`~repro.core.allocation.baselines.RandomAllocator`.
     """
 
     extra_pass: bool = True
+    exploration_rate: float = 0.0
+    seed: object = field(default=None, repr=False)
     #: Populated after each allocate() call: which pass won ("efficiency" or
     #: "cardinality").  Exposed for the ablation benchmarks.
     last_winner: str = field(default="", init=False)
@@ -99,21 +120,18 @@ class MaxQualityAllocator:
     #: (both passes), for telemetry.
     last_stats: "GreedyStats | None" = field(default=None, init=False)
 
+    def __post_init__(self):
+        if not 0.0 <= self.exploration_rate <= 1.0:
+            raise ValueError("exploration_rate must lie in [0, 1]")
+        self._rng = ensure_rng(self.seed)
+
     def allocate(self, problem: AllocationProblem) -> Assignment:
-        accuracy = problem.accuracy_matrix()
-        efficiency = greedy_allocate(problem, divide_by_time=True, accuracy=accuracy)
-        if not self.extra_pass:
-            self.last_winner = "efficiency"
-            self.last_stats = efficiency.stats
-            return efficiency.assignment
-        cardinality = greedy_allocate(problem, divide_by_time=False, accuracy=accuracy)
-        self.last_stats = (
-            efficiency.stats.merged(cardinality.stats)
-            if efficiency.stats is not None
-            else cardinality.stats
+        exploration = None
+        if self.exploration_rate > 0.0:
+            exploration = random_first_fit(
+                problem, self.exploration_rate * problem.capacities, self._rng
+            )
+        outcome, self.last_winner, self.last_stats = best_of_two_greedy(
+            problem, self.extra_pass, initial=exploration
         )
-        if cardinality.objective > efficiency.objective:
-            self.last_winner = "cardinality"
-            return cardinality.assignment
-        self.last_winner = "efficiency"
-        return efficiency.assignment
+        return outcome.assignment

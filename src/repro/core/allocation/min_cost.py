@@ -25,15 +25,15 @@ simulation engine and against recorded datasets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro.core.allocation.base import AllocationProblem, Assignment
 from repro.core.allocation.lazy_greedy import GreedyStats
-from repro.core.allocation.max_quality import greedy_allocate
+from repro.core.allocation.max_quality import best_of_two_greedy
 from repro.core.truth import update_truths_for_expertise
-from repro.stats.confidence import mle_truth_confidence_interval
+from repro.stats.confidence import truth_half_widths
 from repro.truthdiscovery.base import ObservationMatrix
 
 __all__ = ["MinCostRound", "MinCostOutcome", "MinCostAllocator"]
@@ -96,7 +96,8 @@ class MinCostAllocator:
         self._confidence = float(confidence)
         self._max_rounds = int(max_rounds)
         # The paper (end of Section 5.2.2a) notes the Section 5.1.2 extra
-        # step "can also be added" to each round's greedy; on by default.
+        # step "can also be added" to each round's best-of-two greedy; on by
+        # default.
         self._extra_pass = bool(extra_pass)
 
     def run(
@@ -132,31 +133,17 @@ class MinCostAllocator:
         greedy_stats: "GreedyStats | None" = None
 
         for _ in range(self._max_rounds):
-            outcome = greedy_allocate(
+            outcome, _winner, stats = best_of_two_greedy(
                 problem,
+                self._extra_pass,
                 initial=assignment,
-                divide_by_time=True,
                 cost_budget=self._round_budget,
                 active_tasks=~satisfied,
                 accuracy=accuracy,
                 pair_times=pair_times,
             )
-            if outcome.stats is not None:
-                greedy_stats = outcome.stats.merged(greedy_stats)
-            if self._extra_pass:
-                cardinality = greedy_allocate(
-                    problem,
-                    initial=assignment,
-                    divide_by_time=False,
-                    cost_budget=self._round_budget,
-                    active_tasks=~satisfied,
-                    accuracy=accuracy,
-                    pair_times=pair_times,
-                )
-                if cardinality.stats is not None:
-                    greedy_stats = cardinality.stats.merged(greedy_stats)
-                if cardinality.objective > outcome.objective:
-                    outcome = cardinality
+            if stats is not None:
+                greedy_stats = stats.merged(greedy_stats)
             if not outcome.added_pairs:
                 break
             assignment = outcome.assignment
@@ -166,17 +153,14 @@ class MinCostAllocator:
             observed = np.asarray(observed, dtype=float)
             if observed.shape != (len(outcome.added_pairs),):
                 raise ValueError("observe() must return one value per new pair")
-            touched: set = set()
-            for (user, task), value in zip(outcome.added_pairs, observed):
-                if not np.isfinite(value):
-                    # Dropout or corrupt (non-finite) payload: the recruiting
-                    # cost is spent and the capacity consumed, but no usable
-                    # observation arrives — the quality check simply stays
-                    # unsatisfied and later rounds recruit replacements.
-                    continue
-                values[user, task] = value
-                mask[user, task] = True
-                touched.add(int(task))
+            # Dropout or corrupt (non-finite) payload: the recruiting cost is
+            # spent and the capacity consumed, but no usable observation
+            # arrives — the quality check simply stays unsatisfied and later
+            # rounds recruit replacements.  Pairs are unique within a round.
+            delivered = np.isfinite(observed)
+            users, tasks = np.asarray(outcome.added_pairs).T[:, delivered]
+            values[users, tasks] = observed[delivered]
+            mask[users, tasks] = True
 
             observations = ObservationMatrix(values=values, mask=mask)
             truths, sigmas, task_expertise = estimate(observations)
@@ -184,12 +168,12 @@ class MinCostAllocator:
             # Line 12-15 check; satisfied tasks are latched (they were
             # removed from active_tasks and receive no further data).
             satisfied = self._check_quality(
-                assignment,
+                mask,
                 truths,
                 sigmas,
                 task_expertise,
                 satisfied=satisfied,
-                recheck=sorted(touched),
+                recheck=np.unique(tasks),
             )
             rounds.append(
                 MinCostRound(
@@ -214,39 +198,38 @@ class MinCostAllocator:
 
     def _check_quality(
         self,
-        assignment: Assignment,
+        mask: np.ndarray,
         truths: np.ndarray,
         sigmas: np.ndarray,
         task_expertise: np.ndarray,
         satisfied: "np.ndarray | None" = None,
-        recheck: "Sequence | None" = None,
+        recheck: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        """Line 12-15 of Algorithm 2: the per-task confidence-interval test.
+        """Line 12-15 of Algorithm 2: the Eq. 24 interval test, all tasks at once.
 
-        ``satisfied`` carries the previous round's verdicts and ``recheck``
-        the tasks that received new usable observations this round — only
-        those are re-tested, every other task keeps its status.  Omitting
-        both re-checks the full task set (the cold-start behaviour).
+        Eq. 23 sums over the users whose data arrived (``mask``), not every
+        recruited user: a dropout adds no information.  ``satisfied``
+        carries the previous round's verdicts and ``recheck`` the tasks that
+        received new usable observations this round — only those are
+        re-tested, every other task keeps its status.  Omitting both
+        re-checks the full task set (the cold-start behaviour).  A task
+        without data, without a truth estimate or without a positive finite
+        sigma also keeps its status.
         """
-        n_tasks = assignment.n_tasks
+        n_tasks = mask.shape[1]
         satisfied = (
             np.zeros(n_tasks, dtype=bool) if satisfied is None else satisfied.copy()
         )
-        tasks = range(n_tasks) if recheck is None else recheck
-        for task in tasks:
-            users = assignment.users_of_task(task)
-            if users.size == 0 or np.isnan(truths[task]):
-                continue
-            sigma = float(sigmas[task])
-            if not np.isfinite(sigma) or sigma <= 0:
-                continue
-            interval = mle_truth_confidence_interval(
-                estimate=float(truths[task]),
-                expertise=task_expertise[users, task],
-                sigma=sigma,
-                confidence=self._confidence,
-            )
-            satisfied[task] = interval.satisfies_quality(sigma, self._error_limit)
+        tasks = np.arange(n_tasks) if recheck is None else np.asarray(recheck, dtype=np.intp)
+        selected = mask[:, tasks]
+        sigma = np.asarray(sigmas, dtype=float)[tasks]
+        truth = np.asarray(truths, dtype=float)[tasks]
+        testable = selected.any(axis=0) & ~np.isnan(truth) & np.isfinite(sigma) & (sigma > 0)
+        tasks, sigma = tasks[testable], sigma[testable]
+        half_width = truth_half_widths(
+            task_expertise[:, tasks], selected[:, testable], sigma, self._confidence
+        )
+        satisfied[tasks] = 2.0 * half_width <= 2.0 * self._error_limit * sigma
         return satisfied
 
     @staticmethod

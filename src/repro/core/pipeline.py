@@ -42,6 +42,7 @@ from repro.semantics.distance import semantics_for_descriptions
 from repro.semantics.embeddings.base import EmbeddingModel
 from repro.semantics.embeddings.cooccurrence import PPMISVDEmbedding
 from repro.semantics.embeddings.corpus import generate_topical_corpus
+from repro.stats.confidence import ConfidenceInterval, truth_half_widths
 from repro.truthdiscovery.base import ObservationMatrix
 
 __all__ = ["IncomingTask", "StepResult", "ETA2System", "default_embedding"]
@@ -118,33 +119,22 @@ class StepResult:
         """Eq. 24 confidence intervals for every task's truth estimate.
 
         Returns one :class:`~repro.stats.confidence.ConfidenceInterval` per
-        task (infinite width for tasks with no informative observation).
-        Requires ``task_expertise`` (set by :class:`ETA2System`).
+        task, summing Eq. 23 over the users whose data arrived (infinite
+        width and a NaN center for tasks with no observation or no positive
+        finite sigma).  Requires ``task_expertise`` (set by
+        :class:`ETA2System`).
         """
-        from repro.stats.confidence import mle_truth_confidence_interval
-
         if self.task_expertise is None:
             raise ValueError("this result carries no per-task expertise")
-        intervals = []
-        for task in range(self.observations.n_tasks):
-            users = self.observations.observations_for_task(task)[0]
-            sigma = float(self.sigmas[task])
-            if users.size == 0 or not np.isfinite(sigma) or sigma <= 0:
-                intervals.append(
-                    mle_truth_confidence_interval(
-                        float("nan"), [], sigma=1.0, confidence=confidence
-                    )
-                )
-                continue
-            intervals.append(
-                mle_truth_confidence_interval(
-                    float(self.truths[task]),
-                    self.task_expertise[users, task],
-                    sigma=sigma,
-                    confidence=confidence,
-                )
-            )
-        return intervals
+        mask = self.observations.mask
+        half_widths = truth_half_widths(self.task_expertise, mask, self.sigmas, confidence)
+        valid = mask.any(axis=0) & np.isfinite(self.sigmas) & (self.sigmas > 0)
+        centers = np.where(valid, self.truths, np.nan).tolist()
+        half_widths = np.where(valid, half_widths, np.inf).tolist()
+        return [
+            ConfidenceInterval(center=center, half_width=half_width, confidence=confidence)
+            for center, half_width in zip(centers, half_widths)
+        ]
 
 
 def default_embedding(dim: int = 32, seed: int = 0) -> EmbeddingModel:
@@ -202,8 +192,6 @@ class ETA2System:
             raise ValueError("capacities must have one entry per user")
         if allocator not in ("max-quality", "min-cost"):
             raise ValueError("allocator must be 'max-quality' or 'min-cost'")
-        if not 0.0 <= exploration_rate <= 1.0:
-            raise ValueError("exploration_rate must lie in [0, 1]")
         self._n_users = int(n_users)
         self._capacities = capacities
         self._epsilon = float(epsilon)
@@ -211,20 +199,16 @@ class ETA2System:
         self._embedding = embedding
         self._clustering = DynamicHierarchicalClustering(gamma=gamma, metric=clustering_metric)
         self._updater = ExpertiseUpdater(n_users, alpha=alpha)
-        if exploration_rate > 0.0:
-            from repro.core.allocation.exploring import ExploringMaxQualityAllocator
-
-            self._max_quality = ExploringMaxQualityAllocator(
-                exploration_rate=exploration_rate,
-                extra_pass=extra_greedy_pass,
-                seed=seed,
-            )
-        else:
-            self._max_quality = MaxQualityAllocator(extra_pass=extra_greedy_pass)
+        # ``seed`` may be one Generator shared by both allocators: the
+        # exploring fill draws from it only when exploration_rate > 0.
+        self._max_quality = MaxQualityAllocator(
+            extra_pass=extra_greedy_pass, exploration_rate=exploration_rate, seed=seed
+        )
         self._min_cost = MinCostAllocator(
             round_budget=min_cost_round_budget,
             error_limit=min_cost_error_limit,
             confidence=min_cost_confidence,
+            extra_pass=extra_greedy_pass,
         )
         self._random = RandomAllocator(seed=seed)
         self._warmed_up = False

@@ -50,7 +50,7 @@ def reference_greedy_allocate(
     active_tasks: "np.ndarray | None" = None,
 ):
     """The seed Algorithm 1 greedy loop (see
-    :func:`repro.core.allocation.max_quality.greedy_allocate`).
+    :func:`repro.core.allocation.lazy_greedy.lazy_greedy_allocate`).
 
     Eager evaluation: after every pick it immediately re-evaluates the
     chosen task and every task whose cached best user just lost capacity,

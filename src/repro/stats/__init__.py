@@ -25,6 +25,7 @@ from repro.stats.confidence import (
     ConfidenceInterval,
     mle_truth_confidence_interval,
     truth_fisher_information,
+    truth_half_widths,
 )
 from repro.stats.descriptive import (
     BoxplotStats,
@@ -63,4 +64,5 @@ __all__ = [
     "standard_normal_quantile",
     "symmetric_tail_probability",
     "truth_fisher_information",
+    "truth_half_widths",
 ]

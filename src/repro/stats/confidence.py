@@ -27,6 +27,7 @@ __all__ = [
     "ConfidenceInterval",
     "truth_fisher_information",
     "mle_truth_confidence_interval",
+    "truth_half_widths",
 ]
 
 
@@ -66,6 +67,36 @@ class ConfidenceInterval:
         return self.width <= 2.0 * error_limit * sigma
 
 
+def _fisher_information(expertise, selected, sigmas) -> np.ndarray:
+    """Eq. 23 per task: ``sum_i s_ij * u_ij^2 / sigma_j^2`` (axis 0 = users)."""
+    u = np.asarray(expertise, dtype=float)
+    if np.any(selected & (u < 0)):
+        raise ValueError("expertise values must be non-negative")
+    sigmas = np.asarray(sigmas, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sum(np.where(selected, u * u, 0.0), axis=0) / (sigmas * sigmas)
+
+
+def truth_half_widths(expertise, selected, sigmas, confidence: float = 0.95) -> np.ndarray:
+    """Eq. 24 half-widths ``Z_{alpha/2} / sqrt(I(mu_j))`` for every task at once.
+
+    ``expertise`` and ``selected`` are ``(n_users, n_tasks)`` matrices of
+    ``u_ij`` and ``s_ij`` (a 1-D ``expertise`` is one task's users), and
+    ``sigmas`` holds each task's ``sigma_j``.  A task with zero Fisher
+    information (no selected user with positive expertise) gets an
+    infinite half-width, so Algorithm 2 keeps recruiting for it.  Values
+    for tasks whose sigma is not positive and finite are meaningless;
+    callers mask them.
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie in (0, 1)")
+    info = _fisher_information(expertise, selected, sigmas)
+    alpha = 1.0 - confidence
+    z = float(standard_normal_quantile(1.0 - alpha / 2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(info <= 0.0, np.inf, z / np.sqrt(info))
+
+
 def truth_fisher_information(expertise: Sequence[float], sigma: float) -> float:
     """Fisher information ``I(mu_j) = sum_i u_ij^2 / sigma_j^2`` (Eq. 23).
 
@@ -74,10 +105,7 @@ def truth_fisher_information(expertise: Sequence[float], sigma: float) -> float:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    u = np.asarray(expertise, dtype=float)
-    if np.any(u < 0):
-        raise ValueError("expertise values must be non-negative")
-    return float(np.sum(u * u)) / (sigma * sigma)
+    return float(_fisher_information(expertise, True, sigma))
 
 
 def mle_truth_confidence_interval(
@@ -88,15 +116,10 @@ def mle_truth_confidence_interval(
 ) -> ConfidenceInterval:
     """The Eq. 24 confidence interval for the ground truth ``mu_j``.
 
-    Returns an infinite-width interval when no informative observation has
-    been collected yet (zero Fisher information) so that Algorithm 2 keeps
-    recruiting users for the task.
+    ``expertise`` holds the selected users' ``u_ij``; the half-width is
+    infinite when no informative observation has been collected yet.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    info = truth_fisher_information(expertise, sigma)
-    if info <= 0.0:
-        return ConfidenceInterval(center=estimate, half_width=float("inf"), confidence=confidence)
-    alpha = 1.0 - confidence
-    z = float(standard_normal_quantile(1.0 - alpha / 2.0))
-    return ConfidenceInterval(center=estimate, half_width=z / np.sqrt(info), confidence=confidence)
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    half_width = float(truth_half_widths(expertise, True, sigma, confidence))
+    return ConfidenceInterval(center=estimate, half_width=half_width, confidence=confidence)

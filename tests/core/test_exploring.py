@@ -1,10 +1,14 @@
-"""Tests for the epsilon-greedy exploring allocator."""
+"""Tests for MaxQualityAllocator's epsilon-greedy exploration."""
 
 import numpy as np
 import pytest
 
-from repro.core.allocation import AllocationProblem, MaxQualityAllocator, allocation_objective
-from repro.core.allocation.exploring import ExploringMaxQualityAllocator
+from repro.core.allocation import (
+    AllocationProblem,
+    MaxQualityAllocator,
+    RandomAllocator,
+    allocation_objective,
+)
 
 
 def _problem(seed=0, n_users=10, n_tasks=30):
@@ -19,7 +23,7 @@ def _problem(seed=0, n_users=10, n_tasks=30):
 
 def test_zero_rate_matches_plain_greedy():
     problem = _problem(0)
-    exploring = ExploringMaxQualityAllocator(exploration_rate=0.0, seed=1).allocate(problem)
+    exploring = MaxQualityAllocator(exploration_rate=0.0, seed=1).allocate(problem)
     plain = MaxQualityAllocator().allocate(problem)
     assert np.array_equal(exploring.matrix, plain.matrix)
 
@@ -27,7 +31,7 @@ def test_zero_rate_matches_plain_greedy():
 def test_respects_capacities_at_any_rate():
     for rate in (0.1, 0.5, 1.0):
         problem = _problem(1)
-        assignment = ExploringMaxQualityAllocator(exploration_rate=rate, seed=2).allocate(problem)
+        assignment = MaxQualityAllocator(exploration_rate=rate, seed=2).allocate(problem)
         assert assignment.respects_capacities(problem)
 
 
@@ -44,8 +48,8 @@ def test_exploration_spreads_assignments_across_users():
         capacities=np.full(6, 8.0),
         epsilon=0.5,
     )
-    greedy = ExploringMaxQualityAllocator(exploration_rate=0.0, seed=4).allocate(problem)
-    explored = ExploringMaxQualityAllocator(exploration_rate=0.5, seed=4).allocate(problem)
+    greedy = MaxQualityAllocator(exploration_rate=0.0, seed=4).allocate(problem)
+    explored = MaxQualityAllocator(exploration_rate=0.5, seed=4).allocate(problem)
     # Both fill roughly the same volume...
     assert abs(greedy.pair_count - explored.pair_count) <= 10
     # ...but exploration's choices differ from pure exploitation's.
@@ -57,29 +61,50 @@ def test_objective_close_to_greedy():
     problem = _problem(5)
     greedy_value = allocation_objective(problem, MaxQualityAllocator().allocate(problem))
     explored_value = allocation_objective(
-        problem, ExploringMaxQualityAllocator(exploration_rate=0.2, seed=6).allocate(problem)
+        problem, MaxQualityAllocator(exploration_rate=0.2, seed=6).allocate(problem)
     )
     assert explored_value >= 0.8 * greedy_value
 
 
 def test_seeded_reproducibility():
     problem = _problem(7)
-    a = ExploringMaxQualityAllocator(exploration_rate=0.3, seed=8).allocate(problem)
-    b = ExploringMaxQualityAllocator(exploration_rate=0.3, seed=8).allocate(problem)
+    a = MaxQualityAllocator(exploration_rate=0.3, seed=8).allocate(problem)
+    b = MaxQualityAllocator(exploration_rate=0.3, seed=8).allocate(problem)
     assert np.array_equal(a.matrix, b.matrix)
 
 
 def test_rate_validation():
     with pytest.raises(ValueError):
-        ExploringMaxQualityAllocator(exploration_rate=-0.1)
+        MaxQualityAllocator(exploration_rate=-0.1)
     with pytest.raises(ValueError):
-        ExploringMaxQualityAllocator(exploration_rate=1.1)
+        MaxQualityAllocator(exploration_rate=1.1)
 
 
 def test_pipeline_accepts_exploration_rate():
     from repro.core.pipeline import ETA2System
 
     system = ETA2System(n_users=3, capacities=[5.0, 5.0, 5.0], exploration_rate=0.2, seed=9)
-    assert isinstance(system._max_quality, ExploringMaxQualityAllocator)
+    assert system._max_quality.exploration_rate == 0.2
     with pytest.raises(ValueError):
         ETA2System(n_users=3, capacities=[5.0, 5.0, 5.0], exploration_rate=2.0)
+
+
+def test_full_rate_is_the_random_first_fit():
+    # First fit leaves no feasible pair, so the greedy adds nothing on top:
+    # exploration and the warm-up share one fill and one permutation draw.
+    for seed in range(5):
+        problem = _problem(10 + seed)
+        explored = MaxQualityAllocator(exploration_rate=1.0, seed=seed).allocate(problem)
+        random = RandomAllocator(seed=seed).allocate(problem)
+        assert np.array_equal(explored.matrix, random.matrix)
+
+
+def test_zero_rate_leaves_a_shared_generator_untouched():
+    # The pipeline hands one Generator to both allocators; only a positive
+    # rate may draw from it.
+    problem = _problem(11)
+    rng = np.random.default_rng(12)
+    MaxQualityAllocator(exploration_rate=0.0, seed=rng).allocate(problem)
+    assert rng.bit_generator.state == np.random.default_rng(12).bit_generator.state
+    MaxQualityAllocator(exploration_rate=0.3, seed=rng).allocate(problem)
+    assert rng.bit_generator.state != np.random.default_rng(12).bit_generator.state

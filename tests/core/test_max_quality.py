@@ -10,7 +10,7 @@ from repro.core.allocation import (
     MaxQualityAllocator,
     allocation_objective,
     exhaustive_max_quality,
-    greedy_allocate,
+    lazy_greedy_allocate,
 )
 
 
@@ -26,7 +26,7 @@ def _random_problem(seed, n_users=3, n_tasks=4, epsilon=0.5):
 
 def test_greedy_respects_capacities():
     problem = _random_problem(0, n_users=10, n_tasks=30)
-    outcome = greedy_allocate(problem)
+    outcome = lazy_greedy_allocate(problem)
     assert outcome.assignment.respects_capacities(problem)
 
 
@@ -34,14 +34,14 @@ def test_greedy_fills_capacity_when_tasks_abound():
     # With plenty of tasks, every user should end with less remaining
     # capacity than the smallest task.
     problem = _random_problem(1, n_users=4, n_tasks=50)
-    outcome = greedy_allocate(problem)
+    outcome = lazy_greedy_allocate(problem)
     remaining = problem.capacities - outcome.assignment.workloads(problem.processing_times)
     assert np.all(remaining < problem.processing_times.max() + 1e-9)
 
 
 def test_greedy_objective_matches_reported():
     problem = _random_problem(2)
-    outcome = greedy_allocate(problem)
+    outcome = lazy_greedy_allocate(problem)
     assert outcome.objective == pytest.approx(
         allocation_objective(problem, outcome.assignment)
     )
@@ -55,7 +55,7 @@ def test_greedy_prefers_high_expertise_users():
         capacities=np.array([1.0, 1.0]),
         epsilon=0.5,
     )
-    outcome = greedy_allocate(problem)
+    outcome = lazy_greedy_allocate(problem)
     # The expert is chosen first.
     assert outcome.added_pairs[0] == (0, 0)
 
@@ -64,7 +64,7 @@ def test_greedy_respects_initial_assignment():
     problem = _random_problem(3)
     initial = Assignment.empty(problem.n_users, problem.n_tasks)
     initial.matrix[0, 0] = True
-    outcome = greedy_allocate(problem, initial=initial)
+    outcome = lazy_greedy_allocate(problem, initial=initial)
     assert outcome.assignment.matrix[0, 0]
     assert (0, 0) not in outcome.added_pairs
     # Initial workload was deducted from user 0's capacity.
@@ -75,7 +75,7 @@ def test_greedy_cost_budget_limits_new_pairs_only():
     problem = _random_problem(4)
     initial = Assignment.empty(problem.n_users, problem.n_tasks)
     initial.matrix[0, 0] = True  # costs nothing against the budget
-    outcome = greedy_allocate(problem, initial=initial, cost_budget=2.0)
+    outcome = lazy_greedy_allocate(problem, initial=initial, cost_budget=2.0)
     assert outcome.spent_cost <= 2.0 + 1e-9
     assert len(outcome.added_pairs) <= 2  # unit costs
 
@@ -84,7 +84,7 @@ def test_greedy_active_task_mask():
     problem = _random_problem(5)
     active = np.zeros(problem.n_tasks, dtype=bool)
     active[1] = True
-    outcome = greedy_allocate(problem, active_tasks=active)
+    outcome = lazy_greedy_allocate(problem, active_tasks=active)
     tasks_used = {task for _, task in outcome.added_pairs}
     assert tasks_used <= {1}
 
@@ -97,7 +97,7 @@ def test_greedy_initial_over_capacity_rejected():
     )
     initial = Assignment(matrix=np.array([[True, True]]))
     with pytest.raises(ValueError):
-        greedy_allocate(problem, initial=initial)
+        lazy_greedy_allocate(problem, initial=initial)
 
 
 def test_allocator_extra_pass_never_worse():

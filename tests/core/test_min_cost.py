@@ -8,6 +8,7 @@ from repro.core.allocation import (
     MaxQualityAllocator,
     MinCostAllocator,
 )
+from repro.stats.normal import standard_normal_quantile
 
 
 def _world(seed=0, n_users=20, n_tasks=30):
@@ -132,3 +133,75 @@ def test_constructor_validation():
         MinCostAllocator(round_budget=1.0, confidence=1.0)
     with pytest.raises(ValueError):
         MinCostAllocator(round_budget=1.0, max_rounds=0)
+
+
+def test_dropped_pairs_add_no_fisher_information():
+    # Four users with u = 3 on one task: at 95% and eps_bar = 0.5 the task
+    # needs sum u^2 >= (z / eps_bar)^2 ~ 15.4.  One delivered value (9)
+    # must not pass just because three dropped users were also recruited.
+    problem = AllocationProblem(
+        expertise=np.full((4, 1), 3.0),
+        processing_times=np.ones(1),
+        capacities=np.ones(4),
+    )
+
+    def estimate(observations):
+        return np.array([5.0]), np.ones(1), problem.expertise
+
+    def run(values):
+        allocator = MinCostAllocator(round_budget=10.0, error_limit=0.5, max_rounds=1)
+        return allocator.run(problem, lambda pairs: values[: len(pairs)], estimate)
+
+    dropped = run([5.0, np.nan, np.nan, np.nan])
+    assert dropped.assignment.pair_count == 4
+    assert dropped.satisfied.tolist() == [False]
+    assert run([5.0, 5.0, 5.0, 5.0]).satisfied.tolist() == [True]
+
+
+def _reference_check_quality(
+    mask, truths, sigmas, task_expertise, satisfied, recheck, confidence, error_limit
+):
+    """Per-task Eq. 23-24 test: gathered delivered users, np.sum(u*u), scalar z."""
+    z = float(standard_normal_quantile(1.0 - (1.0 - confidence) / 2.0))
+    satisfied = satisfied.copy()
+    for task in recheck:
+        users = np.flatnonzero(mask[:, task])
+        sigma = float(sigmas[task])
+        if users.size == 0 or np.isnan(truths[task]) or not np.isfinite(sigma) or sigma <= 0:
+            continue
+        u = task_expertise[users, task]
+        info = float(np.sum(u * u)) / (sigma * sigma)
+        half_width = float("inf") if info <= 0.0 else z / np.sqrt(info)
+        satisfied[task] = 2.0 * half_width <= 2.0 * error_limit * sigma
+    return satisfied
+
+
+def test_check_quality_matches_per_task_reference():
+    rng = np.random.default_rng(2024)
+    decided = 0
+    for _ in range(1200):
+        n_users, n_tasks = int(rng.integers(1, 121)), int(rng.integers(1, 25))
+        mask = rng.random((n_users, n_tasks)) < rng.uniform(0.0, 1.0)
+        mask[:, rng.random(n_tasks) < 0.15] = False  # every pair of the task dropped
+        task_expertise = rng.uniform(0.0, 3.0, (n_users, n_tasks))
+        task_expertise[rng.random((n_users, n_tasks)) < 0.1] = 0.0
+        truths = rng.normal(10.0, 5.0, n_tasks)
+        truths[rng.random(n_tasks) < 0.1] = np.nan
+        sigmas = rng.uniform(0.1, 3.0, n_tasks)
+        odd = rng.random(n_tasks) < 0.2
+        sigmas[odd] = rng.choice([0.0, -1.0, np.inf, np.nan], int(odd.sum()))
+        satisfied = rng.random(n_tasks) < 0.2
+        recheck = np.flatnonzero(rng.random(n_tasks) < 0.7)
+        confidence = float(rng.choice([0.9, 0.95, 0.99]))
+        error_limit = float(rng.uniform(0.1, 1.5))
+        allocator = MinCostAllocator(1.0, error_limit=error_limit, confidence=confidence)
+        got = allocator._check_quality(
+            mask, truths, sigmas, task_expertise, satisfied=satisfied, recheck=recheck
+        )
+        want = _reference_check_quality(
+            mask, truths, sigmas, task_expertise, satisfied, recheck, confidence, error_limit
+        )
+        assert got.tolist() == want.tolist()
+        decided += int(np.sum(want[recheck] != satisfied[recheck]))
+    # The instances straddle the threshold: many verdicts flip both ways.
+    assert decided > 1000

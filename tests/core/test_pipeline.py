@@ -144,6 +144,40 @@ def test_min_cost_mode_runs_and_reports_cost():
     assert result.pair_count == result.observations.observation_count
 
 
+@pytest.mark.parametrize("extra_pass", [True, False])
+def test_min_cost_rounds_follow_extra_greedy_pass(monkeypatch, extra_pass):
+    # ETA2System(extra_greedy_pass=...) drives ETA2-mc's rounds too: off
+    # means one (efficiency) greedy pass per round, on adds the cardinality
+    # pass to every round.
+    from repro.core.allocation import max_quality
+
+    passes = []
+    greedy = max_quality.lazy_greedy_allocate
+
+    def counting_greedy(*args, **kwargs):
+        passes.append(kwargs["divide_by_time"])
+        return greedy(*args, **kwargs)
+
+    monkeypatch.setattr(max_quality, "lazy_greedy_allocate", counting_greedy)
+    rng = np.random.default_rng(9)
+    system = ETA2System(
+        n_users=15,
+        capacities=rng.uniform(8.0, 12.0, 15),
+        allocator="min-cost",
+        min_cost_round_budget=30.0,
+        extra_greedy_pass=extra_pass,
+        seed=10,
+    )
+    world = _SyntheticWorld(15, 3, seed=11)
+    tasks = _known_domain_tasks(rng, 15)
+    system.warmup(tasks, world.observe_factory(tasks)[0])
+    tasks = _known_domain_tasks(rng, 15)
+    system.step(tasks, world.observe_factory(tasks)[0])
+    efficiency = passes.count(True)
+    assert efficiency > 1
+    assert passes.count(False) == (efficiency if extra_pass else 0)
+
+
 def test_incoming_task_validation():
     with pytest.raises(ValueError):
         IncomingTask(processing_time=0.0, domain=0)

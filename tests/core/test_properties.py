@@ -9,7 +9,7 @@ from repro.core.allocation import (
     Assignment,
     MaxQualityAllocator,
     allocation_objective,
-    greedy_allocate,
+    lazy_greedy_allocate,
 )
 from repro.core.truth import estimate_truth, update_truths_for_expertise
 from repro.truthdiscovery.base import ObservationMatrix
@@ -143,7 +143,7 @@ class TestAllocationInvariants:
     @given(seeds)
     def test_greedy_never_violates_capacity(self, seed):
         problem = self._problem(seed)
-        outcome = greedy_allocate(problem)
+        outcome = lazy_greedy_allocate(problem)
         assert outcome.assignment.respects_capacities(problem)
 
     @settings(max_examples=15, deadline=None)
@@ -152,7 +152,7 @@ class TestAllocationInvariants:
         """No feasible pair is left unassigned with positive marginal gain
         (the greedy only stops when every remaining efficiency is zero)."""
         problem = self._problem(seed)
-        outcome = greedy_allocate(problem)
+        outcome = lazy_greedy_allocate(problem)
         remaining = problem.capacities - outcome.assignment.workloads(problem.processing_times)
         # With strictly positive expertise every pair has positive marginal
         # gain, so the greedy must terminate only when *no* unassigned pair

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.allocation import AllocationProblem, Assignment, MaxQualityAllocator, greedy_allocate
+from repro.core.allocation import AllocationProblem, Assignment, MaxQualityAllocator, lazy_greedy_allocate
 from repro.experiments.spatial import _execute_plan, run_spatial_instance
 from repro.spatial import (
     pairwise_distances,
@@ -98,7 +98,7 @@ class TestPairTimeAllocation:
             processing_times=times,
             capacities=np.array([10.0, 10.0]),
         )
-        outcome = greedy_allocate(problem)
+        outcome = lazy_greedy_allocate(problem)
         assert outcome.added_pairs[0] == (0, 0)
 
     def test_broadcast_matches_vector_times(self):
@@ -106,11 +106,11 @@ class TestPairTimeAllocation:
         expertise = rng.uniform(0.1, 3.0, (5, 12))
         vector_times = rng.uniform(0.5, 1.5, 12)
         capacities = rng.uniform(3.0, 6.0, 5)
-        a = greedy_allocate(
+        a = lazy_greedy_allocate(
             AllocationProblem(expertise=expertise, processing_times=vector_times, capacities=capacities)
         )
         matrix_times = np.broadcast_to(vector_times[None, :], (5, 12)).copy()
-        b = greedy_allocate(
+        b = lazy_greedy_allocate(
             AllocationProblem(expertise=expertise, processing_times=matrix_times, capacities=capacities)
         )
         assert np.array_equal(a.assignment.matrix, b.assignment.matrix)

@@ -9,7 +9,7 @@ from repro.core.allocation import (
     Assignment,
     MaxQualityAllocator,
     MinCostAllocator,
-    greedy_allocate,
+    lazy_greedy_allocate,
 )
 from repro.core.pipeline import ETA2System, IncomingTask
 from repro.core.expertise import ExpertiseMatrix
@@ -49,7 +49,7 @@ class TestAllocationEdges:
             processing_times=np.ones(3),
             capacities=np.array([0.0, 5.0]),
         )
-        outcome = greedy_allocate(problem)
+        outcome = lazy_greedy_allocate(problem)
         assert outcome.assignment.tasks_of_user(0).size == 0
         assert outcome.assignment.tasks_of_user(1).size == 3
 
@@ -59,7 +59,7 @@ class TestAllocationEdges:
             processing_times=np.array([10.0, 12.0]),
             capacities=np.array([1.0, 2.0]),
         )
-        outcome = greedy_allocate(problem)
+        outcome = lazy_greedy_allocate(problem)
         assert outcome.assignment.pair_count == 0
         assert MaxQualityAllocator().allocate(problem).pair_count == 0
 
@@ -69,7 +69,7 @@ class TestAllocationEdges:
             processing_times=np.ones(2),
             capacities=np.array([5.0, 5.0]),
         )
-        outcome = greedy_allocate(problem, active_tasks=np.zeros(2, dtype=bool))
+        outcome = lazy_greedy_allocate(problem, active_tasks=np.zeros(2, dtype=bool))
         assert outcome.assignment.pair_count == 0
 
     def test_min_cost_single_round_budget_smaller_than_any_cost(self):
@@ -90,7 +90,7 @@ class TestAllocationEdges:
             processing_times=np.array([1.0]),
             capacities=np.array([1.0]),
         )
-        outcome = greedy_allocate(problem)
+        outcome = lazy_greedy_allocate(problem)
         assert outcome.assignment.pair_count == 1
 
 
