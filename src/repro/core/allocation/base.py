@@ -19,10 +19,12 @@ two differ with probability zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.stats.normal import symmetric_tail_probability
+from repro.truthdiscovery.base import ObservationMatrix
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -219,6 +221,20 @@ class Assignment:
         """Assigned ``(user, task)`` pairs."""
         users, tasks = np.nonzero(self.matrix)
         return list(zip(users.tolist(), tasks.tolist()))
+
+    def collect(self, observe: Callable) -> ObservationMatrix:
+        """Ask ``observe(pairs)`` for every assigned pair and fold the replies.
+
+        ``pairs`` come in :meth:`pairs` order and the reply must hold one
+        value per pair.  A non-finite value is a *dropout* (an assigned user
+        that never delivered) or a corrupt payload: its pair stays
+        unobserved, though the capacity it consumed is already spent — see
+        :meth:`ObservationMatrix.from_pairs`.  ``observe`` is not called
+        for an empty assignment.
+        """
+        users, tasks = np.nonzero(self.matrix)
+        values = observe(list(zip(users.tolist(), tasks.tolist()))) if users.size else ()
+        return ObservationMatrix.from_pairs(users, tasks, values, *self.matrix.shape)
 
     def users_of_task(self, task: int) -> np.ndarray:
         return np.flatnonzero(self.matrix[:, task])

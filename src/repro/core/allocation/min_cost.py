@@ -149,18 +149,17 @@ class MinCostAllocator:
             assignment = outcome.assignment
             total_cost += outcome.spent_cost
 
-            observed = observe(list(outcome.added_pairs))
-            observed = np.asarray(observed, dtype=float)
-            if observed.shape != (len(outcome.added_pairs),):
-                raise ValueError("observe() must return one value per new pair")
             # Dropout or corrupt (non-finite) payload: the recruiting cost is
             # spent and the capacity consumed, but no usable observation
             # arrives — the quality check simply stays unsatisfied and later
-            # rounds recruit replacements.  Pairs are unique within a round.
-            delivered = np.isfinite(observed)
-            users, tasks = np.asarray(outcome.added_pairs).T[:, delivered]
-            values[users, tasks] = observed[delivered]
-            mask[users, tasks] = True
+            # rounds recruit replacements.  Pairs are new every round, so the
+            # round's fold merges into the running matrix without overlap.
+            users, tasks = np.asarray(outcome.added_pairs, dtype=np.intp).T
+            new = ObservationMatrix.from_pairs(
+                users, tasks, observe(list(outcome.added_pairs)), n_users, n_tasks
+            )
+            values[new.mask] = new.values[new.mask]
+            mask |= new.mask
 
             observations = ObservationMatrix(values=values, mask=mask)
             truths, sigmas, task_expertise = estimate(observations)
@@ -173,7 +172,7 @@ class MinCostAllocator:
                 sigmas,
                 task_expertise,
                 satisfied=satisfied,
-                recheck=np.unique(tasks),
+                recheck=np.flatnonzero(new.mask.any(axis=0)),
             )
             rounds.append(
                 MinCostRound(

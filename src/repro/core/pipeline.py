@@ -619,12 +619,12 @@ class ETA2System:
         local_task_index, value)`` triples for *this step's* tasks.
         Duplicate pairs resolve last-writer-wins (replay order is the WAL
         order, so this is deterministic), non-finite values erase the pair
-        — the same coercion :meth:`_collect` applies — and reports from
-        quarantined users are dropped, mirroring the allocator-side
-        exclusion of the live loop.  Runs as warm-up while the system is
-        cold (batch MLE seed) and as a daily step afterwards, with the
-        same degraded-day and bookkeeping semantics as the live entry
-        points.
+        — the :meth:`ObservationMatrix.from_pairs` rule that live
+        collection follows too — and reports from quarantined users are
+        dropped, mirroring the allocator-side exclusion of the live loop.
+        Runs as warm-up while the system is cold (batch MLE seed) and as a
+        daily step afterwards, with the same degraded-day and bookkeeping
+        semantics as the live entry points.
         """
         if not tasks:
             raise ValueError("step_from_batch needs at least one task")
@@ -741,7 +741,7 @@ class ETA2System:
             problem, excluded = self._problem(tasks, domains)
             assignment = self._random.allocate(problem)
         with timer.phase("collect"):
-            observations = self._collect(assignment, observe)
+            observations = assignment.collect(observe)
         return problem, excluded, assignment, observations
 
     def _gather_allocated(self, observe: Callable, timer: PhaseTimer, tasks, domains):
@@ -753,7 +753,7 @@ class ETA2System:
                 assignment = self._max_quality.allocate(problem)
             self._record_allocation_stats(self._max_quality.last_stats)
             with timer.phase("collect"):
-                observations = self._collect(assignment, observe)
+                observations = assignment.collect(observe)
             return problem, excluded, assignment, observations
         # Algorithm 2 interleaves recruiting with collection and truth
         # previews inside one call: time the nested callbacks directly and
@@ -786,28 +786,17 @@ class ETA2System:
     def _observations_from_reports(self, reports, n_tasks: int, eligible) -> ObservationMatrix:
         """Fold ``(user, local_task, value)`` triples into an observation matrix.
 
-        Later triples overwrite earlier ones for the same pair (including a
-        non-finite value erasing an earlier finite one), so replaying the
-        same ordered report stream always rebuilds the same matrix.
+        Every report goes through :meth:`ObservationMatrix.from_triples`;
+        the rows of quarantined users are then cleared, which drops exactly
+        their reports (quarantine is per user).
         """
-        values = np.zeros((self._n_users, n_tasks), dtype=float)
-        mask = np.zeros((self._n_users, n_tasks), dtype=bool)
-        for user, task, value in reports:
-            user, task = int(user), int(task)
-            if not 0 <= user < self._n_users:
-                raise ValueError(f"report names unknown user {user}")
-            if not 0 <= task < n_tasks:
-                raise ValueError(f"report names unknown local task {task}")
-            if eligible is not None and not eligible[user]:
-                continue
-            value = float(value)
-            if np.isfinite(value):
-                values[user, task] = value
-                mask[user, task] = True
-            else:
-                values[user, task] = 0.0
-                mask[user, task] = False
-        return ObservationMatrix(values=values, mask=mask)
+        observations = ObservationMatrix.from_triples(reports, self._n_users, n_tasks)
+        if eligible is None:
+            return observations
+        keep = eligible[:, None]
+        return ObservationMatrix(
+            values=np.where(keep, observations.values, 0.0), mask=observations.mask & keep
+        )
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -834,31 +823,6 @@ class ETA2System:
             eligible=eligible,
         )
         return problem, excluded
-
-    def _collect(self, assignment: Assignment, observe: Callable) -> ObservationMatrix:
-        """Collect observations for an assignment.
-
-        ``observe`` may return NaN for a pair to signal a *dropout* — an
-        assigned user that never delivered.  Dropped pairs are excluded from
-        the observation mask (the capacity they consumed is already spent;
-        mobile users that accept and abandon tasks still block their slot).
-        Non-finite payloads (inf as well as NaN) are likewise coerced to
-        missing: one corrupt value must never reach the truth analysis,
-        whose expertise weighting would amplify it.
-        """
-        pairs = assignment.pairs()
-        values = np.zeros(assignment.matrix.shape, dtype=float)
-        mask = assignment.matrix.copy()
-        if pairs:
-            observed = np.asarray(observe(pairs), dtype=float)
-            if observed.shape != (len(pairs),):
-                raise ValueError("observe() must return one value per pair")
-            for (user, task), value in zip(pairs, observed):
-                if np.isfinite(value):
-                    values[user, task] = value
-                else:
-                    mask[user, task] = False
-        return ObservationMatrix(values=values, mask=mask)
 
     def _min_cost_estimator(self, domains: np.ndarray) -> Callable:
         """Expertise-aware estimation for Algorithm 2's inner rounds.

@@ -68,21 +68,27 @@ def _approach_specs(dataset_name: str, config: ExperimentConfig) -> dict:
     }
 
 
-def _full_response_errors(dataset, seed) -> "tuple[np.ndarray, np.ndarray]":
+def _full_responses(world) -> np.ndarray:
     """Every user answers every task once (the raw-survey setting of §2.3).
 
-    Returns ``(errors, expertise)`` per observation, where the error is
-    ``(x_ij - mu_j) / std_j`` with ``std_j`` the empirical per-task
-    observation standard deviation — the paper's Fig. 2 normalisation.
+    Drawn task by task: row ``j`` holds task ``j``'s answers in user order.
+    """
+    tasks, users = np.divmod(np.arange(world.n_tasks * world.n_users), world.n_users)
+    draws = world.observe_pairs(np.column_stack([users, tasks]))
+    return np.reshape(draws, (world.n_tasks, world.n_users))
+
+
+def _full_response_errors(dataset, seed) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-observation ``(errors, expertise)`` of :func:`_full_responses`.
+
+    The error is ``(x_ij - mu_j) / std_j`` with ``std_j`` the empirical
+    per-task observation standard deviation — the paper's Fig. 2
+    normalisation.
     """
     world = dataset.world(seed=seed)
-    n_users, n_tasks = dataset.n_users, dataset.n_tasks
-    values = np.empty((n_users, n_tasks), dtype=float)
-    expertise = np.empty((n_users, n_tasks), dtype=float)
-    for task in range(n_tasks):
-        for user in range(n_users):
-            values[user, task] = world.observe(user, task)
-            expertise[user, task] = world.user_expertise_for_task(user, task)
+    # C order: a transposed view would change the last bits of the std below.
+    values = np.ascontiguousarray(_full_responses(world).T)
+    expertise = world.pair_expertise(*np.indices(values.shape))
     stds = values.std(axis=0, ddof=1)
     stds = np.maximum(stds, 1e-12)
     errors = (values - world.true_values()[None, :]) / stds[None, :]
@@ -168,10 +174,7 @@ def table1_normality(
     rng = ensure_rng(config.seed)
     dataset_seed, observe_seed = rng.spawn(2)
     dataset = dataset_factory(dataset_name, config, seed=dataset_seed)
-    world = dataset.world(seed=observe_seed)
-    samples = []
-    for task in range(dataset.n_tasks):
-        samples.append([world.observe(user, task) for user in range(dataset.n_users)])
+    samples = _full_responses(dataset.world(seed=observe_seed))
     # subtract_fitted=False reproduces the paper's degrees-of-freedom
     # convention (see chi_square_normality_test's docstring).
     pass_rates = tuple(

@@ -30,7 +30,6 @@ from repro.core.truth import estimate_truth
 from repro.experiments.reporting import format_series
 from repro.rng import ensure_rng, spawn_rngs
 from repro.spatial.dataset import SpatialDataset, spatial_synthetic_dataset
-from repro.truthdiscovery.base import ObservationMatrix
 
 __all__ = ["SpatialComparison", "run_spatial_instance", "spatial_comparison"]
 
@@ -138,11 +137,7 @@ def run_spatial_instance(
     executed = _execute_plan(plan, true_times, dataset.capacities)
     completion = executed.pair_count / max(plan.pair_count, 1)
 
-    pairs = executed.pairs()
-    values = np.zeros((dataset.n_users, dataset.n_tasks))
-    for (user, task), value in zip(pairs, dataset.observe_pairs(pairs, rng)):
-        values[user, task] = value
-    observations = ObservationMatrix(values=values, mask=executed.matrix)
+    observations = executed.collect(lambda pairs: dataset.observe_pairs(pairs, rng))
     if observations.observation_count == 0:
         return float("nan"), 0.0, float(completion), 0.0
     result = estimate_truth(observations, dataset.task_domains)

@@ -241,7 +241,24 @@ class ETA2Approach(Approach):
         return list(self._system.iteration_log)
 
 
-class ReliabilityApproach(Approach):
+class _BaselineApproach(Approach):
+    """The day setup the Section 6.3 baselines share: a per-run random
+    allocator, the users' capacities, and an expertise-free problem."""
+
+    def begin(self, dataset, seed) -> None:
+        self._random = RandomAllocator(seed=seed)
+        self._capacities = np.array([user.capacity for user in dataset.users], dtype=float)
+
+    def _problem(self, tasks: Sequence) -> AllocationProblem:
+        return AllocationProblem(
+            expertise=np.full((self._capacities.shape[0], len(tasks)), DEFAULT_EXPERTISE),
+            processing_times=np.array([task.processing_time for task in tasks], dtype=float),
+            capacities=self._capacities,
+            costs=np.array([task.cost for task in tasks], dtype=float),
+        )
+
+
+class ReliabilityApproach(_BaselineApproach):
     """A reliability-based truth-discovery method plus reliability-greedy
     allocation (the paper's comparison recipe, Section 6.3)."""
 
@@ -249,98 +266,49 @@ class ReliabilityApproach(Approach):
         self._method = method
         self.name = method.name
         self._reliabilities: "np.ndarray | None" = None
-        self._random: "RandomAllocator | None" = None
         self._cumulative_values: "np.ndarray | None" = None
         self._cumulative_mask: "np.ndarray | None" = None
-        self._capacities: "np.ndarray | None" = None
 
     def begin(self, dataset, seed) -> None:
+        super().begin(dataset, seed)
         self._reliabilities = None
-        self._random = RandomAllocator(seed=seed)
-        self._capacities = np.array([user.capacity for user in dataset.users], dtype=float)
         self._cumulative_values = np.zeros((dataset.n_users, 0), dtype=float)
         self._cumulative_mask = np.zeros((dataset.n_users, 0), dtype=bool)
 
     def run_day(self, day: int, tasks: Sequence, observe: Callable) -> DayOutcome:
-        n_users = self._capacities.shape[0]
-        times = np.array([task.processing_time for task in tasks], dtype=float)
-        costs = np.array([task.cost for task in tasks], dtype=float)
-        problem = AllocationProblem(
-            expertise=np.full((n_users, len(tasks)), DEFAULT_EXPERTISE),
-            processing_times=times,
-            capacities=self._capacities,
-            costs=costs,
-        )
+        problem = self._problem(tasks)
         if self._reliabilities is None:
             assignment = self._random.allocate(problem)
         else:
             assignment = ReliabilityGreedyAllocator(self._reliabilities).allocate(problem)
+        observations = assignment.collect(observe)
 
-        pairs = assignment.pairs()
-        values = np.zeros((n_users, len(tasks)), dtype=float)
-        mask = assignment.matrix.copy()
-        if pairs:
-            observed = np.asarray(observe(pairs), dtype=float)
-            for (user, task), value in zip(pairs, observed):
-                if np.isnan(value):
-                    mask[user, task] = False  # dropout: no response arrived
-                else:
-                    values[user, task] = value
-        observations = ObservationMatrix(values=values, mask=mask)
-
-        # Estimate on everything collected so far; reliabilities carry over.
-        self._cumulative_values = np.hstack([self._cumulative_values, values])
-        self._cumulative_mask = np.hstack([self._cumulative_mask, assignment.matrix])
+        # Estimate on everything delivered so far; reliabilities carry over.
+        self._cumulative_values = np.hstack([self._cumulative_values, observations.values])
+        self._cumulative_mask = np.hstack([self._cumulative_mask, observations.mask])
         cumulative = ObservationMatrix(values=self._cumulative_values, mask=self._cumulative_mask)
         estimate = self._method.estimate(cumulative)
         self._reliabilities = estimate.reliabilities
-        day_truths = estimate.truths[-len(tasks):]
         return DayOutcome(
             assignment=assignment,
             observations=observations,
-            truths=day_truths,
-            allocation_cost=assignment.total_cost(costs),
+            truths=estimate.truths[-len(tasks):],
+            allocation_cost=assignment.total_cost(problem.costs),
         )
 
 
-class MeanApproach(Approach):
+class MeanApproach(_BaselineApproach):
     """The paper's lower-bound Baseline: random allocation, mean estimate."""
 
     name = "baseline-mean"
 
-    def __init__(self):
-        self._random: "RandomAllocator | None" = None
-        self._capacities: "np.ndarray | None" = None
-
-    def begin(self, dataset, seed) -> None:
-        self._random = RandomAllocator(seed=seed)
-        self._capacities = np.array([user.capacity for user in dataset.users], dtype=float)
-
     def run_day(self, day: int, tasks: Sequence, observe: Callable) -> DayOutcome:
-        n_users = self._capacities.shape[0]
-        times = np.array([task.processing_time for task in tasks], dtype=float)
-        costs = np.array([task.cost for task in tasks], dtype=float)
-        problem = AllocationProblem(
-            expertise=np.full((n_users, len(tasks)), DEFAULT_EXPERTISE),
-            processing_times=times,
-            capacities=self._capacities,
-            costs=costs,
-        )
+        problem = self._problem(tasks)
         assignment = self._random.allocate(problem)
-        pairs = assignment.pairs()
-        values = np.zeros((n_users, len(tasks)), dtype=float)
-        mask = assignment.matrix.copy()
-        if pairs:
-            observed = np.asarray(observe(pairs), dtype=float)
-            for (user, task), value in zip(pairs, observed):
-                if np.isnan(value):
-                    mask[user, task] = False  # dropout: no response arrived
-                else:
-                    values[user, task] = value
-        observations = ObservationMatrix(values=values, mask=mask)
+        observations = assignment.collect(observe)
         return DayOutcome(
             assignment=assignment,
             observations=observations,
             truths=observations.task_means(),
-            allocation_cost=assignment.total_cost(costs),
+            allocation_cost=assignment.total_cost(problem.costs),
         )

@@ -316,16 +316,7 @@ def run_simulation(
             delivered = ~np.isnan(values)
             if np.any(delivered):
                 du, dt, dv = users[delivered], tasks[delivered], values[delivered]
-                pair_expertise_chunks.append(
-                    np.fromiter(
-                        (
-                            world.user_expertise_for_task(int(user), int(task))
-                            for user, task in zip(du, dt)
-                        ),
-                        dtype=float,
-                        count=du.size,
-                    )
-                )
+                pair_expertise_chunks.append(world.pair_expertise(du, dt))
                 pair_error_chunks.append((dv - true_values[dt]) / base_numbers[dt])
             return values.tolist()
 

@@ -65,6 +65,8 @@ class World:
                 raise ValueError(f"adversary index {user} out of range")
         self._rng = ensure_rng(seed)
         self._expertise = np.array([user.expertise for user in self._users], dtype=float)
+        self._base_numbers = np.array([task.base_number for task in self._tasks], dtype=float)
+        self._true_domains = np.array([task.true_domain for task in self._tasks], dtype=np.intp)
 
     @property
     def n_users(self) -> int:
@@ -82,11 +84,16 @@ class World:
     def tasks(self) -> tuple:
         return self._tasks
 
+    def pair_expertise(self, users, tasks) -> np.ndarray:
+        """Hidden expertise of each user in its task's true domain, floored.
+
+        ``users`` and ``tasks`` are index arrays (or scalars) of equal shape.
+        """
+        return np.maximum(self._expertise[users, self._true_domains[tasks]], MIN_EXPERTISE)
+
     def user_expertise_for_task(self, user: int, task: int) -> float:
         """Hidden expertise of ``user`` in ``task``'s true domain, floored."""
-        task_spec = self._tasks[task]
-        expertise = self._expertise[user, task_spec.true_domain]
-        return max(float(expertise), MIN_EXPERTISE)
+        return float(self.pair_expertise(user, task))
 
     def advance_day(self) -> None:
         """Apply one day of expertise drift (no-op at ``drift_rate = 0``)."""
@@ -98,7 +105,7 @@ class World:
 
     def observation_std(self, user: int, task: int) -> float:
         """The model's ``sigma_j / u_ij`` for this pair."""
-        return self._tasks[task].base_number / self.user_expertise_for_task(user, task)
+        return float(self._base_numbers[task] / self.pair_expertise(user, task))
 
     @property
     def adversary_users(self) -> list:
@@ -106,32 +113,43 @@ class World:
         return sorted(self._adversaries)
 
     def observe(self, user: int, task: int) -> float:
-        """Sample one observation for the pair (normal, or uniform if biased).
-
-        Adversarial users' behaviours override the honest model entirely.
-        """
-        task_spec = self._tasks[task]
-        std = self.observation_std(user, task)
-        behaviour = self._adversaries.get(user)
-        if behaviour is not None:
-            return float(behaviour(task_spec, std, self._rng))
-        if self._bias_fraction > 0.0 and self._rng.random() < self._bias_fraction:
-            half_width = _SQRT3 * std
-            return float(self._rng.uniform(task_spec.true_value - half_width, task_spec.true_value + half_width))
-        return float(self._rng.normal(task_spec.true_value, std))
+        """Sample one observation for the pair (see :meth:`observe_pairs`)."""
+        return self.observe_pairs([(user, task)])[0]
 
     def observe_pairs(self, pairs: Sequence) -> list:
-        """Observations for a batch of ``(user, task)`` pairs."""
-        return [self.observe(user, task) for user, task in pairs]
+        """Observations for a batch of ``(user, task)`` pairs, in order.
+
+        Each pair draws from the normal model, or from the uniform one with
+        probability ``bias_fraction``; adversarial users' behaviours
+        override the honest model entirely.  Every ``sigma_j / u_ij`` is
+        computed at once; the draws stay one pair at a time because the
+        bias roll and the adversaries interleave with them on one generator.
+        """
+        users, tasks = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+        stds = (self._base_numbers[tasks] / self.pair_expertise(users, tasks)).tolist()
+        rng = self._rng
+        values = []
+        for user, task, std in zip(users.tolist(), tasks.tolist(), stds):
+            task_spec = self._tasks[task]
+            behaviour = self._adversaries.get(user)
+            if behaviour is not None:
+                value = behaviour(task_spec, std, rng)
+            elif self._bias_fraction > 0.0 and rng.random() < self._bias_fraction:
+                mu, half_width = task_spec.true_value, _SQRT3 * std
+                value = rng.uniform(mu - half_width, mu + half_width)
+            else:
+                value = rng.normal(task_spec.true_value, std)
+            values.append(float(value))
+        return values
 
     def true_values(self) -> np.ndarray:
         return np.array([task.true_value for task in self._tasks], dtype=float)
 
     def base_numbers(self) -> np.ndarray:
-        return np.array([task.base_number for task in self._tasks], dtype=float)
+        return self._base_numbers.copy()
 
     def true_domains(self) -> np.ndarray:
-        return np.array([task.true_domain for task in self._tasks], dtype=int)
+        return self._true_domains.copy()
 
     def processing_times(self) -> np.ndarray:
         return np.array([task.processing_time for task in self._tasks], dtype=float)

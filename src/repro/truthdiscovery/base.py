@@ -31,16 +31,49 @@ class ObservationMatrix:
         object.__setattr__(self, "mask", mask)
 
     @classmethod
+    def from_pairs(cls, users, tasks, values, n_users: int, n_tasks: int) -> "ObservationMatrix":
+        """Fold one value per ``(users[k], tasks[k])`` pair into a matrix.
+
+        The one collection rule of the Section 2.4 model: a finite value
+        marks its pair observed (``w_ij = 1``); a non-finite one (a dropout
+        or a corrupt payload) leaves it unobserved, so it can never reach a
+        truth analysis whose weighting would amplify it.  A pair listed
+        twice keeps its last entry, a non-finite one included, so replaying
+        the same ordered stream always rebuilds the same matrix.  A pair
+        outside ``n_users x n_tasks`` raises ``ValueError``.
+        """
+        users = np.asarray(users, dtype=np.intp)
+        tasks = np.asarray(tasks, dtype=np.intp)
+        values = np.asarray(values, dtype=float)
+        if users.ndim != 1 or tasks.shape != users.shape:
+            raise ValueError("users and tasks must be 1-D arrays of the same length")
+        if values.shape != users.shape:
+            raise ValueError("observe() must return one value per pair")
+        outside = (users < 0) | (users >= n_users) | (tasks < 0) | (tasks >= n_tasks)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ValueError(
+                f"pair ({users[k]}, {tasks[k]}) lies outside the {n_users} x {n_tasks} matrix"
+            )
+        # Fancy assignment leaves the winner of a repeated index unspecified:
+        # keep each pair's last entry explicitly (first in the reversed order).
+        flat = users * n_tasks + tasks
+        _, first_reversed = np.unique(flat[::-1], return_index=True)
+        keep = flat.size - 1 - first_reversed
+        keep = keep[np.isfinite(values[keep])]
+        matrix = np.zeros((n_users, n_tasks), dtype=float)
+        mask = np.zeros((n_users, n_tasks), dtype=bool)
+        matrix[users[keep], tasks[keep]] = values[keep]
+        mask[users[keep], tasks[keep]] = True
+        return cls(values=matrix, mask=mask)
+
+    @classmethod
     def from_triples(
         cls, triples: Iterable, n_users: int, n_tasks: int
     ) -> "ObservationMatrix":
-        """Build from ``(user, task, value)`` triples."""
-        values = np.zeros((n_users, n_tasks), dtype=float)
-        mask = np.zeros((n_users, n_tasks), dtype=bool)
-        for user, task, value in triples:
-            values[user, task] = float(value)
-            mask[user, task] = True
-        return cls(values=values, mask=mask)
+        """Build from ``(user, task, value)`` triples (see :meth:`from_pairs`)."""
+        users, tasks, values = np.array(list(triples), dtype=float).reshape(-1, 3).T
+        return cls.from_pairs(users, tasks, values, n_users, n_tasks)
 
     @property
     def n_users(self) -> int:

@@ -135,6 +135,27 @@ class TestAssignment:
             a.union(Assignment.empty(3, 2))
 
 
+    def test_collect_asks_in_pair_order_and_folds_the_reply(self):
+        matrix = np.array([[False, True, True], [True, False, True]])
+        asked = []
+
+        def observe(pairs):
+            asked.append(list(pairs))
+            return [1.0, np.nan, 3.0, 4.0]
+
+        observations = Assignment(matrix=matrix).collect(observe)
+        assert asked == [[(0, 1), (0, 2), (1, 0), (1, 2)]]
+        assert observations.mask.tolist() == [[False, True, False], [True, False, True]]
+        assert observations.values.tolist() == [[0.0, 1.0, 0.0], [3.0, 0.0, 4.0]]
+
+    def test_collect_skips_observe_for_an_empty_assignment(self):
+        def observe(pairs):
+            raise AssertionError("observe called without pairs")
+
+        observations = Assignment.empty(2, 3).collect(observe)
+        assert observations.values.shape == (2, 3)
+        assert observations.observation_count == 0
+
 class TestObjective:
     def test_empty_assignment_scores_zero(self):
         problem = _problem()

@@ -1,8 +1,8 @@
 """Reliability behaviour of the ETA2 closed loop itself.
 
 Covers the guards that live in :class:`ETA2System` rather than in the
-``repro.reliability`` package: non-finite payload coercion in ``_collect``,
-convergence surfacing through :class:`StepResult`, degraded (zero-data)
+``repro.reliability`` package: non-finite payload coercion on collection
+(``Assignment.collect``), convergence surfacing through :class:`StepResult`, degraded (zero-data)
 days, and collection through a ``ResilientObserver``.
 """
 

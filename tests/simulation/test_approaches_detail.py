@@ -56,6 +56,27 @@ class TestMeanApproach:
         assert np.allclose(day.truths, expected, equal_nan=True)
 
 
+@pytest.mark.parametrize(
+    "make", [MeanApproach, lambda: ReliabilityApproach(HubsAuthorities())], ids=["mean", "reliability"]
+)
+class TestBaselineCollection:
+    def test_non_finite_payloads_are_dropouts(self, dataset, make):
+        approach = make()
+        approach.begin(dataset, seed=7)
+        outcome = approach.run_day(
+            0, dataset.tasks[:10], lambda pairs: [np.inf if user % 2 else 5.0 for user, _ in pairs]
+        )
+        assert outcome.observations.mask[::2].any()
+        assert not outcome.observations.mask[1::2].any()
+        assert not np.isinf(outcome.truths).any()
+
+    def test_short_reply_is_rejected(self, dataset, make):
+        approach = make()
+        approach.begin(dataset, seed=8)
+        with pytest.raises(ValueError, match="one value per pair"):
+            approach.run_day(0, dataset.tasks[:10], lambda pairs: [1.0] * (len(pairs) - 1))
+
+
 class TestAccuracyExpertiseBridge:
     def test_expertise_for_accuracy_inverts_eq11(self):
         accuracy = np.array([[0.1, 0.5, 0.9]])

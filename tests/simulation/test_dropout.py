@@ -5,7 +5,8 @@ import pytest
 
 from repro.datasets import synthetic_dataset
 from repro.simulation import SimulationConfig, run_simulation
-from repro.simulation.approaches import ETA2Approach, MeanApproach
+from repro.simulation.approaches import ETA2Approach, MeanApproach, ReliabilityApproach
+from repro.truthdiscovery import TruthFinder
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +95,22 @@ def test_pipeline_collect_masks_nan():
 
     result = system.warmup(tasks, observe)
     assert result.observations.observation_count == result.assignment.pair_count - 1
+
+
+class _RecordingTruthFinder(TruthFinder):
+    """TruthFinder that keeps the last matrix it was asked to analyse."""
+
+    def estimate(self, observations):
+        self.seen = observations
+        return super().estimate(observations)
+
+
+def test_reliability_approach_sees_only_delivered_observations(dataset):
+    # Dropped pairs must reach the method as missing, not as observed zeros.
+    method = _RecordingTruthFinder()
+    result = run_simulation(
+        dataset, ReliabilityApproach(method), SimulationConfig(n_days=3, seed=5, dropout_rate=0.5)
+    )
+    delivered = np.hstack([day.observations.mask for day in result.days])
+    assert delivered.sum() < sum(day.pair_count for day in result.days)
+    assert np.array_equal(method.seen.mask, delivered)

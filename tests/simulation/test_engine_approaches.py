@@ -46,6 +46,23 @@ def test_eta2_records_artifacts(small_synthetic):
     assert result.observation_errors.size > 0
 
 
+
+def test_observation_expertise_is_the_per_pair_hidden_expertise(small_synthetic):
+    result = run_simulation(
+        small_synthetic, ETA2Approach(), SimulationConfig(n_days=3, seed=3, dropout_rate=0.3)
+    )
+    # One collection call per day, pairs in row-major order; dropouts are
+    # not recorded.
+    world = small_synthetic.world()
+    expected = []
+    for day in result.days:
+        users, local = np.nonzero(day.observations.mask)
+        expected += [
+            world.user_expertise_for_task(user, task)
+            for user, task in zip(users.tolist(), day.task_indices[local].tolist())
+        ]
+    assert result.observation_expertise.tolist() == expected
+
 @pytest.mark.parametrize(
     "factory",
     [

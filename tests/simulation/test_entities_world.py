@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.expertise import MIN_EXPERTISE
+from repro.simulation.adversaries import BiasedAdversary, ColludingAdversary, RandomAdversary
 from repro.simulation.entities import TaskSpec, UserSpec
 from repro.simulation.world import World
 
@@ -104,3 +105,57 @@ class TestWorld:
             World(users, ())
         with pytest.raises(ValueError):
             World(users, tasks, bias_fraction=1.5)
+
+
+def _reference_observations(users, tasks, expertise, pairs, rng, bias_fraction, adversaries):
+    """The Section 2.4 sampler written one scalar pair at a time."""
+    values = []
+    for user, task in pairs:
+        spec = tasks[task]
+        std = spec.base_number / max(float(expertise[user, spec.true_domain]), MIN_EXPERTISE)
+        behaviour = adversaries.get(user)
+        if behaviour is not None:
+            values.append(float(behaviour(spec, std, rng)))
+        elif bias_fraction > 0.0 and rng.random() < bias_fraction:
+            half_width = float(np.sqrt(3.0)) * std
+            values.append(float(rng.uniform(spec.true_value - half_width, spec.true_value + half_width)))
+        else:
+            values.append(float(rng.normal(spec.true_value, std)))
+    return values
+
+
+@pytest.mark.parametrize(
+    "bias_fraction, adversarial, drift_rate",
+    [(0.0, False, 0.0), (0.4, False, 0.0), (0.3, True, 0.0), (0.0, True, 0.5)],
+    ids=["honest", "biased", "adversarial", "drifted"],
+)
+def test_observe_pairs_matches_scalar_reference(bias_fraction, adversarial, drift_rate):
+    users, tasks = _specs(n_users=5, n_tasks=8, n_domains=3, seed=9)
+    # User 4 has no expertise at all, so the MIN_EXPERTISE floor is exercised.
+    users = users[:4] + (UserSpec(user_id=4, expertise=(0.0, 0.0, 0.0), capacity=1.0),)
+    adversaries = (
+        {1: RandomAdversary(), 2: BiasedAdversary(), 3: ColludingAdversary()} if adversarial else {}
+    )
+    rng = np.random.default_rng(21)
+    world = World(users, tasks, bias_fraction, drift_rate, adversaries, seed=rng)
+    reference_rng = np.random.default_rng(21)
+    if drift_rate:
+        world.advance_day()
+        reference_rng.normal(0.0, drift_rate, size=(len(users), 3))
+    expertise = world.true_expertise_matrix()
+    pairs = [(user, task) for task in range(len(tasks)) for user in range(len(users))]
+    pairs += [(4, 0), (0, 3), (0, 3)]
+    values = world.observe_pairs(pairs)
+    expected = _reference_observations(
+        users, tasks, expertise, pairs, reference_rng, bias_fraction, adversaries
+    )
+    assert values == expected
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    # The scalar accessors agree with the batch lookup.
+    for user, task in pairs:
+        assert world.user_expertise_for_task(user, task) == max(
+            float(expertise[user, tasks[task].true_domain]), MIN_EXPERTISE
+        )
+    assert world.observe(0, 0) == _reference_observations(
+        users, tasks, expertise, [(0, 0)], reference_rng, bias_fraction, adversaries
+    )[0]

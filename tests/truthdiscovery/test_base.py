@@ -75,3 +75,51 @@ def test_mean_baseline_estimate():
     assert estimate.truths[1] == 5.0
     assert np.all(estimate.reliabilities == 1.0)
     assert estimate.converged
+
+
+def test_from_pairs_contract():
+    # (0, 0) repeats: the last entry wins.  (1, 1) is finite first, then NaN:
+    # the NaN erases it.  (2, 0) is inf: never observed.
+    obs = ObservationMatrix.from_pairs(
+        users=[0, 1, 0, 1, 2],
+        tasks=[0, 1, 0, 1, 0],
+        values=[1.0, 4.0, 7.0, np.nan, np.inf],
+        n_users=3,
+        n_tasks=2,
+    )
+    assert obs.mask.tolist() == [[True, False], [False, False], [False, False]]
+    assert obs.values.tolist() == [[7.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    # A finite entry after a NaN restores the pair.
+    obs = ObservationMatrix.from_pairs([0, 0], [0, 0], [np.nan, 2.5], n_users=1, n_tasks=1)
+    assert obs.mask[0, 0] and obs.values[0, 0] == 2.5
+
+
+def test_from_pairs_rejects_pairs_outside_the_matrix():
+    for users, tasks in (([2], [0]), ([0], [2]), ([-1], [0]), ([0], [-1])):
+        with pytest.raises(ValueError, match="outside"):
+            ObservationMatrix.from_pairs(users, tasks, [1.0], n_users=2, n_tasks=2)
+
+
+def test_from_pairs_rejects_a_length_mismatch():
+    with pytest.raises(ValueError, match="one value per pair"):
+        ObservationMatrix.from_pairs([0, 1], [0, 0], [1.0], n_users=2, n_tasks=1)
+
+
+def test_from_pairs_empty_input():
+    obs = ObservationMatrix.from_pairs([], [], [], n_users=2, n_tasks=3)
+    assert obs.values.shape == (2, 3)
+    assert obs.observation_count == 0
+    assert not obs.values.any()
+
+
+def test_from_triples_nan_leaves_its_pair_unobserved():
+    obs = ObservationMatrix.from_triples([(0, 0, np.nan), (1, 0, 2.0)], n_users=2, n_tasks=1)
+    assert obs.mask.tolist() == [[False], [True]]
+    assert obs.task_means()[0] == 2.0
+
+
+def test_from_triples_rejects_out_of_range_indices():
+    with pytest.raises(ValueError, match="outside"):
+        ObservationMatrix.from_triples([(-1, 0, 5.0)], n_users=2, n_tasks=1)
+    with pytest.raises(ValueError, match="outside"):
+        ObservationMatrix.from_triples([(0, 1, 5.0)], n_users=2, n_tasks=1)
