@@ -21,7 +21,7 @@ faster end to end, so the simpler path is the only one.
 
 Points are represented by their concatenated pair-word vectors ``[V_Q, V_T]``;
 Eq. 2's distance is exactly half the squared Euclidean distance between
-concatenated vectors, computed internally.
+concatenated vectors (:func:`repro.semantics.distance.concatenated_distance_matrix`).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.clustering.linkage import AverageLinkage
+from repro.semantics.distance import concatenated_distance_matrix
 
 __all__ = ["DomainMerge", "DynamicClusteringResult", "DynamicHierarchicalClustering"]
 
@@ -58,36 +59,6 @@ class DynamicClusteringResult:
         return len(set(self.all_labels.tolist()))
 
 
-def _eq2_distances(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Eq. 2 distances between two batches of concatenated pair vectors."""
-    left_norms = np.einsum("ij,ij->i", left, left)
-    right_norms = np.einsum("ij,ij->i", right, right)
-    squared = left_norms[:, None] + right_norms[None, :] - 2.0 * (left @ right.T)
-    np.maximum(squared, 0.0, out=squared)
-    return 0.5 * squared
-
-
-def _cosine_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    left_norms = np.linalg.norm(left, axis=1)
-    right_norms = np.linalg.norm(right, axis=1)
-    safe_left = np.where(left_norms > 0, left_norms, 1.0)
-    safe_right = np.where(right_norms > 0, right_norms, 1.0)
-    similarity = (left / safe_left[:, None]) @ (right / safe_right[:, None]).T
-    similarity[left_norms == 0, :] = 0.0
-    similarity[:, right_norms == 0] = 0.0
-    np.clip(similarity, -1.0, 1.0, out=similarity)
-    return 1.0 - similarity
-
-
-def _pair_cosine_distances(left: np.ndarray, right: np.ndarray, split: int) -> np.ndarray:
-    """Mean of query-side and target-side cosine distances (see
-    :func:`repro.semantics.distance.pair_distance` with ``metric='cosine'``)."""
-    return 0.5 * (
-        _cosine_block(left[:, :split], right[:, :split])
-        + _cosine_block(left[:, split:], right[:, split:])
-    )
-
-
 class DynamicHierarchicalClustering:
     """Stateful task-to-domain clustering across time steps."""
 
@@ -109,14 +80,6 @@ class DynamicHierarchicalClustering:
         self._domains: dict = {}
         self._next_domain_id = 0
         self._d_star: "float | None" = None
-
-    def _distances(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        if self._metric == "euclidean":
-            return _eq2_distances(left, right)
-        # Concatenated vectors are [V_Q, V_T]; the cosine metric treats the
-        # halves separately, matching pair_distance(metric="cosine").
-        split = left.shape[1] // 2
-        return _pair_cosine_distances(left, right, split)
 
     @property
     def gamma(self) -> float:
@@ -198,7 +161,7 @@ class DynamicHierarchicalClustering:
 
     def _set_points(self, points: np.ndarray) -> None:
         """Store every task vector seen so far and their distance matrix."""
-        base = self._distances(points, points)
+        base = concatenated_distance_matrix(points, self._metric)
         np.fill_diagonal(base, 0.0)
         self._points = points
         self._base = base

@@ -12,7 +12,9 @@ to zero yields the coordinate equations (Eqs. 5-6)::
 iterated from ``u = 1`` until every task's truth estimate changes by less
 than 5 % between consecutive iterations (the paper's convergence criterion;
 an absolute tolerance guards truths near zero).  The iteration count is
-recorded — Figure 12 plots its CDF.
+recorded — Figure 12 plots its CDF.  The Section 4.2 daily update in
+:mod:`repro.core.update` runs the same iteration (:func:`_solve`) with an
+Eqs. 7-9 expertise refresh in place of Eq. 6.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.expertise import DEFAULT_EXPERTISE, clamp_expertise, expertise_from_sums
+from repro.core.expertise import DEFAULT_EXPERTISE, expertise_from_sums
 from repro.core.robust import RobustConfig, robust_weights, weighted_median_truths
 from repro.truthdiscovery.base import ObservationMatrix
 
@@ -228,38 +230,137 @@ class _SparseObservations:
         return expertise_from_sums(self.count_sums, denominators)
 
 
-def _truths_converged(new: np.ndarray, old: np.ndarray) -> bool:
+def _convergence(new: np.ndarray, old: np.ndarray) -> "tuple[bool, float]":
+    """The 5 % test between consecutive iterates, and the largest change.
+
+    The test passes when every task that both iterates estimate moved by
+    at most ``RELATIVE_TOLERANCE`` of its old truth or by at most
+    ``ABSOLUTE_TOLERANCE``.  The reported delta is the largest relative
+    move with the scale floored at ``ABSOLUTE_TOLERANCE /
+    RELATIVE_TOLERANCE``, so near-zero truths report their absolute
+    movement on the same 5 %-comparable footing.  Both tolerances are read
+    at call time.
+    """
     both = ~(np.isnan(new) | np.isnan(old))
     if not np.any(both):
-        return True
+        return True, 0.0
     delta = np.abs(new[both] - old[both])
     scale = np.abs(old[both])
     relative_ok = delta <= RELATIVE_TOLERANCE * np.maximum(scale, 1e-12)
     absolute_ok = delta <= ABSOLUTE_TOLERANCE
-    return bool(np.all(relative_ok | absolute_ok))
+    floored = np.maximum(scale, ABSOLUTE_TOLERANCE / RELATIVE_TOLERANCE)
+    return bool(np.all(relative_ok | absolute_ok)), float(np.max(delta / floored))
 
 
-def _truth_delta(new: np.ndarray, old: np.ndarray) -> float:
-    """Largest per-task relative change between consecutive iterates.
+def _check_solve_inputs(observations: ObservationMatrix, task_domains, max_iterations: int):
+    """``task_domains`` as an array, after the checks both entry points share."""
+    task_domains = np.asarray(task_domains)
+    if task_domains.shape != (observations.n_tasks,):
+        raise ValueError("task_domains must have one label per task")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+    return task_domains
 
-    Diagnostic companion to :func:`_truths_converged` (which stays the
-    bitwise-frozen decision rule): the scale is floored at
-    ``ABSOLUTE_TOLERANCE / RELATIVE_TOLERANCE`` so near-zero truths report
-    their absolute movement on the same 5 %-comparable footing.
+
+def _solve(sparse: _SparseObservations, expertise, refresh, max_iterations, robust, tracer):
+    """The Section 4 coordinate iteration, shared by Sections 4.1 and 4.2.
+
+    Each sweep runs Eq. 5 on the current domain-block ``expertise``
+    (damped towards the previous truths when ``robust.damping < 1``), then
+    ``refresh(truths, sigmas)`` for the next expertise: Eq. 6 over the
+    batch, or Eqs. 7-9 over the decayed sums.  It stops once the truths
+    pass the 5 % test.  An enabled ``tracer`` receives one
+    ``mle.iteration`` event per sweep and ``mle.converged`` on success.
+
+    Returns ``(truths, sigmas, expertise, iterations, converged,
+    final_delta)``, where ``final_delta`` is NaN when one sweep ran.
     """
-    both = ~(np.isnan(new) | np.isnan(old))
-    if not np.any(both):
-        return 0.0
-    delta = np.abs(new[both] - old[both])
-    scale = np.maximum(np.abs(old[both]), ABSOLUTE_TOLERANCE / RELATIVE_TOLERANCE)
-    return float(np.max(delta / scale))
+    damping = 1.0 if robust is None else robust.damping
+    traced = tracer is not None and tracer.enabled
+    truths = np.full(sparse.n_tasks, np.nan)
+    converged = False
+    final_delta = float("nan")
+    for iterations in range(1, max_iterations + 1):
+        new_truths, sigmas = sparse.truth_pass(expertise, robust)
+        if damping < 1.0 and iterations > 1:
+            both = ~(np.isnan(new_truths) | np.isnan(truths))
+            new_truths = np.where(
+                both, damping * new_truths + (1.0 - damping) * truths, new_truths
+            )
+        expertise = refresh(new_truths, sigmas)
+        if iterations > 1:
+            converged, final_delta = _convergence(new_truths, truths)
+        if traced:
+            delta = final_delta if iterations > 1 else None
+            tracer.emit("mle.iteration", iteration=iterations, delta=delta)
+        truths = new_truths
+        if converged:
+            break
+    if traced and converged:
+        tracer.emit("mle.converged", iterations=iterations, final_delta=final_delta)
+    return truths, sigmas, expertise, iterations, converged, final_delta
+
+
+def _fallback(sparse, truths, expertise, final_delta, robust, tracer):
+    """Weighted-median ``(truths, sigmas)`` if a non-converged solve diverged.
+
+    A solve counts as diverged when ``robust.fallback`` is on and it left
+    an observed task's truth non-finite or its final delta above
+    ``robust.fallback_delta``.  Returns None otherwise.
+    """
+    if robust is None or not robust.fallback:
+        return None
+    observed = sparse.task_counts > 0
+    diverged = (
+        bool(np.any(~np.isfinite(truths[observed])))
+        or not np.isfinite(final_delta)
+        or final_delta > robust.fallback_delta
+    )
+    if not diverged:
+        return None
+    if tracer is not None and tracer.enabled:
+        tracer.emit(
+            "mle.fallback",
+            final_delta=final_delta,
+            fallback_delta=robust.fallback_delta,
+            n_tasks=sparse.n_tasks,
+        )
+    _LOG.warning(
+        "truth analysis diverged (relative change %.4g > %.4g); "
+        "using weighted-median fallback for %d tasks",
+        final_delta,
+        robust.fallback_delta,
+        sparse.n_tasks,
+    )
+    return sparse.fallback_truths(expertise)
+
+
+def _report_non_convergence(sparse, iterations, final_delta, tracer) -> None:
+    """Emit ``mle.non_convergence`` and log a warning for a solve that ran out."""
+    n_observations = sparse.cols.size
+    if tracer is not None and tracer.enabled:
+        tracer.emit(
+            "mle.non_convergence",
+            iterations=iterations,
+            final_delta=final_delta,
+            n_tasks=sparse.n_tasks,
+            n_observations=n_observations,
+        )
+    # Surface degraded estimates instead of silently returning them:
+    # an operator watching the logs can tell a bad day from a good one.
+    _LOG.warning(
+        "truth analysis did not converge within %d iterations "
+        "(final relative change %.4g, %d tasks, %d observations)",
+        iterations,
+        final_delta,
+        sparse.n_tasks,
+        n_observations,
+    )
 
 
 def estimate_truth(
     observations: ObservationMatrix,
     task_domains,
-    initial_expertise: "np.ndarray | None" = None,
-    domain_ids: "tuple | None" = None,
     max_iterations: int = 100,
     robust: "RobustConfig | None" = None,
     tracer=None,
@@ -271,13 +372,11 @@ def estimate_truth(
     observations:
         The ``(n_users, n_tasks)`` observation matrix.
     task_domains:
-        Per-task domain-id labels (length ``n_tasks``).
-    initial_expertise:
-        Optional ``(n_users, n_domains)`` warm start (ordered like
-        ``domain_ids``); defaults to the paper's all-ones initialisation.
-    domain_ids:
-        The distinct domain ids, in column order.  Defaults to the sorted
-        distinct labels of ``task_domains``.
+        Per-task domain-id labels (length ``n_tasks``).  The expertise
+        columns are their sorted distinct values, and the iteration starts
+        from the paper's all-ones expertise.
+    max_iterations:
+        Cap on the Eq. 5-6 sweeps; at least 1.
     robust:
         Optional :class:`~repro.core.robust.RobustConfig` enabling Huber /
         trimmed reweighting of the Eq. 5 truth pass, iteration damping,
@@ -293,113 +392,32 @@ def estimate_truth(
         ``mle.non_convergence`` / ``mle.fallback`` verdict.  The extra
         delta computations are trace-only and never change the estimate.
     """
-    task_domains = np.asarray(task_domains)
-    if task_domains.shape != (observations.n_tasks,):
-        raise ValueError("task_domains must have one label per task")
+    task_domains = _check_solve_inputs(observations, task_domains, max_iterations)
     if observations.observation_count == 0:
         raise ValueError("observation matrix is empty")
 
-    if domain_ids is None:
-        domain_ids = tuple(sorted(set(task_domains.tolist())))
-    column_of = {domain_id: k for k, domain_id in enumerate(domain_ids)}
-    try:
-        domain_columns = np.array([column_of[d] for d in task_domains.tolist()], dtype=int)
-    except KeyError as missing:
-        raise ValueError(f"task domain {missing} not present in domain_ids") from None
-    n_domains = len(domain_ids)
-
-    if initial_expertise is None:
-        expertise = np.full((observations.n_users, n_domains), DEFAULT_EXPERTISE, dtype=float)
-    else:
-        expertise = clamp_expertise(np.asarray(initial_expertise, dtype=float).copy())
-        if expertise.shape != (observations.n_users, n_domains):
-            raise ValueError("initial_expertise has the wrong shape")
-
-    sparse = _SparseObservations(observations, domain_columns, n_domains)
-
-    damping = 1.0 if robust is None else robust.damping
-
-    traced = tracer is not None and tracer.enabled
-
-    truths = np.full(observations.n_tasks, np.nan)
-    converged = False
-    final_delta = float("nan")
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        new_truths, sigmas = sparse.truth_pass(expertise, robust)
-        if damping < 1.0 and iterations > 1:
-            both = ~(np.isnan(new_truths) | np.isnan(truths))
-            new_truths = np.where(
-                both, damping * new_truths + (1.0 - damping) * truths, new_truths
-            )
-        expertise = sparse.expertise_pass(new_truths, sigmas)
-        if iterations > 1:
-            final_delta = _truth_delta(new_truths, truths)
-            if traced:
-                tracer.emit("mle.iteration", iteration=iterations, delta=final_delta)
-            if _truths_converged(new_truths, truths):
-                truths = new_truths
-                converged = True
-                break
-        elif traced:
-            tracer.emit("mle.iteration", iteration=iterations, delta=None)
-        truths = new_truths
-
-    if traced and converged:
-        tracer.emit("mle.converged", iterations=iterations, final_delta=final_delta)
+    domain_ids, domain_columns = np.unique(task_domains, return_inverse=True)
+    sparse = _SparseObservations(observations, domain_columns, len(domain_ids))
+    expertise = np.full((observations.n_users, len(domain_ids)), DEFAULT_EXPERTISE)
+    truths, sigmas, expertise, iterations, converged, final_delta = _solve(
+        sparse, expertise, sparse.expertise_pass, max_iterations, robust, tracer
+    )
     if not converged:
-        if traced:
-            tracer.emit(
-                "mle.non_convergence",
-                iterations=iterations,
-                final_delta=final_delta,
-                n_tasks=observations.n_tasks,
-                n_observations=observations.observation_count,
-            )
-        # Surface degraded estimates instead of silently returning them:
-        # an operator watching the logs can tell a bad day from a good one.
-        _LOG.warning(
-            "truth analysis did not converge within %d iterations "
-            "(final relative change %.4g, %d tasks, %d observations)",
-            max_iterations,
-            final_delta,
-            observations.n_tasks,
-            observations.observation_count,
-        )
+        _report_non_convergence(sparse, iterations, final_delta, tracer)
+    # One more Eq. 5 pass, so the truths match the final expertise.
     truths, sigmas = sparse.truth_pass(expertise, robust)
-
-    used_fallback = False
-    if robust is not None and robust.fallback and not converged:
-        observed = sparse.task_counts > 0
-        diverged = (
-            bool(np.any(~np.isfinite(truths[observed])))
-            or not np.isfinite(final_delta)
-            or final_delta > robust.fallback_delta
-        )
-        if diverged:
-            truths, sigmas = sparse.fallback_truths(expertise)
-            used_fallback = True
-            if traced:
-                tracer.emit(
-                    "mle.fallback",
-                    final_delta=final_delta,
-                    fallback_delta=robust.fallback_delta,
-                    n_tasks=observations.n_tasks,
-                )
-            _LOG.warning(
-                "truth analysis diverged (relative change %.4g > %.4g); "
-                "using weighted-median fallback for %d tasks",
-                final_delta,
-                robust.fallback_delta,
-                observations.n_tasks,
-            )
+    fallback = None
+    if not converged:
+        fallback = _fallback(sparse, truths, expertise, final_delta, robust, tracer)
+    if fallback is not None:
+        truths, sigmas = fallback
     return TruthAnalysisResult(
         truths=truths,
         sigmas=sigmas,
         expertise=expertise,
-        domain_ids=tuple(domain_ids),
+        domain_ids=tuple(domain_ids.tolist()),
         iterations=iterations,
         converged=converged,
         final_delta=final_delta,
-        used_fallback=used_fallback,
+        used_fallback=fallback is not None,
     )

@@ -22,7 +22,6 @@ step the paper describes.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +30,15 @@ from repro.core.expertise import ExpertiseMatrix, expertise_from_sums
 from repro.core.robust import RobustConfig
 from repro.core.truth import (
     TruthAnalysisResult,
+    _check_solve_inputs,
+    _fallback,
+    _report_non_convergence,
+    _solve,
     _SparseObservations,
-    _truth_delta,
-    _truths_converged,
 )
 from repro.truthdiscovery.base import ObservationMatrix
 
 __all__ = ["ExpertiseUpdater", "IncorporateResult"]
-
-_LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -207,10 +206,11 @@ class ExpertiseUpdater:
     ) -> IncorporateResult:
         """Fold one time step's new observations into the expertise state.
 
-        Runs the Section 4.2 alternating iteration: estimate the new tasks'
-        truths and base numbers from the current expertise (Eq. 5), refresh
-        the decayed sums (Eqs. 7-8) and the expertise (Eq. 9), and repeat
-        until the truth estimates converge.  The decay is applied once per
+        Runs the Section 4.2 alternating iteration
+        (:func:`repro.core.truth._solve`): estimate the new tasks' truths
+        and base numbers from the current expertise (Eq. 5), refresh the
+        decayed sums (Eqs. 7-8) and the expertise (Eq. 9), and repeat until
+        the truth estimates converge.  The decay is applied once per
         call (per time step), not once per inner iteration.
 
         With ``commit=False`` the running sums are left untouched — a
@@ -230,13 +230,9 @@ class ExpertiseUpdater:
         ``commit=False`` probes pass no tracer, keeping traces about the
         day's actual update.
         """
-        task_domains = np.asarray(task_domains)
-        if task_domains.shape != (observations.n_tasks,):
-            raise ValueError("task_domains must have one label per task")
+        task_domains = _check_solve_inputs(observations, task_domains, max_iterations)
         if observations.n_users != self._n_users:
             raise ValueError("observation matrix has the wrong number of users")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
         columns, block = self._domain_block(observations, task_domains)
         sparse = block.sparse
@@ -244,81 +240,29 @@ class ExpertiseUpdater:
         # and the fresh Eq. 7 counts do not depend on the iterate.
         new_n = self._alpha * self._numerators[:, columns] + sparse.count_sums
         base_d = self._alpha * self._denominators[:, columns]
+        new_d = base_d
 
-        damping = 1.0 if robust is None else robust.damping
-        traced = tracer is not None and tracer.enabled
+        def refresh(truths: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+            # Eqs. 8-9; the last sums are the ones a commit stores.
+            nonlocal new_d
+            new_d = base_d + block.denominator_sums(truths, sigmas)
+            return expertise_from_sums(new_n, new_d)
 
         expertise = expertise_from_sums(
             self._numerators[:, columns], self._denominators[:, columns]
         )
-        truths = np.full(observations.n_tasks, np.nan)
-        converged = False
-        final_delta = float("nan")
-        for iterations in range(1, max_iterations + 1):
-            new_truths, sigmas = sparse.truth_pass(expertise, robust)
-            if damping < 1.0 and iterations > 1:
-                both = ~(np.isnan(new_truths) | np.isnan(truths))
-                new_truths = np.where(
-                    both, damping * new_truths + (1.0 - damping) * truths, new_truths
-                )
-            new_d = base_d + block.denominator_sums(new_truths, sigmas)
-            expertise = expertise_from_sums(new_n, new_d)
-            if iterations > 1:
-                final_delta = _truth_delta(new_truths, truths)
-                if traced:
-                    tracer.emit("mle.iteration", iteration=iterations, delta=final_delta)
-                if _truths_converged(new_truths, truths):
-                    truths = new_truths
-                    converged = True
-                    break
-            elif traced:
-                tracer.emit("mle.iteration", iteration=iterations, delta=None)
-            truths = new_truths
-
-        if traced and converged:
-            tracer.emit("mle.converged", iterations=iterations, final_delta=final_delta)
-
-        used_fallback = False
-        if robust is not None and robust.fallback and not converged:
-            observed = sparse.task_counts > 0
-            diverged = (
-                bool(np.any(~np.isfinite(truths[observed])))
-                or not np.isfinite(final_delta)
-                or final_delta > robust.fallback_delta
-            )
-            if diverged:
-                truths, sigmas = sparse.fallback_truths(expertise)
-                new_d = base_d + block.denominator_sums(truths, sigmas)
-                expertise = expertise_from_sums(new_n, new_d)
-                used_fallback = True
-                if traced:
-                    tracer.emit(
-                        "mle.fallback",
-                        final_delta=final_delta,
-                        fallback_delta=robust.fallback_delta,
-                        n_tasks=observations.n_tasks,
-                    )
-
-        if not converged and commit:
-            if traced:
-                tracer.emit(
-                    "mle.non_convergence",
-                    iterations=iterations,
-                    final_delta=final_delta,
-                    n_tasks=observations.n_tasks,
-                    n_observations=observations.observation_count,
-                )
-            _LOG.warning(
-                "expertise update did not converge within %d iterations "
-                "(final relative change %.4g, %d tasks, %d observations); "
-                "committing the %s",
-                max_iterations,
-                final_delta,
-                observations.n_tasks,
-                observations.observation_count,
-                "weighted-median fallback" if used_fallback else "last iterate",
-            )
+        truths, sigmas, expertise, iterations, converged, final_delta = _solve(
+            sparse, expertise, refresh, max_iterations, robust, tracer
+        )
+        fallback = None
+        if not converged:
+            fallback = _fallback(sparse, truths, expertise, final_delta, robust, tracer)
+        if fallback is not None:
+            truths, sigmas = fallback
+            expertise = refresh(truths, sigmas)
         if commit:
+            if not converged:
+                _report_non_convergence(sparse, iterations, final_delta, tracer)
             self._numerators[:, columns] = new_n
             self._denominators[:, columns] = new_d
         return IncorporateResult(
@@ -328,5 +272,5 @@ class ExpertiseUpdater:
             converged=converged,
             task_expertise=expertise[:, block.inverse],
             final_delta=final_delta,
-            used_fallback=used_fallback,
+            used_fallback=fallback is not None,
         )

@@ -6,8 +6,9 @@ The distance between tasks *i* and *j* is::
     E(i, j) = 1/2 * ( ||V_Q^i - V_Q^j||^2 + ||V_T^i - V_T^j||^2 )
 
 i.e. the squared Euclidean distance on the concatenated ``[V_Q, V_T]``
-vector, halved.  We precompute the concatenated matrix for a batch of tasks
-so pairwise distances reduce to one vectorised Gram-matrix computation.
+vector, halved.  :func:`concatenated_distance_matrix` computes it for a whole
+matrix of concatenated vectors in one vectorised Gram-matrix computation;
+the warm-up and dynamic clustering call it on every batch.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.semantics.pairword import PairWord, extract_pair_word
 
 __all__ = [
     "TaskSemantics",
+    "concatenated_distance_matrix",
     "pair_distance",
     "pairwise_distance_matrix",
     "semantics_for_descriptions",
@@ -87,37 +89,42 @@ def _cosine_distance(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def pairwise_distance_matrix(items: Sequence[TaskSemantics], metric: str = "euclidean") -> np.ndarray:
-    """Symmetric matrix of task distances for a batch of tasks.
-
-    The Eq. 2 (euclidean) case uses the Gram-matrix identity
-    ``||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y`` on the concatenated vectors;
-    the 1/2 factor is applied once at the end.  Negative round-off is
-    clamped to zero.  The cosine case averages the query- and target-side
-    cosine distances (see :func:`pair_distance`).
-    """
+    """Symmetric matrix of task distances for a batch of tasks (zero diagonal)."""
     if not items:
         return np.zeros((0, 0), dtype=float)
+    points = np.vstack([item.concatenated for item in items])
+    distances = concatenated_distance_matrix(points, metric)
+    np.fill_diagonal(distances, 0.0)
+    return distances
+
+
+def concatenated_distance_matrix(points: np.ndarray, metric: str = "euclidean") -> np.ndarray:
+    """Distances between every pair of rows of concatenated ``[V_Q, V_T]`` vectors.
+
+    The one Eq. 2 body.  The euclidean case uses the Gram-matrix identity
+    ``||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y`` and applies the 1/2 factor
+    once at the end; negative round-off is clamped to zero.  The cosine
+    case averages the query- and target-side cosine distances (see
+    :func:`pair_distance`).  The diagonal is left as computed.
+    """
     if metric == "euclidean":
-        matrix = np.vstack([item.concatenated for item in items])
-        norms = np.einsum("ij,ij->i", matrix, matrix)
-        squared = norms[:, None] + norms[None, :] - 2.0 * (matrix @ matrix.T)
+        norms = np.einsum("ij,ij->i", points, points)
+        squared = norms[:, None] + norms[None, :] - 2.0 * (points @ points.T)
         np.maximum(squared, 0.0, out=squared)
-        np.fill_diagonal(squared, 0.0)
         return 0.5 * squared
     if metric == "cosine":
-        queries = np.vstack([item.query_vector for item in items])
-        targets = np.vstack([item.target_vector for item in items])
-        distances = 0.5 * (_cosine_matrix(queries) + _cosine_matrix(targets))
-        np.fill_diagonal(distances, 0.0)
-        return distances
+        split = points.shape[1] // 2
+        return 0.5 * (_cosine_matrix(points[:, :split]) + _cosine_matrix(points[:, split:]))
     raise ValueError(f"unknown metric {metric!r} (use 'euclidean' or 'cosine')")
 
 
 def _cosine_matrix(vectors: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(vectors, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
-    unit = vectors / safe[:, None]
-    similarity = unit @ unit.T
+    # Two separate unit matrices take the general matrix product;
+    # ``unit @ unit.T`` would take numpy's symmetric kernel and move the
+    # last bits of the clustering distances.
+    similarity = (vectors / safe[:, None]) @ (vectors / safe[:, None]).T
     # Zero vectors: no direction -> maximal distance to everything.
     zero = norms == 0
     similarity[zero, :] = 0.0

@@ -116,28 +116,3 @@ def test_estimate_truth_matches_dense_reference(seed):
     np.testing.assert_allclose(a.truths, b.truths, rtol=1e-10)
     np.testing.assert_allclose(a.sigmas, b.sigmas, rtol=1e-10)
     np.testing.assert_allclose(a.expertise, b.expertise, rtol=1e-10)
-
-
-def test_estimate_truth_matches_reference_with_warm_start():
-    rng = np.random.default_rng(13)
-    observations = _random_observations(rng, 30, 80)
-    domains = rng.integers(0, 4, 80)
-    warm = np.clip(rng.normal(1.0, 0.4, (30, 4)), 0.05, 10.0)
-    a = estimate_truth(observations, domains, initial_expertise=warm, domain_ids=(0, 1, 2, 3))
-    b = reference_estimate_truth(
-        observations, domains, initial_expertise=warm, domain_ids=(0, 1, 2, 3)
-    )
-    assert a.iterations == b.iterations
-    np.testing.assert_allclose(a.truths, b.truths, rtol=1e-10)
-    np.testing.assert_allclose(a.expertise, b.expertise, rtol=1e-10)
-
-
-def test_estimate_truth_matches_reference_with_empty_domain_column():
-    """domain_ids may list domains no current task belongs to."""
-    rng = np.random.default_rng(14)
-    observations = _random_observations(rng, 20, 40)
-    domains = rng.integers(0, 3, 40)  # domain 3 exists but is empty
-    a = estimate_truth(observations, domains, domain_ids=(0, 1, 2, 3))
-    b = reference_estimate_truth(observations, domains, domain_ids=(0, 1, 2, 3))
-    np.testing.assert_allclose(a.truths, b.truths, rtol=1e-10)
-    np.testing.assert_allclose(a.expertise, b.expertise, rtol=1e-10)
