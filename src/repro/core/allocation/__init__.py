@@ -7,8 +7,8 @@
   that restores the 1/2-approximation guarantee) and the max-quality
   allocator, with optional epsilon-greedy exploration,
 - :mod:`repro.core.allocation.lazy_greedy` — the CELF priority-queue kernel
-  the greedy runs on: lazy re-evaluation with staleness epochs,
-  bit-identical picks to the exhaustive scan,
+  the greedy runs on: an entry is re-evaluated only when its cached user
+  no longer fits, with bit-identical picks to the exhaustive scan,
 - :mod:`repro.core.allocation.min_cost` — the iterative min-cost allocator
   (Algorithm 2) with the Fisher-information quality check,
 - :mod:`repro.core.allocation.exact` — exhaustive and dynamic-programming

@@ -13,19 +13,17 @@ efficiency is always an **upper bound** on the current one, so stale
 entries can sit untouched in a max-heap and only the entry that surfaces
 at the top ever needs re-evaluation.
 
-The kernel keeps one heap entry per task, tagged with staleness epochs:
-
-- ``miss_epoch[task]`` advances whenever the task's coverage changes
-  (it received an assignment), and
-- ``cap_epoch[user]`` advances whenever that user's remaining capacity
-  shrinks.
-
-A popped entry is *fresh* when both epochs still match what the entry was
-evaluated under; every other change provably cannot alter the task's
-masked argmax (a non-best user dropping out of feasibility only removes
-candidates that were already dominated — ``np.argmax`` returns the first
-maximum, and the cached best user is by construction the lowest-indexed
-one).  A fresh top-of-heap entry is therefore the true global maximum.
+The kernel keeps one heap entry per task, caching the user its efficiency
+was evaluated for.  A popped entry is *fresh* exactly when that user still
+fits the task (``t <= remaining + 1e-12``, the comparison ``evaluate``
+makes).  Definition 1's gain ``p_ij * miss_j / t_j`` does not depend on
+remaining capacity, only on whether the user fits, and a task's coverage
+``miss_j`` changes only when the task itself is picked, which re-evaluates
+it on the spot.  Every other change only removes users from the task's
+feasible set, and those were already dominated: ``np.argmax`` returns the
+first maximum, and the cached user is by construction the lowest-indexed
+one.  So a fresh entry still holds its task's true best efficiency, and a
+fresh top-of-heap entry is the true global maximum.
 
 **Re-evaluation.**  With the paper's per-task processing times (a
 stride-0 ``pair_times`` broadcast, which is how the pipeline builds every
@@ -37,8 +35,10 @@ Re-evaluation is then a forward pointer over that ranking, in scalar
 arithmetic:
 
 - rankings are built lazily, when a task is first re-evaluated, and cached
-  per call keyed by the accuracy column's bytes, so all tasks of one
-  expertise domain share one sort;
+  by task and by the accuracy column's bytes, so all tasks of one
+  expertise domain share one sort; callers that run several passes over
+  one problem pass one ``rankings`` dict to all of them, so each domain is
+  sorted once per allocation;
 - the pointer walks at most ``_WALK_LIMIT`` spent users before jumping to
   the next feasible one with a single vectorised scan over the rest of the
   ranking (capacity-1 instances spend users faster than any one task is
@@ -68,7 +68,7 @@ tie.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,14 +87,16 @@ class GreedyStats:
     """Work counters of one lazy-greedy run (telemetry + CELF audits).
 
     ``evaluations`` counts per-task re-evaluations (pointer walks or
-    masked argmaxes) after the initial build (the build itself evaluates all ``n_tasks``
-    columns in one shot); the eager reference instead re-evaluates every
-    task sharing the picked user after every pick, so
-    ``evaluations / picks`` staying near 2 is the laziness actually
-    paying off.  ``max_refresh_delta`` is the largest ``fresh - stale``
-    efficiency observed when re-evaluating a stale entry; submodularity
-    guarantees it is never positive, and the CELF invariant test asserts
-    exactly that.
+    masked argmaxes) after the initial build (the build itself evaluates
+    all ``n_tasks`` columns in one shot): one right after every pick, plus
+    one per popped entry whose cached user no longer fits, so
+    ``evaluations - picks`` is the number of refreshes.  The eager
+    reference instead re-evaluates every task sharing the picked user
+    after every pick.  When no capacity ever binds, no entry goes stale
+    and ``pops == evaluations == picks``.  ``max_refresh_delta`` is the
+    largest ``fresh - stale`` efficiency observed when re-evaluating a
+    stale entry; submodularity guarantees it is never positive, and the
+    CELF invariant test asserts exactly that.
     """
 
     picks: int = 0
@@ -134,6 +136,7 @@ def lazy_greedy_allocate(
     active_tasks: "np.ndarray | None" = None,
     accuracy: "np.ndarray | None" = None,
     pair_times: "np.ndarray | None" = None,
+    rankings: "dict | None" = None,
 ) -> GreedyOutcome:
     """Run the Algorithm 1 greedy loop via the CELF priority queue.
 
@@ -156,11 +159,16 @@ def lazy_greedy_allocate(
         Precomputed ``problem.accuracy_matrix()`` (Eq. 11) and
         ``problem.pair_times()``, so callers that run several passes over
         one problem (extra pass, min-cost rounds) pay for them once.
+    rankings:
+        A dict the kernel fills with user rankings (per-task times only),
+        keyed by task index and by accuracy column bytes.  Pass one dict to
+        every pass over one problem so each domain's users are sorted once;
+        a ranking depends on the problem's eligibility and accuracy, so
+        never share it across problems.
     """
     n_users, n_tasks = problem.n_users, problem.n_tasks
     p = problem.accuracy_matrix() if accuracy is None else accuracy
     times = problem.pair_times() if pair_times is None else pair_times
-    costs = problem.costs
     eligible = problem.eligible_mask()
 
     if initial is None:
@@ -189,27 +197,26 @@ def lazy_greedy_allocate(
         gain = gain / times
     gain = np.where(feasible, gain, 0.0)
     build_user = np.argmax(gain, axis=0)
-    build_eff = gain[build_user, np.arange(n_tasks)]
+    columns = np.arange(n_tasks)
+    build_eff = gain[build_user, columns]
     heap_tasks = np.flatnonzero(active & (build_eff > 0.0)).tolist()
 
     # From here on the loop reads and writes one scalar at a time, where
     # plain lists are several times cheaper than ndarrays (and Python
-    # floats perform the same IEEE operations as NumPy's float64).
+    # floats perform the same IEEE operations as NumPy's float64).  Each
+    # task caches ``(user, p, t)`` of the user its heap entry was
+    # evaluated for: the entry is fresh while ``t`` fits that user.  Only
+    # active tasks enter the heap and an unaffordable one leaves it for
+    # good, so ``evaluate`` never sees any other.
+    cached = list(
+        zip(build_user.tolist(), p[build_user, columns].tolist(), times[build_user, columns].tolist())
+    )
     miss = miss.tolist()
-    active = active.tolist()
-    budget_blocked = [False] * n_tasks
+    costs = problem.costs.tolist()
     spent = 0.0
-
-    # Staleness epochs: a heap entry is current iff the task's coverage and
-    # its cached best user's capacity are both unchanged since evaluation.
-    miss_epoch = [0] * n_tasks
-    cap_epoch = [0] * n_users
-    cached_user = build_user.tolist()
-    entry_miss_epoch = [0] * n_tasks
-    entry_cap_epoch = [0] * n_tasks
     build_eff = build_eff.tolist()
     heap = [(-build_eff[task], task) for task in heap_tasks]
-    heapq.heapify(heap)
+    heapify(heap)
 
     # Column-access layout for the vectorised scans: Fortran order makes
     # ``[:, task]`` slices contiguous (a broadcast per-task time row —
@@ -226,6 +233,7 @@ def lazy_greedy_allocate(
     times_f = times if per_task_times else np.asfortranarray(times)
     avail = np.asfortranarray(~assigned & eligible[:, None])
     remaining_eps = remaining + 1e-12
+    remaining = remaining.tolist()
     remaining_list = remaining_eps.tolist()
     taken = set(np.flatnonzero(assigned).tolist())
 
@@ -236,8 +244,8 @@ def lazy_greedy_allocate(
         # (assignment, spent capacity) is permanent: re-evaluation is a
         # forward pointer over the ranking.
         task_times = times[0].tolist()
-        rankings: dict = {}
-        task_ranking: list = [None] * n_tasks
+        if rankings is None:
+            rankings = {}
         pointer = [0] * n_tasks
 
         def rank(task: int) -> tuple:
@@ -255,13 +263,11 @@ def lazy_greedy_allocate(
                 run_end = np.repeat(ends, ends - starts)
                 ranking = (order, order.tolist(), ranked_p.tolist(), run_end.tolist(), len(order))
                 rankings[key] = ranking
-            task_ranking[task] = ranking
+            rankings[task] = ranking
             return ranking
 
-        def evaluate(task: int) -> "tuple[float, int]":
-            if not active[task] or budget_blocked[task]:
-                return (0.0, -1)
-            order, users, ranked_p, run_end, n = task_ranking[task] or rank(task)
+        def evaluate(task: int) -> float:
+            order, users, ranked_p, run_end, n = rankings.get(task) or rank(task)
             t = task_times[task]
             k = pointer[task]
             stop = k + _WALK_LIMIT
@@ -281,10 +287,11 @@ def lazy_greedy_allocate(
                     k = k + int(np.argmax(feasible)) if feasible.any() else n
             pointer[task] = k
             if k == n:
-                return (0.0, -1)
+                return 0.0
             scale = miss[task]
             best = users[k]
-            value = ranked_p[k] * scale
+            best_p = ranked_p[k]
+            value = best_p * scale
             if divide_by_time:
                 value /= t
             if value > 0.0:
@@ -303,88 +310,69 @@ def lazy_greedy_allocate(
                         if user > best:
                             break
                         if t <= remaining_list[user] and user * n_tasks + task not in taken:
-                            best = user
+                            best, best_p = user, ranked_p[k]
                             break
                     k = run_end[k]
-            return (value, best)
+            cached[task] = (best, best_p, t)
+            return value
 
     else:
         feas_buf = np.empty(n_users, dtype=bool)
         gain_buf = np.empty(n_users, dtype=float)
 
-        def evaluate(task: int) -> "tuple[float, int]":
+        def evaluate(task: int) -> float:
             # Same operations (element-wise, in the same order) as the frozen
             # eager loop's best_for_task — efficiencies must stay bit-identical.
-            if not active[task] or budget_blocked[task]:
-                return (0.0, -1)
             feasible = np.less_equal(times_f[:, task], remaining_eps, out=feas_buf)
             feasible &= avail[:, task]
             if not feasible.any():
-                return (0.0, -1)
+                return 0.0
             gain = np.multiply(p_f[:, task], miss[task], out=gain_buf)
             if divide_by_time:
                 gain /= times_f[:, task]
             np.multiply(gain, feasible, out=gain)
             user = int(np.argmax(gain))
-            return (float(gain[user]), user)
+            cached[task] = (user, float(p_f[user, task]), float(times_f[user, task]))
+            return float(gain[user])
 
-    picks = 0
-    pops = 0
-    evaluations = 0
+    refreshes = 0
+    blocked = 0
     max_refresh_delta = float("-inf")
-
-    def refresh(task: int, stale_value: float) -> None:
-        """Re-evaluate a stale entry and re-insert it if still promising."""
-        nonlocal evaluations, max_refresh_delta
-        value, user = evaluate(task)
-        evaluations += 1
-        delta = value - stale_value
-        if delta > max_refresh_delta:
-            max_refresh_delta = delta
-        if value > 0.0:
-            cached_user[task] = user
-            entry_miss_epoch[task] = miss_epoch[task]
-            entry_cap_epoch[task] = cap_epoch[user]
-            heapq.heappush(heap, (-value, task))
-
     added: list = []
     while heap:
-        neg_value, task = heapq.heappop(heap)
-        pops += 1
-        user = cached_user[task]
-        if (
-            entry_miss_epoch[task] != miss_epoch[task]
-            or entry_cap_epoch[task] != cap_epoch[user]
-        ):
-            refresh(task, -neg_value)
+        neg_value, task = heappop(heap)
+        user, p_user, t = cached[task]
+        if t > remaining_list[user]:
+            # The cached user no longer fits: re-evaluate and re-insert.
+            value = evaluate(task)
+            refreshes += 1
+            if value + neg_value > max_refresh_delta:
+                max_refresh_delta = value + neg_value
+            if value > 0.0:
+                heappush(heap, (-value, task))
             continue
         # Fresh top of heap == the eager loop's np.argmax winner.
         if cost_budget is not None and spent + costs[task] > cost_budget + 1e-12:
-            # Cost only grows, so this task can never be afforded again.
-            budget_blocked[task] = True
+            # Cost only grows, so this task can never be afforded again:
+            # it leaves the heap for good.
+            blocked += 1
             continue
-        assigned[user, task] = True
         avail[user, task] = False
         taken.add(user * n_tasks + task)
-        remaining[user] -= times_f[user, task]
-        remaining_eps[user] = remaining[user] + 1e-12
-        remaining_list[user] = float(remaining_eps[user])
-        cap_epoch[user] += 1
-        miss[task] *= 1.0 - float(p_f[user, task])
-        miss_epoch[task] += 1
+        left = remaining[user] - t
+        remaining[user] = left
+        remaining_list[user] = remaining_eps[user] = left + 1e-12
+        miss[task] *= 1.0 - p_user
         spent += costs[task]
         added.append((user, task))
-        picks += 1
-        # The picked task is stale by construction; re-evaluating it now
-        # saves the pop-and-refresh round trip it would otherwise cost.
-        value, next_user = evaluate(task)
-        evaluations += 1
+        # The picked task is stale by construction (its coverage changed
+        # and its user is now on it): re-evaluate it right away.
+        value = evaluate(task)
         if value > 0.0:
-            cached_user[task] = next_user
-            entry_miss_epoch[task] = miss_epoch[task]
-            entry_cap_epoch[task] = cap_epoch[next_user]
-            heapq.heappush(heap, (-value, task))
+            heappush(heap, (-value, task))
 
+    if added:
+        assigned[tuple(zip(*added))] = True
     assignment = Assignment(matrix=assigned)
     return GreedyOutcome(
         assignment=assignment,
@@ -392,9 +380,9 @@ def lazy_greedy_allocate(
         objective=allocation_objective(problem, assignment, accuracy=p),
         spent_cost=spent,
         stats=GreedyStats(
-            picks=picks,
-            pops=pops,
-            evaluations=evaluations,
+            picks=len(added),
+            pops=len(added) + refreshes + blocked,
+            evaluations=len(added) + refreshes,
             max_refresh_delta=max_refresh_delta,
         ),
     )

@@ -49,6 +49,7 @@ def best_of_two_greedy(
     active_tasks: "np.ndarray | None" = None,
     accuracy: "np.ndarray | None" = None,
     pair_times: "np.ndarray | None" = None,
+    rankings: "dict | None" = None,
 ) -> "tuple[GreedyOutcome, str, GreedyStats | None]":
     """One Section 5.1.2 greedy step: the better of the two greedy passes.
 
@@ -59,12 +60,15 @@ def best_of_two_greedy(
     (``"efficiency"`` or ``"cardinality"``) and both passes' merged
     :class:`GreedyStats`.  The other arguments are those of
     :func:`~repro.core.allocation.lazy_greedy.lazy_greedy_allocate`;
-    ``accuracy`` and ``pair_times`` are computed once here when omitted.
+    ``accuracy``, ``pair_times`` and ``rankings`` are made once here when
+    omitted, and shared by both passes.
     """
     if accuracy is None:
         accuracy = problem.accuracy_matrix()
     if pair_times is None:
         pair_times = problem.pair_times()
+    if rankings is None:
+        rankings = {}
     # Every pass resolves ``lazy_greedy_allocate`` through this module's
     # global, the one name that times and counts all greedy passes.
     greedy = partial(
@@ -75,6 +79,7 @@ def best_of_two_greedy(
         active_tasks=active_tasks,
         accuracy=accuracy,
         pair_times=pair_times,
+        rankings=rankings,
     )
     efficiency = greedy(divide_by_time=True)
     if not extra_pass:

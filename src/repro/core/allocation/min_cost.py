@@ -117,10 +117,12 @@ class MinCostAllocator:
             estimate = self._default_estimator(problem)
 
         # The problem is fixed across rounds: the Eq. 11 accuracy matrix (a
-        # full erf over n_users x n_tasks) and the pair-times broadcast are
-        # computed once here and threaded through every round's greedy.
+        # full erf over n_users x n_tasks), the pair-times broadcast and the
+        # per-domain user rankings are made once here and threaded through
+        # every round's greedy.
         accuracy = problem.accuracy_matrix()
         pair_times = problem.pair_times()
+        rankings: dict = {}
 
         assignment = Assignment.empty(n_users, n_tasks)
         values = np.zeros((n_users, n_tasks), dtype=float)
@@ -141,6 +143,7 @@ class MinCostAllocator:
                 active_tasks=~satisfied,
                 accuracy=accuracy,
                 pair_times=pair_times,
+                rankings=rankings,
             )
             if stats is not None:
                 greedy_stats = stats.merged(greedy_stats)

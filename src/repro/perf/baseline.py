@@ -156,9 +156,12 @@ def _time_greedy(problem, rounds: int) -> dict:
     from repro.core.allocation.lazy_greedy import lazy_greedy_allocate
     from repro.perf.reference import reference_greedy_allocate
 
-    # The optimised path is timed as the allocators now invoke it — the
-    # Eq. 11 accuracy matrix computed once by the caller and threaded in;
-    # the frozen reference reproduces the old call pattern (erf per pass).
+    # One pass, timed as an allocation's first pass runs: the caller
+    # threads in the Eq. 11 accuracy matrix and the pair-times broadcast,
+    # and the kernel sorts each domain's users into a fresh ``rankings``
+    # dict (later passes of the same allocation reuse it and skip the
+    # sorts).  The frozen reference reproduces the old call pattern (erf
+    # per pass).
     accuracy = problem.accuracy_matrix()
     pair_times = problem.pair_times()
     optimised = _median_seconds(

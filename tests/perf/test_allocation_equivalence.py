@@ -19,7 +19,8 @@ adversarial structure the kernel's staleness reasoning must survive:
 Per-task processing times (the paper's setting, and the only kind the
 pipeline builds) take the kernel's ranked-pointer path, so a second fuzz
 block draws only those, at sizes where pointer walks outgrow their bound
-and jump, with capacity-1 saturation and shared domain columns.
+and jump, with capacity-1 saturation and shared domain columns; its two
+passes per instance share one ``rankings`` dict.
 Hand-built instances pin a jump past a warm-started user and the rounding
 ties the pointer walk must break the way ``np.argmax`` does.
 
@@ -27,6 +28,8 @@ The CELF invariant test asserts the submodularity precondition the kernel
 relies on: re-evaluating a stale heap entry never *increases* its
 efficiency (``max_refresh_delta <= 0``), so a stale cached value is always
 an upper bound and a fresh top-of-heap entry is the true global argmax.
+The slack-capacity test pins the freshness rule itself: an entry goes
+stale only when its cached user no longer fits the task.
 """
 
 import numpy as np
@@ -180,16 +183,21 @@ def _per_task_instance(rng):
 
 @pytest.mark.parametrize("block", range(4))
 def test_ranked_pointer_path_matches_reference_fuzz(block):
-    """60 per-task-time instances (4 blocks x 15): picks bit-identical."""
+    """60 per-task-time instances (4 blocks x 15), both greedy passes
+    sharing one ``rankings`` dict as the allocators do: picks
+    bit-identical."""
     rng = np.random.default_rng(2000 + block)
     for _ in range(15):
         problem, initial, kwargs = _per_task_instance(rng)
-        lazy = lazy_greedy_allocate(problem, initial=initial, **kwargs)
-        ref = reference_greedy_allocate(problem, initial=initial, **kwargs)
-        assert lazy.added_pairs == ref.added_pairs
-        assert np.array_equal(lazy.assignment.matrix, ref.assignment.matrix)
-        assert lazy.objective == ref.objective
-        assert lazy.spent_cost == ref.spent_cost
+        rankings: dict = {}
+        for divide_by_time in (kwargs["divide_by_time"], not kwargs["divide_by_time"]):
+            kwargs["divide_by_time"] = divide_by_time
+            lazy = lazy_greedy_allocate(problem, initial=initial, rankings=rankings, **kwargs)
+            ref = reference_greedy_allocate(problem, initial=initial, **kwargs)
+            assert lazy.added_pairs == ref.added_pairs
+            assert np.array_equal(lazy.assignment.matrix, ref.assignment.matrix)
+            assert lazy.objective == ref.objective
+            assert lazy.spent_cost == ref.spent_cost
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -289,6 +297,26 @@ def test_stats_accounting():
         assert stats.picks == len(outcome.added_pairs)
         assert stats.picks <= stats.pops
         assert stats.evaluations <= stats.pops
+
+
+@pytest.mark.parametrize("per_pair", [False, True], ids=["per-task-times", "per-pair-times"])
+def test_slack_capacities_never_refresh(per_pair):
+    """An entry is stale only when its cached user no longer fits.  With
+    room for every task on every user no capacity binds, so every pop is
+    a pick and the only evaluations are the ones right after a pick."""
+    rng = np.random.default_rng(4000 + per_pair)
+    n_users, n_tasks = 12, 40
+    domains = rng.integers(0, 4, n_tasks)
+    problem = AllocationProblem(
+        expertise=rng.gamma(2.0, 2.0, (n_users, 4))[:, domains],
+        processing_times=rng.uniform(0.5, 1.5, (n_users, n_tasks) if per_pair else n_tasks),
+        capacities=np.full(n_users, 1.5 * n_tasks + 1.0),
+    )
+    lazy = lazy_greedy_allocate(problem)
+    stats = lazy.stats
+    assert stats.picks > n_tasks
+    assert stats.pops == stats.evaluations == stats.picks
+    assert lazy.added_pairs == reference_greedy_allocate(problem).added_pairs
 
 
 def test_lazy_on_domain_structured_instance_is_lazy():

@@ -1,11 +1,12 @@
 """Golden lazy-greedy work counters.
 
 The end-to-end benchmark reports ``allocation.evaluations`` and
-``evals_per_pick`` per layer, and the golden trace digests hash the
-``allocation.greedy`` events that carry them, so a kernel rewrite that
-keeps the picks but changes how often the heap re-evaluates a task would
-still move those numbers.  These tests pin :class:`GreedyStats` exactly on
-three seeded instances:
+``evals_per_pick`` per layer, and the pipeline's ``allocation.greedy``
+trace events carry them, but no other gate checks them: the golden trace
+digests only count events by type, and the picks alone fix every output.
+A kernel rewrite that keeps the picks but changes how often the heap
+re-evaluates a task would pass every other gate.  These tests pin
+:class:`GreedyStats` exactly on three seeded instances:
 
 - the ``allocation_greedy`` quick kernel instance of
   :mod:`repro.perf.baseline` (300 users x 600 tasks, 8 domains,
@@ -57,8 +58,20 @@ def test_quick_kernel_stats_are_golden():
 @pytest.mark.parametrize(
     "seed, day, expected",
     [
-        (2017, 0, GreedyStats(picks=2328, pops=7540, evaluations=7540, max_refresh_delta=0.0)),
-        (2018, 3, GreedyStats(picks=2521, pops=8215, evaluations=8215, max_refresh_delta=0.0)),
+        (
+            2017,
+            0,
+            GreedyStats(
+                picks=2328, pops=5641, evaluations=5641, max_refresh_delta=-2.4480365771795132e-05
+            ),
+        ),
+        (
+            2018,
+            3,
+            GreedyStats(
+                picks=2521, pops=6150, evaluations=6150, max_refresh_delta=-1.1569839968111895e-05
+            ),
+        ),
     ],
     ids=["seed2017-day0", "seed2018-day3"],
 )
