@@ -3,8 +3,8 @@
 The execution environment has no network and no ``wheel`` package, so the
 modern PEP 517 editable-install path is unavailable; this classic ``setup.py``
 lets ``pip install -e . --no-build-isolation`` (and plain ``pip install -e .``
-on older pips) fall back to the legacy develop install.  All metadata lives
-in ``pyproject.toml``.
+on older pips) fall back to the legacy develop install.  All package
+metadata lives here; the repository has no ``pyproject.toml``.
 """
 
 from setuptools import find_packages, setup

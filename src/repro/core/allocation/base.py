@@ -280,13 +280,7 @@ def allocation_objective(
     if assignment.matrix.shape != (problem.n_users, problem.n_tasks):
         raise ValueError("assignment shape does not match the problem")
     p = problem.accuracy_matrix() if accuracy is None else accuracy
-    # Sparse evaluation: multiply only the assigned pairs into each task's
-    # miss product instead of materialising the dense ``np.where`` matrix.
-    # np.nonzero yields pairs in ascending-user order — the same sequential
-    # order ``np.prod(..., axis=0)`` multiplies in — and the skipped
-    # factors are exactly 1.0, so the result is bit-identical to the dense
-    # product.
-    users, tasks = np.nonzero(assignment.matrix)
-    miss = np.ones(problem.n_tasks, dtype=float)
-    np.multiply.at(miss, tasks, 1.0 - p[users, tasks])
+    # Each task's miss product runs down its column in ascending user order;
+    # unassigned factors are exactly 1.0.
+    miss = np.prod(np.where(assignment.matrix, 1.0 - p, 1.0), axis=0)
     return float(np.sum(1.0 - miss))

@@ -68,7 +68,7 @@ tie.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappushpop
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,26 +180,32 @@ def lazy_greedy_allocate(
     remaining = problem.capacities - (assigned * times).sum(axis=1)
     if np.any(remaining < -1e-9):
         raise ValueError("initial assignment already exceeds capacities")
-    miss = np.prod(np.where(assigned, 1.0 - p, 1.0), axis=0)
 
-    if active_tasks is None:
-        active = np.ones(n_tasks, dtype=bool)
-    else:
-        active = np.asarray(active_tasks, dtype=bool)
-        if active.shape != (n_tasks,):
+    if active_tasks is not None:
+        active_tasks = np.asarray(active_tasks, dtype=bool)
+        if active_tasks.shape != (n_tasks,):
             raise ValueError("active_tasks must have one flag per task")
+    if active_tasks is None or active_tasks.all():
+        columns = np.arange(n_tasks)
+        p_a, times_a, assigned_a = p, times, assigned
+    else:
+        # Later min-cost rounds leave only a few tasks active: the build
+        # reads just their columns.
+        columns = np.flatnonzero(active_tasks)
+        p_a, times_a, assigned_a = p[:, columns], times[:, columns], assigned[:, columns]
 
-    # Initial build: one vectorised masked-argmax over the whole matrix,
+    # Initial build: one vectorised masked-argmax over the active columns,
     # the same element-wise operations as the eager loop's per-task scan.
-    feasible = (~assigned) & eligible[:, None] & (times <= remaining[:, None] + 1e-12)
-    gain = p * miss[None, :]
+    miss_a = np.prod(np.where(assigned_a, 1.0 - p_a, 1.0), axis=0)
+    feasible = (~assigned_a) & eligible[:, None] & (times_a <= remaining[:, None] + 1e-12)
+    gain = p_a * miss_a[None, :]
     if divide_by_time:
-        gain = gain / times
+        gain = gain / times_a
     gain = np.where(feasible, gain, 0.0)
     build_user = np.argmax(gain, axis=0)
-    columns = np.arange(n_tasks)
-    build_eff = gain[build_user, columns]
-    heap_tasks = np.flatnonzero(active & (build_eff > 0.0)).tolist()
+    build_eff = gain[build_user, np.arange(len(columns))]
+    live = np.flatnonzero(build_eff > 0.0)
+    heap_tasks, build_user = columns[live].tolist(), build_user[live]
 
     # From here on the loop reads and writes one scalar at a time, where
     # plain lists are several times cheaper than ndarrays (and Python
@@ -207,15 +213,22 @@ def lazy_greedy_allocate(
     # task caches ``(user, p, t)`` of the user its heap entry was
     # evaluated for: the entry is fresh while ``t`` fits that user.  Only
     # active tasks enter the heap and an unaffordable one leaves it for
-    # good, so ``evaluate`` never sees any other.
-    cached = list(
-        zip(build_user.tolist(), p[build_user, columns].tolist(), times[build_user, columns].tolist())
-    )
+    # good, so ``evaluate`` never sees any other; ``cached`` and ``miss``
+    # are indexed by task and filled for those alone.
+    cached = [None] * n_tasks
+    for task, user, p_user, t_user in zip(
+        heap_tasks,
+        build_user.tolist(),
+        p_a[build_user, live].tolist(),
+        times_a[build_user, live].tolist(),
+    ):
+        cached[task] = (user, p_user, t_user)
+    miss = np.ones(n_tasks)
+    miss[columns] = miss_a
     miss = miss.tolist()
     costs = problem.costs.tolist()
     spent = 0.0
-    build_eff = build_eff.tolist()
-    heap = [(-build_eff[task], task) for task in heap_tasks]
+    heap = list(zip((-build_eff[live]).tolist(), heap_tasks))
     heapify(heap)
 
     # Column-access layout for the vectorised scans: Fortran order makes
@@ -339,8 +352,12 @@ def lazy_greedy_allocate(
     blocked = 0
     max_refresh_delta = float("-inf")
     added: list = []
-    while heap:
-        neg_value, task = heappop(heap)
+    # A re-evaluated entry goes back in and the next top comes out in one
+    # ``heappushpop``: heap keys ``(-value, task)`` are distinct (one entry
+    # per task), so it returns exactly what a push and then a pop would.
+    top = heappop(heap) if heap else None
+    while top is not None:
+        neg_value, task = top
         user, p_user, t = cached[task]
         if t > remaining_list[user]:
             # The cached user no longer fits: re-evaluate and re-insert.
@@ -348,28 +365,28 @@ def lazy_greedy_allocate(
             refreshes += 1
             if value + neg_value > max_refresh_delta:
                 max_refresh_delta = value + neg_value
-            if value > 0.0:
-                heappush(heap, (-value, task))
-            continue
-        # Fresh top of heap == the eager loop's np.argmax winner.
-        if cost_budget is not None and spent + costs[task] > cost_budget + 1e-12:
-            # Cost only grows, so this task can never be afforded again:
-            # it leaves the heap for good.
+        elif cost_budget is not None and spent + costs[task] > cost_budget + 1e-12:
+            # Fresh, but cost only grows, so this task can never be
+            # afforded again: it leaves the heap for good.
             blocked += 1
-            continue
-        avail[user, task] = False
-        taken.add(user * n_tasks + task)
-        left = remaining[user] - t
-        remaining[user] = left
-        remaining_list[user] = remaining_eps[user] = left + 1e-12
-        miss[task] *= 1.0 - p_user
-        spent += costs[task]
-        added.append((user, task))
-        # The picked task is stale by construction (its coverage changed
-        # and its user is now on it): re-evaluate it right away.
-        value = evaluate(task)
+            value = 0.0
+        else:
+            # Fresh top of heap == the eager loop's np.argmax winner.
+            avail[user, task] = False
+            taken.add(user * n_tasks + task)
+            left = remaining[user] - t
+            remaining[user] = left
+            remaining_list[user] = remaining_eps[user] = left + 1e-12
+            miss[task] *= 1.0 - p_user
+            spent += costs[task]
+            added.append((user, task))
+            # The picked task is stale by construction (its coverage
+            # changed and its user is now on it): re-evaluate it right away.
+            value = evaluate(task)
         if value > 0.0:
-            heappush(heap, (-value, task))
+            top = heappushpop(heap, (-value, task))
+        else:
+            top = heappop(heap) if heap else None
 
     if added:
         assigned[tuple(zip(*added))] = True

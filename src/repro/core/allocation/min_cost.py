@@ -125,8 +125,9 @@ class MinCostAllocator:
         rankings: dict = {}
 
         assignment = Assignment.empty(n_users, n_tasks)
-        values = np.zeros((n_users, n_tasks), dtype=float)
-        mask = np.zeros((n_users, n_tasks), dtype=bool)
+        observations = ObservationMatrix(
+            values=np.zeros((n_users, n_tasks)), mask=np.zeros((n_users, n_tasks), dtype=bool)
+        )
         satisfied = np.zeros(n_tasks, dtype=bool)
         truths = np.full(n_tasks, np.nan)
         sigmas = np.full(n_tasks, np.nan)
@@ -157,20 +158,23 @@ class MinCostAllocator:
             # arrives — the quality check simply stays unsatisfied and later
             # rounds recruit replacements.  Pairs are new every round, so the
             # round's fold merges into the running matrix without overlap.
+            # Each round's matrix is built from new arrays: the one handed
+            # to ``estimate`` is a value its holder may keep (the updater
+            # keys its last preview on it), so it never changes later.
             users, tasks = np.asarray(outcome.added_pairs, dtype=np.intp).T
             new = ObservationMatrix.from_pairs(
                 users, tasks, observe(list(outcome.added_pairs)), n_users, n_tasks
             )
-            values[new.mask] = new.values[new.mask]
-            mask |= new.mask
-
-            observations = ObservationMatrix(values=values, mask=mask)
+            observations = ObservationMatrix(
+                values=np.where(new.mask, new.values, observations.values),
+                mask=observations.mask | new.mask,
+            )
             truths, sigmas, task_expertise = estimate(observations)
             # Only tasks with new usable observations can newly pass the
             # Line 12-15 check; satisfied tasks are latched (they were
             # removed from active_tasks and receive no further data).
             satisfied = self._check_quality(
-                mask,
+                observations.mask,
                 truths,
                 sigmas,
                 task_expertise,
@@ -189,7 +193,7 @@ class MinCostAllocator:
 
         return MinCostOutcome(
             assignment=assignment,
-            observations=ObservationMatrix(values=values, mask=mask),
+            observations=observations,
             truths=truths,
             sigmas=sigmas,
             satisfied=satisfied,

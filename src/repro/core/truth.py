@@ -262,24 +262,26 @@ def _check_solve_inputs(observations: ObservationMatrix, task_domains, max_itera
     return task_domains
 
 
-def _solve(sparse: _SparseObservations, expertise, refresh, max_iterations, robust, tracer):
+def _solve(sparse: _SparseObservations, expertise, refresh, max_iterations, robust):
     """The Section 4 coordinate iteration, shared by Sections 4.1 and 4.2.
 
     Each sweep runs Eq. 5 on the current domain-block ``expertise``
     (damped towards the previous truths when ``robust.damping < 1``), then
     ``refresh(truths, sigmas)`` for the next expertise: Eq. 6 over the
     batch, or Eqs. 7-9 over the decayed sums.  It stops once the truths
-    pass the 5 % test.  An enabled ``tracer`` receives one
-    ``mle.iteration`` event per sweep and ``mle.converged`` on success.
+    pass the 5 % test.
 
-    Returns ``(truths, sigmas, expertise, iterations, converged,
-    final_delta)``, where ``final_delta`` is NaN when one sweep ran.
+    Returns ``(truths, sigmas, expertise, deltas, converged,
+    final_delta)``.  ``deltas`` holds each sweep's largest truth change
+    (None for the first sweep), the record :func:`_emit_sweeps` turns into
+    ``mle.*`` events; ``final_delta`` is its last entry, NaN when one
+    sweep ran.
     """
     damping = 1.0 if robust is None else robust.damping
-    traced = tracer is not None and tracer.enabled
     truths = np.full(sparse.n_tasks, np.nan)
     converged = False
     final_delta = float("nan")
+    deltas = []
     for iterations in range(1, max_iterations + 1):
         new_truths, sigmas = sparse.truth_pass(expertise, robust)
         if damping < 1.0 and iterations > 1:
@@ -290,23 +292,34 @@ def _solve(sparse: _SparseObservations, expertise, refresh, max_iterations, robu
         expertise = refresh(new_truths, sigmas)
         if iterations > 1:
             converged, final_delta = _convergence(new_truths, truths)
-        if traced:
-            delta = final_delta if iterations > 1 else None
-            tracer.emit("mle.iteration", iteration=iterations, delta=delta)
+        deltas.append(final_delta if iterations > 1 else None)
         truths = new_truths
         if converged:
             break
-    if traced and converged:
-        tracer.emit("mle.converged", iterations=iterations, final_delta=final_delta)
-    return truths, sigmas, expertise, iterations, converged, final_delta
+    return truths, sigmas, expertise, deltas, converged, final_delta
 
 
-def _fallback(sparse, truths, expertise, final_delta, robust, tracer):
+def _emit_sweeps(deltas, converged: bool, tracer) -> None:
+    """One ``mle.iteration`` per recorded sweep delta, then ``mle.converged``.
+
+    The one emission path for a solve's sweeps, whether the solve just ran
+    or an update commits a previewed one (:mod:`repro.core.update`).
+    """
+    if tracer is None or not tracer.enabled:
+        return
+    for iteration, delta in enumerate(deltas, start=1):
+        tracer.emit("mle.iteration", iteration=iteration, delta=delta)
+    if converged:
+        tracer.emit("mle.converged", iterations=len(deltas), final_delta=deltas[-1])
+
+
+def _fallback(sparse, truths, expertise, final_delta, robust):
     """Weighted-median ``(truths, sigmas)`` if a non-converged solve diverged.
 
     A solve counts as diverged when ``robust.fallback`` is on and it left
     an observed task's truth non-finite or its final delta above
-    ``robust.fallback_delta``.  Returns None otherwise.
+    ``robust.fallback_delta``.  Returns None otherwise.  The caller
+    reports a replacement with :func:`_report_fallback`.
     """
     if robust is None or not robust.fallback:
         return None
@@ -318,32 +331,35 @@ def _fallback(sparse, truths, expertise, final_delta, robust, tracer):
     )
     if not diverged:
         return None
+    return sparse.fallback_truths(expertise)
+
+
+def _report_fallback(final_delta, robust, n_tasks, tracer) -> None:
+    """Emit ``mle.fallback`` and log a warning for a replaced iterate."""
     if tracer is not None and tracer.enabled:
         tracer.emit(
             "mle.fallback",
             final_delta=final_delta,
             fallback_delta=robust.fallback_delta,
-            n_tasks=sparse.n_tasks,
+            n_tasks=n_tasks,
         )
     _LOG.warning(
         "truth analysis diverged (relative change %.4g > %.4g); "
         "using weighted-median fallback for %d tasks",
         final_delta,
         robust.fallback_delta,
-        sparse.n_tasks,
+        n_tasks,
     )
-    return sparse.fallback_truths(expertise)
 
 
-def _report_non_convergence(sparse, iterations, final_delta, tracer) -> None:
+def _report_non_convergence(n_tasks, n_observations, iterations, final_delta, tracer) -> None:
     """Emit ``mle.non_convergence`` and log a warning for a solve that ran out."""
-    n_observations = sparse.cols.size
     if tracer is not None and tracer.enabled:
         tracer.emit(
             "mle.non_convergence",
             iterations=iterations,
             final_delta=final_delta,
-            n_tasks=sparse.n_tasks,
+            n_tasks=n_tasks,
             n_observations=n_observations,
         )
     # Surface degraded estimates instead of silently returning them:
@@ -353,7 +369,7 @@ def _report_non_convergence(sparse, iterations, final_delta, tracer) -> None:
         "(final relative change %.4g, %d tasks, %d observations)",
         iterations,
         final_delta,
-        sparse.n_tasks,
+        n_tasks,
         n_observations,
     )
 
@@ -399,17 +415,22 @@ def estimate_truth(
     domain_ids, domain_columns = np.unique(task_domains, return_inverse=True)
     sparse = _SparseObservations(observations, domain_columns, len(domain_ids))
     expertise = np.full((observations.n_users, len(domain_ids)), DEFAULT_EXPERTISE)
-    truths, sigmas, expertise, iterations, converged, final_delta = _solve(
-        sparse, expertise, sparse.expertise_pass, max_iterations, robust, tracer
+    truths, sigmas, expertise, deltas, converged, final_delta = _solve(
+        sparse, expertise, sparse.expertise_pass, max_iterations, robust
     )
+    iterations = len(deltas)
+    _emit_sweeps(deltas, converged, tracer)
     if not converged:
-        _report_non_convergence(sparse, iterations, final_delta, tracer)
+        _report_non_convergence(
+            sparse.n_tasks, sparse.cols.size, iterations, final_delta, tracer
+        )
     # One more Eq. 5 pass, so the truths match the final expertise.
     truths, sigmas = sparse.truth_pass(expertise, robust)
     fallback = None
     if not converged:
-        fallback = _fallback(sparse, truths, expertise, final_delta, robust, tracer)
+        fallback = _fallback(sparse, truths, expertise, final_delta, robust)
     if fallback is not None:
+        _report_fallback(final_delta, robust, sparse.n_tasks, tracer)
         truths, sigmas = fallback
     return TruthAnalysisResult(
         truths=truths,

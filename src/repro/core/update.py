@@ -31,7 +31,9 @@ from repro.core.robust import RobustConfig
 from repro.core.truth import (
     TruthAnalysisResult,
     _check_solve_inputs,
+    _emit_sweeps,
     _fallback,
+    _report_fallback,
     _report_non_convergence,
     _solve,
     _SparseObservations,
@@ -61,6 +63,50 @@ class IncorporateResult:
     final_delta: float = float("nan")
     #: True when the weighted-median fallback replaced a diverged iterate.
     used_fallback: bool = False
+
+
+@dataclass(frozen=True)
+class _Pending:
+    """One solved update, held until it is committed or superseded.
+
+    A preview keeps it so that a commit of the same data stores its sums
+    instead of solving again (Algorithm 2 previews every round, then the
+    pipeline commits the last round's matrix).  The key is the matrix
+    *object* plus the tasks' domains and the solve settings: an
+    :class:`ObservationMatrix` is a frozen value, and no caller writes
+    into the arrays of one it has handed out.
+    """
+
+    observations: ObservationMatrix
+    task_domains: np.ndarray
+    max_iterations: int
+    robust: "RobustConfig | None"
+    columns: np.ndarray
+    new_n: np.ndarray
+    new_d: np.ndarray
+    deltas: list
+    n_observations: int
+    result: IncorporateResult
+
+    def matches(self, observations, task_domains, max_iterations, robust) -> bool:
+        return (
+            observations is self.observations
+            and max_iterations == self.max_iterations
+            and robust == self.robust
+            and np.array_equal(task_domains, self.task_domains)
+        )
+
+    def report(self, commit: bool, tracer) -> None:
+        """The solve's ``mle.*`` events and warnings, fresh or reused alike."""
+        result = self.result
+        _emit_sweeps(self.deltas, result.converged, tracer)
+        n_tasks = len(self.task_domains)
+        if result.used_fallback:
+            _report_fallback(result.final_delta, self.robust, n_tasks, tracer)
+        if commit and not result.converged:
+            _report_non_convergence(
+                n_tasks, self.n_observations, result.iterations, result.final_delta, tracer
+            )
 
 
 class _DomainBlock:
@@ -104,7 +150,8 @@ class ExpertiseUpdater:
 
     The sums are two ``(n_users, n_domains)`` arrays; ``_columns`` maps each
     domain id to its column (in column order: new domains are appended and
-    a merge deletes the absorbed column).
+    a merge deletes the absorbed column).  ``_pending`` is the last
+    uncommitted solve; every change to the sums or columns drops it.
     """
 
     def __init__(self, n_users: int, alpha: float = 0.5):
@@ -117,6 +164,7 @@ class ExpertiseUpdater:
         self._columns: dict = {}
         self._numerators = np.zeros((self._n_users, 0))
         self._denominators = np.zeros((self._n_users, 0))
+        self._pending: "_Pending | None" = None
 
     @property
     def n_users(self) -> int:
@@ -133,6 +181,7 @@ class ExpertiseUpdater:
     def ensure_domain(self, domain_id: int) -> None:
         """Register ``domain_id`` with empty history (no-op if present)."""
         if domain_id not in self._columns:
+            self._pending = None
             self._columns[domain_id] = self._numerators.shape[1]
             empty = np.zeros((self._n_users, 1))
             self._numerators = np.hstack([self._numerators, empty])
@@ -145,6 +194,7 @@ class ExpertiseUpdater:
         self.ensure_domain(kept)
         if deleted not in self._columns:
             return
+        self._pending = None
         target, source = self._columns[kept], self._columns.pop(deleted)
         self._numerators[:, target] += self._numerators[:, source]
         self._denominators[:, target] += self._denominators[:, source]
@@ -190,6 +240,7 @@ class ExpertiseUpdater:
         errors become the initial ``N``/``D``.
         """
         columns, block = self._domain_block(observations, np.asarray(task_domains))
+        self._pending = None
         self._numerators[:, columns] += block.sparse.count_sums
         self._denominators[:, columns] += block.denominator_sums(
             result.truths, result.sigmas
@@ -217,7 +268,11 @@ class ExpertiseUpdater:
         *preview* used by the min-cost allocator, which re-estimates after
         every recruiting round but must only commit the day's final data.
         (Domains seen for the first time are still registered, with empty
-        history.)
+        history.)  The updater keeps the last preview: a call with the same
+        ``observations`` object, equal ``task_domains``, ``max_iterations``
+        and ``robust``, and no change to the sums in between, returns and
+        commits that solve instead of running it again.  Its outputs,
+        events and warnings are those of a fresh solve.
 
         ``robust`` enables the Huber/trimmed Eq. 5 reweighting, iteration
         damping, and weighted-median fallback (see
@@ -233,7 +288,22 @@ class ExpertiseUpdater:
         task_domains = _check_solve_inputs(observations, task_domains, max_iterations)
         if observations.n_users != self._n_users:
             raise ValueError("observation matrix has the wrong number of users")
+        pending = self._pending
+        if pending is None or not pending.matches(
+            observations, task_domains, max_iterations, robust
+        ):
+            pending = self._solve_step(observations, task_domains, max_iterations, robust)
+        pending.report(commit, tracer)
+        if commit:
+            self._numerators[:, pending.columns] = pending.new_n
+            self._denominators[:, pending.columns] = pending.new_d
+            self._pending = None
+        else:
+            self._pending = pending
+        return pending.result
 
+    def _solve_step(self, observations, task_domains, max_iterations, robust) -> _Pending:
+        """Run the Section 4.2 iteration against the current sums (no commit)."""
         columns, block = self._domain_block(observations, task_domains)
         sparse = block.sparse
         # Snapshots at time T; the decayed base stays fixed across iterations
@@ -251,26 +321,32 @@ class ExpertiseUpdater:
         expertise = expertise_from_sums(
             self._numerators[:, columns], self._denominators[:, columns]
         )
-        truths, sigmas, expertise, iterations, converged, final_delta = _solve(
-            sparse, expertise, refresh, max_iterations, robust, tracer
+        truths, sigmas, expertise, deltas, converged, final_delta = _solve(
+            sparse, expertise, refresh, max_iterations, robust
         )
         fallback = None
         if not converged:
-            fallback = _fallback(sparse, truths, expertise, final_delta, robust, tracer)
+            fallback = _fallback(sparse, truths, expertise, final_delta, robust)
         if fallback is not None:
             truths, sigmas = fallback
             expertise = refresh(truths, sigmas)
-        if commit:
-            if not converged:
-                _report_non_convergence(sparse, iterations, final_delta, tracer)
-            self._numerators[:, columns] = new_n
-            self._denominators[:, columns] = new_d
-        return IncorporateResult(
-            truths=truths,
-            sigmas=sigmas,
-            iterations=iterations,
-            converged=converged,
-            task_expertise=expertise[:, block.inverse],
-            final_delta=final_delta,
-            used_fallback=fallback is not None,
+        return _Pending(
+            observations=observations,
+            task_domains=task_domains.copy(),
+            max_iterations=max_iterations,
+            robust=robust,
+            columns=columns,
+            new_n=new_n,
+            new_d=new_d,
+            deltas=deltas,
+            n_observations=sparse.cols.size,
+            result=IncorporateResult(
+                truths=truths,
+                sigmas=sigmas,
+                iterations=len(deltas),
+                converged=converged,
+                task_expertise=expertise[:, block.inverse],
+                final_delta=final_delta,
+                used_fallback=fallback is not None,
+            ),
         )

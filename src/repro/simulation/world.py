@@ -65,6 +65,7 @@ class World:
                 raise ValueError(f"adversary index {user} out of range")
         self._rng = ensure_rng(seed)
         self._expertise = np.array([user.expertise for user in self._users], dtype=float)
+        self._true_values = np.array([task.true_value for task in self._tasks], dtype=float)
         self._base_numbers = np.array([task.base_number for task in self._tasks], dtype=float)
         self._true_domains = np.array([task.true_domain for task in self._tasks], dtype=np.intp)
 
@@ -122,14 +123,20 @@ class World:
         Each pair draws from the normal model, or from the uniform one with
         probability ``bias_fraction``; adversarial users' behaviours
         override the honest model entirely.  Every ``sigma_j / u_ij`` is
-        computed at once; the draws stay one pair at a time because the
-        bias roll and the adversaries interleave with them on one generator.
+        computed at once.  Without bias or adversaries every pair is one
+        normal draw, and one array call to ``Generator.normal`` yields the
+        same values and leaves the generator in the same state as the
+        per-pair calls; otherwise the draws stay one pair at a time because
+        the bias roll and the adversaries interleave with them on one
+        generator.
         """
         users, tasks = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-        stds = (self._base_numbers[tasks] / self.pair_expertise(users, tasks)).tolist()
+        stds = self._base_numbers[tasks] / self.pair_expertise(users, tasks)
         rng = self._rng
+        if self._bias_fraction == 0.0 and not self._adversaries:
+            return rng.normal(self._true_values[tasks], stds).tolist()
         values = []
-        for user, task, std in zip(users.tolist(), tasks.tolist(), stds):
+        for user, task, std in zip(users.tolist(), tasks.tolist(), stds.tolist()):
             task_spec = self._tasks[task]
             behaviour = self._adversaries.get(user)
             if behaviour is not None:
@@ -143,7 +150,7 @@ class World:
         return values
 
     def true_values(self) -> np.ndarray:
-        return np.array([task.true_value for task in self._tasks], dtype=float)
+        return self._true_values.copy()
 
     def base_numbers(self) -> np.ndarray:
         return self._base_numbers.copy()

@@ -197,3 +197,27 @@ class TestObjective:
         matrix[user, task] = True
         extended = Assignment(matrix=matrix)
         assert allocation_objective(problem, extended) >= allocation_objective(problem, base) - 1e-12
+
+    def test_objective_matches_scalar_column_products_exactly(self):
+        """Eq. 12 equals, with ``==``, each task's miss product taken one
+        assigned user at a time in ascending user order, then summed; the
+        instances include empty columns, full columns and p at or near 1."""
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n_users, n_tasks = int(rng.integers(1, 12)), int(rng.integers(1, 15))
+            problem = _problem(n_users, n_tasks, seed=int(rng.integers(1 << 30)))
+            p = rng.uniform(0.0, 1.0, (n_users, n_tasks))
+            near_one = rng.random(p.shape) < 0.2
+            p[near_one] = 1.0 - rng.choice([0.0, 1e-16, 1e-12, 1e-6], near_one.sum())
+            matrix = rng.random((n_users, n_tasks)) < rng.uniform(0.0, 1.0)
+            matrix[:, rng.random(n_tasks) < 0.2] = False
+            matrix[:, rng.random(n_tasks) < 0.1] = True
+            miss = []
+            for task in range(n_tasks):
+                product = 1.0
+                for user in range(n_users):
+                    if matrix[user, task]:
+                        product *= 1.0 - float(p[user, task])
+                miss.append(product)
+            expected = float(np.sum(1.0 - np.array(miss)))
+            assert allocation_objective(problem, Assignment(matrix=matrix), accuracy=p) == expected

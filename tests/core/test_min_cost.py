@@ -8,6 +8,7 @@ from repro.core.allocation import (
     MaxQualityAllocator,
     MinCostAllocator,
 )
+from repro.core.truth import update_truths_for_expertise
 from repro.stats.normal import standard_normal_quantile
 
 
@@ -205,3 +206,32 @@ def test_check_quality_matches_per_task_reference():
         decided += int(np.sum(want[recheck] != satisfied[recheck]))
     # The instances straddle the threshold: many verdicts flip both ways.
     assert decided > 1000
+
+
+def test_each_round_hands_estimate_its_own_matrix():
+    """Every matrix ``estimate`` received still holds its round's data at the end.
+
+    The matrices are values: a later round must not fold its observations
+    into an earlier round's arrays, and the outcome's matrix is the last
+    one ``estimate`` saw.
+    """
+    problem, observe, _, _ = _world(seed=11)
+    received = []
+
+    def estimate(observations):
+        received.append(
+            (observations, observations.values.copy(), observations.mask.copy())
+        )
+        truths, sigmas = update_truths_for_expertise(observations, problem.expertise)
+        return truths, sigmas, problem.expertise
+
+    outcome = MinCostAllocator(round_budget=15.0, error_limit=0.5).run(
+        problem, observe, estimate=estimate
+    )
+    assert len(received) == outcome.round_count >= 3
+    for observations, values, mask in received:
+        assert np.array_equal(observations.mask, mask)
+        assert np.array_equal(observations.values, values)
+    counts = [mask.sum() for _, _, mask in received]
+    assert counts == sorted(counts) and counts[0] < counts[-1]
+    assert outcome.observations is received[-1][0]

@@ -1,13 +1,18 @@
 """Tests for the decayed incremental expertise update (Eqs. 7-9)."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
+import repro.core.update as update_module
 from repro.core.expertise import DEFAULT_EXPERTISE, EXPERTISE_PRIOR_STRENGTH
 from repro.core.pipeline import ETA2System
+from repro.core.robust import RobustConfig
 from repro.core.serialization import state_fingerprint, updater_to_dict
 from repro.core.truth import estimate_truth
-from repro.core.update import ExpertiseUpdater
+from repro.core.update import ExpertiseUpdater, IncorporateResult
 from repro.truthdiscovery.base import ObservationMatrix
 
 
@@ -237,3 +242,188 @@ def test_running_sums_match_brute_force_exactly(setup):
     later, _, _ = _batch(rng, true_expertise[:, [0, 0, 2, 0, 0, 0, 0, 1]], day_domains, 200)
     updater.incorporate(later, day_domains, commit=False)
     assert state_fingerprint(system) == fingerprint
+
+
+class _EventLog:
+    """A minimal enabled tracer recording every event it is handed."""
+
+    enabled = True
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event_type, **fields):
+        self.events.append((event_type, sorted(fields.items())))
+
+
+@pytest.fixture
+def solve_count(monkeypatch):
+    """How many Section 4.2 solves the updater has run (a one-item list)."""
+    count = [0]
+    original = update_module._solve
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(update_module, "_solve", counting)
+    return count
+
+
+@pytest.fixture
+def day(setup):
+    """A seeded updater's inputs: warm-up batch and result, and one day.
+
+    The day has ~15 % junk values and one domain (3) the warm-up never saw.
+    """
+    rng, true_expertise = setup
+    warm_domains = rng.integers(0, 3, 60)
+    warm, _, _ = _batch(rng, true_expertise, warm_domains, 60)
+    day_domains = rng.integers(0, 4, 40)
+    observations, truths, sigmas = _batch(
+        rng, true_expertise[:, [0, 1, 2, 0]], day_domains, 40
+    )
+    junk = observations.mask & (rng.random(observations.mask.shape) < 0.15)
+    values = np.where(junk, truths + 8.0 * sigmas, observations.values)
+    observations = ObservationMatrix(values=values, mask=observations.mask)
+    return warm, warm_domains, estimate_truth(warm, warm_domains), observations, day_domains
+
+
+def _seeded(warm, warm_domains, batch):
+    updater = ExpertiseUpdater(n_users=30, alpha=0.5)
+    updater.seed_from_batch(warm, warm_domains, batch)
+    return updater
+
+
+def _recorded_commit(updater, observations, domains, caplog, **options):
+    """Commit with a tracer; the result, its events and its warning records."""
+    log = _EventLog()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        result = updater.incorporate(observations, domains, tracer=log, **options)
+    warnings = [(record.levelno, record.getMessage()) for record in caplog.records]
+    return result, log.events, warnings
+
+
+def _assert_same_result(left: IncorporateResult, right: IncorporateResult):
+    for field in dataclasses.fields(IncorporateResult):
+        a, b = getattr(left, field.name), getattr(right, field.name)
+        if isinstance(a, np.ndarray) or isinstance(a, float):
+            assert np.array_equal(a, b, equal_nan=True), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize(
+    "options, converged, used_fallback",
+    [
+        ({}, True, False),
+        ({"max_iterations": 1}, False, False),
+        ({"max_iterations": 2, "robust": RobustConfig(method="none", fallback=True)}, False, True),
+        (
+            {"max_iterations": 2, "robust": RobustConfig(method="trimmed", fallback_delta=1e-9)},
+            False,
+            True,
+        ),
+    ],
+    ids=["plain", "non-converged", "fallback", "trimmed-fallback"],
+)
+def test_commit_of_the_previewed_matrix_reuses_the_preview(
+    day, caplog, solve_count, options, converged, used_fallback
+):
+    """Preview then commit of one matrix == a fresh updater's direct commit:
+    the same sums (``==``), result fields, ``mle.*`` events and warnings,
+    from a single solve."""
+    warm, warm_domains, batch, observations, domains = day
+    fresh = _seeded(warm, warm_domains, batch)
+    expected, expected_events, expected_warnings = _recorded_commit(
+        fresh, observations, domains, caplog, **options
+    )
+    assert (expected.converged, expected.used_fallback) == (converged, used_fallback)
+    assert any(event == "mle.iteration" for event, _ in expected_events)
+    assert bool(expected_warnings) == (not converged)
+
+    updater = _seeded(warm, warm_domains, batch)
+    solve_count[0] = 0
+    updater.incorporate(observations, domains, commit=False, **options)
+    # Equal domain labels in a new array still match.
+    result, events, warnings = _recorded_commit(
+        updater, observations, domains.copy(), caplog, **options
+    )
+    assert solve_count[0] == 1
+    assert updater_to_dict(updater) == updater_to_dict(fresh)
+    _assert_same_result(result, expected)
+    assert repr(events) == repr(expected_events)  # NaN deltas compare by repr
+    assert warnings == expected_warnings
+    # The commit consumed the preview: committing again solves again.
+    updater.incorporate(observations, domains, **options)
+    assert solve_count[0] == 2
+
+
+def _change_matrix(updater, observations, domains):
+    copy = ObservationMatrix(values=observations.values.copy(), mask=observations.mask.copy())
+    return copy, domains, {}
+
+
+def _change_domains(updater, observations, domains):
+    changed = domains.copy()
+    changed[0] = (changed[0] + 1) % 3
+    return observations, changed, {}
+
+
+def _change_robust(updater, observations, domains):
+    return observations, domains, {"robust": RobustConfig(method="huber")}
+
+
+def _merge(updater, observations, domains):
+    updater.merge_domains(0, 1)
+    return observations, domains, {}
+
+
+def _new_domain(updater, observations, domains):
+    updater.ensure_domain(9)
+    return observations, domains, {}
+
+
+def _known_domain(updater, observations, domains):
+    updater.ensure_domain(0)  # already registered: no change, the preview stays
+    return observations, domains, {}
+
+
+def _reseed(updater, observations, domains):
+    warm_domains = np.zeros(observations.n_tasks, dtype=int)
+    updater.seed_from_batch(observations, warm_domains, estimate_truth(observations, warm_domains))
+    return observations, domains, {}
+
+
+@pytest.mark.parametrize(
+    "between, reused",
+    [
+        (_change_matrix, False),
+        (_change_domains, False),
+        (_change_robust, False),
+        (_merge, False),
+        (_new_domain, False),
+        (_reseed, False),
+        (_known_domain, True),
+    ],
+    ids=["other-matrix", "other-domains", "other-robust", "merge", "new-domain", "seed", "known-domain"],
+)
+def test_commit_solves_again_when_anything_changed_since_the_preview(
+    day, solve_count, between, reused
+):
+    """A changed input or a mutated updater discards the preview; either way
+    the commit equals the same sequence run without the preview."""
+    warm, warm_domains, batch, observations, domains = day
+    plain = _seeded(warm, warm_domains, batch)
+    commit_obs, commit_domains, options = between(plain, observations, domains)
+    expected = plain.incorporate(commit_obs, commit_domains, **options)
+
+    updater = _seeded(warm, warm_domains, batch)
+    updater.incorporate(observations, domains, commit=False)
+    solve_count[0] = 0
+    commit_obs, commit_domains, options = between(updater, observations, domains)
+    result = updater.incorporate(commit_obs, commit_domains, **options)
+    assert solve_count[0] == (0 if reused else 1)
+    assert updater_to_dict(updater) == updater_to_dict(plain)
+    _assert_same_result(result, expected)

@@ -143,6 +143,10 @@ def test_observe_pairs_matches_scalar_reference(bias_fraction, adversarial, drif
         world.advance_day()
         reference_rng.normal(0.0, drift_rate, size=(len(users), 3))
     expertise = world.true_expertise_matrix()
+    # An empty batch draws nothing on every path.
+    state = rng.bit_generator.state
+    assert world.observe_pairs([]) == []
+    assert rng.bit_generator.state == state
     pairs = [(user, task) for task in range(len(tasks)) for user in range(len(users))]
     pairs += [(4, 0), (0, 3), (0, 3)]
     values = world.observe_pairs(pairs)
