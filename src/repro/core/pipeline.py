@@ -33,11 +33,12 @@ from repro.core.allocation.baselines import RandomAllocator
 from repro.core.allocation.max_quality import MaxQualityAllocator
 from repro.core.allocation.min_cost import MinCostAllocator
 from repro.core.expertise import ExpertiseMatrix
+from repro.core.hooks import LAYERS, StepHook
 from repro.core.robust import RobustConfig
 from repro.core.truth import SIGMA_FLOOR, estimate_truth
 from repro.core.update import ExpertiseUpdater
 from repro.observability.tracer import NULL_TRACER
-from repro.perf.timers import PHASES, PhaseTimer, merge_timings
+from repro.perf.timers import PhaseTimer
 from repro.semantics.distance import semantics_for_descriptions
 from repro.semantics.embeddings.base import EmbeddingModel
 from repro.semantics.embeddings.cooccurrence import PPMISVDEmbedding
@@ -105,6 +106,9 @@ class StepResult:
     #: Merged :class:`~repro.reliability.guards.GuardReport` of this step's
     #: phase-boundary checks (None without guards enabled).
     guard_report: "object | None" = None
+    #: Merged :class:`~repro.core.allocation.lazy_greedy.GreedyStats` of this
+    #: step's greedy passes (None without one, e.g. at warm-up).
+    greedy_stats: "object | None" = None
 
     @property
     def degraded(self) -> bool:
@@ -214,20 +218,19 @@ class ETA2System:
         self._warmed_up = False
         #: Per-step MLE iteration counts (consumed by the Fig. 12 experiment).
         self.iteration_log: list = []
-        #: Cumulative wall-clock seconds per pipeline phase across all steps.
-        self.phase_totals: dict = {name: 0.0 for name in PHASES}
-        # Reliability layer (all optional; see enable_checkpointing /
-        # enable_reputation / enable_guards).
-        self._checkpoint = None
         if robust is not None and not isinstance(robust, RobustConfig):
             raise TypeError("robust must be a RobustConfig or None")
         self._robust = robust
+        #: Completed warm-up/daily steps (drives checkpoint numbering).
+        self.completed_steps = 0
+        # Optional layers, all off until their enable_* call: each keeps its
+        # objects below and its StepHook in _layers (run as _hooks).
         #: Cross-day reputation tracker (None until enable_reputation()).
         self.reputation = None
         #: Phase-boundary invariant guard (None until enable_guards()).
         self.guard = None
-        #: Completed warm-up/daily steps (drives checkpoint numbering).
-        self.completed_steps = 0
+        #: Checkpoint writer (None until enable_checkpointing()).
+        self.checkpoint_manager = None
         # Telemetry (see enable_telemetry): the no-op tracer costs one
         # attribute check per instrumentation point, so it stays attached.
         self.tracer = NULL_TRACER
@@ -235,13 +238,8 @@ class ETA2System:
         self.metrics = None
         #: Optional run manifest (repro.observability.run_manifest).
         self.run_manifest = None
-
-    def _incorporate_phase(self, observations, domains, commit=True, traced=True):
-        """Dynamic update (Section 4.2)."""
-        tracer = self.tracer if (traced and self.tracer.enabled) else None
-        return self._updater.incorporate(
-            observations, domains, commit=commit, robust=self._robust, tracer=tracer
-        )
+        self._layers: dict = {}
+        self._hooks: list = []
 
     @property
     def n_users(self) -> int:
@@ -256,8 +254,20 @@ class ETA2System:
         return self._updater.expertise_matrix()
 
     # ------------------------------------------------------------------ #
-    # Reliability layer (reputation, guards, crash-safe checkpointing)
+    # Optional layers: each enable_* installs one StepHook (lazy imports)
     # ------------------------------------------------------------------ #
+
+    def _install(self, layer: str, hook: StepHook) -> None:
+        """Turn one layer's hook on; hooks run in LAYERS order, and every
+        install points the guard and checkpoints at the current telemetry."""
+        self._layers[layer] = hook
+        self._hooks = [self._layers[name] for name in LAYERS if name in self._layers]
+        if self.guard is not None:
+            self.guard.tracer = self.tracer
+        if self.checkpoint_manager is not None:
+            self.checkpoint_manager.tracer = self.tracer
+            if self.checkpoint_manager.manifest is None:
+                self.checkpoint_manager.manifest = self.run_manifest
 
     def enable_reputation(self, config=None):
         """Track cross-day worker reputation and quarantine misbehaviour.
@@ -268,11 +278,12 @@ class ETA2System:
         allocation excludes the currently quarantined users.  Returns the
         tracker (also kept on ``system.reputation``).
         """
-        from repro.reliability.reputation import ReputationConfig, ReputationTracker
+        from repro.reliability.reputation import ReputationConfig, ReputationHook, ReputationTracker
 
         if config is None:
             config = ReputationConfig(alpha=self._updater.alpha)
         self.reputation = ReputationTracker(self._n_users, config)
+        self._install("reputation", ReputationHook())
         return self.reputation
 
     def enable_guards(self, policy: str = "warn", config=None):
@@ -283,12 +294,10 @@ class ETA2System:
         given).  Returns the guard (also kept on ``system.guard``); each
         step's merged report lands on ``StepResult.guard_report``.
         """
-        from repro.reliability.guards import GuardConfig, InvariantGuard
+        from repro.reliability.guards import GuardConfig, GuardHook, InvariantGuard
 
-        self.guard = InvariantGuard(
-            config if config is not None else GuardConfig(policy=policy),
-            tracer=self.tracer,
-        )
+        self.guard = InvariantGuard(config if config is not None else GuardConfig(policy=policy))
+        self._install("guards", GuardHook())
         return self.guard
 
     def enable_telemetry(self, tracer=None, metrics=None, manifest=None):
@@ -302,75 +311,16 @@ class ETA2System:
         subsystems enabled later pick it up automatically — call order
         does not matter.
         """
+        from repro.observability.hooks import TelemetryHook
+
         if tracer is not None:
             self.tracer = tracer
         if metrics is not None:
             self.metrics = metrics
         if manifest is not None:
             self.run_manifest = manifest
-        if self.guard is not None:
-            self.guard.tracer = self.tracer
-        if self._checkpoint is not None:
-            self._checkpoint.tracer = self.tracer
-            if self._checkpoint.manifest is None:
-                self._checkpoint.manifest = self.run_manifest
+        self._install("telemetry", TelemetryHook())
         return self
-
-    def _eligibility(self) -> "tuple[np.ndarray | None, tuple]":
-        """Allocation eligibility mask and the users it excludes."""
-        if self.reputation is None:
-            return None, ()
-        eligible = self.reputation.eligible
-        if np.all(eligible):
-            return None, ()
-        if not np.any(eligible):
-            # The loop must keep collecting data no matter what the tracker
-            # thinks; an all-quarantined roster would otherwise deadlock it.
-            _LOG.warning(
-                "every user is quarantined; suspending eligibility filtering for this step"
-            )
-            return None, ()
-        return eligible, tuple(int(u) for u in np.flatnonzero(~eligible))
-
-    def _check_partition(self, domains: np.ndarray, new_domains) -> "object | None":
-        if self.guard is None:
-            return None
-        if self._clustering.is_fitted:
-            # Every label the clusterer emitted must be either already
-            # tracked by the updater or declared new this very step —
-            # anything else means the merge bookkeeping between the two
-            # modules has diverged.
-            known = set(self._updater.domain_ids) | set(new_domains)
-        else:
-            known = set(domains.tolist())
-        return self.guard.check_partition(domains, known)
-
-    def _record_reputation(self, observations, truths, sigmas, task_expertise):
-        if self.reputation is None:
-            return None
-        summary = self.reputation.record_day(
-            observations.mask, observations.values, truths, sigmas, task_expertise
-        )
-        if self.tracer.enabled and summary is not None:
-            if summary.newly_quarantined:
-                self.tracer.emit(
-                    "reputation.quarantine",
-                    day=summary.day,
-                    users=list(summary.newly_quarantined),
-                )
-            if summary.newly_probation:
-                self.tracer.emit(
-                    "reputation.probation",
-                    day=summary.day,
-                    users=list(summary.newly_probation),
-                )
-            if summary.reinstated:
-                self.tracer.emit(
-                    "reputation.reinstate",
-                    day=summary.day,
-                    users=list(summary.reinstated),
-                )
-        return summary
 
     def enable_checkpointing(self, directory, keep: int = 3):
         """Checkpoint automatically after every completed warm-up/step.
@@ -378,16 +328,11 @@ class ETA2System:
         Returns the :class:`~repro.reliability.checkpoint.CheckpointManager`
         (also kept on the system) so callers can inspect or restore.
         """
-        from repro.reliability.checkpoint import CheckpointManager
+        from repro.reliability.checkpoint import CheckpointHook, CheckpointManager
 
-        self._checkpoint = CheckpointManager(
-            directory, keep=keep, manifest=self.run_manifest, tracer=self.tracer
-        )
-        return self._checkpoint
-
-    @property
-    def checkpoint_manager(self):
-        return self._checkpoint
+        self.checkpoint_manager = CheckpointManager(directory, keep=keep)
+        self._install("checkpoint", CheckpointHook())
+        return self.checkpoint_manager
 
     def restore_latest(self) -> "int | None":
         """Restore the newest valid checkpoint (requires checkpointing).
@@ -395,16 +340,9 @@ class ETA2System:
         Returns the restored step number, or None when no valid checkpoint
         exists; in that case the system keeps its current (cold) state.
         """
-        if self._checkpoint is None:
+        if self.checkpoint_manager is None:
             raise RuntimeError("call enable_checkpointing() first")
-        step = self._checkpoint.restore(self)
-        if step is None:
-            _LOG.warning(
-                "no valid checkpoint found in %s; starting cold", self._checkpoint.directory
-            )
-        else:
-            self.completed_steps = step
-        return step
+        return self.checkpoint_manager.restore(self)
 
     @classmethod
     def resume(cls, directory, keep: int = 3, **system_kwargs) -> "ETA2System":
@@ -420,126 +358,6 @@ class ETA2System:
         system.restore_latest()
         return system
 
-    def _after_step(self, result: StepResult, kind: str) -> StepResult:
-        """End-of-step bookkeeping: convergence surfacing, telemetry,
-        checkpointing."""
-        if not result.converged:
-            _LOG.warning(
-                "%s step %d produced non-converged truth estimates after %d iterations",
-                kind,
-                self.completed_steps + 1,
-                result.mle_iterations,
-            )
-        self.completed_steps += 1
-        if self.tracer.enabled:
-            if result.excluded_users:
-                self.tracer.emit(
-                    "allocation.excluded", users=list(result.excluded_users)
-                )
-            self.tracer.emit(
-                "step.end",
-                step=self.completed_steps,
-                kind=kind,
-                converged=bool(result.converged),
-                iterations=int(result.mle_iterations),
-                pairs=int(result.pair_count),
-                observations=int(result.observations.observation_count),
-                cost=float(result.allocation_cost),
-            )
-        if self.metrics is not None:
-            self._record_metrics(result, kind)
-        if self._checkpoint is not None:
-            path = self._checkpoint.save(
-                self,
-                self.completed_steps,
-                metadata={
-                    "kind": kind,
-                    "converged": bool(result.converged),
-                    "mle_iterations": int(result.mle_iterations),
-                    "pair_count": int(result.pair_count),
-                },
-            )
-            if self.metrics is not None:
-                nbytes = path.stat().st_size
-                self.metrics.counter(
-                    "repro_checkpoint_bytes_total",
-                    "Bytes written to checkpoint files.",
-                ).inc(nbytes)
-                self.metrics.gauge(
-                    "repro_checkpoint_last_bytes",
-                    "Size of the most recent checkpoint file.",
-                ).set(nbytes)
-        return result
-
-    def _record_allocation_stats(self, stats) -> None:
-        """Surface the lazy-greedy kernel's work counters (tracer + metrics).
-
-        ``stats`` is a :class:`~repro.core.allocation.lazy_greedy.GreedyStats`
-        merged across this step's greedy passes (None when the step ran no
-        greedy, e.g. during warm-up's random allocation).
-        """
-        if stats is None:
-            return
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "allocation.greedy",
-                picks=int(stats.picks),
-                pops=int(stats.pops),
-                evaluations=int(stats.evaluations),
-            )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_allocation_picks_total",
-                "Pairs picked by the lazy-greedy allocation kernel.",
-            ).inc(int(stats.picks))
-            self.metrics.counter(
-                "repro_allocation_reevaluations_total",
-                "Stale heap entries re-evaluated by the lazy-greedy kernel.",
-            ).inc(int(stats.evaluations))
-
-    def _record_metrics(self, result: StepResult, kind: str) -> None:
-        """Fold one completed step into the metrics registry."""
-        metrics = self.metrics
-        metrics.counter(
-            "repro_steps_total", "Completed warm-up/daily steps."
-        ).inc(1, kind=kind)
-        metrics.counter(
-            "repro_observations_total", "Observations collected across all steps."
-        ).inc(int(result.observations.observation_count))
-        metrics.counter(
-            "repro_assigned_pairs_total", "User/task pairs assigned by the allocators."
-        ).inc(int(result.pair_count))
-        metrics.counter(
-            "repro_allocation_cost_total", "Cumulative allocation cost (Problem 2)."
-        ).inc(float(result.allocation_cost))
-        metrics.histogram(
-            "repro_mle_iterations",
-            "Iterations the Eq. 5-6 MLE took to converge, per step.",
-        ).observe(int(result.mle_iterations))
-        if not result.converged:
-            metrics.counter(
-                "repro_mle_non_convergence_total",
-                "Steps whose truth analysis exhausted its iteration budget.",
-            ).inc()
-        domains, counts = np.unique(result.task_domains, return_counts=True)
-        tasks_per_domain = metrics.counter(
-            "repro_tasks_total", "Tasks processed, by expertise domain."
-        )
-        for domain, count in zip(domains.tolist(), counts.tolist()):
-            tasks_per_domain.inc(int(count), domain=str(domain))
-        if result.excluded_users:
-            metrics.counter(
-                "repro_excluded_users_total",
-                "User-steps excluded from allocation by quarantine.",
-            ).inc(len(result.excluded_users))
-        if result.guard_report is not None and not result.guard_report.ok:
-            metrics.counter(
-                "repro_guard_violations_total", "Invariant-guard violations."
-            ).inc(int(result.guard_report.violation_count))
-        metrics.gauge(
-            "repro_domains", "Distinct expertise domains currently tracked."
-        ).set(len(self._updater.domain_ids))
-
     # ------------------------------------------------------------------ #
     # Domain identification (Module 1)
     # ------------------------------------------------------------------ #
@@ -553,14 +371,10 @@ class ETA2System:
         """Domain ids for a batch of tasks, plus (merges, new_domains)."""
         with_text = [task.description is not None for task in tasks]
         if all(with_text):
-            vectors = np.vstack(
-                [
-                    item.concatenated
-                    for item in semantics_for_descriptions(
-                        [task.description for task in tasks], self._embedding_model()
-                    )
-                ]
+            semantics = semantics_for_descriptions(
+                [task.description for task in tasks], self._embedding_model()
             )
+            vectors = np.vstack([item.concatenated for item in semantics])
             if self._clustering.is_fitted:
                 result = self._clustering.add(vectors)
             else:
@@ -635,20 +449,25 @@ class ETA2System:
         """The step sequence behind every entry point.
 
         Identify the tasks' domains, let ``gather(timer, tasks, domains)``
-        run the allocate/collect phases and return ``(problem, excluded,
-        assignment, observations)``, then analyse: a ``"warm-up"`` step
+        run the allocate/collect phases and return ``(problem, assignment,
+        observations, greedy_stats)``, then analyse: a ``"warm-up"`` step
         seeds the updater from the batch MLE (Section 4.1), a ``"daily"``
-        step folds the data in with the decayed update (Section 4.2).
+        step folds the data in with the decayed update (Section 4.2).  The
+        installed hooks check the partition after identify, repair the §4
+        outputs and record every counted step.
         """
         if self.tracer.enabled:
             self.tracer.emit(
                 "step.start", step=self.completed_steps + 1, kind=kind, n_tasks=len(tasks)
             )
+        tracer = self.tracer if self.tracer.enabled else None
         timer = PhaseTimer(tracer=self.tracer)
         with timer.phase("identify"):
             domains, merges, new_domains = self._identify_domains(tasks)
-        guard_reports = [self._check_partition(domains, new_domains)]
-        problem, excluded, assignment, observations = gather(timer, tasks, domains)
+        report = None
+        for hook in self._hooks:
+            report = hook.check_partition(self, domains, new_domains, report)
+        problem, assignment, observations, greedy_stats = gather(timer, tasks, domains)
 
         degraded = observations.observation_count == 0
         if degraded:
@@ -669,12 +488,11 @@ class ETA2System:
             iterations, converged = 0, False
         elif kind == "warm-up":
             with timer.phase("truth"):
-                tracer = self.tracer if self.tracer.enabled else None
                 batch = estimate_truth(observations, domains, robust=self._robust, tracer=tracer)
-                # Guard before seeding: a repaired estimate is what the
+                # Repair before seeding: a repaired estimate is what the
                 # updater must start from.
-                truths, sigmas, expertise = self._guard_truths(
-                    batch.truths, batch.sigmas, batch.expertise, observations, guard_reports
+                truths, sigmas, expertise, report = self._repair(
+                    batch.truths, batch.sigmas, batch.expertise, observations, report
                 )
                 batch = replace(batch, truths=truths, sigmas=sigmas, expertise=expertise)
                 self._updater.seed_from_batch(observations, domains, batch)
@@ -683,19 +501,16 @@ class ETA2System:
             iterations, converged = batch.iterations, batch.converged
         else:
             with timer.phase("truth"):
-                update = self._incorporate_phase(observations, domains)
-            truths, sigmas, task_expertise = self._guard_truths(
-                update.truths,
-                update.sigmas,
-                update.task_expertise,
-                observations,
-                guard_reports,
+                update = self._updater.incorporate(
+                    observations, domains, commit=True, robust=self._robust, tracer=tracer
+                )
+            truths, sigmas, task_expertise, report = self._repair(
+                update.truths, update.sigmas, update.task_expertise, observations, report
             )
             iterations, converged = update.iterations, update.converged
         self.iteration_log.append(iterations)
-        summary = (
-            None if degraded else self._record_reputation(observations, truths, sigmas, task_expertise)
-        )
+        eligible = problem.eligible
+        excluded = () if eligible is None else tuple(int(u) for u in np.flatnonzero(~eligible))
         result = StepResult(
             assignment=assignment,
             observations=observations,
@@ -710,51 +525,52 @@ class ETA2System:
             converged=converged,
             timings=timer.timings(),
             excluded_users=excluded,
-            reputation=summary,
-            guard_report=self._merge_guard_reports(guard_reports),
+            guard_report=report,
+            greedy_stats=greedy_stats,
         )
-        merge_timings(self.phase_totals, result.timings)
         if degraded:
-            # Nothing was learned: no step is counted and no checkpoint
-            # written, but the non-converged result surfaces the bad day.
+            # Nothing was learned: no step is counted, scored or
+            # checkpointed, but the non-converged result surfaces the bad day.
             return result
-        return self._after_step(result, kind)
+        if not converged:
+            _LOG.warning(
+                "%s step %d produced non-converged truth estimates after %d iterations",
+                kind,
+                self.completed_steps + 1,
+                iterations,
+            )
+        self.completed_steps += 1
+        for hook in self._hooks:
+            result = hook.after_step(self, result, kind)
+        return result
 
-    def _guard_truths(self, truths, sigmas, expertise, observations, reports):
-        """Phase-boundary checks of one truth analysis (no-op without guards).
-
-        Returns the (possibly repaired) ``truths``, ``sigmas`` and
-        ``expertise`` and appends the two reports to ``reports``.
-        """
-        if self.guard is None:
-            return truths, sigmas, expertise
-        truths, sigmas, truth_report = self.guard.check_truths(
-            truths, sigmas, observed=observations.mask.any(axis=0)
-        )
-        expertise, expertise_report = self.guard.check_expertise(expertise)
-        reports += [truth_report, expertise_report]
-        return truths, sigmas, expertise
+    def _repair(self, truths, sigmas, expertise, observations, report):
+        """Run the hooks' §4 repair point over one truth analysis."""
+        for hook in self._hooks:
+            truths, sigmas, expertise, report = hook.repair(
+                self, truths, sigmas, expertise, observations, report
+            )
+        return truths, sigmas, expertise, report
 
     def _gather_random(self, observe: Callable, timer: PhaseTimer, tasks, domains):
         """Warm-up gather: random allocation (no expertise is known yet)."""
         with timer.phase("allocate"):
-            problem, excluded = self._problem(tasks, domains)
+            problem = self._problem(tasks, domains)
             assignment = self._random.allocate(problem)
         with timer.phase("collect"):
             observations = assignment.collect(observe)
-        return problem, excluded, assignment, observations
+        return problem, assignment, observations, None
 
     def _gather_allocated(self, observe: Callable, timer: PhaseTimer, tasks, domains):
         """Daily gather: expertise-aware allocation, then collection."""
         with timer.phase("allocate"):
-            problem, excluded = self._problem(tasks, domains)
+            problem = self._problem(tasks, domains)
         if self._allocator_kind == "max-quality":
             with timer.phase("allocate"):
                 assignment = self._max_quality.allocate(problem)
-            self._record_allocation_stats(self._max_quality.last_stats)
             with timer.phase("collect"):
                 observations = assignment.collect(observe)
-            return problem, excluded, assignment, observations
+            return problem, assignment, observations, self._max_quality.last_stats
         # Algorithm 2 interleaves recruiting with collection and truth
         # previews inside one call: time the nested callbacks directly and
         # credit the remainder of the span to allocation.
@@ -764,57 +580,41 @@ class ETA2System:
         outcome = self._min_cost.run(
             problem,
             observe=timer.wrap("collect", observe),
-            estimate=timer.wrap("truth", self._min_cost_estimator(domains)),
+            estimate=timer.wrap("truth", partial(self._preview, domains)),
         )
         span = timer.now() - start
         nested = (timer.get("collect") - collected_before) + (timer.get("truth") - truth_before)
         timer.add("allocate", span - nested)
-        self._record_allocation_stats(outcome.greedy_stats)
-        return problem, excluded, outcome.assignment, outcome.observations
+        return problem, outcome.assignment, outcome.observations, outcome.greedy_stats
 
     def _gather_reports(self, reports, timer: PhaseTimer, tasks, domains):
         """Streamed gather: fold replayed reports; nothing is allocated."""
         with timer.phase("allocate"):
-            problem, excluded = self._problem(tasks, domains)
+            problem = self._problem(tasks, domains)
         with timer.phase("collect"):
-            observations = self._observations_from_reports(reports, len(tasks), problem.eligible)
+            observations = ObservationMatrix.from_triples(reports, self._n_users, len(tasks))
+            if problem.eligible is not None:
+                # Quarantine is per user: clearing the rows of excluded
+                # users drops exactly their reports.
+                keep = problem.eligible[:, None]
+                observations = ObservationMatrix(
+                    values=np.where(keep, observations.values, 0.0), mask=observations.mask & keep
+                )
             # The implied assignment is exactly the observed pairs: cost
             # accounting charges each task's cost per delivering user.
             assignment = Assignment(matrix=observations.mask.copy())
-        return problem, excluded, assignment, observations
-
-    def _observations_from_reports(self, reports, n_tasks: int, eligible) -> ObservationMatrix:
-        """Fold ``(user, local_task, value)`` triples into an observation matrix.
-
-        Every report goes through :meth:`ObservationMatrix.from_triples`;
-        the rows of quarantined users are then cleared, which drops exactly
-        their reports (quarantine is per user).
-        """
-        observations = ObservationMatrix.from_triples(reports, self._n_users, n_tasks)
-        if eligible is None:
-            return observations
-        keep = eligible[:, None]
-        return ObservationMatrix(
-            values=np.where(keep, observations.values, 0.0), mask=observations.mask & keep
-        )
+        return problem, assignment, observations, None
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _merge_guard_reports(self, reports) -> "object | None":
-        if self.guard is None:
-            return None
-        from repro.reliability.guards import GuardReport
-
-        return GuardReport.merge(reports)
-
-    def _problem(
-        self, tasks: Sequence[IncomingTask], domains: np.ndarray
-    ) -> "tuple[AllocationProblem, tuple]":
-        """This step's allocation problem and the users it excludes."""
-        eligible, excluded = self._eligibility()
-        problem = AllocationProblem(
+    def _problem(self, tasks: Sequence[IncomingTask], domains: np.ndarray) -> AllocationProblem:
+        """This step's allocation problem; the hooks narrow who is eligible."""
+        eligible = None
+        for hook in self._hooks:
+            eligible = hook.eligible(self, eligible)
+        return AllocationProblem(
             expertise=self._updater.task_expertise(domains),
             processing_times=np.array([task.processing_time for task in tasks], dtype=float),
             capacities=self._capacities,
@@ -822,20 +622,13 @@ class ETA2System:
             costs=np.array([task.cost for task in tasks], dtype=float),
             eligible=eligible,
         )
-        return problem, excluded
 
-    def _min_cost_estimator(self, domains: np.ndarray) -> Callable:
+    def _preview(self, domains: np.ndarray, observations: ObservationMatrix):
         """Expertise-aware estimation for Algorithm 2's inner rounds.
 
         Each round previews the Section 4.2 update on the data collected so
         far *without committing it*, returning refreshed truths, sigmas and
         the per-task expertise the confidence-interval check needs.
         """
-
-        def estimate(observations: ObservationMatrix):
-            preview = self._incorporate_phase(
-                observations, domains, commit=False, traced=False
-            )
-            return preview.truths, preview.sigmas, preview.task_expertise
-
-        return estimate
+        result = self._updater.incorporate(observations, domains, commit=False, robust=self._robust)
+        return result.truths, result.sigmas, result.task_expertise

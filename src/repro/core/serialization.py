@@ -225,7 +225,7 @@ def apply_system_state(system: ETA2System, state: dict) -> ETA2System:
     system.iteration_log = iteration_log
     reputation_state = state.get("reputation")
     if reputation_state is not None:
-        from repro.reliability.reputation import ReputationTracker
+        from repro.reliability.reputation import ReputationHook, ReputationTracker
 
         tracker = ReputationTracker.load_state(reputation_state)
         if tracker.n_users != system.n_users:
@@ -233,7 +233,9 @@ def apply_system_state(system: ETA2System, state: dict) -> ETA2System:
                 f"reputation state has {tracker.n_users} users but the system "
                 f"was built for {system.n_users}"
             )
+        # A restored tracker keeps scoring and excluding users: hook it in.
         system.reputation = tracker
+        system._install("reputation", ReputationHook())
     return system
 
 

@@ -73,8 +73,7 @@ class _Pending:
     instead of solving again (Algorithm 2 previews every round, then the
     pipeline commits the last round's matrix).  The key is the matrix
     *object* plus the tasks' domains and the solve settings: an
-    :class:`ObservationMatrix` is a frozen value, and no caller writes
-    into the arrays of one it has handed out.
+    :class:`ObservationMatrix` and its arrays are read-only.
     """
 
     observations: ObservationMatrix

@@ -16,10 +16,9 @@ import them without cycles:
   equivalence and speedup yardstick.
 """
 
-from repro.perf.timers import PHASES, PhaseTimer, merge_timings
+from repro.perf.timers import PHASES, PhaseTimer
 
 __all__ = [
     "PHASES",
     "PhaseTimer",
-    "merge_timings",
 ]

@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable
 
-__all__ = ["PHASES", "PhaseTimer", "merge_timings"]
+__all__ = ["PHASES", "PhaseTimer"]
 
 #: The canonical step phases, in pipeline order.
 PHASES = ("identify", "allocate", "collect", "truth")
@@ -100,10 +100,3 @@ class PhaseTimer:
         out.update(self._seconds)
         return out
 
-
-def merge_timings(totals: dict, step_timings: "dict | None") -> dict:
-    """Fold one step's timings into a running total (in place; returned)."""
-    if step_timings:
-        for name, seconds in step_timings.items():
-            totals[name] = totals.get(name, 0.0) + float(seconds)
-    return totals

@@ -29,7 +29,9 @@ import re
 from pathlib import Path
 from typing import Callable
 
-__all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
+from repro.core.hooks import StepHook
+
+__all__ = ["CheckpointError", "CheckpointHook", "CheckpointManager", "CHECKPOINT_VERSION"]
 
 _LOG = logging.getLogger(__name__)
 
@@ -209,17 +211,20 @@ class CheckpointManager:
     def restore(self, system) -> "int | None":
         """Restore the newest valid checkpoint into ``system``.
 
-        Returns the restored step number, or None when no valid checkpoint
-        exists (the system is left untouched).
+        Returns the restored step number, which also becomes the system's
+        ``completed_steps``, or None when no valid checkpoint exists (the
+        system is left untouched and starts cold, with a warning).
         """
         from repro.core.serialization import apply_system_state
 
         found = self.latest_valid()
         if found is None:
+            _LOG.warning("no valid checkpoint found in %s; starting cold", self.directory)
             return None
         path, record = found
         self._check_drift(path, record)
         apply_system_state(system, record["state"])
+        system.completed_steps = int(record["step"])
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             tracer.emit("checkpoint.restore", step=int(record["step"]), file=path.name)
@@ -258,3 +263,29 @@ class CheckpointManager:
                 stored=stored_hash,
                 current=current_hash,
             )
+
+
+class CheckpointHook(StepHook):
+    """Saves ``system.checkpoint_manager``'s checkpoint after every counted
+    step (``enable_checkpointing``) and, with metrics attached, its size."""
+
+    def after_step(self, system, result, kind: str):
+        path = system.checkpoint_manager.save(
+            system,
+            system.completed_steps,
+            metadata={
+                "kind": kind,
+                "converged": bool(result.converged),
+                "mle_iterations": int(result.mle_iterations),
+                "pair_count": int(result.pair_count),
+            },
+        )
+        if system.metrics is not None:
+            nbytes = path.stat().st_size
+            system.metrics.counter(
+                "repro_checkpoint_bytes_total", "Bytes written to checkpoint files."
+            ).inc(nbytes)
+            system.metrics.gauge(
+                "repro_checkpoint_last_bytes", "Size of the most recent checkpoint file."
+            ).set(nbytes)
+        return result

@@ -35,10 +35,12 @@ from repro.core.expertise import (
     MIN_EXPERTISE,
     clamp_expertise,
 )
+from repro.core.hooks import StepHook
 from repro.core.truth import SIGMA_FLOOR
 
 __all__ = [
     "GuardConfig",
+    "GuardHook",
     "GuardReport",
     "GuardViolation",
     "InvariantGuard",
@@ -294,3 +296,30 @@ class InvariantGuard:
                 )
             )
         return self._handle(violations, repaired=False)
+
+
+class GuardHook(StepHook):
+    """Runs ``system.guard`` at the loop's two phase boundaries (``enable_guards``).
+
+    Each point merges its reports into the step's ``StepResult.guard_report``
+    (a degraded step carries the partition check's alone).
+    """
+
+    def check_partition(self, system, domains, new_domains, report):
+        if system._clustering.is_fitted:
+            # Every label the clusterer emitted must be either already
+            # tracked by the updater or declared new this very step —
+            # anything else means the merge bookkeeping between the two
+            # modules has diverged.
+            known = set(system._updater.domain_ids) | set(new_domains)
+        else:
+            known = set(domains.tolist())
+        return GuardReport.merge([report, system.guard.check_partition(domains, known)])
+
+    def repair(self, system, truths, sigmas, expertise, observations, report):
+        truths, sigmas, truth_report = system.guard.check_truths(
+            truths, sigmas, observed=observations.mask.any(axis=0)
+        )
+        expertise, expertise_report = system.guard.check_expertise(expertise)
+        report = GuardReport.merge([report, truth_report, expertise_report])
+        return truths, sigmas, expertise, report

@@ -65,15 +65,18 @@ zero, and any rule that flagged them would flag honest novices too.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from repro.core.hooks import StepHook
 
 __all__ = [
     "ACTIVE",
     "QUARANTINED",
     "PROBATION",
     "ReputationConfig",
+    "ReputationHook",
     "ReputationScores",
     "ReputationSummary",
     "ReputationTracker",
@@ -504,3 +507,39 @@ class ReputationTracker:
             if getattr(tracker, f"_{name}").shape != (tracker._n_users,):
                 raise ValueError(f"reputation state field {name!r} has the wrong length")
         return tracker
+
+
+class ReputationHook(StepHook):
+    """Quarantine-aware allocation and daily scoring (``enable_reputation``).
+
+    It reads ``system.reputation`` at every call, so a checkpoint restore
+    that replaces the tracker is what the next step uses.
+    """
+
+    def eligible(self, system, eligible):
+        mask = system.reputation.eligible
+        if np.all(mask):
+            return eligible
+        if not np.any(mask):
+            # The loop must keep collecting data no matter what the tracker
+            # thinks; an all-quarantined roster would otherwise deadlock it.
+            _LOG.warning(
+                "every user is quarantined; suspending eligibility filtering for this step"
+            )
+            return eligible
+        return mask if eligible is None else eligible & mask
+
+    def after_step(self, system, result, kind: str):
+        observed = result.observations
+        summary = system.reputation.record_day(
+            observed.mask, observed.values, result.truths, result.sigmas, result.task_expertise
+        )
+        if system.tracer.enabled:
+            for event, users in (
+                ("reputation.quarantine", summary.newly_quarantined),
+                ("reputation.probation", summary.newly_probation),
+                ("reputation.reinstate", summary.reinstated),
+            ):
+                if users:
+                    system.tracer.emit(event, day=summary.day, users=list(users))
+        return replace(result, reputation=summary)

@@ -173,13 +173,7 @@ class ETA2Approach(Approach):
             seed=seed,
         )
         if self._telemetry is not None:
-            # Before the other subsystems so guards/checkpointing pick the
-            # telemetry up as they are enabled.
-            self._system.enable_telemetry(
-                tracer=self._telemetry.tracer,
-                metrics=self._telemetry.metrics,
-                manifest=self._telemetry.manifest,
-            )
+            self.attach_telemetry(self._telemetry)
         if self._reputation:
             self._system.enable_reputation(
                 None if self._reputation is True else self._reputation

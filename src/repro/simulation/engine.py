@@ -377,6 +377,7 @@ def run_simulation(
             )
         )
 
+    last_reputation = day_records[-1].reputation if day_records else None
     return SimulationResult(
         approach_name=approach.name,
         dataset_name=dataset.name,
@@ -394,21 +395,9 @@ def run_simulation(
         observer_report=None if resilience is None else resilience["report"],
         fault_counts=None if chaos is None else chaos.fault_counts,
         sanitize_report=None if resilience is None else resilience["sanitizer"].report,
-        final_quarantined=(
-            day_records[-1].reputation.quarantined
-            if day_records and day_records[-1].reputation is not None
-            else ()
-        ),
-        final_probation=(
-            day_records[-1].reputation.probation
-            if day_records and day_records[-1].reputation is not None
-            else ()
-        ),
-        ever_quarantined=(
-            day_records[-1].reputation.ever_quarantined
-            if day_records and day_records[-1].reputation is not None
-            else ()
-        ),
+        final_quarantined=() if last_reputation is None else last_reputation.quarantined,
+        final_probation=() if last_reputation is None else last_reputation.probation,
+        ever_quarantined=() if last_reputation is None else last_reputation.ever_quarantined,
     )
 
 

@@ -17,6 +17,10 @@ class ObservationMatrix:
 
     ``values[i, j]`` is user *i*'s observation of task *j*, meaningful only
     where ``mask[i, j]`` is True (the paper's ``w_ij = 1``).
+
+    The matrix owns the two arrays it keeps and marks them read-only, as
+    holders key work on the matrix object (the updater's kept preview); a
+    caller that wants to keep writing hands over a copy.
     """
 
     values: np.ndarray
@@ -27,6 +31,8 @@ class ObservationMatrix:
         mask = np.asarray(self.mask, dtype=bool)
         if values.shape != mask.shape or values.ndim != 2:
             raise ValueError("values and mask must be 2-D arrays of the same shape")
+        values.setflags(write=False)
+        mask.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 

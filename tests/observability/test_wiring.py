@@ -10,7 +10,7 @@ import logging
 import numpy as np
 import pytest
 
-from repro.core.pipeline import ETA2System, IncomingTask
+from repro.core.pipeline import ETA2System, IncomingTask, StepResult
 from repro.core.truth import estimate_truth
 from repro.datasets import synthetic_dataset
 from repro.observability import (
@@ -161,6 +161,9 @@ class TestSystemTelemetry:
     def test_reputation_transitions_emit_events(self):
         import types
 
+        from repro.core.allocation.base import Assignment
+        from repro.reliability.reputation import ReputationHook
+
         system = self._system()
         tracer = RunTracer()
         system.enable_telemetry(tracer=tracer)
@@ -170,11 +173,25 @@ class TestSystemTelemetry:
             newly_probation=(1,),
             reinstated=(0,),
         )
+        # The hook reads the tracker from the system at call time.
         system.reputation = types.SimpleNamespace(record_day=lambda *a, **k: summary)
         observations = ObservationMatrix(
             values=np.zeros((6, 2)), mask=np.zeros((6, 2), dtype=bool)
         )
-        system._record_reputation(observations, np.zeros(2), np.ones(2), np.ones((6, 2)))
+        result = StepResult(
+            assignment=Assignment(matrix=np.zeros((6, 2), dtype=bool)),
+            observations=observations,
+            truths=np.zeros(2),
+            sigmas=np.ones(2),
+            task_domains=np.zeros(2, dtype=int),
+            merges=(),
+            new_domains=(),
+            mle_iterations=1,
+            allocation_cost=0.0,
+            task_expertise=np.ones((6, 2)),
+        )
+        scored = ReputationHook().after_step(system, result, "daily")
+        assert scored.reputation is summary
         assert tracer.events("reputation.quarantine")[0]["data"] == {
             "day": 4, "users": [2, 5]
         }

@@ -62,6 +62,19 @@ def test_shape_validation():
         ObservationMatrix(values=np.zeros(3), mask=np.zeros(3, dtype=bool))
 
 
+def test_matrix_owns_its_arrays_read_only():
+    """Holders key work on the matrix object, so its arrays cannot change."""
+    values = np.array([[1.0, 2.0], [3.0, 4.0]])
+    mask = np.array([[True, False], [True, True]])
+    obs = ObservationMatrix(values=values, mask=mask)
+    for array in (obs.values, obs.mask, values, mask):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = array[1, 1]
+    assert obs.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    built = ObservationMatrix.from_triples([(0, 0, 1.0)], n_users=2, n_tasks=2)
+    assert not built.values.flags.writeable and not built.mask.flags.writeable
+
+
 def test_methods_reject_empty_matrix():
     empty = ObservationMatrix(values=np.zeros((2, 2)), mask=np.zeros((2, 2), dtype=bool))
     with pytest.raises(ValueError):
