@@ -8,10 +8,7 @@ whatever does arrive keeps the error well under the baseline's.
 
 import numpy as np
 
-from repro.experiments.config import dataset_factory
-from repro.rng import spawn_rngs
-from repro.simulation import SimulationConfig, run_simulation
-from repro.simulation.approaches import ETA2Approach, MeanApproach
+from repro.perf.sweep import ApproachSpec, replication_jobs, run_jobs
 
 
 def test_dropout_robustness(quick_config):
@@ -20,20 +17,14 @@ def test_dropout_robustness(quick_config):
     def run():
         series = {"ETA2": [], "baseline-mean": []}
         for rate in rates:
-            for name, factory in (
-                ("ETA2", lambda: ETA2Approach()),
-                ("baseline-mean", lambda: MeanApproach()),
+            for name, spec in (
+                ("ETA2", ApproachSpec.eta2()),
+                ("baseline-mean", ApproachSpec(kind="mean")),
             ):
-                errors = []
-                for rng in spawn_rngs(quick_config.seed, quick_config.replications):
-                    dataset_seed, sim_seed = rng.spawn(2)
-                    dataset = dataset_factory("synthetic", quick_config, seed=dataset_seed)
-                    config = SimulationConfig(
-                        n_days=quick_config.n_days, seed=sim_seed, dropout_rate=rate
-                    )
-                    errors.append(
-                        run_simulation(dataset, factory(), config).mean_estimation_error
-                    )
+                jobs = replication_jobs(
+                    "synthetic", spec, quick_config, scenario={"dropout_rate": rate}
+                )
+                errors = [result.mean_estimation_error for result in run_jobs(jobs)]
                 series[name].append(float(np.nanmean(errors)))
         return series
 

@@ -612,6 +612,11 @@ def _run_figure(args: argparse.Namespace) -> int:
     runner, _, _ = FIGURES[args.figure_id]
     config = ExperimentConfig(replications=args.replications, seed=args.seed)
     supervisor = _build_supervisor(args)
+    if args.jobs is not None and args.figure_id not in SWEEP_FIGURES:
+        print(
+            f"note: --jobs is ignored for {args.figure_id} "
+            f"(parallel runs apply to {', '.join(SWEEP_FIGURES)})"
+        )
     if supervisor is not None and args.figure_id not in SWEEP_FIGURES:
         print(
             f"note: --retry/--job-timeout/--journal are ignored for "

@@ -15,8 +15,7 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_series
-from repro.experiments.runner import replicate
-from repro.simulation.approaches import ETA2Approach, MeanApproach
+from repro.perf.sweep import ApproachSpec, replication_jobs, run_jobs
 from repro.simulation.engine import SimulationResult
 
 __all__ = ["AdversarialRobustness", "adversarial_robustness", "adversary_detection_gap"]
@@ -68,18 +67,14 @@ def adversarial_robustness(
 ) -> AdversarialRobustness:
     """Sweep the adversary fraction for ETA2 and the mean baseline."""
     best = config.best_parameters(dataset_name)
+    eta2 = ApproachSpec.eta2(gamma=best["gamma"], alpha=best["alpha"])
     error_series: dict = {"ETA2": [], "baseline-mean": []}
     detection_gaps: list = []
     for fraction in fractions:
-        eta2_results = _replicate_with_adversaries(
-            dataset_name,
-            lambda: ETA2Approach(gamma=best["gamma"], alpha=best["alpha"]),
-            config,
-            kind,
-            fraction,
-        )
-        mean_results = _replicate_with_adversaries(
-            dataset_name, lambda: MeanApproach(), config, kind, fraction
+        attack = {"adversary_fraction": fraction, "adversary_kind": kind}
+        eta2_results = run_jobs(replication_jobs(dataset_name, eta2, config, scenario=attack))
+        mean_results = run_jobs(
+            replication_jobs(dataset_name, ApproachSpec(kind="mean"), config, scenario=attack)
         )
         error_series["ETA2"].append(
             float(np.nanmean([r.mean_estimation_error for r in eta2_results]))
@@ -95,22 +90,3 @@ def adversarial_robustness(
         error_series=error_series,
         detection_gaps=tuple(detection_gaps),
     )
-
-
-def _replicate_with_adversaries(dataset_name, approach_factory, config, kind, fraction):
-    from repro.experiments.config import dataset_factory
-    from repro.rng import spawn_rngs
-    from repro.simulation.engine import SimulationConfig, run_simulation
-
-    results = []
-    for rng in spawn_rngs(config.seed, config.replications):
-        dataset_seed, sim_seed = rng.spawn(2)
-        dataset = dataset_factory(dataset_name, config, seed=dataset_seed)
-        sim_config = SimulationConfig(
-            n_days=config.n_days,
-            seed=sim_seed,
-            adversary_fraction=fraction,
-            adversary_kind=kind,
-        )
-        results.append(run_simulation(dataset, approach_factory(), sim_config))
-    return results

@@ -20,12 +20,10 @@ from repro.experiments.reporting import format_series, format_table
 from repro.experiments.runner import average_day_errors, replicate
 from repro.perf.sweep import ApproachSpec, group_by_tag, replication_jobs, run_jobs
 from repro.rng import ensure_rng
-from repro.simulation.approaches import ETA2Approach, MeanApproach, ReliabilityApproach
 from repro.simulation.metrics import expertise_estimation_error
 from repro.stats.descriptive import BoxplotStats, boxplot_stats, empirical_cdf, histogram
 from repro.stats.chi_square import normality_pass_rate
 from repro.stats.normal import standard_normal_pdf
-from repro.truthdiscovery import AverageLog, HubsAuthorities, TruthFinder
 
 __all__ = [
     "fig2_error_distribution",
@@ -45,22 +43,16 @@ __all__ = [
 COMPARISON_APPROACHES = ("ETA2", "hubs-authorities", "average-log", "truthfinder", "baseline-mean")
 
 
-def _approach_factories(dataset_name: str, config: ExperimentConfig) -> dict:
+def _eta2_spec(dataset_name: str, config: ExperimentConfig, **options) -> ApproachSpec:
+    """ETA2 at the dataset's best (alpha, gamma), plus ``options``."""
     best = config.best_parameters(dataset_name)
-    return {
-        "ETA2": lambda: ETA2Approach(gamma=best["gamma"], alpha=best["alpha"]),
-        "hubs-authorities": lambda: ReliabilityApproach(HubsAuthorities()),
-        "average-log": lambda: ReliabilityApproach(AverageLog()),
-        "truthfinder": lambda: ReliabilityApproach(TruthFinder()),
-        "baseline-mean": lambda: MeanApproach(),
-    }
+    return ApproachSpec.eta2(gamma=best["gamma"], alpha=best["alpha"], **options)
 
 
 def _approach_specs(dataset_name: str, config: ExperimentConfig) -> dict:
-    """Picklable counterparts of :func:`_approach_factories` for parallel sweeps."""
-    best = config.best_parameters(dataset_name)
+    """The comparison approaches, as picklable factories for parallel sweeps."""
     return {
-        "ETA2": ApproachSpec.eta2(gamma=best["gamma"], alpha=best["alpha"]),
+        "ETA2": _eta2_spec(dataset_name, config),
         "hubs-authorities": ApproachSpec(kind="hubs-authorities"),
         "average-log": ApproachSpec(kind="average-log"),
         "truthfinder": ApproachSpec(kind="truthfinder"),
@@ -431,14 +423,10 @@ def fig8_bias_robustness(
     bias_fractions: Sequence[float] = (0.0, 0.2, 0.4, 0.6, 0.8),
 ) -> Fig8Result:
     """Fig. 8: ETA2 error as uniform-noise observations replace normal ones."""
-    best = config.best_parameters("synthetic")
     errors = []
     for fraction in bias_fractions:
         results = replicate(
-            "synthetic",
-            lambda: ETA2Approach(gamma=best["gamma"], alpha=best["alpha"]),
-            config,
-            bias_fraction=fraction,
+            "synthetic", _eta2_spec("synthetic", config), config, bias_fraction=fraction
         )
         errors.append(float(np.nanmean([r.mean_estimation_error for r in results])))
     return Fig8Result(bias_fractions=tuple(bias_fractions), errors=tuple(errors))
@@ -492,7 +480,6 @@ def fig9_fig10_mincost_comparison(
     confidence: float = 0.95,
 ) -> MinCostComparison:
     """Figs. 9-10: ETA2 vs ETA2-mc on estimation error and allocation cost."""
-    best = config.best_parameters(dataset_name)
     error_series: dict = {"ETA2": []}
     cost_series: dict = {"ETA2": []}
     for budget in round_budgets:
@@ -501,27 +488,20 @@ def fig9_fig10_mincost_comparison(
 
     for tau in taus:
         tau_config = config.with_tau(tau)
-        results = replicate(
-            dataset_name,
-            lambda: ETA2Approach(gamma=best["gamma"], alpha=best["alpha"]),
-            tau_config,
-        )
+        results = replicate(dataset_name, _eta2_spec(dataset_name, tau_config), tau_config)
         error_series["ETA2"].append(float(np.nanmean([r.mean_estimation_error for r in results])))
         cost_series["ETA2"].append(float(np.mean([r.total_cost for r in results])))
         for budget in round_budgets:
             key = f"ETA2-mc(c0={budget:g})"
-            results = replicate(
+            spec = _eta2_spec(
                 dataset_name,
-                lambda b=budget: ETA2Approach(
-                    gamma=best["gamma"],
-                    alpha=best["alpha"],
-                    allocator="min-cost",
-                    min_cost_round_budget=b,
-                    min_cost_error_limit=error_limit,
-                    min_cost_confidence=confidence,
-                ),
                 tau_config,
+                allocator="min-cost",
+                min_cost_round_budget=budget,
+                min_cost_error_limit=error_limit,
+                min_cost_confidence=confidence,
             )
+            results = replicate(dataset_name, spec, tau_config)
             error_series[key].append(float(np.nanmean([r.mean_estimation_error for r in results])))
             cost_series[key].append(float(np.mean([r.total_cost for r in results])))
     return MinCostComparison(
@@ -557,21 +537,16 @@ def fig11_expertise_accuracy(
     taus: Sequence[float] = (6.0, 9.0, 12.0, 15.0, 18.0),
 ) -> Fig11Result:
     """Fig. 11: mean |estimated - true| expertise as tau varies."""
-    best = config.best_parameters("synthetic")
     errors = []
     for tau in taus:
         tau_config = config.with_tau(tau)
-        results = replicate(
-            "synthetic",
-            lambda: ETA2Approach(gamma=best["gamma"], alpha=best["alpha"]),
-            tau_config,
-        )
+        jobs = replication_jobs("synthetic", _eta2_spec("synthetic", tau_config), tau_config)
         per_run = []
-        for position, result in enumerate(results):
+        for job, result in zip(jobs, run_jobs(jobs)):
             snapshot = result.expertise_snapshot
             if snapshot is None:
                 continue
-            dataset = _dataset_of_replication("synthetic", tau_config, position)
+            dataset = job.dataset()
             # Synthetic domains are pre-known, so discovered ids == true ids.
             identity = {domain_id: domain_id for domain_id in snapshot}
             per_run.append(
@@ -618,12 +593,7 @@ def fig12_convergence_cdf(
     """Fig. 12: distribution of MLE iteration counts across runs and days."""
     cdfs: dict = {}
     for name in dataset_names:
-        best = config.best_parameters(name)
-        results = replicate(
-            name,
-            lambda b=best: ETA2Approach(gamma=b["gamma"], alpha=b["alpha"]),
-            config,
-        )
+        results = replicate(name, _eta2_spec(name, config), config)
         iterations: list = []
         for result in results:
             iterations.extend(result.mle_iterations)
@@ -663,16 +633,11 @@ def table2_allocation_audit(
     buckets: Sequence = ((1, 5), (6, 10), (11, 15), (16, 1_000_000)),
 ) -> Table2Result:
     """Table 2: how many users the max-quality heuristic gives each task."""
-    best = config.best_parameters(dataset_name)
-    results = replicate(
-        dataset_name,
-        lambda: ETA2Approach(gamma=best["gamma"], alpha=best["alpha"]),
-        config,
-    )
+    jobs = replication_jobs(dataset_name, _eta2_spec(dataset_name, config), config)
     counts: list = []
     expertise_values: list = []
-    for position, result in enumerate(results):
-        dataset = _dataset_of_replication(dataset_name, config, position)
+    for job, result in zip(jobs, run_jobs(jobs)):
+        dataset = job.dataset()
         true_expertise = dataset.world().true_expertise_matrix()
         true_domains = dataset.world().true_domains()
         for day in result.days:
@@ -700,17 +665,3 @@ def table2_allocation_audit(
         task_fractions=tuple(fractions),
         mean_expertise=tuple(means),
     )
-
-
-def _dataset_of_replication(name: str, config: ExperimentConfig, position: int):
-    """Rebuild the dataset used by replication ``position``.
-
-    :func:`repro.experiments.runner.replicate` derives each replication's
-    dataset seed deterministically from ``config.seed``; this replays the
-    same derivation so audits can line results up with their ground truth.
-    """
-    from repro.rng import spawn_rngs
-
-    rngs = spawn_rngs(config.seed, config.replications)
-    dataset_seed, _ = rngs[position].spawn(2)
-    return dataset_factory(name, config, seed=dataset_seed)

@@ -1,8 +1,9 @@
 """Reputation-defense experiment (extension beyond the paper).
 
 Measures what the reputation & quarantine subsystem actually buys under a
-coordinated attack.  Each replication runs the same dataset/schedule three
-times:
+coordinated attack.  Each replication runs three jobs on the same seed
+streams — one dataset, task schedule and observation noise, and (for the
+two attacked legs) one adversary set:
 
 - **clean** — no adversaries (the error floor),
 - **unprotected** — ``adversary_fraction`` colluders, plain ETA2,
@@ -26,6 +27,7 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_table
+from repro.perf.sweep import ApproachSpec, group_by_tag, replication_jobs, run_jobs
 
 __all__ = ["ReputationDefense", "reputation_defense", "MIN_GAP"]
 
@@ -107,44 +109,31 @@ def reputation_defense(
     robust: bool = False,
 ) -> ReputationDefense:
     """Run the clean/unprotected/protected triple for each replication."""
-    from repro.experiments.config import dataset_factory
-    from repro.rng import spawn_rngs
-    from repro.simulation.approaches import ETA2Approach
-    from repro.simulation.engine import SimulationConfig, run_simulation
-
     best = config.best_parameters(dataset_name)
+    guards = {"reputation": True, "guards": "warn"}
+    if robust:
+        from repro.core.robust import RobustConfig
 
-    def eta2(protect: bool) -> ETA2Approach:
-        extras = {}
-        if protect:
-            extras["reputation"] = True
-            extras["guards"] = "warn"
-            if robust:
-                from repro.core.robust import RobustConfig
-
-                extras["robust"] = RobustConfig(method="huber")
-        return ETA2Approach(gamma=best["gamma"], alpha=best["alpha"], **extras)
+        guards["robust"] = RobustConfig(method="huber")
+    attack = {"adversary_fraction": fraction, "adversary_kind": kind}
+    plain = ApproachSpec.eta2(gamma=best["gamma"], alpha=best["alpha"])
+    protected_spec = ApproachSpec.eta2(gamma=best["gamma"], alpha=best["alpha"], **guards)
+    jobs = (
+        replication_jobs(dataset_name, plain, config, tag="clean")
+        + replication_jobs(dataset_name, plain, config, scenario=attack, tag="unprotected")
+        + replication_jobs(dataset_name, protected_spec, config, scenario=attack, tag="protected")
+    )
+    runs = group_by_tag(jobs, run_jobs(jobs))
 
     recalls, fp_rates, recoveries = [], [], []
     clean_errors, unprotected_errors, protected_errors = [], [], []
-    for rng in spawn_rngs(config.seed, config.replications):
-        dataset_seed, sim_seed = rng.spawn(2)
-        dataset = dataset_factory(dataset_name, config, seed=dataset_seed)
-
-        def sim(adversary_fraction: float) -> SimulationConfig:
-            return SimulationConfig(
-                n_days=config.n_days,
-                seed=sim_seed,
-                adversary_fraction=adversary_fraction,
-                adversary_kind=kind,
-            )
-
-        clean = run_simulation(dataset, eta2(False), sim(0.0))
-        unprotected = run_simulation(dataset, eta2(False), sim(fraction))
-        protected = run_simulation(dataset, eta2(True), sim(fraction))
-
+    # The first ``config.replications`` jobs are the clean leg, in
+    # replication order: each names its replication's dataset.
+    for job, clean, unprotected, protected in zip(
+        jobs, runs["clean"], runs["unprotected"], runs["protected"]
+    ):
         adversaries = set(protected.adversary_users)
-        honest = dataset.n_users - len(adversaries)
+        honest = job.dataset().n_users - len(adversaries)
         ever = set(protected.ever_quarantined)
         suspects = set(protected.final_quarantined) | set(protected.final_probation)
         recalls.append(len(ever & adversaries) / len(adversaries) if adversaries else float("nan"))

@@ -6,9 +6,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.experiments.config import ExperimentConfig, dataset_factory
-from repro.rng import spawn_rngs
-from repro.simulation.engine import SimulationConfig, SimulationResult, run_simulation
+from repro.experiments.config import ExperimentConfig
+from repro.simulation.engine import SimulationResult
 
 __all__ = ["replicate", "average_day_errors", "mean_and_sem"]
 
@@ -25,9 +24,10 @@ def replicate(
 
     Each replication draws a fresh dataset instance, task-arrival schedule
     and observation noise from its own seed stream (mirroring the paper's
-    "different seeds to randomly select tasks in each day").
-    ``approach_factory`` is either a zero-argument callable returning a
-    *fresh* approach object, or a picklable
+    "different seeds to randomly select tasks in each day"); the
+    replications are :class:`~repro.perf.sweep.SimulationJob` cells.
+    ``approach_factory`` is a zero-argument callable returning a *fresh*
+    approach object, such as a picklable
     :class:`~repro.perf.sweep.ApproachSpec`.  ``jobs`` fans replications
     across worker processes (specs only — closures don't pickle); results
     are identical to the serial path either way.  ``supervisor`` (a
@@ -37,29 +37,20 @@ def replicate(
     """
     from repro.perf.sweep import ApproachSpec, replication_jobs, run_jobs
 
-    if isinstance(approach_factory, ApproachSpec):
-        return run_jobs(
-            replication_jobs(dataset_name, approach_factory, config, bias_fraction=bias_fraction),
-            n_jobs=jobs,
-            supervisor=supervisor,
-        )
-    if jobs not in (None, 0, 1) or supervisor is not None:
+    if not isinstance(approach_factory, ApproachSpec) and (
+        jobs not in (None, 0, 1) or supervisor is not None
+    ):
         raise TypeError(
             "parallel or supervised replication needs a picklable ApproachSpec, "
             "not a factory callable"
         )
-    results: list = []
-    rngs = spawn_rngs(config.seed, config.replications)
-    for rng in rngs:
-        dataset_seed, sim_seed = rng.spawn(2)
-        dataset = dataset_factory(dataset_name, config, seed=dataset_seed)
-        sim_config = SimulationConfig(
-            n_days=config.n_days,
-            bias_fraction=bias_fraction,
-            seed=sim_seed,
-        )
-        results.append(run_simulation(dataset, approach_factory(), sim_config))
-    return results
+    return run_jobs(
+        replication_jobs(
+            dataset_name, approach_factory, config, scenario={"bias_fraction": bias_fraction}
+        ),
+        n_jobs=jobs,
+        supervisor=supervisor,
+    )
 
 
 def average_day_errors(results: Sequence["SimulationResult | None"]) -> np.ndarray:

@@ -1,18 +1,22 @@
-"""Deterministic parallel sweep runner for ``run_simulation`` grids.
+"""Deterministic sweep runner: the one place a replication is seeded and run.
 
-Figure sweeps (Fig. 4's (α, γ) grid, Fig. 5's approach comparison, Fig. 6's
-τ sweep) are embarrassingly parallel: every (grid point, replication) cell
-is an independent ``run_simulation`` call.  This module fans those cells
+Every experiment averages its points over replications (Section 6.2's
+"different seeds"); each (grid point, replication) cell is a
+:class:`SimulationJob`, and :meth:`SimulationJob.run` is the only code that
+derives a replication's seeds, builds its dataset and calls
+``run_simulation``.  Cells are independent, so :func:`run_jobs` can fan them
 across a ``ProcessPoolExecutor`` while keeping results *bit-identical* to
 the serial path:
 
-- every :class:`SimulationJob` is a fully picklable value object — no
-  shared state crosses the process boundary;
-- each job re-derives its RNG streams exactly the way
-  :func:`repro.experiments.runner.replicate` does (``spawn_rngs(seed,
-  replications)[r].spawn(2)``), so seeds depend only on
-  ``(config.seed, replication)`` and never on worker identity, scheduling
-  order, or worker count;
+- a job's RNG streams are ``spawn_rngs(config.seed, replications)[r]
+  .spawn(2)`` (dataset, simulation), re-derived on every call, so seeds
+  depend only on ``(config.seed, replication)`` and never on worker
+  identity, scheduling order, worker count, or how many jobs share the
+  replication (the reputation triple runs three jobs on one replication's
+  streams);
+- a job with an :class:`ApproachSpec` is a fully picklable value object —
+  no shared state crosses the process boundary (factory callables run
+  serially only);
 - :func:`run_jobs` returns results in submission order regardless of
   completion order.
 
@@ -25,12 +29,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.experiments.config import ExperimentConfig, dataset_factory
 from repro.rng import spawn_rngs
 from repro.simulation.engine import SimulationConfig, SimulationResult, run_simulation
+
+if TYPE_CHECKING:
+    from repro.experiments.config import ExperimentConfig
 
 __all__ = [
     "ApproachSpec",
@@ -40,7 +46,7 @@ __all__ = [
     "group_by_tag",
 ]
 
-#: Approach kinds :meth:`ApproachSpec.build` knows how to construct.
+#: Approach kinds an :class:`ApproachSpec` knows how to construct.
 APPROACH_KINDS = ("eta2", "hubs-authorities", "average-log", "truthfinder", "mean")
 
 
@@ -50,8 +56,8 @@ class ApproachSpec:
 
     ``options`` is a sorted tuple of ``(name, value)`` keyword pairs passed
     to the approach constructor; values must themselves be picklable and
-    hashable.  :meth:`build` returns a *fresh* approach instance per call,
-    mirroring the factory-per-replication contract of ``replicate``.
+    hashable.  Calling a spec returns a *fresh* approach instance, so a spec
+    is a zero-argument approach factory like any other.
     """
 
     kind: str
@@ -66,7 +72,7 @@ class ApproachSpec:
         """ETA2 / ETA2-mc spec (``allocator='min-cost'`` selects the latter)."""
         return cls(kind="eta2", options=tuple(sorted(options.items())))
 
-    def build(self):
+    def __call__(self):
         from repro.simulation.approaches import ETA2Approach, MeanApproach, ReliabilityApproach
 
         if self.kind == "eta2":
@@ -83,50 +89,67 @@ class ApproachSpec:
         return ReliabilityApproach(method())
 
 
+#: :class:`SimulationConfig` fields a scenario may set; the job derives the rest.
+_SCENARIO_FIELDS = frozenset(f.name for f in fields(SimulationConfig)) - {"n_days", "seed"}
+
+
 @dataclass(frozen=True)
 class SimulationJob:
-    """One fully-specified ``run_simulation`` cell of a sweep.
+    """One replication of one experiment cell.
 
-    ``replication`` indexes into the seed derivation of
-    :func:`repro.experiments.runner.replicate`; running jobs for
-    ``replication in range(config.replications)`` serially reproduces
-    ``replicate`` exactly.  ``tag`` is an opaque grid-point label used by
-    :func:`group_by_tag` to reassemble grid results.
+    ``replication`` selects this job's seed streams among
+    ``config.replications``.  ``approach`` is any zero-argument approach
+    factory; an :class:`ApproachSpec` keeps the job picklable for parallel
+    and supervised runs.  ``scenario`` holds the :class:`SimulationConfig`
+    fields the cell sets (bias, adversaries, dropout, ...), given as a
+    mapping or pairs and stored as sorted ``(name, value)`` pairs;
+    ``n_days`` and ``seed`` are the job's own to derive.  ``tag`` is an
+    opaque grid-point label used by :func:`group_by_tag` to reassemble grid
+    results.
     """
 
     dataset_name: str
-    approach: ApproachSpec
+    approach: Callable
     config: ExperimentConfig
     replication: int
-    bias_fraction: float = 0.0
+    scenario: tuple = ()
     tag: "object" = None
 
     def __post_init__(self):
         if not 0 <= self.replication < self.config.replications:
             raise ValueError("replication must lie in [0, config.replications)")
+        scenario = tuple(sorted(dict(self.scenario).items()))
+        unknown = sorted({name for name, _ in scenario} - _SCENARIO_FIELDS)
+        if unknown:
+            raise ValueError(
+                f"scenario may set SimulationConfig fields other than n_days and seed, not {unknown}"
+            )
+        object.__setattr__(self, "scenario", scenario)
+
+    def _streams(self):
+        """Fresh (dataset, simulation) seed streams of this replication."""
+        return spawn_rngs(self.config.seed, self.config.replications)[self.replication].spawn(2)
+
+    def dataset(self):
+        """The dataset instance this replication runs on (rebuilt per call)."""
+        # Imported here: repro.experiments imports this module.
+        from repro.experiments.config import dataset_factory
+
+        return dataset_factory(self.dataset_name, self.config, seed=self._streams()[0])
 
     def run(self) -> SimulationResult:
-        """Execute this cell in the current process.
-
-        The RNG derivation mirrors ``replicate`` line for line: any change
-        there must be reflected here (the determinism test will catch it).
-        """
-        rng = spawn_rngs(self.config.seed, self.config.replications)[self.replication]
-        dataset_seed, sim_seed = rng.spawn(2)
-        dataset = dataset_factory(self.dataset_name, self.config, seed=dataset_seed)
+        """Execute this cell in the current process."""
         sim_config = SimulationConfig(
-            n_days=self.config.n_days,
-            bias_fraction=self.bias_fraction,
-            seed=sim_seed,
+            n_days=self.config.n_days, seed=self._streams()[1], **dict(self.scenario)
         )
-        return run_simulation(dataset, self.approach.build(), sim_config)
+        return run_simulation(self.dataset(), self.approach(), sim_config)
 
 
 def replication_jobs(
     dataset_name: str,
-    approach: ApproachSpec,
+    approach: Callable,
     config: ExperimentConfig,
-    bias_fraction: float = 0.0,
+    scenario=(),
     tag=None,
 ) -> list:
     """One :class:`SimulationJob` per replication, in replication order."""
@@ -136,7 +159,7 @@ def replication_jobs(
             approach=approach,
             config=config,
             replication=replication,
-            bias_fraction=bias_fraction,
+            scenario=scenario,
             tag=tag,
         )
         for replication in range(config.replications)

@@ -133,7 +133,7 @@ def job_key(job) -> str:
     """A stable 16-hex-digit fingerprint of a job's full identity.
 
     Two jobs share a key iff their dataclass fields (dataset, approach
-    spec, config, replication, bias, tag) are equal — the property journal
+    spec, config, replication, scenario, tag) are equal — the property journal
     resume matches on, so a journal survives reordering of the job list.
     """
     text = canonical_json({"job": _fingerprint(job)})

@@ -709,7 +709,7 @@ class IngestionService:
                 # double-add points: roll back first.
                 if snapshot is None:
                     snapshot = self._checkpoint_state(ordinal)
-                apply_system_state(self.system, snapshot)
+                self._restore_state(snapshot)
                 self.system.completed_steps = completed_before
                 self._breaker.record_failure()
                 self._refresh_health()
@@ -761,6 +761,16 @@ class IngestionService:
             ).observe(elapsed)
         return result
 
+    def _restore_state(self, state: dict) -> None:
+        """Load ``state`` into the system; admission follows its new tracker.
+
+        ``apply_system_state`` replaces ``system.reputation``, so the
+        admission controller must drop the tracker it was handed.
+        """
+        apply_system_state(self.system, state)
+        self.admission.reputation = self.system.reputation
+        self.admission.refresh_standing()
+
     def _checkpoint_state(self, ordinal: int) -> dict:
         """Reload the pre-day state for ``ordinal`` from the checkpoint."""
         found = self.checkpoints.latest_valid()
@@ -790,7 +800,7 @@ class IngestionService:
         found = self.checkpoints.latest_valid()
         if found is not None:
             path, record = found
-            apply_system_state(self.system, record["state"])
+            self._restore_state(record["state"])
             metadata = record.get("metadata", {})
             self.system.completed_steps = int(
                 metadata.get("completed_steps", record["step"])

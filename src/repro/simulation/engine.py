@@ -36,7 +36,6 @@ __all__ = [
     "DayRecord",
     "SimulationResult",
     "run_simulation",
-    "run_simulation_batch",
     "generate_traffic",
 ]
 
@@ -488,16 +487,3 @@ def generate_traffic(
         days.append(TrafficDay(day=day, tasks=tasks, batches=batches))
         world.advance_day()
     return TrafficTrace(n_users=dataset.n_users, capacities=capacities, days=tuple(days))
-
-
-def run_simulation_batch(jobs, n_jobs: "int | None" = None) -> list:
-    """Run a batch of :class:`~repro.perf.sweep.SimulationJob` cells.
-
-    Thin convenience front-end over :func:`repro.perf.sweep.run_jobs`
-    (imported lazily — the sweep module imports this one).  Results come
-    back in job order; serial and parallel execution are numerically
-    identical.
-    """
-    from repro.perf.sweep import run_jobs
-
-    return run_jobs(jobs, n_jobs=n_jobs)

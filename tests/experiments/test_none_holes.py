@@ -1,7 +1,7 @@
 """Dead-lettered jobs leave ``None`` holes — every aggregator must survive them.
 
 Satellite: the supervised sweep layer returns ``None`` for jobs it had to
-dead-letter.  These tests pin the whole chain: ``run_simulation_batch``
+dead-letter.  These tests pin the whole chain: ``run_jobs``
 produces the holes in job order, and the figure aggregations
 (``fig4``/``fig6`` cell means, ``average_day_errors``) skip them instead
 of crashing or silently averaging garbage.
@@ -14,10 +14,15 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import average_day_errors
-from repro.perf.sweep import ApproachSpec, SimulationJob, group_by_tag, replication_jobs
+from repro.perf.sweep import (
+    ApproachSpec,
+    SimulationJob,
+    group_by_tag,
+    replication_jobs,
+    run_jobs,
+)
 from repro.reliability.retry import RetryPolicy
 from repro.reliability.supervisor import SupervisorConfig
-from repro.simulation.engine import run_simulation_batch
 
 TINY = ExperimentConfig(
     replications=1, n_days=1, synthetic_tasks=12, synthetic_users=8, seed=11
@@ -38,19 +43,17 @@ class TestRunSimulationBatchHoles:
     def test_bare_path_raises_where_supervised_dead_letters(self):
         jobs = [_job(tag="ok-0"), _job(dataset_name="no-such-dataset", tag="bad")]
         with pytest.raises(ValueError, match="unknown dataset"):
-            run_simulation_batch(jobs, n_jobs=None)
+            run_jobs(jobs, n_jobs=None)
 
     def test_holes_only_where_jobs_died(self):
         jobs = [_job(tag="ok-0"), _job(dataset_name="no-such-dataset", tag="bad"), _job(tag="ok-1")]
         supervisor = SupervisorConfig(retry=RetryPolicy(max_attempts=1))
-        from repro.perf.sweep import run_jobs
-
         supervised = run_jobs(jobs, n_jobs=None, supervisor=supervisor)
         assert len(supervised) == 3
         assert supervised[1] is None
         assert supervised[0] is not None and supervised[2] is not None
         # Surviving results are bit-identical to the unsupervised path.
-        bare = run_simulation_batch([jobs[0], jobs[2]], n_jobs=None)
+        bare = run_jobs([jobs[0], jobs[2]], n_jobs=None)
         assert supervised[0].mean_estimation_error == bare[0].mean_estimation_error
         assert supervised[2].mean_estimation_error == bare[1].mean_estimation_error
 
@@ -64,7 +67,7 @@ class TestRunSimulationBatchHoles:
 class TestAggregatorsWithHoles:
     def test_average_day_errors_skips_none(self):
         jobs = replication_jobs("synthetic", ApproachSpec.eta2(), TINY)
-        [result] = run_simulation_batch(jobs, n_jobs=None)
+        [result] = run_jobs(jobs, n_jobs=None)
         with_holes = average_day_errors([None, result, None])
         assert np.allclose(with_holes, average_day_errors([result]), equal_nan=True)
 

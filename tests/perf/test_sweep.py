@@ -17,7 +17,6 @@ from repro.perf.sweep import (
     run_jobs,
 )
 from repro.simulation.approaches import ETA2Approach, MeanApproach, ReliabilityApproach
-from repro.simulation.engine import run_simulation_batch
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +26,12 @@ def tiny_config():
 
 def test_approach_spec_builds_fresh_instances():
     spec = ApproachSpec.eta2(gamma=0.4, alpha=0.6)
-    a, b = spec.build(), spec.build()
+    a, b = spec(), spec()
     assert isinstance(a, ETA2Approach) and isinstance(b, ETA2Approach)
     assert a is not b
     assert a._gamma == 0.4 and a._alpha == 0.6
-    assert isinstance(ApproachSpec(kind="mean").build(), MeanApproach)
-    assert isinstance(ApproachSpec(kind="truthfinder").build(), ReliabilityApproach)
+    assert isinstance(ApproachSpec(kind="mean")(), MeanApproach)
+    assert isinstance(ApproachSpec(kind="truthfinder")(), ReliabilityApproach)
 
 
 def test_approach_spec_rejects_unknown_kind():
@@ -46,16 +45,6 @@ def test_replication_out_of_range(tiny_config):
         SimulationJob("synthetic", spec, tiny_config, replication=2)
 
 
-def test_jobs_match_serial_replicate(tiny_config):
-    spec = ApproachSpec.eta2(gamma=0.5, alpha=0.5)
-    serial = replicate("synthetic", lambda: ETA2Approach(gamma=0.5, alpha=0.5), tiny_config)
-    via_jobs = run_jobs(replication_jobs("synthetic", spec, tiny_config))
-    assert len(serial) == len(via_jobs)
-    for a, b in zip(serial, via_jobs):
-        np.testing.assert_array_equal(a.errors_by_day(), b.errors_by_day())
-        assert a.total_cost == b.total_cost
-
-
 def test_parallel_identical_to_serial(tiny_config):
     """The acceptance criterion: same seeds, --jobs N, identical errors."""
     spec = ApproachSpec.eta2(gamma=0.5, alpha=0.5)
@@ -66,14 +55,6 @@ def test_parallel_identical_to_serial(tiny_config):
         np.testing.assert_array_equal(a.errors_by_day(), b.errors_by_day())
         np.testing.assert_array_equal(a.observation_errors, b.observation_errors)
         assert a.total_cost == b.total_cost
-
-
-def test_run_simulation_batch_delegates(tiny_config):
-    jobs = replication_jobs("synthetic", ApproachSpec(kind="mean"), tiny_config)
-    direct = run_jobs(jobs)
-    batch = run_simulation_batch(jobs)
-    for a, b in zip(direct, batch):
-        np.testing.assert_array_equal(a.errors_by_day(), b.errors_by_day())
 
 
 def test_group_by_tag_preserves_job_order(tiny_config):

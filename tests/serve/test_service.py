@@ -344,6 +344,30 @@ class TestFailureAndBreaker:
         assert service.applied_days == 2
         assert service.state_fingerprint() == expected
 
+    def test_resume_points_admission_at_restored_tracker(self, tmp_path):
+        """Recovery replaces ``system.reputation``; shedding must rank by it."""
+        from repro.core.pipeline import ETA2System
+        from repro.serve.drill import drive_trace
+        from repro.simulation.engine import generate_traffic
+
+        trace = generate_traffic(n_users=12, n_tasks=30, n_days=3, seed=1)
+
+        def system():
+            built = ETA2System(
+                n_users=trace.n_users, capacities=np.asarray(trace.capacities), seed=3
+            )
+            built.enable_reputation()
+            return built
+
+        service = IngestionService(system(), tmp_path)
+        drive_trace(service, trace)
+        service.close()
+        resumed = IngestionService(system(), tmp_path, resume=True)
+        assert resumed.applied_days == 3
+        assert resumed.admission.reputation is resumed.system.reputation
+        assert resumed.admission.reputation.day == service.system.reputation.day
+        resumed.close()
+
     def test_retry_without_failure_raises(self, tmp_path, make_system):
         service = IngestionService(make_system(), tmp_path)
         with pytest.raises(ServiceError):

@@ -23,6 +23,13 @@ def test_figure_table1_runs(capsys):
     assert "Table 1" in out
 
 
+def test_figure_jobs_ignored_outside_sweeps(capsys):
+    assert main(["figure", "table1", "--replications", "1", "--seed", "1", "--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "note: --jobs is ignored for table1" in out
+    assert "Table 1" in out
+
+
 def test_figure_fig5_with_dataset(capsys):
     assert main(["figure", "fig5", "--dataset", "synthetic", "--replications", "1"]) == 0
     out = capsys.readouterr().out
