@@ -156,7 +156,7 @@ class _SparseObservations:
     """The coordinate iteration's loop-invariant sparse structure.
 
     Observation masks are typically 10-30 % dense in this system, so the
-    per-iteration Eq. 5/6 passes work on the ``nnz`` observed entries
+    per-iteration Eq. 5/6/8 passes work on the ``nnz`` observed entries
     (gathers plus ``bincount`` scatter-sums) instead of full
     ``(n_users, n_tasks)`` products.  Everything that does not depend on
     the current truths/expertise -- the observed coordinates, their values,
@@ -216,18 +216,25 @@ class _SparseObservations:
             SIGMA_FLOOR,
         )
 
-    def expertise_pass(self, truths: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-        """Eq. 6 via one scatter-sum over the observed entries."""
+    def denominator_sums(self, truths: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+        """Eq. 6 / Eq. 8 denominators ``sum_j I(d_j = k) w_ij (x_ij - mu_j)^2 / sigma_j^2``.
+
+        One scatter-sum over the row-major observed entries: each (user,
+        domain) sum adds its terms one by one in ascending task order.
+        """
         safe_truths = np.where(np.isnan(truths), 0.0, truths)
         normalised_sq = ((self.values - safe_truths[self.cols]) / sigmas[self.cols]) ** 2
-        denominators = np.bincount(
+        return np.bincount(
             self.flat_user_domain,
             weights=normalised_sq,
             minlength=self.n_users * self.n_domains,
         ).reshape(self.n_users, self.n_domains)
+
+    def expertise_pass(self, truths: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+        """Eq. 6 over the batch's own sums."""
         # The shrinkage prior keeps low-data estimates near the default and
         # makes (0, 0) sums yield exactly the uninformed default.
-        return expertise_from_sums(self.count_sums, denominators)
+        return expertise_from_sums(self.count_sums, self.denominator_sums(truths, sigmas))
 
 
 def _convergence(new: np.ndarray, old: np.ndarray) -> "tuple[bool, float]":

@@ -108,42 +108,6 @@ class _Pending:
             )
 
 
-class _DomainBlock:
-    """One call's tasks grouped by domain: the loop-invariant Eq. 7-8 layout.
-
-    ``inverse`` gives each task's position among the call's ``k`` distinct
-    domains and ``sparse`` is the Eq. 5 structure over the ``(n_users, k)``
-    expertise block they index.  The dense observation arrays are kept with
-    their tasks sorted (stably) by domain, so each domain's Eq. 8 sum is a
-    contiguous slice.
-    """
-
-    def __init__(self, observations: ObservationMatrix, inverse: np.ndarray, k: int):
-        self.inverse = inverse
-        self.sparse = _SparseObservations(observations, inverse, k)
-        self.order = np.argsort(inverse, kind="stable")
-        self.bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse, minlength=k))))
-        self.mask = observations.mask[:, self.order]
-        self.values = observations.values[:, self.order]
-
-    def denominator_sums(self, truths: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-        """Fresh Eq. 8 sums ``sum_j I(d_j = k) w_ij (x_ij - mu_j)^2 / sigma_j^2``.
-
-        Each domain's sum is a pairwise ``sum(axis=1)`` over its tasks in
-        ascending task order, the dense order the golden fingerprints pin.
-        ``np.bincount`` and ``np.add.reduceat`` accumulate in a different
-        order and change the last bits, so the sorted slices are kept.
-        """
-        safe_truths = np.where(np.isnan(truths), 0.0, truths)[self.order]
-        normalised_sq = np.where(
-            self.mask, ((self.values - safe_truths) / sigmas[self.order]) ** 2, 0.0
-        )
-        sums = np.empty((normalised_sq.shape[0], len(self.bounds) - 1))
-        for k, (start, end) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
-            sums[:, k] = normalised_sq[:, start:end].sum(axis=1)
-        return sums
-
-
 class ExpertiseUpdater:
     """Running ``N``/``D`` sums per (user, domain) with decay ``alpha``.
 
@@ -218,14 +182,21 @@ class ExpertiseUpdater:
 
     def _domain_block(
         self, observations: ObservationMatrix, task_domains: np.ndarray
-    ) -> "tuple[np.ndarray, _DomainBlock]":
-        """Register the tasks' domains; their updater columns and block."""
+    ) -> "tuple[np.ndarray, np.ndarray, _SparseObservations]":
+        """Register the tasks' domains; their columns, each task's index into them, the layout."""
         distinct, inverse = np.unique(task_domains, return_inverse=True)
         domain_ids = distinct.tolist()
         for domain_id in domain_ids:
             self.ensure_domain(domain_id)
         columns = np.array([self._columns[d] for d in domain_ids], dtype=np.intp)
-        return columns, _DomainBlock(observations, inverse, len(columns))
+        return columns, inverse, _SparseObservations(observations, inverse, len(columns))
+
+    def _check_inputs(self, observations, task_domains, max_iterations: int) -> np.ndarray:
+        """``task_domains`` as an array once the inputs fit this updater."""
+        task_domains = _check_solve_inputs(observations, task_domains, max_iterations)
+        if observations.n_users != self._n_users:
+            raise ValueError("observation matrix has the wrong number of users")
+        return task_domains
 
     def seed_from_batch(
         self,
@@ -236,14 +207,17 @@ class ExpertiseUpdater:
         """Initialise the running sums from a warm-up batch MLE result.
 
         The warm-up contributes undecayed history: its counts and normalised
-        errors become the initial ``N``/``D``.
+        errors become the initial ``N``/``D``.  Inputs that do not fit are
+        rejected before any domain is registered.
         """
-        columns, block = self._domain_block(observations, np.asarray(task_domains))
+        task_domains = self._check_inputs(observations, task_domains, 1)
+        shape = (observations.n_tasks,)
+        if np.shape(result.truths) != shape or np.shape(result.sigmas) != shape:
+            raise ValueError("result must have one truth and one sigma per task")
+        columns, _, sparse = self._domain_block(observations, task_domains)
         self._pending = None
-        self._numerators[:, columns] += block.sparse.count_sums
-        self._denominators[:, columns] += block.denominator_sums(
-            result.truths, result.sigmas
-        )
+        self._numerators[:, columns] += sparse.count_sums
+        self._denominators[:, columns] += sparse.denominator_sums(result.truths, result.sigmas)
 
     def incorporate(
         self,
@@ -284,9 +258,7 @@ class ExpertiseUpdater:
         ``commit=False`` probes pass no tracer, keeping traces about the
         day's actual update.
         """
-        task_domains = _check_solve_inputs(observations, task_domains, max_iterations)
-        if observations.n_users != self._n_users:
-            raise ValueError("observation matrix has the wrong number of users")
+        task_domains = self._check_inputs(observations, task_domains, max_iterations)
         pending = self._pending
         if pending is None or not pending.matches(
             observations, task_domains, max_iterations, robust
@@ -303,8 +275,7 @@ class ExpertiseUpdater:
 
     def _solve_step(self, observations, task_domains, max_iterations, robust) -> _Pending:
         """Run the Section 4.2 iteration against the current sums (no commit)."""
-        columns, block = self._domain_block(observations, task_domains)
-        sparse = block.sparse
+        columns, inverse, sparse = self._domain_block(observations, task_domains)
         # Snapshots at time T; the decayed base stays fixed across iterations
         # and the fresh Eq. 7 counts do not depend on the iterate.
         new_n = self._alpha * self._numerators[:, columns] + sparse.count_sums
@@ -314,7 +285,7 @@ class ExpertiseUpdater:
         def refresh(truths: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
             # Eqs. 8-9; the last sums are the ones a commit stores.
             nonlocal new_d
-            new_d = base_d + block.denominator_sums(truths, sigmas)
+            new_d = base_d + sparse.denominator_sums(truths, sigmas)
             return expertise_from_sums(new_n, new_d)
 
         expertise = expertise_from_sums(
@@ -344,7 +315,7 @@ class ExpertiseUpdater:
                 sigmas=sigmas,
                 iterations=len(deltas),
                 converged=converged,
-                task_expertise=expertise[:, block.inverse],
+                task_expertise=expertise[:, inverse],
                 final_delta=final_delta,
                 used_fallback=fallback is not None,
             ),

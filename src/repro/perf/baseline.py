@@ -46,6 +46,10 @@ SIZES = {
         "full": {"n_users": 100, "n_tasks": 1000, "density": 0.2, "n_domains": 8},
         "quick": {"n_users": 60, "n_tasks": 300, "density": 0.2, "n_domains": 8},
     },
+    "update_sparse": {
+        "full": {"n_users": 100, "n_tasks": 200, "density": 0.06, "n_domains": 8},
+        "quick": {"n_users": 50, "n_tasks": 100, "density": 0.06, "n_domains": 8},
+    },
     "allocation_greedy": {
         "full": {"n_users": 2000, "n_tasks": 5000, "n_domains": 8, "capacity": 1.0},
         "quick": {"n_users": 300, "n_tasks": 600, "n_domains": 8, "capacity": 1.0},
@@ -95,22 +99,45 @@ def _bench_average_linkage(size: dict, rounds: int) -> dict:
     return {"median_s": optimised, "reference_median_s": reference}
 
 
-def _bench_mle_sparse(size: dict, rounds: int) -> dict:
-    from repro.core.truth import estimate_truth
-    from repro.perf.reference import reference_estimate_truth
+def _random_batch(seed: int, size: dict):
+    """Seeded observations (every task observed at least once) and task domains."""
     from repro.truthdiscovery.base import ObservationMatrix
 
-    rng = np.random.default_rng(5678)
+    rng = np.random.default_rng(seed)
     n_users, n_tasks = size["n_users"], size["n_tasks"]
     mask = rng.random((n_users, n_tasks)) < size["density"]
     for task in np.flatnonzero(~mask.any(axis=0)):
         mask[rng.integers(n_users), task] = True
     values = np.where(mask, rng.normal(5.0, 2.0, (n_users, n_tasks)), 0.0)
     observations = ObservationMatrix(values=values, mask=mask)
-    domains = rng.integers(0, size["n_domains"], n_tasks)
+    return rng, observations, rng.integers(0, size["n_domains"], n_tasks)
 
+
+def _bench_mle_sparse(size: dict, rounds: int) -> dict:
+    from repro.core.truth import estimate_truth
+    from repro.perf.reference import reference_estimate_truth
+
+    _, observations, domains = _random_batch(5678, size)
     optimised = _median_seconds(lambda: estimate_truth(observations, domains), rounds)
     reference = _median_seconds(lambda: reference_estimate_truth(observations, domains), rounds)
+    return {"median_s": optimised, "reference_median_s": reference}
+
+
+def _bench_update_sparse(size: dict, rounds: int) -> dict:
+    from repro.core.truth import _SparseObservations
+    from repro.perf.reference import reference_denominator_sums
+
+    # One synthetic day's Section 4.2 Eq. 8 sums, layout included on each side.
+    rng, observations, domains = _random_batch(91011, size)
+    k = size["n_domains"]
+    truths, sigmas = rng.normal(5.0, 2.0, domains.size), rng.uniform(0.5, 3.0, domains.size)
+    optimised = _median_seconds(
+        lambda: _SparseObservations(observations, domains, k).denominator_sums(truths, sigmas),
+        rounds,
+    )
+    reference = _median_seconds(
+        lambda: reference_denominator_sums(observations, domains, k, truths, sigmas), rounds
+    )
     return {"median_s": optimised, "reference_median_s": reference}
 
 
@@ -175,6 +202,7 @@ def _time_greedy(problem, rounds: int) -> dict:
 _RUNNERS = {
     "average_linkage_construction": _bench_average_linkage,
     "mle_sparse": _bench_mle_sparse,
+    "update_sparse": _bench_update_sparse,
     "allocation_greedy": _bench_allocation_greedy,
     "allocation_greedy_day": _bench_allocation_greedy_day,
 }

@@ -11,7 +11,9 @@ layer replaced:
 - :func:`reference_greedy_allocate` — the eager Algorithm 1 greedy that
   re-evaluates every stale task after every pick (the loop the CELF
   lazy-greedy kernel in :mod:`repro.core.allocation.lazy_greedy`
-  replaced; picks must stay bit-identical).
+  replaced; picks must stay bit-identical),
+- :func:`reference_denominator_sums` — the §4.2 update's dense Eq. 8
+  sums (``==`` the scatter-sum that replaced them for two or more users).
 
 They exist so that (a) ``tests/perf/test_equivalence.py`` can prove the
 optimised kernels produce identical clusters and ``allclose`` truths, and
@@ -39,6 +41,7 @@ __all__ = [
     "reference_labels_from_clusters",
     "reference_estimate_truth",
     "reference_greedy_allocate",
+    "reference_denominator_sums",
 ]
 
 
@@ -165,6 +168,33 @@ def reference_labels_from_clusters(clusters, n_points: int) -> np.ndarray:
     if np.any(labels < 0):
         raise AssertionError("internal error: clustering did not cover all points")
     return labels
+
+
+def reference_denominator_sums(
+    observations: ObservationMatrix,
+    inverse: np.ndarray,
+    k: int,
+    truths: np.ndarray,
+    sigmas: np.ndarray,
+) -> np.ndarray:
+    """The seed ``_DomainBlock`` Eq. 8 sums over tasks sorted by domain column ``inverse``.
+
+    NumPy reduces each domain's Fortran-ordered column slice column by
+    column, in ascending task order, like the scatter-sum that replaced it.
+    The one exception is a single user: the contiguous ``(1, n)`` slice is
+    summed pairwise, which can move the last bits once a domain has 8 tasks.
+    """
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse, minlength=k))))
+    mask = observations.mask[:, order]
+    values = observations.values[:, order]
+
+    safe_truths = np.where(np.isnan(truths), 0.0, truths)[order]
+    normalised_sq = np.where(mask, ((values - safe_truths) / sigmas[order]) ** 2, 0.0)
+    sums = np.empty((normalised_sq.shape[0], len(bounds) - 1))
+    for k, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
+        sums[:, k] = normalised_sq[:, start:end].sum(axis=1)
+    return sums
 
 
 def _reference_update_expertise(

@@ -11,7 +11,7 @@ from repro.core.expertise import DEFAULT_EXPERTISE, EXPERTISE_PRIOR_STRENGTH
 from repro.core.pipeline import ETA2System
 from repro.core.robust import RobustConfig
 from repro.core.serialization import state_fingerprint, updater_to_dict
-from repro.core.truth import estimate_truth
+from repro.core.truth import TruthAnalysisResult, estimate_truth
 from repro.core.update import ExpertiseUpdater, IncorporateResult
 from repro.truthdiscovery.base import ObservationMatrix
 
@@ -179,25 +179,54 @@ def test_zero_max_iterations_rejected_before_state_changes(setup):
 
 
 def _brute_force_sums(observations, domains, truths, sigmas):
-    """Eq. 7-8 fresh sums per domain: dense masked sums in task order."""
+    """Eq. 7-8 fresh sums per domain, each added term by term in task order.
+
+    An explicit loop per (user, domain) over the domain's observed tasks in
+    ascending order, so the order it pins does not rest on how NumPy lays
+    out or reduces an array.
+    """
     mask = observations.mask
     safe_truths = np.where(np.isnan(truths), 0.0, truths)
-    normalised_sq = np.where(mask, ((observations.values - safe_truths) / sigmas) ** 2, 0.0)
+    normalised_sq = ((observations.values - safe_truths) / sigmas) ** 2
     sums = {}
     for domain_id in np.unique(domains).tolist():
         tasks = np.flatnonzero(domains == domain_id)
-        sums[domain_id] = (
-            mask[:, tasks].sum(axis=1).astype(float),
-            normalised_sq[:, tasks].sum(axis=1),
-        )
+        counts, denominators = np.zeros(mask.shape[0]), np.zeros(mask.shape[0])
+        for user in range(mask.shape[0]):
+            count, denominator = 0.0, 0.0
+            for task in tasks.tolist():
+                if mask[user, task]:
+                    count += 1.0
+                    denominator += float(normalised_sq[user, task])
+            counts[user], denominators[user] = count, denominator
+        sums[domain_id] = (counts, denominators)
     return sums
+
+
+def _assert_committed_sums(updater, before, fresh, alpha):
+    """Each domain's sums are ``alpha * before + fresh`` (idle domains keep theirs)."""
+    state = updater_to_dict(updater)
+    zeros = np.zeros(updater.n_users)
+    for domain_id in updater.domain_ids:
+        key = str(domain_id)
+        prev_n = np.asarray(before["numerators"].get(key, zeros))
+        prev_d = np.asarray(before["denominators"].get(key, zeros))
+        if domain_id in fresh:
+            fresh_n, fresh_d = fresh[domain_id]
+            want_n, want_d = alpha * prev_n + fresh_n, alpha * prev_d + fresh_d
+        else:
+            want_n, want_d = prev_n, prev_d
+        assert state["numerators"][key] == want_n.tolist()
+        assert state["denominators"][key] == want_d.tolist()
 
 
 def test_running_sums_match_brute_force_exactly(setup):
     """Warm-up seed, a merge and a committed step reproduce Eqs. 7-8 with ``==``.
 
-    Pins the summation order of the N/D sums (not just their value): the
-    golden fingerprints depend on every last bit of them.
+    Pins the summation order of the N/D sums (not just their value): each
+    (user, domain) sum adds its terms one at a time in ascending task order,
+    as the scatter-sum over the row-major observed entries does.  The golden
+    fingerprints depend on every last bit of them.
     """
     rng, true_expertise = setup
     alpha = 0.6
@@ -225,23 +254,73 @@ def test_running_sums_match_brute_force_exactly(setup):
     result = updater.incorporate(day, day_domains)
     assert np.array_equal(result.truths, preview.truths, equal_nan=True)
     fresh = _brute_force_sums(day, day_domains, result.truths, result.sigmas)
-    state = updater_to_dict(updater)
-    for domain_id in (0, 1, 2, 7):
-        key = str(domain_id)
-        prev_n = np.asarray(merged["numerators"].get(key, np.zeros(30)))
-        prev_d = np.asarray(merged["denominators"].get(key, np.zeros(30)))
-        if domain_id in fresh:
-            fresh_n, fresh_d = fresh[domain_id]
-            want_n, want_d = alpha * prev_n + fresh_n, alpha * prev_d + fresh_d
-        else:
-            want_n, want_d = prev_n, prev_d
-        assert state["numerators"][key] == want_n.tolist()
-        assert state["denominators"][key] == want_d.tolist()
+    _assert_committed_sums(updater, merged, fresh, alpha)
 
     fingerprint = state_fingerprint(system)
     later, _, _ = _batch(rng, true_expertise[:, [0, 0, 2, 0, 0, 0, 0, 1]], day_domains, 200)
     updater.incorporate(later, day_domains, commit=False)
     assert state_fingerprint(system) == fingerprint
+
+
+@pytest.mark.parametrize("n_users", [1, 30], ids=["one-user", "thirty-users"])
+def test_sums_of_a_domain_with_more_than_128_tasks_add_in_task_order(n_users):
+    """A seed and a committed step whose main domain has more than 128 tasks.
+
+    NumPy sums a contiguous row pairwise (eight partial sums, then blocks
+    of 128), so any layout that hands it one would break this.  A one-user
+    updater's sums were such rows before the Eq. 8 scatter-sum: they were
+    pairwise and changed in their last bits when they became sequential,
+    like every other updater's.
+    """
+    rng = np.random.default_rng(3)
+    alpha = 0.5
+    true_expertise = rng.uniform(0.3, 3.0, (n_users, 10))
+    updater = ExpertiseUpdater(n_users=n_users, alpha=alpha)
+
+    warm_domains = rng.permutation(np.repeat([4, 9], [300, 20]))
+    warm, truths, sigmas = _batch(rng, true_expertise, warm_domains, 320, density=0.7)
+    batch = TruthAnalysisResult(
+        truths=truths,
+        sigmas=sigmas,
+        expertise=np.ones((n_users, 2)),
+        domain_ids=(4, 9),
+        iterations=1,
+        converged=True,
+    )
+    updater.seed_from_batch(warm, warm_domains, batch)
+    fresh = _brute_force_sums(warm, warm_domains, truths, sigmas)
+    _assert_committed_sums(updater, {"numerators": {}, "denominators": {}}, fresh, alpha)
+
+    seeded = updater_to_dict(updater)
+    day_domains = rng.permutation(np.repeat([4, 6], [200, 30]))
+    day, _, _ = _batch(rng, true_expertise, day_domains, 230, density=0.7)
+    result = updater.incorporate(day, day_domains)
+    fresh = _brute_force_sums(day, day_domains, result.truths, result.sigmas)
+    _assert_committed_sums(updater, seeded, fresh, alpha)
+
+
+def test_seed_from_batch_rejects_misfit_inputs_before_state_changes(setup):
+    rng, true_expertise = setup
+    updater = ExpertiseUpdater(n_users=30, alpha=0.5)
+    domains = rng.integers(0, 3, 6)
+    obs, _, _ = _batch(rng, true_expertise, domains, 6)
+    result = estimate_truth(obs, domains)
+    updater.seed_from_batch(obs, domains, result)
+    before_ids, before = updater.domain_ids, updater_to_dict(updater)
+
+    seven_labels = np.array([0, 1, 2, 0, 1, 2, 9])
+    five_users = ObservationMatrix(values=np.zeros((5, 6)), mask=np.ones((5, 6), bool))
+    short = dataclasses.replace(result, truths=result.truths[:-1])
+    for observations, labels, batch in (
+        (obs, seven_labels, result),
+        (five_users, np.full(6, 9), result),
+        (obs, np.full(6, 9), short),
+        (obs, np.full(6, 9), dataclasses.replace(result, sigmas=result.sigmas[:-1])),
+    ):
+        with pytest.raises(ValueError):
+            updater.seed_from_batch(observations, labels, batch)
+    assert updater.domain_ids == before_ids
+    assert updater_to_dict(updater) == before
 
 
 class _EventLog:

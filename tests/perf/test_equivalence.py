@@ -2,10 +2,10 @@
 
 Every kernel the performance layer replaced is checked against its verbatim
 pre-optimisation copy in :mod:`repro.perf.reference` on seeded random
-inputs: exact cluster structure, and ``allclose`` (rtol 1e-10) truths,
+inputs: exact cluster structure, ``allclose`` (rtol 1e-10) truths,
 sigmas and expertise for the MLE (bincount scatter-sums order additions
 differently than dense pairwise summation, so last-bit drift is expected
-and bounded).
+and bounded), and ``==`` Eq. 8 sums for the Section 4.2 update.
 """
 
 import numpy as np
@@ -13,8 +13,9 @@ import pytest
 
 from repro.clustering.hierarchical import _labels_from_clusters, hierarchical_clustering
 from repro.clustering.linkage import AverageLinkage
-from repro.core.truth import estimate_truth
+from repro.core.truth import _SparseObservations, estimate_truth
 from repro.perf.reference import (
+    reference_denominator_sums,
     reference_estimate_truth,
     reference_labels_from_clusters,
     reference_linkage_sums,
@@ -116,3 +117,39 @@ def test_estimate_truth_matches_dense_reference(seed):
     np.testing.assert_allclose(a.truths, b.truths, rtol=1e-10)
     np.testing.assert_allclose(a.sigmas, b.sigmas, rtol=1e-10)
     np.testing.assert_allclose(a.expertise, b.expertise, rtol=1e-10)
+
+
+# --------------------------------------------------------------------- #
+# Section 4.2 Eq. 8 sums
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize(
+    "n_users, tasks_per_domain",
+    [(2, [1, 3, 7]), (40, [8, 60, 128]), (25, [129, 300]), (120, [5, 90, 200, 2])],
+    ids=["below-8", "8-to-128", "above-128", "mixed"],
+)
+@pytest.mark.parametrize("seed", [20, 21, 22])
+def test_denominator_sums_match_dense_reference_exactly(seed, n_users, tasks_per_domain):
+    """The scatter-sum adds each (user, domain) sum in the dense block's order.
+
+    Covers NaN truths (missing tasks), a domain with no observed pair and
+    per-domain task counts on both sides of NumPy's 8-wide unrolling and
+    128-element pairwise block.  A one-user matrix is the documented
+    exception (see :func:`reference_denominator_sums`).
+    """
+    rng = np.random.default_rng(seed)
+    inverse = rng.permutation(np.repeat(np.arange(len(tasks_per_domain)), tasks_per_domain))
+    n_tasks = inverse.size
+    mask = rng.random((n_users, n_tasks)) < rng.uniform(0.05, 0.9)
+    mask[:, inverse == len(tasks_per_domain) - 1] = False  # a domain nobody observed
+    values = np.where(mask, rng.normal(5.0, 3.0, (n_users, n_tasks)), 0.0)
+    observations = ObservationMatrix(values=values, mask=mask)
+    truths = rng.normal(5.0, 2.0, n_tasks)
+    truths[rng.random(n_tasks) < 0.2] = np.nan
+    sigmas = rng.uniform(0.1, 3.0, n_tasks)
+    k = len(tasks_per_domain)
+    fresh = _SparseObservations(observations, inverse, k).denominator_sums(truths, sigmas)
+    frozen = reference_denominator_sums(observations, inverse, k, truths, sigmas)
+    assert np.array_equal(fresh, frozen)
+    assert np.all(fresh[:, -1] == 0.0)
