@@ -8,9 +8,13 @@ fails:
 - **atomic writes** — temp file + ``os.replace``, so a crash mid-write
   leaves the previous checkpoint intact (never a half-written file under
   the real name);
-- **checksums** — each record embeds the SHA-256 of its canonical state
-  payload; silent corruption (truncation, bit rot, concurrent writers) is
-  detected at load time rather than producing subtly wrong expertise;
+- **checksums** — the state is encoded once, as canonical JSON stored
+  verbatim under ``"state"``, and ``checksum`` is the SHA-256 of exactly
+  those bytes (equal to ``state_fingerprint`` of the saved system); silent
+  corruption (truncation, bit rot, concurrent writers) is detected at load
+  time rather than producing subtly wrong expertise.  The reader
+  re-canonicalises the parsed state, so files written before the state
+  was stored canonically still load;
 - **rotation** — only the newest ``keep`` checkpoints are retained;
 - **fallback recovery** — :meth:`CheckpointManager.restore` walks
   checkpoints newest-to-oldest and restores the first *valid* one, logging
@@ -30,6 +34,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.hooks import StepHook
+from repro.observability.tracer import canonical_json
 
 __all__ = ["CheckpointError", "CheckpointHook", "CheckpointManager", "CHECKPOINT_VERSION"]
 
@@ -40,15 +45,6 @@ CHECKPOINT_VERSION = 1
 
 class CheckpointError(ValueError):
     """A checkpoint file is missing, corrupt, or from an unknown format."""
-
-
-def _canonical(state: dict) -> str:
-    """The canonical JSON text a checkpoint's checksum is computed over."""
-    return json.dumps(state, sort_keys=True, separators=(",", ":"))
-
-
-def _checksum(state: dict) -> str:
-    return hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest()
 
 
 class CheckpointManager:
@@ -101,7 +97,7 @@ class CheckpointManager:
         """
         from repro.core.serialization import atomic_write_text, system_state_to_dict
 
-        state = system_state_to_dict(system)
+        state = canonical_json(system_state_to_dict(system))
         merged = dict(metadata or {})
         if self.manifest is not None and "manifest" not in merged:
             merged["manifest"] = self.manifest
@@ -109,11 +105,12 @@ class CheckpointManager:
             "checkpoint_version": CHECKPOINT_VERSION,
             "step": int(step),
             "metadata": merged,
-            "checksum": _checksum(state),
-            "state": state,
+            "checksum": hashlib.sha256(state.encode("utf-8")).hexdigest(),
         }
         path = self.path_for(step)
-        text = json.dumps(record)
+        # The state is encoded once: its checksummed text is spliced in
+        # verbatim as the record's last field.
+        text = f'{json.dumps(record)[:-1]}, "state": {state}}}'
         # Rotate *before* the new checkpoint becomes visible.  The old
         # order (write, then rotate) had a crash window in which keep+1
         # files existed and latest_valid() resumed from the unrotated
@@ -187,7 +184,7 @@ class CheckpointManager:
         for key in ("step", "checksum", "state"):
             if key not in record:
                 raise CheckpointError(f"checkpoint {path} is missing the {key!r} field")
-        actual = _checksum(record["state"])
+        actual = hashlib.sha256(canonical_json(record["state"]).encode("utf-8")).hexdigest()
         if actual != record["checksum"]:
             raise CheckpointError(
                 f"checkpoint {path} failed checksum validation "

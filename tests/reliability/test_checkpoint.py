@@ -1,13 +1,24 @@
 """Tests for crash-safe checkpointing of the ETA2 system."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import ETA2System, IncomingTask
+from repro.core.serialization import state_fingerprint, system_state_to_dict
+from repro.observability.tracer import RunTracer, canonical_json
 from repro.reliability.checkpoint import CheckpointError, CheckpointManager
 from repro.reliability.faults import SimulatedCrash, crashing_writer
+
+#: A service checkpoint in the layout written before the state was stored
+#: canonically (one ``json.dumps`` of the whole record, state keys in
+#: insertion order): the newest checkpoint of an ``IngestionService`` over
+#: ``ETA2System(n_users=12, capacities=trace.capacities, seed=3)`` after
+#: ``generate_traffic(n_users=12, n_tasks=30, n_days=3, seed=1)``.
+EARLIER_LAYOUT_DIR = Path(__file__).parent / "data" / "earlier_layout"
+EARLIER_LAYOUT_FINGERPRINT = "bae3e5004f74873195e22cf7ac638b29ec8491ba4a114f3e9db4674bdf320f08"
 
 
 def _make_system(seed=0, n_users=10):
@@ -39,6 +50,21 @@ def _warmed_system(seed=0):
     true_u = rng.uniform(0.5, 3.0, 10)
     system.warmup(_day_tasks(rng), _observer(rng, true_u))
     return system, rng, true_u
+
+
+def _write_earlier_layout(path, system, step):
+    """Write ``system`` as checkpoints were written before the state was
+    stored canonically: ``json.dumps`` of the whole record."""
+    record = {
+        "checkpoint_version": 1,
+        "step": step,
+        "metadata": {},
+        "checksum": state_fingerprint(system),
+        "state": system_state_to_dict(system),
+    }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record))
+    return path
 
 
 class TestManagerBasics:
@@ -147,6 +173,70 @@ class TestValidation:
         path.write_text(json.dumps({"checkpoint_version": 1, "step": 1}))
         with pytest.raises(CheckpointError, match="checksum"):
             CheckpointManager(tmp_path).load_record(path)
+
+
+class TestStoredLayout:
+    def test_checksum_is_the_state_fingerprint_of_the_stored_text(self, tmp_path):
+        system, _, _ = _warmed_system()
+        manager = CheckpointManager(tmp_path)
+        path = manager.save(system, step=1, metadata={"kind": "warm-up"})
+        record = manager.load_record(path)
+        assert record["checksum"] == state_fingerprint(system)
+        # The state is stored once, verbatim in canonical form.
+        assert path.read_text().endswith(f'"state": {canonical_json(record["state"])}}}')
+
+    def test_save_event_bytes_is_the_file_size(self, tmp_path):
+        system, _, _ = _warmed_system()
+        tracer = RunTracer()
+        manager = CheckpointManager(tmp_path, manifest={"config_hash": "abc"}, tracer=tracer)
+        path = manager.save(system, step=4, metadata={"kind": "daily"})
+        [event] = tracer.events("checkpoint.save")
+        assert event["data"]["bytes"] == path.stat().st_size
+
+    def test_checkpoint_in_the_earlier_layout_restores(self):
+        manager = CheckpointManager(EARLIER_LAYOUT_DIR, prefix="serve")
+        [path] = manager.checkpoints()
+        assert '"state": {"format_version": 1, ' in path.read_text()  # not canonical
+        fresh = ETA2System(n_users=12, capacities=np.full(12, 10.0), seed=3)
+        assert manager.restore(fresh) == 3
+        assert state_fingerprint(fresh) == EARLIER_LAYOUT_FINGERPRINT
+
+    def test_twelve_domain_resume_matches_the_earlier_layout_day_by_day(self, tmp_path):
+        """Canonical order puts domains "10" and "11" before "2", so a
+        restored updater registers its columns in another order than from
+        an earlier-layout file of the same state; the days after the
+        restore must not notice."""
+        rng = np.random.default_rng(5)
+        true_u = rng.uniform(0.5, 3.0, 10)
+        system = _make_system(seed=5)
+        warmup_tasks = [
+            IncomingTask(processing_time=float(rng.uniform(0.5, 1.5)), domain=i % 12)
+            for i in range(36)
+        ]
+        system.warmup(warmup_tasks, _observer(rng, true_u))
+        assert system.expertise_matrix().domain_ids == list(range(12))
+        canonical = CheckpointManager(tmp_path / "canonical").save(system, step=1)
+        earlier = _write_earlier_layout(
+            tmp_path / "earlier" / "checkpoint-00000001.json", system, step=1
+        )
+        for path, ten_first in ((canonical, True), (earlier, False)):
+            text = path.read_text()
+            assert (text.index('"10":') < text.index('"2":')) is ten_first
+
+        per_day = []
+        for path in (canonical, earlier):
+            restored = _make_system(seed=5)
+            assert CheckpointManager(path.parent).restore(restored) == 1
+            day_rng = np.random.default_rng(11)
+            fingerprints = [state_fingerprint(restored)]
+            for _ in range(3):
+                restored.step(
+                    _day_tasks(day_rng, n_tasks=24, n_domains=12), _observer(day_rng, true_u)
+                )
+                fingerprints.append(state_fingerprint(restored))
+            per_day.append(fingerprints)
+        assert per_day[0] == per_day[1]
+        assert per_day[0][0] == state_fingerprint(system)
 
 
 class TestRecovery:
