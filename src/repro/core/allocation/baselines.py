@@ -24,23 +24,44 @@ def random_first_fit(problem: AllocationProblem, budget: np.ndarray, rng) -> Ass
 
     Visits all pairs in one random permutation, taking each pair whose time
     still fits in its user's remaining budget.  Users are independent under
-    this rule, so the walk runs on plain Python floats (the same IEEE
-    operations as NumPy's float64) with no per-pair array indexing.
+    this rule, so each eligible user walks only its own pairs, in
+    permutation order, on plain Python floats (the same IEEE operations as
+    NumPy's float64), and stops once its remaining budget is below its
+    shortest task: no later pair could fit.  The result and the
+    generator's state equal those of one walk over the whole permutation
+    (:func:`repro.perf.reference.reference_random_first_fit`).
     """
     n_users, n_tasks = problem.n_users, problem.n_tasks
     order = rng.permutation(n_users * n_tasks)
-    users, tasks = np.divmod(order, n_tasks)
-    times = problem.pair_times()[users, tasks].tolist()
+    matrix = np.zeros((n_users, n_tasks), dtype=bool)
+    if order.size == 0:
+        return Assignment(matrix=matrix)
+    # rank[user, task]: the pair's position in the permutation, so each
+    # row's argsort lists the user's tasks in the order the walk meets them.
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    visits = np.argsort(rank.reshape(n_users, n_tasks), axis=1)
+    times = problem.pair_times()
+    shortest = times.min(axis=1).tolist()
+    # Per-task times are one row broadcast over users (stride 0): convert
+    # that row once instead of n_users copies of it.
+    times = [times[0].tolist()] * n_users if times.strides[0] == 0 else times.tolist()
     eligible = problem.eligible_mask().tolist()
     remaining = np.asarray(budget, dtype=float).tolist()
     taken = []
-    for k, (user, t) in enumerate(zip(users.tolist(), times)):
-        if eligible[user] and t <= remaining[user] + 1e-12:
-            remaining[user] -= t
-            taken.append(k)
-    matrix = np.zeros(n_users * n_tasks, dtype=bool)
-    matrix[order[taken]] = True
-    return Assignment(matrix=matrix.reshape(n_users, n_tasks))
+    for user in range(n_users):
+        left, floor, user_times = remaining[user], shortest[user], times[user]
+        if not eligible[user] or left + 1e-12 < floor:
+            continue
+        for task in visits[user].tolist():
+            t = user_times[task]
+            if t <= left + 1e-12:
+                left -= t
+                taken.append(user * n_tasks + task)
+                if left + 1e-12 < floor:
+                    break
+    matrix.flat[taken] = True
+    return Assignment(matrix=matrix)
 
 
 class RandomAllocator:

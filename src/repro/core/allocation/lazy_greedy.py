@@ -93,7 +93,11 @@ class GreedyStats:
     ``evaluations - picks`` is the number of refreshes.  The eager
     reference instead re-evaluates every task sharing the picked user
     after every pick.  When no capacity ever binds, no entry goes stale
-    and ``pops == evaluations == picks``.  ``max_refresh_delta`` is the
+    and ``pops == evaluations == picks``.  A budgeted pass stops as soon
+    as the cheapest active task no longer fits the budget, so it counts
+    fewer pops (and refreshes) than a pass that drained its heap: the pops
+    it skips could only block or refresh, never pick, and with unit costs
+    it never blocks, so ``pops == evaluations``.  ``max_refresh_delta`` is the
     largest ``fresh - stale`` efficiency observed when re-evaluating a
     stale entry; submodularity guarantees it is never positive, and the
     CELF invariant test asserts exactly that.
@@ -352,10 +356,15 @@ def lazy_greedy_allocate(
     blocked = 0
     max_refresh_delta = float("-inf")
     added: list = []
+    # Cost only grows, so once the cheapest active task is unaffordable
+    # every later pop would be blocked, or refreshed and then blocked: the
+    # loop ends there.
+    budget = float("inf") if cost_budget is None else cost_budget + 1e-12
+    cheapest = float(problem.costs[columns].min()) if len(columns) else 0.0
     # A re-evaluated entry goes back in and the next top comes out in one
     # ``heappushpop``: heap keys ``(-value, task)`` are distinct (one entry
     # per task), so it returns exactly what a push and then a pop would.
-    top = heappop(heap) if heap else None
+    top = heappop(heap) if heap and cheapest <= budget else None
     while top is not None:
         neg_value, task = top
         user, p_user, t = cached[task]
@@ -365,7 +374,7 @@ def lazy_greedy_allocate(
             refreshes += 1
             if value + neg_value > max_refresh_delta:
                 max_refresh_delta = value + neg_value
-        elif cost_budget is not None and spent + costs[task] > cost_budget + 1e-12:
+        elif spent + costs[task] > budget:
             # Fresh, but cost only grows, so this task can never be
             # afforded again: it leaves the heap for good.
             blocked += 1
@@ -383,6 +392,8 @@ def lazy_greedy_allocate(
             # The picked task is stale by construction (its coverage
             # changed and its user is now on it): re-evaluate it right away.
             value = evaluate(task)
+            if spent + cheapest > budget:
+                break
         if value > 0.0:
             top = heappushpop(heap, (-value, task))
         else:

@@ -13,7 +13,9 @@ layer replaced:
   lazy-greedy kernel in :mod:`repro.core.allocation.lazy_greedy`
   replaced; picks must stay bit-identical),
 - :func:`reference_denominator_sums` — the §4.2 update's dense Eq. 8
-  sums (``==`` the scatter-sum that replaced them for two or more users).
+  sums (``==`` the scatter-sum that replaced them for two or more users),
+- :func:`reference_random_first_fit` — the warm-up fill's walk over the
+  whole pair permutation (``==`` the per-user walk that stops early).
 
 They exist so that (a) ``tests/perf/test_equivalence.py`` can prove the
 optimised kernels produce identical clusters and ``allclose`` truths, and
@@ -42,6 +44,7 @@ __all__ = [
     "reference_estimate_truth",
     "reference_greedy_allocate",
     "reference_denominator_sums",
+    "reference_random_first_fit",
 ]
 
 
@@ -287,3 +290,24 @@ def reference_estimate_truth(
         iterations=iterations,
         converged=converged,
     )
+
+
+def reference_random_first_fit(problem, budget: np.ndarray, rng):
+    """The warm-up fill's walk over every pair of one random permutation
+    (see :func:`repro.core.allocation.baselines.random_first_fit`)."""
+    from repro.core.allocation.base import Assignment
+
+    n_users, n_tasks = problem.n_users, problem.n_tasks
+    order = rng.permutation(n_users * n_tasks)
+    users, tasks = np.divmod(order, n_tasks)
+    times = problem.pair_times()[users, tasks].tolist()
+    eligible = problem.eligible_mask().tolist()
+    remaining = np.asarray(budget, dtype=float).tolist()
+    taken = []
+    for k, (user, t) in enumerate(zip(users.tolist(), times)):
+        if eligible[user] and t <= remaining[user] + 1e-12:
+            remaining[user] -= t
+            taken.append(k)
+    matrix = np.zeros(n_users * n_tasks, dtype=bool)
+    matrix[order[taken]] = True
+    return Assignment(matrix=matrix.reshape(n_users, n_tasks))

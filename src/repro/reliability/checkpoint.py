@@ -8,13 +8,22 @@ fails:
 - **atomic writes** — temp file + ``os.replace``, so a crash mid-write
   leaves the previous checkpoint intact (never a half-written file under
   the real name);
-- **checksums** — the state is encoded once, as canonical JSON stored
-  verbatim under ``"state"``, and ``checksum`` is the SHA-256 of exactly
-  those bytes (equal to ``state_fingerprint`` of the saved system); silent
-  corruption (truncation, bit rot, concurrent writers) is detected at load
-  time rather than producing subtly wrong expertise.  The reader
-  re-canonicalises the parsed state, so files written before the state
-  was stored canonically still load;
+- **packed sums** — version 2 stores the updater's decayed N and D sums
+  (Section 4.2, Eqs. 7-8) per domain as base64 of their little-endian
+  float64 bytes, which is exact and far cheaper to encode than float
+  text; the rest of :func:`~repro.core.serialization.system_state_to_dict`
+  is stored as is.  :meth:`CheckpointManager.load_record` decodes them
+  back into plain lists, so a loaded record's ``"state"`` is the
+  float-text snapshot whatever the version, and version-1 files (sums as
+  float text) still load;
+- **checksums** — the stored state is encoded once, as canonical JSON
+  stored verbatim under ``"state"``, and ``checksum`` is the SHA-256 of
+  exactly those bytes; silent corruption (truncation, bit rot, concurrent
+  writers) is detected at load time rather than producing subtly wrong
+  expertise.  The reader re-canonicalises the parsed stored state, so
+  files written before the state was stored canonically still load.  For
+  version 1 the checksum equals ``state_fingerprint`` of the saved system;
+  for version 2 the decoded state hashes to it;
 - **rotation** — only the newest ``keep`` checkpoints are retained;
 - **fallback recovery** — :meth:`CheckpointManager.restore` walks
   checkpoints newest-to-oldest and restores the first *valid* one, logging
@@ -26,12 +35,15 @@ files from interrupted writes are ignored and overwritten.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import logging
 import re
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from repro.core.hooks import StepHook
 from repro.observability.tracer import canonical_json
@@ -40,7 +52,13 @@ __all__ = ["CheckpointError", "CheckpointHook", "CheckpointManager", "CHECKPOINT
 
 _LOG = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+#: Version 1 stores the updater sums as float text, version 2 packed.
+_READABLE_VERSIONS = (1, 2)
+
+#: The updater maps that version 2 stores as base64 of float64 bytes.
+_PACKED_SUMS = ("numerators", "denominators")
 
 
 class CheckpointError(ValueError):
@@ -97,7 +115,14 @@ class CheckpointManager:
         """
         from repro.core.serialization import atomic_write_text, system_state_to_dict
 
-        state = canonical_json(system_state_to_dict(system))
+        state = system_state_to_dict(system)
+        updater = state["updater"]
+        for key in _PACKED_SUMS:
+            updater[key] = {
+                domain: base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+                for domain, values in updater[key].items()
+            }
+        state = canonical_json(state)
         merged = dict(metadata or {})
         if self.manifest is not None and "manifest" not in merged:
             merged["manifest"] = self.manifest
@@ -179,7 +204,7 @@ class CheckpointManager:
         if not isinstance(record, dict):
             raise CheckpointError(f"checkpoint {path} does not contain a record object")
         version = record.get("checkpoint_version")
-        if version != CHECKPOINT_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise CheckpointError(f"checkpoint {path} has unsupported version {version!r}")
         for key in ("step", "checksum", "state"):
             if key not in record:
@@ -190,6 +215,8 @@ class CheckpointManager:
                 f"checkpoint {path} failed checksum validation "
                 f"(stored {record['checksum'][:12]}…, computed {actual[:12]}…)"
             )
+        if version == 2:
+            _unpack_sums(record["state"], path)
         return record
 
     def latest_valid(self) -> "tuple[Path, dict] | None":
@@ -260,6 +287,31 @@ class CheckpointManager:
                 stored=stored_hash,
                 current=current_hash,
             )
+
+
+def _unpack_sums(state, path: Path) -> None:
+    """Decode a version-2 state's packed updater sums into float lists, in
+    place; anything that does not decode raises :class:`CheckpointError`."""
+    try:
+        updater = state["updater"]
+        for key in _PACKED_SUMS:
+            decoded = {}
+            for domain, packed in updater[key].items():
+                if not isinstance(packed, str):
+                    raise ValueError(f"domain {domain} of {key!r} is not a string")
+                raw = base64.b64decode(packed, validate=True)
+                if len(raw) % 8:
+                    raise ValueError(
+                        f"domain {domain} of {key!r} has {len(raw)} bytes, "
+                        "not a whole number of float64 values"
+                    )
+                decoded[domain] = np.frombuffer(raw, dtype="<f8").tolist()
+            updater[key] = decoded
+    except (KeyError, TypeError, AttributeError, ValueError) as error:
+        # binascii.Error (bad base64) is a ValueError.
+        raise CheckpointError(
+            f"checkpoint {path} has undecodable updater sums: {error!r}"
+        ) from None
 
 
 class CheckpointHook(StepHook):

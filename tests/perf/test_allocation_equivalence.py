@@ -30,14 +30,20 @@ efficiency (``max_refresh_delta <= 0``), so a stale cached value is always
 an upper bound and a fresh top-of-heap entry is the true global argmax.
 The slack-capacity test pins the freshness rule itself: an entry goes
 stale only when its cached user no longer fits the task.
+
+The warm-up fill (:func:`~repro.core.allocation.baselines.random_first_fit`)
+walks each user's own pairs and stops early; its fuzz asserts ``==`` on
+the matrix and on the generator's state against the frozen walk over the
+whole permutation.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.allocation.base import AllocationProblem, Assignment
+from repro.core.allocation.baselines import random_first_fit
 from repro.core.allocation.lazy_greedy import lazy_greedy_allocate
-from repro.perf.reference import reference_greedy_allocate
+from repro.perf.reference import reference_greedy_allocate, reference_random_first_fit
 
 
 def _random_instance(rng):
@@ -335,3 +341,77 @@ def test_lazy_on_domain_structured_instance_is_lazy():
     assert outcome.added_pairs == ref.added_pairs
     eager_evaluations = outcome.stats.picks * 100  # ~tasks per domain
     assert outcome.stats.evaluations < eager_evaluations / 2
+
+
+def _fill_instance(rng):
+    n_users = int(rng.integers(1, 30))
+    n_tasks = int(rng.integers(1, 60))
+    if rng.random() < 0.5:
+        # Spatial per-pair times, quantized for budgets that land exactly.
+        times = rng.choice([0.25, 0.5, 1.0, 1.5], size=(n_users, n_tasks))
+    else:
+        times = rng.uniform(0.2, 2.0, n_tasks)
+    eligible = None
+    if rng.random() < 0.4:
+        eligible = rng.random(n_users) < 0.6
+        if not eligible.any():
+            eligible[int(rng.integers(n_users))] = True
+    problem = AllocationProblem(
+        expertise=np.ones((n_users, n_tasks)),
+        processing_times=times,
+        capacities=np.ones(n_users),
+        eligible=eligible,
+    )
+    pair_times = problem.pair_times()
+    budget = rng.uniform(0.0, 6.0, n_users)
+    budget[rng.random(n_users) < 0.2] = 0.0
+    # Budgets within 1e-12 of a sum of the user's own task times, so the
+    # walk's ``t <= left + 1e-12`` test (and the early stop) sit on the edge.
+    edge = rng.random(n_users) < 0.4
+    for user in np.flatnonzero(edge):
+        picks = rng.choice(n_tasks, size=int(rng.integers(1, min(n_tasks, 4) + 1)), replace=False)
+        offset = rng.choice([-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12])
+        budget[user] = max(0.0, float(pair_times[user, picks].sum()) + offset)
+    return problem, budget
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_random_first_fit_matches_reference_fuzz(block):
+    """200 randomized fills (4 blocks x 50): matrix and generator state ==."""
+    rng = np.random.default_rng(3000 + block)
+    for _ in range(50):
+        problem, budget = _fill_instance(rng)
+        seed = int(rng.integers(2**32))
+        fast_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = random_first_fit(problem, budget, fast_rng)
+        reference = reference_random_first_fit(problem, budget, reference_rng)
+        assert np.array_equal(fast.matrix, reference.matrix)
+        assert fast_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_random_first_fit_takes_a_pair_that_fits_within_tolerance():
+    """A task longer than the budget by less than 1e-12 still fits; the
+    early stop must not cut it off."""
+    problem = AllocationProblem(
+        expertise=np.ones((1, 3)),
+        processing_times=np.array([1.0, 1.0 + 5e-13, 3.0]),
+        capacities=np.ones(1),
+    )
+    for seed in range(6):
+        fast = random_first_fit(problem, np.array([1.0]), np.random.default_rng(seed))
+        reference = reference_random_first_fit(
+            problem, np.array([1.0]), np.random.default_rng(seed)
+        )
+        assert np.array_equal(fast.matrix, reference.matrix)
+        assert fast.matrix.sum() == 1
+
+
+def test_random_first_fit_with_no_tasks():
+    problem = AllocationProblem(
+        expertise=np.ones((3, 0)), processing_times=np.ones(0), capacities=np.ones(3)
+    )
+    fast_rng, reference_rng = np.random.default_rng(4), np.random.default_rng(4)
+    fast = random_first_fit(problem, problem.capacities, fast_rng)
+    reference = reference_random_first_fit(problem, problem.capacities, reference_rng)
+    assert fast.matrix.shape == reference.matrix.shape == (3, 0)
+    assert fast_rng.bit_generator.state == reference_rng.bit_generator.state

@@ -79,3 +79,14 @@ def test_synthetic_day_stats_are_golden(seed, day, expected):
     allocator = MaxQualityAllocator()
     allocator.allocate(_synthetic_day_problem(seed, day))
     assert allocator.last_stats == expected
+
+
+def test_unit_cost_budgeted_pass_stops_at_the_budget():
+    """With unit costs no pick is ever blocked before the budget is spent,
+    and the pass ends there: every pop is a pick or a refresh."""
+    problem = _synthetic_day_problem(2017, 0)
+    full = lazy_greedy_allocate(problem)
+    budgeted = lazy_greedy_allocate(problem, cost_budget=500.0)
+    assert budgeted.added_pairs == full.added_pairs[:500]
+    assert budgeted.spent_cost == 500.0
+    assert budgeted.stats.pops == budgeted.stats.evaluations

@@ -1,5 +1,7 @@
 """Tests for crash-safe checkpointing of the ETA2 system."""
 
+import base64
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,6 +21,18 @@ from repro.reliability.faults import SimulatedCrash, crashing_writer
 #: ``generate_traffic(n_users=12, n_tasks=30, n_days=3, seed=1)``.
 EARLIER_LAYOUT_DIR = Path(__file__).parent / "data" / "earlier_layout"
 EARLIER_LAYOUT_FINGERPRINT = "bae3e5004f74873195e22cf7ac638b29ec8491ba4a114f3e9db4674bdf320f08"
+
+#: A service checkpoint in the canonical version-1 layout (the state
+#: stored once as canonical JSON, floats as text): the newest checkpoint of
+#: an ``IngestionService`` over
+#: ``ETA2System(n_users=12, capacities=trace.capacities, seed=3)`` after
+#: ``generate_traffic(n_users=12, n_tasks=30, n_days=4, seed=2)``.
+CANONICAL_V1_DIR = Path(__file__).parent / "data" / "canonical_v1"
+CANONICAL_V1_FINGERPRINT = "1ecee10a89f0a13c8acf52456b949a69d4c7e424cccf9f056e59fd4bbafc4850"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _make_system(seed=0, n_users=10):
@@ -174,16 +188,64 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="checksum"):
             CheckpointManager(tmp_path).load_record(path)
 
+    @pytest.mark.parametrize(
+        "packed",
+        [
+            pytest.param("not*base64!", id="bad-base64"),
+            pytest.param(base64.b64encode(bytes(12)).decode("ascii"), id="not-whole-float64s"),
+            pytest.param([1.0, 2.0], id="list-not-string"),
+            pytest.param(None, id="map-missing"),
+        ],
+    )
+    def test_undecodable_sums_rejected(self, tmp_path, packed):
+        """A version-2 file whose checksum is valid but whose packed sums
+        do not decode raises CheckpointError, and restore skips it."""
+        system, _, _ = _warmed_system()
+        manager = CheckpointManager(tmp_path)
+        manager.save(system, step=1)
+        path = manager.save(system, step=2)
+        state = json.loads(path.read_text())["state"]
+        if packed is None:
+            del state["updater"]["denominators"]
+        else:
+            state["updater"]["numerators"]["0"] = packed
+        text = canonical_json(state)
+        header = {"checkpoint_version": 2, "step": 2, "metadata": {}, "checksum": _sha256(text)}
+        path.write_text(f'{json.dumps(header)[:-1]}, "state": {text}}}')
+        with pytest.raises(CheckpointError, match="undecodable updater sums"):
+            manager.load_record(path)
+        assert manager.restore(_make_system(seed=99)) == 1
+
 
 class TestStoredLayout:
     def test_checksum_is_the_state_fingerprint_of_the_stored_text(self, tmp_path):
+        """The checksum covers the stored (packed) state text, and the state
+        ``load_record`` decodes from that text hashes to ``state_fingerprint``
+        bit for bit."""
         system, _, _ = _warmed_system()
         manager = CheckpointManager(tmp_path)
         path = manager.save(system, step=1, metadata={"kind": "warm-up"})
-        record = manager.load_record(path)
-        assert record["checksum"] == state_fingerprint(system)
+        text = path.read_text()
+        stored = canonical_json(json.loads(text)["state"])
         # The state is stored once, verbatim in canonical form.
-        assert path.read_text().endswith(f'"state": {canonical_json(record["state"])}}}')
+        assert text.endswith(f'"state": {stored}}}')
+        record = manager.load_record(path)
+        assert record["checkpoint_version"] == 2
+        assert record["checksum"] == _sha256(stored)
+        assert _sha256(canonical_json(record["state"])) == state_fingerprint(system)
+        assert record["state"] == system_state_to_dict(system)
+
+    def test_sums_are_stored_as_float64_bytes(self, tmp_path):
+        system, _, _ = _warmed_system()
+        path = CheckpointManager(tmp_path).save(system, step=1)
+        stored = json.loads(path.read_text())["state"]["updater"]
+        expected = system_state_to_dict(system)["updater"]
+        for key in ("numerators", "denominators"):
+            assert stored[key].keys() == expected[key].keys()
+            for domain, packed in stored[key].items():
+                assert base64.b64decode(packed) == np.asarray(
+                    expected[key][domain], dtype="<f8"
+                ).tobytes()
 
     def test_save_event_bytes_is_the_file_size(self, tmp_path):
         system, _, _ = _warmed_system()
@@ -200,6 +262,17 @@ class TestStoredLayout:
         fresh = ETA2System(n_users=12, capacities=np.full(12, 10.0), seed=3)
         assert manager.restore(fresh) == 3
         assert state_fingerprint(fresh) == EARLIER_LAYOUT_FINGERPRINT
+
+    def test_checkpoint_in_the_canonical_v1_layout_restores(self):
+        manager = CheckpointManager(CANONICAL_V1_DIR, prefix="serve")
+        [path] = manager.checkpoints()
+        text = path.read_text()
+        assert text.startswith('{"checkpoint_version": 1, ')
+        assert '"state": {"clustering":' in text  # canonical, floats as text
+        assert manager.load_record(path)["checksum"] == CANONICAL_V1_FINGERPRINT
+        fresh = ETA2System(n_users=12, capacities=np.full(12, 10.0), seed=3)
+        assert manager.restore(fresh) == 4
+        assert state_fingerprint(fresh) == CANONICAL_V1_FINGERPRINT
 
     def test_twelve_domain_resume_matches_the_earlier_layout_day_by_day(self, tmp_path):
         """Canonical order puts domains "10" and "11" before "2", so a
