@@ -206,13 +206,38 @@ class AverageLinkage:
         tuples, in merge order — the §3.3.1 loop with the §3.3.1 termination
         criterion (stop when the closest pair is at or beyond the minimum
         allowed distance).
+
+        The average matrix is built once per call.  A merge changes only
+        the sums and sizes of its two slots, so after it only row and
+        column ``a`` are recomputed (``sums[a] / (sizes[a] * sizes)``, the
+        same operations as :meth:`average_distances`; :meth:`merge` writes
+        the union's sums into row and column ``a`` alike) and row and
+        column ``b`` become ``inf``: the matrix stays equal to a fresh
+        :meth:`average_distances`, so every :meth:`closest_pair` choice is
+        the same.
         """
         log: list = []
-        while self.cluster_count > 1:
-            a, b, distance = self.closest_pair()
-            if not distance < threshold:
-                break
-            kept = self.merge(a, b)
-            absorbed = b if kept == a else a
-            log.append((kept, absorbed, distance))
+        live = self.cluster_count
+        if live < 2:
+            return log
+        avg = self.average_distances()
+        width = avg.shape[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while live > 1:
+                a, b = divmod(int(np.argmin(avg)), width)
+                distance = float(avg[a, b])
+                if not distance < threshold:
+                    break
+                if b < a:
+                    a, b = b, a
+                self.merge(a, b)
+                log.append((a, b, distance))
+                live -= 1
+                row = self._sums[a] / (self._sizes[a] * self._sizes)
+                row[~self._alive] = np.inf
+                row[a] = np.inf
+                avg[a, :] = row
+                avg[:, a] = row
+                avg[b, :] = np.inf
+                avg[:, b] = np.inf
         return log

@@ -42,6 +42,7 @@ DEFAULT_BASELINE = "BENCH_core.json"
 #: Kernel name -> {size-parameter: value} per mode.
 SIZES = {
     "average_linkage_construction": {"full": {"k": 500}, "quick": {"k": 160}},
+    "average_linkage_merge": {"full": {"k": 120}, "quick": {"k": 44}},
     "mle_sparse": {
         "full": {"n_users": 100, "n_tasks": 1000, "density": 0.2, "n_domains": 8},
         "quick": {"n_users": 60, "n_tasks": 300, "density": 0.2, "n_domains": 8},
@@ -96,6 +97,29 @@ def _bench_average_linkage(size: dict, rounds: int) -> dict:
 
     optimised = _median_seconds(lambda: AverageLinkage(base, groups), rounds)
     reference = _median_seconds(lambda: reference_linkage_sums(base, groups), rounds)
+    return {"median_s": optimised, "reference_median_s": reference}
+
+
+def _bench_average_linkage_merge(size: dict, rounds: int) -> dict:
+    from repro.clustering.linkage import AverageLinkage
+    from repro.perf.reference import reference_merge_until
+
+    # The whole §3.3.1 merge loop down to one cluster; each side builds its
+    # own engine (merging consumes it), so both times include one
+    # construction.
+    k = size["k"]
+    rng = np.random.default_rng(4321)
+    points = rng.random((k, 3))
+    base = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=-1)
+    np.fill_diagonal(base, 0.0)
+    groups = [[i] for i in range(k)]
+
+    optimised = _median_seconds(
+        lambda: AverageLinkage(base, groups).merge_until(np.inf), rounds
+    )
+    reference = _median_seconds(
+        lambda: reference_merge_until(AverageLinkage(base, groups), np.inf), rounds
+    )
     return {"median_s": optimised, "reference_median_s": reference}
 
 
@@ -201,6 +225,7 @@ def _time_greedy(problem, rounds: int) -> dict:
 
 _RUNNERS = {
     "average_linkage_construction": _bench_average_linkage,
+    "average_linkage_merge": _bench_average_linkage_merge,
     "mle_sparse": _bench_mle_sparse,
     "update_sparse": _bench_update_sparse,
     "allocation_greedy": _bench_allocation_greedy,

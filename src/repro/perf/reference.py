@@ -15,7 +15,10 @@ layer replaced:
 - :func:`reference_denominator_sums` — the §4.2 update's dense Eq. 8
   sums (``==`` the scatter-sum that replaced them for two or more users),
 - :func:`reference_random_first_fit` — the warm-up fill's walk over the
-  whole pair permutation (``==`` the per-user walk that stops early).
+  whole pair permutation (``==`` the per-user walk that stops early),
+- :func:`reference_merge_until` — the §3.3.1 merge loop that rebuilt the
+  whole average matrix for every merge (``==`` the loop that updates one
+  row and column per merge).
 
 They exist so that (a) ``tests/perf/test_equivalence.py`` can prove the
 optimised kernels produce identical clusters and ``allclose`` truths, and
@@ -45,6 +48,7 @@ __all__ = [
     "reference_greedy_allocate",
     "reference_denominator_sums",
     "reference_random_first_fit",
+    "reference_merge_until",
 ]
 
 
@@ -311,3 +315,17 @@ def reference_random_first_fit(problem, budget: np.ndarray, rng):
     matrix = np.zeros(n_users * n_tasks, dtype=bool)
     matrix[order[taken]] = True
     return Assignment(matrix=matrix.reshape(n_users, n_tasks))
+
+
+def reference_merge_until(linkage, threshold: float) -> list:
+    """The seed ``AverageLinkage.merge_until`` loop: one full
+    ``closest_pair`` scan (a fresh average matrix) per merge."""
+    log: list = []
+    while linkage.cluster_count > 1:
+        a, b, distance = linkage.closest_pair()
+        if not distance < threshold:
+            break
+        kept = linkage.merge(a, b)
+        absorbed = b if kept == a else a
+        log.append((kept, absorbed, distance))
+    return log

@@ -24,6 +24,14 @@ passes per instance share one ``rankings`` dict.
 Hand-built instances pin a jump past a warm-started user and the rounding
 ties the pointer walk must break the way ``np.argmax`` does.
 
+Three more blocks cover the single heap loop's shortcuts: per-task
+instances with more than 128 users where a vectorised jump follows picks
+(the numpy copies of the assignment and capacity state are brought up to
+date only before such a scan), users whose ``p`` sits a rounding step
+below a leader or at the tie-skip margin ``p * (1 - 2**-40)`` (plus
+hand-built subnormal and overflowing gains, where that margin does not
+hold), and spatial per-pair instances through the same loop.
+
 The CELF invariant test asserts the submodularity precondition the kernel
 relies on: re-evaluating a stale heap entry never *increases* its
 efficiency (``max_refresh_delta <= 0``), so a stale cached value is always
@@ -36,6 +44,8 @@ walks each user's own pairs and stops early; its fuzz asserts ``==`` on
 the matrix and on the generator's state against the frozen walk over the
 whole permutation.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -110,19 +120,24 @@ def _random_instance(rng):
     return problem, initial, kwargs
 
 
+def _assert_matches_reference(problem, initial=None, rankings=None, **kwargs):
+    """Same pairs in the same pick order (not merely the same set), the
+    same matrix, objective and spent cost."""
+    lazy = lazy_greedy_allocate(problem, initial=initial, rankings=rankings, **kwargs)
+    ref = reference_greedy_allocate(problem, initial=initial, **kwargs)
+    assert lazy.added_pairs == ref.added_pairs
+    assert np.array_equal(lazy.assignment.matrix, ref.assignment.matrix)
+    assert lazy.objective == ref.objective
+    assert lazy.spent_cost == ref.spent_cost
+
+
 @pytest.mark.parametrize("block", range(8))
 def test_lazy_greedy_matches_reference_fuzz(block):
     """200 randomized instances (8 blocks x 25): picks bit-identical."""
     rng = np.random.default_rng(1000 + block)
     for _ in range(25):
         problem, initial, kwargs = _random_instance(rng)
-        lazy = lazy_greedy_allocate(problem, initial=initial, **kwargs)
-        ref = reference_greedy_allocate(problem, initial=initial, **kwargs)
-        # Same pairs in the same pick order — not merely the same set.
-        assert lazy.added_pairs == ref.added_pairs
-        assert np.array_equal(lazy.assignment.matrix, ref.assignment.matrix)
-        assert lazy.objective == ref.objective
-        assert lazy.spent_cost == ref.spent_cost
+        _assert_matches_reference(problem, initial=initial, **kwargs)
 
 
 def _per_task_instance(rng):
@@ -198,12 +213,7 @@ def test_ranked_pointer_path_matches_reference_fuzz(block):
         rankings: dict = {}
         for divide_by_time in (kwargs["divide_by_time"], not kwargs["divide_by_time"]):
             kwargs["divide_by_time"] = divide_by_time
-            lazy = lazy_greedy_allocate(problem, initial=initial, rankings=rankings, **kwargs)
-            ref = reference_greedy_allocate(problem, initial=initial, **kwargs)
-            assert lazy.added_pairs == ref.added_pairs
-            assert np.array_equal(lazy.assignment.matrix, ref.assignment.matrix)
-            assert lazy.objective == ref.objective
-            assert lazy.spent_cost == ref.spent_cost
+            _assert_matches_reference(problem, initial=initial, rankings=rankings, **kwargs)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -282,6 +292,182 @@ def test_rounding_tie_skips_a_lower_index_that_cannot_take_the_task(tie):
     ref = reference_greedy_allocate(**kwargs)
     assert ref.added_pairs == ((2, 0), (1, 0))
     assert lazy_greedy_allocate(**kwargs).added_pairs == ref.added_pairs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_long_walks_after_picks_match_reference(seed):
+    """More than ``_WALK_LIMIT`` (128) users, of whom the most skilled
+    135-149 have no capacity today: every task's first re-evaluation,
+    right after its first pick, walks past them into the vectorised scan,
+    which must see the picks made since the numpy copies of the assignment
+    and capacity state were last updated (the pick just made included)."""
+    rng = np.random.default_rng(5000 + seed)
+    n_users = int(rng.integers(150, 221))
+    n_tasks = int(rng.integers(40, 161))
+    n_domains = int(rng.integers(1, 4))
+    domains = rng.integers(0, n_domains, n_tasks)
+    skill = rng.gamma(2.0, 2.0, n_users)
+    expertise = (skill[:, None] * rng.uniform(0.99, 1.01, (n_users, n_domains)))[:, domains]
+    capacities = rng.uniform(2.0, 16.0, n_users)
+    capacities[np.argsort(-skill)[: int(rng.integers(135, 150))]] = 0.0
+    times = rng.uniform(0.5, 1.5, n_tasks)
+    problem = AllocationProblem(
+        expertise=expertise,
+        processing_times=times,
+        capacities=capacities,
+        eligible=rng.random(n_users) < 0.95 if seed % 3 == 0 else None,
+    )
+    initial = None
+    if seed >= 3:
+        # A warm start puts users on tasks that a later scan must skip.
+        initial = Assignment.empty(n_users, n_tasks)
+        for user in rng.choice(n_users, size=20, replace=False):
+            task = int(rng.integers(n_tasks))
+            initial.matrix[user, task] = times[task] <= capacities[user]
+    rankings: dict = {}
+    for divide_by_time in (True, False):
+        _assert_matches_reference(
+            problem, initial=initial, rankings=rankings, divide_by_time=divide_by_time
+        )
+
+
+@dataclass(frozen=True)
+class _GivenAccuracy(AllocationProblem):
+    """A problem whose Eq. 11 accuracies are given directly, so a test can
+    place users' ``p`` a rounding step apart."""
+
+    accuracy: "np.ndarray | None" = None
+
+    def accuracy_matrix(self) -> np.ndarray:
+        return self.accuracy
+
+
+def _at_the_margin(leader: float) -> list:
+    """``p`` values around the tie-skip margin below ``leader``."""
+    margin = leader * (1.0 - 2.0**-40)
+    return [
+        leader,
+        np.nextafter(leader, 0.0),  # one rounding step below the leader
+        np.nextafter(np.nextafter(leader, 0.0), 0.0),
+        margin,  # exactly at the margin: the tie scan runs
+        np.nextafter(margin, 0.0),  # just past it: the scan is skipped
+        np.nextafter(margin, 1.0),
+    ]
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_tie_skip_margin_matches_reference_fuzz(block):
+    """40 per-task-time instances (4 blocks x 10) whose users' ``p`` sit
+    one or two rounding steps below a domain's leader, exactly at the
+    tie-skip margin ``p * (1 - 2**-40)`` or one step either side of it,
+    in shuffled user order so that a rounding tie must break toward a
+    lower user index than the ranking's."""
+    rng = np.random.default_rng(6000 + block)
+    for _ in range(10):
+        n_users = int(rng.integers(8, 160))
+        n_tasks = int(rng.integers(5, 60))
+        n_domains = int(rng.integers(1, 4))
+        columns = np.empty((n_users, n_domains))
+        for domain in range(n_domains):
+            values = [v for leader in rng.uniform(0.05, 0.95, 2) for v in _at_the_margin(leader)]
+            columns[:, domain] = rng.choice(values, size=n_users)
+        accuracy = columns[:, rng.integers(0, n_domains, n_tasks)]
+        problem = _GivenAccuracy(
+            expertise=np.ones((n_users, n_tasks)),
+            processing_times=rng.uniform(0.3, 2.0, n_tasks),
+            capacities=rng.uniform(0.5, 4.0, n_users),
+            costs=rng.choice([0.5, 1.0], size=n_tasks) if rng.random() < 0.3 else None,
+            accuracy=accuracy,
+        )
+        kwargs = {"divide_by_time": bool(rng.random() < 0.7)}
+        if rng.random() < 0.3:
+            kwargs["cost_budget"] = float(rng.uniform(1.0, n_tasks))
+        _assert_matches_reference(problem, rankings={}, **kwargs)
+
+
+def test_tie_scan_runs_when_the_gain_is_subnormal():
+    """Past the margin, ``p`` values still round to one gain once the
+    task's coverage ``miss`` is subnormal.  User 0's ``p`` is just past
+    the margin below the others'; after 21 picks ``miss`` is ``2**-1050``
+    and user 0 ties user 22, so ``np.argmax`` takes user 0."""
+    leader = 1.0 - 2.0**-50
+    accuracy = np.full((23, 1), leader)
+    accuracy[0, 0] = np.nextafter(leader * (1.0 - 2.0**-40), 0.0)
+    problem = _GivenAccuracy(
+        expertise=np.ones((23, 1)),
+        processing_times=np.array([1.0]),
+        capacities=np.ones(23),
+        accuracy=accuracy,
+    )
+    ref = reference_greedy_allocate(problem)
+    assert ref.added_pairs[:22] == tuple((user, 0) for user in [*range(1, 22), 0])
+    _assert_matches_reference(problem)
+
+
+def test_tie_scan_runs_when_gains_overflow():
+    """A time so small that every gain overflows to ``inf``: all users
+    tie, and after user 0's pick ``np.argmax`` takes user 1, whose ``p``
+    is far below the ranking's leader, user 2."""
+    problem = _GivenAccuracy(
+        expertise=np.ones((3, 1)),
+        processing_times=np.array([1e-310]),
+        capacities=np.ones(3),
+        accuracy=np.array([[0.3], [0.5], [0.9]]),
+    )
+    with np.errstate(over="ignore"):
+        ref = reference_greedy_allocate(problem)
+        assert ref.added_pairs == ((0, 0), (1, 0), (2, 0))
+        _assert_matches_reference(problem)
+
+
+def _per_pair_instance(rng):
+    """A per-pair-time (spatial) instance at the pipeline's scale, with
+    capacities that bind, so the masked-argmax branch of the loop runs
+    after every pick and on many refreshes."""
+    n_users = int(rng.integers(20, 80))
+    n_tasks = int(rng.integers(20, 120))
+    domains = rng.integers(0, int(rng.integers(1, 6)), n_tasks)
+    expertise = rng.gamma(2.0, 2.0, (n_users, 6))[:, domains]
+    if rng.random() < 0.3:
+        expertise = np.round(expertise)  # tie-heavy
+    times = rng.uniform(0.3, 2.0, (n_users, n_tasks))
+    if rng.random() < 0.4:
+        times = np.round(times * 2.0) / 2.0 + 0.5
+    eligible = rng.random(n_users) < 0.8 if rng.random() < 0.3 else None
+    if eligible is not None:
+        eligible[int(rng.integers(n_users))] = True
+    problem = AllocationProblem(
+        expertise=expertise,
+        processing_times=times,
+        capacities=rng.uniform(0.0, 6.0, n_users),
+        costs=rng.choice([0.5, 1.0, 2.0], size=n_tasks) if rng.random() < 0.4 else None,
+        eligible=eligible,
+    )
+    kwargs = {"divide_by_time": bool(rng.random() < 0.7)}
+    if rng.random() < 0.3:
+        kwargs["cost_budget"] = float(rng.uniform(1.0, n_tasks))
+    if rng.random() < 0.2:
+        kwargs["active_tasks"] = rng.random(n_tasks) < 0.6
+    initial = None
+    if rng.random() < 0.3:
+        initial = Assignment.empty(n_users, n_tasks)
+        remaining = problem.capacities.copy()
+        for _ in range(int(rng.integers(1, 30))):
+            user, task = int(rng.integers(n_users)), int(rng.integers(n_tasks))
+            if not initial.matrix[user, task] and times[user, task] <= remaining[user]:
+                initial.matrix[user, task] = True
+                remaining[user] -= times[user, task]
+    return problem, initial, kwargs
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_per_pair_path_matches_reference_fuzz(block):
+    """30 spatial instances (3 blocks x 10), with a ``rankings`` dict
+    passed as the allocators do (per-pair passes never read it)."""
+    rng = np.random.default_rng(7000 + block)
+    for _ in range(10):
+        problem, initial, kwargs = _per_pair_instance(rng)
+        _assert_matches_reference(problem, initial=initial, rankings={}, **kwargs)
 
 
 def test_celf_invariant_refresh_never_increases():

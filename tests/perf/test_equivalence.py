@@ -5,7 +5,8 @@ pre-optimisation copy in :mod:`repro.perf.reference` on seeded random
 inputs: exact cluster structure, ``allclose`` (rtol 1e-10) truths,
 sigmas and expertise for the MLE (bincount scatter-sums order additions
 differently than dense pairwise summation, so last-bit drift is expected
-and bounded), and ``==`` Eq. 8 sums for the Section 4.2 update.
+and bounded), ``==`` Eq. 8 sums for the Section 4.2 update, and ``==`` merge logs and
+members for the §3.3.1 merge loop.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.perf.reference import (
     reference_estimate_truth,
     reference_labels_from_clusters,
     reference_linkage_sums,
+    reference_merge_until,
 )
 from repro.truthdiscovery.base import ObservationMatrix
 
@@ -81,6 +83,53 @@ def test_linkage_merge_chain_matches_reference_sums():
     log_b = reference.merge_until(threshold=float(base.max()) * 0.4)
     assert log_a == pytest.approx(log_b)
     assert sorted(map(sorted, optimised.members())) == sorted(map(sorted, reference.members()))
+
+
+def _merge_instance(rng):
+    """A base matrix and starting groups for one ``merge_until`` call."""
+    n = int(rng.integers(2, 45))
+    if rng.random() < 0.4:
+        # Integer distances: many averages tie exactly, so the first
+        # minimum in row-major order decides the merge.
+        base = rng.integers(0, 4, (n, n)).astype(float)
+        base = np.triu(base, 1) + np.triu(base, 1).T
+    else:
+        base = _random_distance_matrix(rng, n)
+    if rng.random() < 0.5:
+        groups = [[i] for i in range(n)]
+    else:
+        order = rng.permutation(n)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+        groups = [chunk.tolist() for chunk in np.split(order, cuts)]
+    roll = rng.random()
+    if roll < 0.15:
+        threshold = 0.0
+    elif roll < 0.3:
+        threshold = float("inf")
+    else:
+        threshold = float(rng.uniform(0.0, base.max() + 1.0))
+    return base, groups, threshold
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_merge_until_matches_reference_fuzz(block):
+    """200 calls (4 blocks x 50): the loop that updates one row and column
+    per merge gives the same log and members as a full rescan per merge,
+    across tied distances, non-singleton starting groups and zero and
+    infinite thresholds."""
+    rng = np.random.default_rng(8000 + block)
+    for _ in range(50):
+        base, groups, threshold = _merge_instance(rng)
+        optimised, reference = AverageLinkage(base, groups), AverageLinkage(base, groups)
+        log = optimised.merge_until(threshold)
+        assert log == reference_merge_until(reference, threshold)
+        assert optimised.members() == reference.members()
+        # A second call resumes from the merged state.
+        if threshold > 0.0:
+            assert optimised.merge_until(threshold * 2.0) == reference_merge_until(
+                reference, threshold * 2.0
+            )
+            assert optimised.members() == reference.members()
 
 
 def test_labels_from_clusters_matches_reference():
