@@ -8,7 +8,9 @@
   allocator, with optional epsilon-greedy exploration,
 - :mod:`repro.core.allocation.lazy_greedy` — the CELF priority-queue kernel
   the greedy runs on: an entry is re-evaluated only when its cached user
-  no longer fits, with bit-identical picks to the exhaustive scan,
+  no longer fits, with bit-identical picks to the exhaustive scan; its
+  passes start from a ``GreedyState`` built once per step or per min-cost
+  allocation,
 - :mod:`repro.core.allocation.min_cost` — the iterative min-cost allocator
   (Algorithm 2) with the Fisher-information quality check,
 - :mod:`repro.core.allocation.exact` — exhaustive and dynamic-programming
@@ -27,7 +29,12 @@ from repro.core.allocation.base import (
 )
 from repro.core.allocation.baselines import RandomAllocator, ReliabilityGreedyAllocator
 from repro.core.allocation.exact import exhaustive_max_quality, single_user_knapsack
-from repro.core.allocation.lazy_greedy import GreedyOutcome, GreedyStats, lazy_greedy_allocate
+from repro.core.allocation.lazy_greedy import (
+    GreedyOutcome,
+    GreedyState,
+    GreedyStats,
+    lazy_greedy_allocate,
+)
 from repro.core.allocation.max_quality import MaxQualityAllocator, best_of_two_greedy
 from repro.core.allocation.min_cost import MinCostAllocator, MinCostOutcome, MinCostRound
 
@@ -35,6 +42,7 @@ __all__ = [
     "AllocationProblem",
     "Assignment",
     "GreedyOutcome",
+    "GreedyState",
     "GreedyStats",
     "MaxQualityAllocator",
     "MinCostAllocator",

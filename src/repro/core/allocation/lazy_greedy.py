@@ -43,12 +43,10 @@ user leaves the feasible set (assigned to the task, or ``t_j`` above its
 remaining capacity) is permanent.  Re-evaluation is then a forward pointer
 over that ranking, in scalar arithmetic:
 
-- rankings are built lazily, when a task is first re-evaluated, resolved
-  once per pass into a list indexed by task, and cached by task and by
-  the accuracy column's bytes, so all tasks of one expertise domain share
-  one sort; callers that run several passes over one problem pass one
-  ``rankings`` dict to all of them, so each domain is sorted once per
-  allocation;
+- rankings are built lazily, when a task is first re-evaluated, and kept
+  on the :class:`GreedyState` in a list indexed by task; tasks with equal
+  accuracy columns (one expertise domain) share one sort, so each domain
+  is sorted once per allocation however many passes run from the state;
 - the pointer walks at most ``_WALK_LIMIT`` spent users before jumping to
   the next feasible one with a single vectorised scan over the rest of the
   ranking (capacity-1 instances spend users faster than any one task is
@@ -65,6 +63,23 @@ Per-pair (spatial) times break the shared ranking, so there re-evaluation
 stays one vectorised masked-argmax over the task's column, a branch of the
 same loop body.
 
+**One start state per allocation.**  A pass starts from a
+:class:`GreedyState`: the problem's fixed inputs (Fortran-order Eq. 11
+accuracies, pair times, eligibility, rankings) and what the assignment so
+far implies (remaining capacity, each task's coverage miss, the
+available pairs, the taken set).  Both passes of a best-of-two step read
+one state and copy only what their picks change; the second takes the
+masked gain ``p * miss`` the first built (the two builds differ only by
+the division by ``t_j``).  Algorithm 2 carries one state through its
+rounds, and :meth:`GreedyState.advance` moves it with the winning pass's
+pairs, recomputing only the rows and columns they touched.  A pass
+recomputes the coverage of the columns it picked into, in ascending user
+order, and scores its objective ``sum(1 - miss)`` over the full vector,
+as :func:`~repro.core.allocation.base.allocation_objective` does.  Row
+sums and column products over a subset are ``==`` the full-matrix forms,
+so every carried value, pick and objective is bit-identical to a pass
+rebuilt from scratch.
+
 **Bit-identical picks.**  Heap entries order by ``(-efficiency, task)``,
 so ties in efficiency break toward the lowest task index — exactly
 ``np.argmax`` over the per-task efficiency array — and both re-evaluation
@@ -75,9 +90,12 @@ every user tie-break is bit-identical too.
 the frozen eager copy
 (:func:`repro.perf.reference.reference_greedy_allocate`) across spatial
 pair-times, eligibility masks, cost budgets, warm starts, tie-heavy
-expertise and zero-capacity users, with a second block of larger
-per-task-time instances for the pointer walk and a hand-built rounding
-tie.
+expertise and zero-capacity users, with blocks of larger per-task-time
+instances for the pointer walk, warm starts of 50-300 prior pairs and a
+hand-built rounding tie; it also fuzzes
+:class:`~repro.core.allocation.min_cost.MinCostAllocator` against
+:func:`repro.perf.reference.reference_min_cost_run`, which rebuilds every
+pass from the running assignment.
 """
 
 from __future__ import annotations
@@ -87,9 +105,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.allocation.base import AllocationProblem, Assignment, allocation_objective
+from repro.core.allocation.base import AllocationProblem, Assignment
 
-__all__ = ["GreedyStats", "GreedyOutcome", "lazy_greedy_allocate"]
+__all__ = ["GreedyStats", "GreedyOutcome", "GreedyState", "lazy_greedy_allocate"]
 
 #: Longest scalar pointer walk over a task's ranking before the kernel
 #: jumps to the next feasible user with one vectorised scan.
@@ -154,6 +172,114 @@ class GreedyOutcome:
     spent_cost: float
     #: Lazy-kernel work counters (None for outcomes built elsewhere).
     stats: "GreedyStats | None" = None
+    #: Each task's coverage miss ``prod (1 - p_ij)`` after the pass, read-only
+    #: (None for outcomes built elsewhere); ``objective`` is
+    #: ``sum(1 - miss)``.
+    miss: "np.ndarray | None" = None
+
+
+class GreedyState:
+    """The start state of the greedy passes over one problem from one assignment.
+
+    Built once from the assignment so far and read by every pass that
+    starts from it (both passes of a best-of-two step); a pass copies what
+    its picks change and leaves the state as it was, except that it hands
+    its masked gain to the next pass (``shared_gain``).  Algorithm 2
+    carries one state through its rounds: :meth:`advance` moves it with
+    each round's winning pass.
+
+    The problem's fixed inputs, made once per state: the Eq. 11
+    ``accuracy`` in Fortran order (``[:, task]`` slices are contiguous),
+    ``pair_times`` and their column-access layout ``times_f`` (a broadcast
+    per-task time row -- stride 0 -- is already free to slice; per-pair
+    times get a Fortran copy), ``eligible`` and the task ``costs``; with
+    per-task times also the ``task_times``, the ``tie_floor`` of the tie
+    scan and the user rankings the kernel resolves (a ranking depends on
+    the problem's eligibility and accuracy, so a state never outlives its
+    problem).  The values the assignment so far implies:
+
+    - ``assigned``, the boolean ``s_ij`` matrix;
+    - ``remaining``, each user's capacity minus its assigned time;
+    - ``miss`` (read-only), each task's coverage miss ``prod (1 - p_ij)``
+      over its assigned users;
+    - ``avail`` (Fortran), not assigned and eligible;
+    - ``taken``, the assigned pairs as ``user * n_tasks + task``.
+
+    Each is ``==`` the full-matrix form the eager loop builds from
+    ``assigned``: a row's pairwise sum and a column's product (sequential,
+    in ascending user order) come out the same over the whole matrix or
+    over a subset of rows or columns, so only touched rows and columns are
+    ever recomputed.
+    """
+
+    def __init__(self, problem: AllocationProblem, initial: "Assignment | None" = None):
+        n_users, n_tasks = problem.n_users, problem.n_tasks
+        if initial is None:
+            assigned = np.zeros((n_users, n_tasks), dtype=bool)
+        else:
+            if initial.matrix.shape != (n_users, n_tasks):
+                raise ValueError("initial assignment shape does not match the problem")
+            assigned = initial.matrix.copy()
+        times = problem.pair_times()
+        remaining = problem.capacities - (assigned * times).sum(axis=1)
+        if np.any(remaining < -1e-9):
+            raise ValueError("initial assignment already exceeds capacities")
+        self.problem = problem
+        self.per_task_times = times.strides[0] == 0
+        self.pair_times = times
+        self.times_f = times if self.per_task_times else np.asfortranarray(times)
+        self.accuracy = np.asfortranarray(problem.accuracy_matrix())
+        self.eligible = problem.eligible_mask()
+        self.costs = problem.costs.tolist()
+        if self.per_task_times:
+            # Per-task times only: each task's user ranking, resolved when a
+            # pass first re-evaluates the task, and the sorts behind them,
+            # one per distinct accuracy column (one per expertise domain).
+            self.task_times = times[0].tolist()
+            self.task_rankings: list = [None] * n_tasks
+            self.rankings: dict = {}
+            self.ranking_column = _equal_columns(self.accuracy)
+            # A tie scan is skipped only while ``p * miss`` and the gain are
+            # normal floats: ``p * miss >= tie_floor`` guarantees both, since
+            # no time exceeds the largest.  Times so small that a gain
+            # (``p * miss <= 1`` over ``t``) could overflow turn the skip off.
+            self.tie_floor = float("inf")
+            if min(self.task_times, default=1.0) >= _MIN_TIME:
+                self.tie_floor = _MIN_NORMAL * max(1.0, max(self.task_times, default=1.0))
+        self.assigned = assigned
+        self.remaining = remaining
+        # A column with no assigned user has miss exactly 1.0.
+        self.miss = np.ones(n_tasks)
+        covered = np.flatnonzero(assigned.any(axis=0))
+        self.miss[covered] = _column_miss(self.accuracy, assigned, covered)
+        self.miss.setflags(write=False)
+        self.avail = np.asfortranarray(~assigned & self.eligible[:, None])
+        self.taken = set(np.flatnonzero(assigned).tolist())
+        # ``(active-task key, masked p * miss)`` of the last pass's build,
+        # until a pass over the same active tasks takes it.
+        self.shared_gain = None
+
+    def advance(self, outcome: GreedyOutcome) -> None:
+        """Move to the end of ``outcome``, a pass that started from this state.
+
+        Assigns its pairs and recomputes the remaining capacity of the users
+        they touched; the coverage of the tasks they touched is the pass's
+        own ``miss``.
+        """
+        if not outcome.added_pairs:
+            return
+        self.shared_gain = None
+        n_users, n_tasks = self.problem.n_users, self.problem.n_tasks
+        users, tasks = _pair_arrays(outcome.added_pairs)
+        self.assigned[users, tasks] = True
+        self.avail[users, tasks] = False
+        self.taken.update((users * n_tasks + tasks).tolist())
+        rows = _touched(users, n_users)
+        times = self.pair_times[:1] if self.per_task_times else self.pair_times[rows]
+        self.remaining[rows] = self.problem.capacities[rows] - (
+            self.assigned[rows] * times
+        ).sum(axis=1)
+        self.miss = outcome.miss
 
 
 def lazy_greedy_allocate(
@@ -162,9 +288,7 @@ def lazy_greedy_allocate(
     divide_by_time: bool = True,
     cost_budget: "float | None" = None,
     active_tasks: "np.ndarray | None" = None,
-    accuracy: "np.ndarray | None" = None,
-    pair_times: "np.ndarray | None" = None,
-    rankings: "dict | None" = None,
+    state: "GreedyState | None" = None,
 ) -> GreedyOutcome:
     """Run the Algorithm 1 greedy loop via the CELF priority queue.
 
@@ -183,108 +307,110 @@ def lazy_greedy_allocate(
     active_tasks:
         Boolean mask of tasks eligible for new assignments (min-cost skips
         tasks whose quality requirement is already met).
-    accuracy, pair_times:
-        Precomputed ``problem.accuracy_matrix()`` (Eq. 11) and
-        ``problem.pair_times()``, so callers that run several passes over
-        one problem (extra pass, min-cost rounds) pay for them once.
-    rankings:
-        A dict the kernel fills with user rankings (per-task times only),
-        keyed by task index and by accuracy column bytes.  Pass one dict to
-        every pass over one problem so each domain's users are sorted once;
-        a ranking depends on the problem's eligibility and accuracy, so
-        never share it across problems.
+    state:
+        A :class:`GreedyState` of ``problem`` to start from, in place of
+        ``initial``: callers that run several passes from one assignment
+        (extra pass, min-cost rounds) build it once.  The pass leaves its
+        values as they were.  Omitted, the pass builds one from
+        ``initial``.
     """
+    if state is None:
+        state = GreedyState(problem, initial)
+    elif initial is not None:
+        raise ValueError("pass either an initial assignment or a state, not both")
+    elif state.problem is not problem:
+        raise ValueError("the state belongs to another problem")
     n_users, n_tasks = problem.n_users, problem.n_tasks
-    p = problem.accuracy_matrix() if accuracy is None else accuracy
-    times = problem.pair_times() if pair_times is None else pair_times
-    eligible = problem.eligible_mask()
-
-    if initial is None:
-        assigned = np.zeros((n_users, n_tasks), dtype=bool)
-    else:
-        if initial.matrix.shape != (n_users, n_tasks):
-            raise ValueError("initial assignment shape does not match the problem")
-        assigned = initial.matrix.copy()
-    remaining = problem.capacities - (assigned * times).sum(axis=1)
-    if np.any(remaining < -1e-9):
-        raise ValueError("initial assignment already exceeds capacities")
+    p_f, times_f, eligible = state.accuracy, state.times_f, state.eligible
+    per_task_times = state.per_task_times
 
     if active_tasks is not None:
         active_tasks = np.asarray(active_tasks, dtype=bool)
         if active_tasks.shape != (n_tasks,):
             raise ValueError("active_tasks must have one flag per task")
-    if active_tasks is None or active_tasks.all():
-        columns = np.arange(n_tasks)
-        p_a, times_a, assigned_a = p, times, assigned
-    else:
-        # Later min-cost rounds leave only a few tasks active: the build
-        # reads just their columns.
-        columns = np.flatnonzero(active_tasks)
-        p_a, times_a, assigned_a = p[:, columns], times[:, columns], assigned[:, columns]
+        if active_tasks.all():
+            active_tasks = None
 
-    # Initial build: one vectorised masked-argmax over the active columns,
-    # the same element-wise operations as the eager loop's per-task scan.
-    miss_a = np.prod(np.where(assigned_a, 1.0 - p_a, 1.0), axis=0)
-    feasible = (~assigned_a) & eligible[:, None] & (times_a <= remaining[:, None] + 1e-12)
-    gain = p_a * miss_a[None, :]
+    # Initial build: one vectorised masked-argmax over the active columns
+    # (later min-cost rounds leave only a few tasks active), the same
+    # element-wise operations as the eager loop's per-task scan.  Before
+    # the division by time the masked gain ``p * miss`` is the same for
+    # both passes of a step: the first pass leaves it on the state and the
+    # second takes it (``x / t`` of a masked ``0.0`` is ``0.0`` again).
+    # So the build holds at most two full-size float arrays.
+    remaining_eps = state.remaining + 1e-12
+    if active_tasks is None:
+        key, columns = None, np.arange(n_tasks)
+        times_a = times_f[:1] if per_task_times else times_f
+    else:
+        key, columns = active_tasks.tobytes(), np.flatnonzero(active_tasks)
+        times_a = times_f[:1, columns] if per_task_times else times_f[:, columns]
+    shared = state.shared_gain
+    if shared is not None and shared[0] == key:
+        state.shared_gain = None
+        gain = shared[1]
+    else:
+        if active_tasks is None:
+            p_a, avail_a, miss_a = p_f, state.avail, state.miss
+        else:
+            p_a, avail_a, miss_a = p_f[:, columns], state.avail[:, columns], state.miss[columns]
+        gain = p_a * miss_a
+        np.copyto(gain, 0.0, where=~(avail_a & (times_a <= remaining_eps[:, None])))
+        gain.setflags(write=False)
+        state.shared_gain = (key, gain)
+        del p_a, avail_a
+    del shared
     if divide_by_time:
         gain = gain / times_a
-    gain = np.where(feasible, gain, 0.0)
     build_user = np.argmax(gain, axis=0)
     build_eff = gain[build_user, np.arange(len(columns))]
     live = np.flatnonzero(build_eff > 0.0)
-    heap_tasks, build_user = columns[live].tolist(), build_user[live]
+    build_user, build_tasks = build_user[live], columns[live]
+    heap_tasks = build_tasks.tolist()
+    del gain
 
     # From here on the loop reads and writes one scalar at a time, where
     # plain lists are several times cheaper than ndarrays (and Python
     # floats perform the same IEEE operations as NumPy's float64).  Each
     # task caches the user its heap entry was evaluated for, that user's
     # ``p`` and the pair's time ``t``: the entry is fresh while ``t`` fits
-    # that user.  With per-task times ``cached_t`` is just the task times,
-    # fixed for the pass.  Only active tasks enter the heap and an
+    # that user.  With per-task times ``cached_t`` is the state's list of
+    # task times, never written.  Only active tasks enter the heap and an
     # unaffordable one leaves it for good, so the loop never re-evaluates
     # any other; the per-task lists are filled for those alone.
-    per_task_times = times.ndim == 2 and times.strides[0] == 0
     cached_user = [0] * n_tasks
     cached_p = [0.0] * n_tasks
-    cached_t = times[0].tolist() if per_task_times else [0.0] * n_tasks
-    for task, user, p_user, t_user in zip(
-        heap_tasks,
-        build_user.tolist(),
-        p_a[build_user, live].tolist(),
-        times_a[build_user, live].tolist(),
+    for task, user, p_user in zip(
+        heap_tasks, build_user.tolist(), p_f[build_user, build_tasks].tolist()
     ):
         cached_user[task] = user
         cached_p[task] = p_user
-        cached_t[task] = t_user
-    miss = np.ones(n_tasks)
-    miss[columns] = miss_a
-    miss = miss.tolist()
-    costs = problem.costs.tolist()
+    if per_task_times:
+        cached_t = state.task_times
+    else:
+        cached_t = [0.0] * n_tasks
+        for task, t_user in zip(heap_tasks, times_f[build_user, build_tasks].tolist()):
+            cached_t[task] = t_user
+    miss = state.miss.tolist()
+    costs = state.costs
     spent = 0.0
     heap = list(zip((-build_eff[live]).tolist(), heap_tasks))
     heapify(heap)
 
-    # Column-access layout for the vectorised scans: Fortran order makes
-    # ``[:, task]`` slices contiguous (a broadcast per-task time row —
-    # stride 0 — is already free to slice), ``avail`` folds the fixed
-    # eligibility into the assignment complement, and ``remaining_eps`` is
-    # ``remaining + 1e-12``, mirrored in ``remaining_list`` for scalar
-    # reads; ``taken`` holds the assigned pairs as ``user * n_tasks +
-    # task``.  The scalar state is the live one: a pick writes only lists
-    # and the set, and ``avail`` / ``remaining_eps`` take the picks made
-    # since their last update (``added[synced:]``) just before a vectorised
-    # scan reads them.  All of it is value-identical to the frozen eager
-    # loop: boolean algebra is exact, and ``x * True`` / ``x * False``
-    # equal ``np.where``'s ``x`` / ``0.0`` for these finite non-negative
-    # gains.
-    p_f = np.asfortranarray(p)
-    times_f = times if per_task_times else np.asfortranarray(times)
-    avail = np.asfortranarray(~assigned & eligible[:, None])
-    remaining_eps = remaining + 1e-12
-    remaining = remaining.tolist()
+    # The pass's own copies of what its picks change: ``remaining`` (with
+    # ``remaining_eps``, ``remaining + 1e-12``, mirrored in
+    # ``remaining_list`` for scalar reads), ``miss``, ``taken`` and
+    # ``avail``.  The scalar state is the live one: a pick writes only
+    # lists and the set, and ``avail`` / ``remaining_eps`` take the picks
+    # made since their last update (``added[synced:]``) just before a
+    # vectorised scan reads them.  All of it is value-identical to the
+    # frozen eager loop: boolean algebra is exact, and ``x * True`` /
+    # ``x * False`` equal ``np.where``'s ``x`` / ``0.0`` for these finite
+    # non-negative gains.
+    avail = state.avail.copy(order="F")
+    remaining = state.remaining.tolist()
     remaining_list = remaining_eps.tolist()
-    taken = set(np.flatnonzero(assigned).tolist())
+    taken = state.taken.copy()
     synced = 0
 
     if per_task_times:
@@ -293,17 +419,10 @@ def lazy_greedy_allocate(
         # the whole pass, and every way a user leaves the feasible set
         # (assignment, spent capacity) is permanent: re-evaluation is a
         # forward pointer over the ranking.
-        if rankings is None:
-            rankings = {}
-        task_ranking = [None] * n_tasks
+        rankings, task_ranking = state.rankings, state.task_rankings
+        ranking_column = state.ranking_column
         pointer = [0] * n_tasks
-        # A tie scan is skipped only while ``p * miss`` and the gain are
-        # normal floats: ``p * miss >= tie_floor`` guarantees both, since
-        # no time exceeds the largest.  Times so small that a gain
-        # (``p * miss <= 1`` over ``t``) could overflow turn the skip off.
-        tie_floor = float("inf")
-        if min(cached_t, default=1.0) >= _MIN_TIME:
-            tie_floor = _MIN_NORMAL * max(1.0, max(cached_t, default=1.0))
+        tie_floor = state.tie_floor
     else:
         feas_buf = np.empty(n_users, dtype=bool)
         gain_buf = np.empty(n_users, dtype=float)
@@ -353,7 +472,9 @@ def lazy_greedy_allocate(
         if per_task_times:
             ranking = task_ranking[task]
             if ranking is None:
-                ranking = task_ranking[task] = _task_ranking(rankings, p_f, eligible, task)
+                ranking = task_ranking[task] = _task_ranking(
+                    rankings, p_f, eligible, ranking_column[task]
+                )
             users, ranked_p, run_end, clear, n, order = ranking
             k = pointer[task]
             stop = k + _WALK_LIMIT
@@ -430,13 +551,23 @@ def lazy_greedy_allocate(
         else:
             top = heappop(heap) if heap else None
 
+    # The objective sums every task's coverage; only the columns this pass
+    # picked into differ from the state's, and each is recomputed from the
+    # matrix in ascending user order (the scalar ``miss`` multiplied in pick
+    # order, which can differ in the last bits).
+    assigned = state.assigned.copy()
+    miss_after = state.miss
     if added:
-        assigned[tuple(zip(*added))] = True
-    assignment = Assignment(matrix=assigned)
+        users, tasks = _pair_arrays(added)
+        assigned[users, tasks] = True
+        miss_after = miss_after.copy()
+        picked = _touched(tasks, n_tasks)
+        miss_after[picked] = _column_miss(p_f, assigned, picked)
+        miss_after.setflags(write=False)
     return GreedyOutcome(
-        assignment=assignment,
+        assignment=Assignment(matrix=assigned),
         added_pairs=tuple(added),
-        objective=allocation_objective(problem, assignment, accuracy=p),
+        objective=float(np.sum(1.0 - miss_after)),
         spent_cost=spent,
         stats=GreedyStats(
             picks=len(added),
@@ -444,11 +575,13 @@ def lazy_greedy_allocate(
             evaluations=len(added) + refreshes,
             max_refresh_delta=max_refresh_delta,
         ),
+        miss=miss_after,
     )
 
 
-def _task_ranking(rankings: dict, p_f: np.ndarray, eligible: np.ndarray, task: int) -> tuple:
-    """The task's eligible users by ``(-p, index)``, shared by column.
+def _task_ranking(rankings: dict, p_f: np.ndarray, eligible: np.ndarray, index: int) -> tuple:
+    """The eligible users of accuracy column ``index`` by ``(-p, user)``,
+    sorted once and kept in ``rankings``.
 
     Returns ``(users, ranked_p, run_end, clear, n, order)``: ``run_end[k]`` is
     the first rank past rank ``k``'s run of equal ``p``, and ``clear[k]``
@@ -456,31 +589,66 @@ def _task_ranking(rankings: dict, p_f: np.ndarray, eligible: np.ndarray, task: i
     (or that there is none), a gap that rounding of normal floats cannot
     close.
     """
-    ranking = rankings.get(task)
+    ranking = rankings.get(index)
     if ranking is None:
-        column = p_f[:, task]
-        key = column.tobytes()
-        ranking = rankings.get(key)
-        if ranking is None:
-            order = np.argsort(-column, kind="stable")
-            order = order[eligible[order]]
-            ranked_p = column[order]
-            starts = np.flatnonzero(np.r_[True, ranked_p[1:] != ranked_p[:-1]])
-            ends = np.r_[starts[1:], len(order)]
-            run_end = np.repeat(ends, ends - starts)
-            next_p = np.r_[ranked_p, -np.inf][run_end]
-            clear = next_p < ranked_p * _TIE_MARGIN
-            ranking = (
-                order.tolist(),
-                ranked_p.tolist(),
-                run_end.tolist(),
-                clear.tolist(),
-                len(order),
-                order,
-            )
-            rankings[key] = ranking
-        rankings[task] = ranking
+        column = p_f[:, index]
+        order = np.argsort(-column, kind="stable")
+        order = order[eligible[order]]
+        ranked_p = column[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked_p[1:] != ranked_p[:-1])))
+        ends = np.append(starts[1:], len(order))
+        run_end = np.repeat(ends, ends - starts)
+        next_p = np.append(ranked_p, -np.inf)[run_end]
+        clear = next_p < ranked_p * _TIE_MARGIN
+        ranking = rankings[index] = (
+            order.tolist(),
+            ranked_p.tolist(),
+            run_end.tolist(),
+            clear.tolist(),
+            len(order),
+            order,
+        )
     return ranking
+
+
+def _equal_columns(p: np.ndarray) -> list:
+    """For each column of ``p``, the first column equal to it (its own index
+    when none comes before it).  Columns are grouped by one weighted sum of
+    their entries and then compared entry by entry, so a sum that two
+    different columns share only costs a sort of its own."""
+    first: dict = {}
+    weights = np.linspace(1.0, 2.0, p.shape[0])
+    same = np.array(
+        [first.setdefault(total, j) for j, total in enumerate((weights @ p).tolist())],
+        dtype=np.intp,
+    )
+    differs = np.flatnonzero(~(p == p[:, same]).all(axis=0))
+    same[differs] = differs
+    return same.tolist()
+
+
+def _pair_arrays(pairs) -> tuple:
+    """``(users, tasks)`` index arrays of a sequence of ``(user, task)`` pairs."""
+    users, tasks = zip(*pairs)
+    return np.array(users, dtype=np.intp), np.array(tasks, dtype=np.intp)
+
+
+def _touched(indices: np.ndarray, size: int) -> np.ndarray:
+    """The distinct ``indices``, ascending."""
+    return np.flatnonzero(np.bincount(indices, minlength=size))
+
+
+def _column_miss(p: np.ndarray, assigned: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Coverage miss ``prod (1 - p_ij)`` over the assigned users of ``columns``.
+
+    ``==`` :func:`~repro.core.allocation.base.allocation_objective`'s
+    ``np.prod(np.where(assigned, 1.0 - p, 1.0), axis=0)``: both multiply a
+    column's factors in ascending user order, and the factors the mask
+    skips are exactly ``1.0``.
+    """
+    factors = p[:, columns]
+    np.subtract(1.0, factors, out=factors)
+    return np.multiply.reduce(factors, axis=0, where=assigned[:, columns], initial=1.0)
 
 
 def _apply_picks(

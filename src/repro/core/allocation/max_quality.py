@@ -35,7 +35,12 @@ import numpy as np
 
 from repro.core.allocation.base import AllocationProblem, Assignment
 from repro.core.allocation.baselines import random_first_fit
-from repro.core.allocation.lazy_greedy import GreedyOutcome, GreedyStats, lazy_greedy_allocate
+from repro.core.allocation.lazy_greedy import (
+    GreedyOutcome,
+    GreedyState,
+    GreedyStats,
+    lazy_greedy_allocate,
+)
 from repro.rng import ensure_rng
 
 __all__ = ["GreedyOutcome", "GreedyStats", "MaxQualityAllocator", "best_of_two_greedy"]
@@ -47,39 +52,32 @@ def best_of_two_greedy(
     initial: "Assignment | None" = None,
     cost_budget: "float | None" = None,
     active_tasks: "np.ndarray | None" = None,
-    accuracy: "np.ndarray | None" = None,
-    pair_times: "np.ndarray | None" = None,
-    rankings: "dict | None" = None,
+    state: "GreedyState | None" = None,
 ) -> "tuple[GreedyOutcome, str, GreedyStats | None]":
     """One Section 5.1.2 greedy step: the better of the two greedy passes.
 
     Runs Definition 1's efficiency greedy and, with ``extra_pass``, the
-    cardinality greedy (gain not divided by ``t_j``) from the same
-    ``initial`` assignment; the higher objective wins, ties going to the
-    efficiency pass.  Returns the winning outcome, its name
-    (``"efficiency"`` or ``"cardinality"``) and both passes' merged
-    :class:`GreedyStats`.  The other arguments are those of
-    :func:`~repro.core.allocation.lazy_greedy.lazy_greedy_allocate`;
-    ``accuracy``, ``pair_times`` and ``rankings`` are made once here when
-    omitted, and shared by both passes.
+    cardinality greedy (gain not divided by ``t_j``) from the same start
+    state; the higher objective wins, ties going to the efficiency pass.
+    Returns the winning outcome, its name (``"efficiency"`` or
+    ``"cardinality"``) and both passes' merged :class:`GreedyStats`.  The
+    other arguments are those of
+    :func:`~repro.core.allocation.lazy_greedy.lazy_greedy_allocate`; the
+    :class:`~repro.core.allocation.lazy_greedy.GreedyState` is built once
+    here from ``initial`` when omitted, and both passes start from it.
     """
-    if accuracy is None:
-        accuracy = problem.accuracy_matrix()
-    if pair_times is None:
-        pair_times = problem.pair_times()
-    if rankings is None:
-        rankings = {}
+    if state is None:
+        state = GreedyState(problem, initial)
+    elif initial is not None:
+        raise ValueError("pass either an initial assignment or a state, not both")
     # Every pass resolves ``lazy_greedy_allocate`` through this module's
     # global, the one name that times and counts all greedy passes.
     greedy = partial(
         lazy_greedy_allocate,
         problem,
-        initial=initial,
         cost_budget=cost_budget,
         active_tasks=active_tasks,
-        accuracy=accuracy,
-        pair_times=pair_times,
-        rankings=rankings,
+        state=state,
     )
     efficiency = greedy(divide_by_time=True)
     if not extra_pass:
@@ -101,8 +99,9 @@ class MaxQualityAllocator:
 
     With ``extra_pass=True`` (the default, per the end of Section 5.1.2) the
     time-divided greedy and the cardinality greedy both run and the higher-
-    objective solution wins.  The Eq. 11 accuracy matrix is computed once
-    per :meth:`allocate` and threaded through both passes and the objective.
+    objective solution wins.  Both passes start from one
+    :class:`~repro.core.allocation.lazy_greedy.GreedyState` per
+    :meth:`allocate` (the Eq. 11 accuracy matrix is made once).
 
     ``exploration_rate`` (an extension beyond the paper) is epsilon-greedy
     exploration: Algorithm 1 is purely exploitative, so users whose

@@ -13,6 +13,17 @@ newly assigned observations, re-estimates truths from *all* data gathered so
 far, and re-checks the confidence intervals.  The loop ends when every task
 passes or no further assignment is possible (capacities exhausted).
 
+The rounds share one greedy start state
+(:class:`~repro.core.allocation.lazy_greedy.GreedyState`): the accuracy
+matrix, pair times and user rankings are made once per allocation, both
+passes of a round start from the state, and the winning pass's pairs move
+it forward, recomputing only the users and tasks they touched.  Each round
+writes its finite observations into a copy of the running matrix
+(:meth:`~repro.truthdiscovery.base.ObservationMatrix.with_pairs`) and
+re-checks only the tasks among them.  Outputs are ``==`` those of the loop
+that rebuilds every pass from the running assignment
+(:func:`repro.perf.reference.reference_min_cost_run`).
+
 The allocator is driven through two callbacks so it works both in the
 simulation engine and against recorded datasets:
 
@@ -30,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.allocation.base import AllocationProblem, Assignment
-from repro.core.allocation.lazy_greedy import GreedyStats
+from repro.core.allocation.lazy_greedy import GreedyState, GreedyStats
 from repro.core.allocation.max_quality import best_of_two_greedy
 from repro.core.truth import update_truths_for_expertise
 from repro.stats.confidence import truth_half_widths
@@ -116,13 +127,12 @@ class MinCostAllocator:
         if estimate is None:
             estimate = self._default_estimator(problem)
 
-        # The problem is fixed across rounds: the Eq. 11 accuracy matrix (a
-        # full erf over n_users x n_tasks), the pair-times broadcast and the
-        # per-domain user rankings are made once here and threaded through
-        # every round's greedy.
-        accuracy = problem.accuracy_matrix()
-        pair_times = problem.pair_times()
-        rankings: dict = {}
+        # One greedy start state carries the problem's fixed inputs (the
+        # Eq. 11 accuracy matrix, the pair times, the per-domain user
+        # rankings) and the assignment so far through every round: both
+        # passes of a round start from it, and the winner's pairs move it
+        # forward, touching only their rows and columns.
+        state = GreedyState(problem)
 
         assignment = Assignment.empty(n_users, n_tasks)
         observations = ObservationMatrix(
@@ -139,36 +149,32 @@ class MinCostAllocator:
             outcome, _winner, stats = best_of_two_greedy(
                 problem,
                 self._extra_pass,
-                initial=assignment,
                 cost_budget=self._round_budget,
                 active_tasks=~satisfied,
-                accuracy=accuracy,
-                pair_times=pair_times,
-                rankings=rankings,
+                state=state,
             )
             if stats is not None:
                 greedy_stats = stats.merged(greedy_stats)
             if not outcome.added_pairs:
                 break
             assignment = outcome.assignment
+            state.advance(outcome)
             total_cost += outcome.spent_cost
 
             # Dropout or corrupt (non-finite) payload: the recruiting cost is
             # spent and the capacity consumed, but no usable observation
             # arrives — the quality check simply stays unsatisfied and later
             # rounds recruit replacements.  Pairs are new every round, so the
-            # round's fold merges into the running matrix without overlap.
-            # Each round's matrix is built from new arrays: the one handed
-            # to ``estimate`` is a value its holder may keep (the updater
-            # keys its last preview on it), so it never changes later.
-            users, tasks = np.asarray(outcome.added_pairs, dtype=np.intp).T
-            new = ObservationMatrix.from_pairs(
-                users, tasks, observe(list(outcome.added_pairs)), n_users, n_tasks
+            # round's finite values are written into a copy of the running
+            # matrix without overlap.  Each round's matrix is made of new
+            # arrays: the one handed to ``estimate`` is a value its holder
+            # may keep (the updater keys its last preview on it), so it never
+            # changes later.
+            users, tasks = (
+                np.array(column, dtype=np.intp) for column in zip(*outcome.added_pairs)
             )
-            observations = ObservationMatrix(
-                values=np.where(new.mask, new.values, observations.values),
-                mask=observations.mask | new.mask,
-            )
+            values = np.asarray(observe(list(outcome.added_pairs)), dtype=float)
+            observations = observations.with_pairs(users, tasks, values)
             truths, sigmas, task_expertise = estimate(observations)
             # Only tasks with new usable observations can newly pass the
             # Line 12-15 check; satisfied tasks are latched (they were
@@ -179,7 +185,7 @@ class MinCostAllocator:
                 sigmas,
                 task_expertise,
                 satisfied=satisfied,
-                recheck=np.flatnonzero(new.mask.any(axis=0)),
+                recheck=np.unique(tasks[np.isfinite(values)]),
             )
             rounds.append(
                 MinCostRound(

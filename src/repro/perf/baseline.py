@@ -59,6 +59,14 @@ SIZES = {
         "full": {"n_users": 100, "n_tasks": 200, "n_domains": 8, "tau": 12.0},
         "quick": {"n_users": 50, "n_tasks": 100, "n_domains": 8, "tau": 12.0},
     },
+    "allocation_min_cost": {
+        "full": {
+            "n_users": 100, "n_tasks": 200, "n_domains": 8, "tau": 12.0, "round_budget": 100.0
+        },
+        "quick": {
+            "n_users": 50, "n_tasks": 100, "n_domains": 8, "tau": 12.0, "round_budget": 50.0
+        },
+    },
 }
 
 KERNELS = tuple(SIZES)
@@ -203,22 +211,48 @@ def _bench_allocation_greedy_day(size: dict, rounds: int) -> dict:
     return _time_greedy(problem, rounds)
 
 
+def _bench_allocation_min_cost(size: dict, rounds: int) -> dict:
+    from repro.core.allocation.base import AllocationProblem
+    from repro.core.allocation.min_cost import MinCostAllocator
+    from repro.perf.reference import reference_min_cost_run
+
+    # One Algorithm 2 allocation on a pipeline-shaped day (the
+    # allocation_greedy_day recipe) with the default Eq. 5 estimator,
+    # against the loop that rebuilds every greedy pass from the running
+    # assignment with the frozen eager greedy.  Observations are fixed per
+    # pair, so every run recruits the same pairs.
+    rng = np.random.default_rng(181920)
+    n_users, n_tasks, tau = size["n_users"], size["n_tasks"], size["tau"]
+    domains = rng.integers(0, size["n_domains"], n_tasks)
+    expertise = rng.uniform(0.0, 3.0, (n_users, size["n_domains"]))[:, domains]
+    problem = AllocationProblem(
+        expertise=expertise,
+        processing_times=rng.uniform(0.5, 1.5, n_tasks),
+        capacities=rng.uniform(tau - 4.0, tau + 4.0, n_users),
+    )
+    truths = rng.uniform(0.0, 20.0, n_tasks)
+    values = truths + rng.standard_normal((n_users, n_tasks)) / np.maximum(expertise, 0.05)
+
+    def observe(pairs):
+        return [values[user, task] for user, task in pairs]
+
+    allocator = MinCostAllocator(round_budget=size["round_budget"])
+    optimised = _median_seconds(lambda: allocator.run(problem, observe), rounds)
+    reference = _median_seconds(
+        lambda: reference_min_cost_run(allocator, problem, observe), rounds
+    )
+    return {"median_s": optimised, "reference_median_s": reference}
+
+
 def _time_greedy(problem, rounds: int) -> dict:
     from repro.core.allocation.lazy_greedy import lazy_greedy_allocate
     from repro.perf.reference import reference_greedy_allocate
 
-    # One pass, timed as an allocation's first pass runs: the caller
-    # threads in the Eq. 11 accuracy matrix and the pair-times broadcast,
-    # and the kernel sorts each domain's users into a fresh ``rankings``
-    # dict (later passes of the same allocation reuse it and skip the
-    # sorts).  The frozen reference reproduces the old call pattern (erf
-    # per pass).
-    accuracy = problem.accuracy_matrix()
-    pair_times = problem.pair_times()
-    optimised = _median_seconds(
-        lambda: lazy_greedy_allocate(problem, accuracy=accuracy, pair_times=pair_times),
-        rounds,
-    )
+    # One pass from a fresh start state, as an allocation's first pass
+    # runs: the state makes the Eq. 11 accuracy matrix and the pass sorts
+    # each domain's users (later passes from the same state reuse both).
+    # The frozen reference also makes the accuracy matrix per pass.
+    optimised = _median_seconds(lambda: lazy_greedy_allocate(problem), rounds)
     reference = _median_seconds(lambda: reference_greedy_allocate(problem), rounds)
     return {"median_s": optimised, "reference_median_s": reference}
 
@@ -230,6 +264,7 @@ _RUNNERS = {
     "update_sparse": _bench_update_sparse,
     "allocation_greedy": _bench_allocation_greedy,
     "allocation_greedy_day": _bench_allocation_greedy_day,
+    "allocation_min_cost": _bench_allocation_min_cost,
 }
 
 

@@ -18,7 +18,11 @@ layer replaced:
   whole pair permutation (``==`` the per-user walk that stops early),
 - :func:`reference_merge_until` — the §3.3.1 merge loop that rebuilt the
   whole average matrix for every merge (``==`` the loop that updates one
-  row and column per merge).
+  row and column per merge),
+- :func:`reference_min_cost_run` — the Algorithm 2 loop whose every
+  greedy pass rebuilt its start state from the running assignment and
+  whose rounds folded observations into a full-size matrix (``==`` the
+  loop that carries one greedy state across its rounds).
 
 They exist so that (a) ``tests/perf/test_equivalence.py`` can prove the
 optimised kernels produce identical clusters and ``allclose`` truths, and
@@ -49,6 +53,7 @@ __all__ = [
     "reference_denominator_sums",
     "reference_random_first_fit",
     "reference_merge_until",
+    "reference_min_cost_run",
 ]
 
 
@@ -329,3 +334,104 @@ def reference_merge_until(linkage, threshold: float) -> list:
         absorbed = b if kept == a else a
         log.append((kept, absorbed, distance))
     return log
+
+
+def reference_min_cost_run(allocator, problem, observe, estimate=None, greedy=None):
+    """The Algorithm 2 loop of ``allocator`` (a
+    :class:`~repro.core.allocation.min_cost.MinCostAllocator`), rebuilding
+    every greedy pass from the running assignment.
+
+    Each round runs ``greedy`` (default :func:`reference_greedy_allocate`;
+    any function with its keywords) from ``initial=`` the assignment so
+    far for the efficiency pass and, with the allocator's extra pass, the
+    cardinality pass, scores both with ``allocation_objective`` (ties go to
+    the efficiency pass), folds the round's observations through a
+    full-size ``from_pairs`` matrix and re-checks the tasks that received
+    usable data.  The quality check is the allocator's own
+    ``_check_quality``.
+    """
+    from repro.core.allocation.base import Assignment, allocation_objective
+    from repro.core.allocation.min_cost import MinCostOutcome, MinCostRound
+
+    if greedy is None:
+        greedy = reference_greedy_allocate
+    n_users, n_tasks = problem.n_users, problem.n_tasks
+    if estimate is None:
+        estimate = allocator._default_estimator(problem)
+
+    assignment = Assignment.empty(n_users, n_tasks)
+    observations = ObservationMatrix(
+        values=np.zeros((n_users, n_tasks)), mask=np.zeros((n_users, n_tasks), dtype=bool)
+    )
+    satisfied = np.zeros(n_tasks, dtype=bool)
+    truths = np.full(n_tasks, np.nan)
+    sigmas = np.full(n_tasks, np.nan)
+    rounds: list = []
+    total_cost = 0.0
+    greedy_stats = None
+
+    for _ in range(allocator._max_rounds):
+        passes = [True, False] if allocator._extra_pass else [True]
+        outcomes = [
+            greedy(
+                problem,
+                initial=assignment,
+                divide_by_time=divide_by_time,
+                cost_budget=allocator._round_budget,
+                active_tasks=~satisfied,
+            )
+            for divide_by_time in passes
+        ]
+        outcome = outcomes[0]
+        stats = outcome.stats
+        if len(outcomes) == 2:
+            cardinality = outcomes[1]
+            stats = cardinality.stats if stats is None else stats.merged(cardinality.stats)
+            if allocation_objective(problem, cardinality.assignment) > allocation_objective(
+                problem, outcome.assignment
+            ):
+                outcome = cardinality
+        if stats is not None:
+            greedy_stats = stats.merged(greedy_stats)
+        if not outcome.added_pairs:
+            break
+        assignment = outcome.assignment
+        total_cost += outcome.spent_cost
+
+        users, tasks = np.asarray(outcome.added_pairs, dtype=np.intp).T
+        new = ObservationMatrix.from_pairs(
+            users, tasks, observe(list(outcome.added_pairs)), n_users, n_tasks
+        )
+        observations = ObservationMatrix(
+            values=np.where(new.mask, new.values, observations.values),
+            mask=observations.mask | new.mask,
+        )
+        truths, sigmas, task_expertise = estimate(observations)
+        satisfied = allocator._check_quality(
+            observations.mask,
+            truths,
+            sigmas,
+            task_expertise,
+            satisfied=satisfied,
+            recheck=np.flatnonzero(new.mask.any(axis=0)),
+        )
+        rounds.append(
+            MinCostRound(
+                added_pairs=outcome.added_pairs,
+                round_cost=outcome.spent_cost,
+                satisfied_after=int(satisfied.sum()),
+            )
+        )
+        if np.all(satisfied):
+            break
+
+    return MinCostOutcome(
+        assignment=assignment,
+        observations=observations,
+        truths=truths,
+        sigmas=sigmas,
+        satisfied=satisfied,
+        rounds=tuple(rounds),
+        total_cost=total_cost,
+        greedy_stats=greedy_stats,
+    )

@@ -48,30 +48,28 @@ class ObservationMatrix:
         the same ordered stream always rebuilds the same matrix.  A pair
         outside ``n_users x n_tasks`` raises ``ValueError``.
         """
-        users = np.asarray(users, dtype=np.intp)
-        tasks = np.asarray(tasks, dtype=np.intp)
-        values = np.asarray(values, dtype=float)
-        if users.ndim != 1 or tasks.shape != users.shape:
-            raise ValueError("users and tasks must be 1-D arrays of the same length")
-        if values.shape != users.shape:
-            raise ValueError("observe() must return one value per pair")
-        outside = (users < 0) | (users >= n_users) | (tasks < 0) | (tasks >= n_tasks)
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise ValueError(
-                f"pair ({users[k]}, {tasks[k]}) lies outside the {n_users} x {n_tasks} matrix"
-            )
-        # Fancy assignment leaves the winner of a repeated index unspecified:
-        # keep each pair's last entry explicitly (first in the reversed order).
-        flat = users * n_tasks + tasks
-        _, first_reversed = np.unique(flat[::-1], return_index=True)
-        keep = flat.size - 1 - first_reversed
-        keep = keep[np.isfinite(values[keep])]
+        users, tasks, values = _kept_pairs(users, tasks, values, n_users, n_tasks)
         matrix = np.zeros((n_users, n_tasks), dtype=float)
         mask = np.zeros((n_users, n_tasks), dtype=bool)
-        matrix[users[keep], tasks[keep]] = values[keep]
-        mask[users[keep], tasks[keep]] = True
+        matrix[users, tasks] = values
+        mask[users, tasks] = True
         return cls(values=matrix, mask=mask)
+
+    def with_pairs(self, users, tasks, values) -> "ObservationMatrix":
+        """A new matrix: this one with the pairs folded in by :meth:`from_pairs`' rule.
+
+        A pair whose kept entry is finite is written (over an earlier
+        observation too); every other pair keeps its state here.  The
+        result owns new arrays, so this matrix never changes.  Raises
+        ``ValueError`` as :meth:`from_pairs` does.
+        """
+        n_users, n_tasks = self.values.shape
+        users, tasks, values = _kept_pairs(users, tasks, values, n_users, n_tasks)
+        matrix = self.values.copy()
+        mask = self.mask.copy()
+        matrix[users, tasks] = values
+        mask[users, tasks] = True
+        return type(self)(values=matrix, mask=mask)
 
     @classmethod
     def from_triples(
@@ -127,6 +125,32 @@ class ObservationMatrix:
         """A copy containing only the given task columns."""
         tasks = np.asarray(tasks, dtype=int)
         return ObservationMatrix(values=self.values[:, tasks], mask=self.mask[:, tasks])
+
+
+def _kept_pairs(users, tasks, values, n_users: int, n_tasks: int) -> tuple:
+    """The ``(users, tasks, values)`` a fold writes: each pair's last entry,
+    where it is finite.  Raises ``ValueError`` for mismatched lengths or a
+    pair outside ``n_users x n_tasks``."""
+    users = np.asarray(users, dtype=np.intp)
+    tasks = np.asarray(tasks, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    if users.ndim != 1 or tasks.shape != users.shape:
+        raise ValueError("users and tasks must be 1-D arrays of the same length")
+    if values.shape != users.shape:
+        raise ValueError("observe() must return one value per pair")
+    outside = (users < 0) | (users >= n_users) | (tasks < 0) | (tasks >= n_tasks)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(
+            f"pair ({users[k]}, {tasks[k]}) lies outside the {n_users} x {n_tasks} matrix"
+        )
+    # Fancy assignment leaves the winner of a repeated index unspecified:
+    # keep each pair's last entry explicitly (first in the reversed order).
+    flat = users * n_tasks + tasks
+    _, first_reversed = np.unique(flat[::-1], return_index=True)
+    keep = flat.size - 1 - first_reversed
+    keep = keep[np.isfinite(values[keep])]
+    return users[keep], tasks[keep], values[keep]
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,17 @@ adversarial structure the kernel's staleness reasoning must survive:
 - inactive-task masks and both efficiency definitions
   (``divide_by_time`` on/off).
 
+A second block of ``_random_instance`` draws realistic warm starts: 50-300
+pairs of a prior greedy pass, with the tasks that pass left below a
+coverage quantile active; both passes start from one ``GreedyState`` (the
+second takes the masked gain the first built), and the state must come
+out unchanged.
+
 Per-task processing times (the paper's setting, and the only kind the
 pipeline builds) take the kernel's ranked-pointer path, so a second fuzz
 block draws only those, at sizes where pointer walks outgrow their bound
 and jump, with capacity-1 saturation and shared domain columns; its two
-passes per instance share one ``rankings`` dict.
+passes per instance start from one ``GreedyState``.
 Hand-built instances pin a jump past a warm-started user and the rounding
 ties the pointer walk must break the way ``np.argmax`` does.
 
@@ -39,6 +45,16 @@ an upper bound and a fresh top-of-heap entry is the true global argmax.
 The slack-capacity test pins the freshness rule itself: an entry goes
 stale only when its cached user no longer fits the task.
 
+Algorithm 2 carries one ``GreedyState`` through its rounds.  Its fuzz
+runs :class:`~repro.core.allocation.min_cost.MinCostAllocator` against
+:func:`~repro.perf.reference.reference_min_cost_run`, which rebuilds every
+pass from the running assignment, over dropouts (NaN payloads),
+eligibility masks, a round budget below one task's cost, zero-capacity
+users, per-pair times and the extra pass on and off: ``==`` on every
+round and on the outcome with the frozen eager greedy, and on the merged
+``GreedyStats`` with the live kernel rebuilt per pass.  After every round
+the carried state must equal a fresh build and the full-matrix forms.
+
 The warm-up fill (:func:`~repro.core.allocation.baselines.random_first_fit`)
 walks each user's own pairs and stops early; its fuzz asserts ``==`` on
 the matrix and on the generator's state against the frozen walk over the
@@ -52,12 +68,24 @@ import pytest
 
 from repro.core.allocation.base import AllocationProblem, Assignment
 from repro.core.allocation.baselines import random_first_fit
-from repro.core.allocation.lazy_greedy import lazy_greedy_allocate
-from repro.perf.reference import reference_greedy_allocate, reference_random_first_fit
+from repro.core.allocation.lazy_greedy import GreedyState, lazy_greedy_allocate
+from repro.core.allocation.min_cost import MinCostAllocator
+from repro.perf.reference import (
+    reference_greedy_allocate,
+    reference_min_cost_run,
+    reference_random_first_fit,
+)
 
 
-def _random_instance(rng):
-    """One randomized allocation instance plus greedy kwargs."""
+def _random_instance(rng, warm=False):
+    """One randomized allocation instance plus greedy kwargs.
+
+    ``warm`` draws the second block: larger instances warm-started from
+    50-300 pairs of a prior greedy pass, with the tasks that pass left
+    below a coverage quantile active, as in a later min-cost round.
+    """
+    if warm:
+        return _warm_instance(rng)
     n_users = int(rng.integers(2, 12))
     n_tasks = int(rng.integers(2, 14))
     n_domains = int(rng.integers(1, 5))
@@ -120,15 +148,78 @@ def _random_instance(rng):
     return problem, initial, kwargs
 
 
-def _assert_matches_reference(problem, initial=None, rankings=None, **kwargs):
+def _warm_instance(rng):
+    n_users = int(rng.integers(20, 61))
+    n_tasks = int(rng.integers(30, 121))
+    n_domains = int(rng.integers(1, 7))
+    domains = rng.integers(0, n_domains, n_tasks)
+    if rng.random() < 0.3:
+        levels = rng.choice([0.0, 0.5, 1.0, 2.0], size=(n_users, n_domains))
+    else:
+        levels = rng.gamma(2.0, 1.5, (n_users, n_domains))
+    if rng.random() < 0.3:
+        times = rng.uniform(0.3, 2.0, (n_users, n_tasks))
+    else:
+        times = rng.uniform(0.5, 1.5, n_tasks)
+    capacities = rng.uniform(4.0, 14.0, n_users)
+    capacities[rng.random(n_users) < 0.1] = 0.0
+    eligible = None
+    if rng.random() < 0.3:
+        eligible = rng.random(n_users) < 0.8
+        eligible[int(rng.integers(n_users))] = True
+    problem = AllocationProblem(
+        expertise=levels[:, domains],
+        processing_times=times,
+        capacities=capacities,
+        costs=rng.choice([0.5, 1.0, 2.0], size=n_tasks) if rng.random() < 0.4 else None,
+        eligible=eligible,
+    )
+    prior = reference_greedy_allocate(problem, divide_by_time=bool(rng.random() < 0.7))
+    initial = Assignment.empty(n_users, n_tasks)
+    for user, task in prior.added_pairs[: int(rng.integers(50, 301))]:
+        initial.matrix[user, task] = True
+    miss = np.where(initial.matrix, 1.0 - problem.accuracy_matrix(), 1.0)
+    coverage = 1.0 - np.prod(miss, axis=0)
+    kwargs = {
+        "divide_by_time": bool(rng.random() < 0.7),
+        "active_tasks": coverage <= np.quantile(coverage, rng.uniform(0.2, 0.9)),
+    }
+    if rng.random() < 0.5:
+        kwargs["cost_budget"] = float(rng.uniform(1.0, n_tasks))
+    return problem, initial, kwargs
+
+
+def _assert_matches_reference(problem, initial=None, state=None, **kwargs):
     """Same pairs in the same pick order (not merely the same set), the
-    same matrix, objective and spent cost."""
-    lazy = lazy_greedy_allocate(problem, initial=initial, rankings=rankings, **kwargs)
+    same matrix, objective and spent cost.  With a ``state`` (built from
+    ``initial``) the pass starts from it, as the allocators' passes do."""
+    if state is None:
+        lazy = lazy_greedy_allocate(problem, initial=initial, **kwargs)
+    else:
+        lazy = lazy_greedy_allocate(problem, state=state, **kwargs)
     ref = reference_greedy_allocate(problem, initial=initial, **kwargs)
     assert lazy.added_pairs == ref.added_pairs
     assert np.array_equal(lazy.assignment.matrix, ref.assignment.matrix)
     assert lazy.objective == ref.objective
     assert lazy.spent_cost == ref.spent_cost
+
+
+def _assert_same_state(state, fresh):
+    """Every start value of ``state`` is ``==`` the one in ``fresh`` and
+    the full-matrix form of the eager reference."""
+    problem, assigned = state.problem, fresh.assigned
+    assert np.array_equal(state.assigned, assigned)
+    assert np.array_equal(state.remaining, fresh.remaining)
+    assert np.array_equal(
+        state.remaining, problem.capacities - (assigned * problem.pair_times()).sum(axis=1)
+    )
+    assert np.array_equal(state.miss, fresh.miss)
+    assert np.array_equal(
+        state.miss, np.prod(np.where(assigned, 1.0 - problem.accuracy_matrix(), 1.0), axis=0)
+    )
+    assert np.array_equal(state.avail, fresh.avail)
+    assert np.array_equal(state.avail, ~assigned & problem.eligible_mask()[:, None])
+    assert state.taken == fresh.taken == set(np.flatnonzero(assigned).tolist())
 
 
 @pytest.mark.parametrize("block", range(8))
@@ -138,6 +229,23 @@ def test_lazy_greedy_matches_reference_fuzz(block):
     for _ in range(25):
         problem, initial, kwargs = _random_instance(rng)
         _assert_matches_reference(problem, initial=initial, **kwargs)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_warm_started_passes_match_reference_fuzz(block):
+    """40 warm-started instances (4 blocks x 10), 50-300 prior pairs and an
+    active-task mask from the prior pass's coverage: both passes start from
+    one ``GreedyState`` (the second takes the first's masked gain), picks
+    bit-identical, and the state is left unchanged."""
+    rng = np.random.default_rng(1500 + block)
+    for _ in range(10):
+        problem, initial, kwargs = _random_instance(rng, warm=True)
+        assert 50 <= initial.matrix.sum() <= 300
+        state = GreedyState(problem, initial)
+        for divide_by_time in (kwargs["divide_by_time"], not kwargs["divide_by_time"]):
+            kwargs["divide_by_time"] = divide_by_time
+            _assert_matches_reference(problem, initial=initial, state=state, **kwargs)
+        _assert_same_state(state, GreedyState(problem, initial))
 
 
 def _per_task_instance(rng):
@@ -205,15 +313,16 @@ def _per_task_instance(rng):
 @pytest.mark.parametrize("block", range(4))
 def test_ranked_pointer_path_matches_reference_fuzz(block):
     """60 per-task-time instances (4 blocks x 15), both greedy passes
-    sharing one ``rankings`` dict as the allocators do: picks
-    bit-identical."""
+    starting from one ``GreedyState`` (and so sharing its ``rankings``) as
+    the allocators do: picks bit-identical, and the state unchanged."""
     rng = np.random.default_rng(2000 + block)
     for _ in range(15):
         problem, initial, kwargs = _per_task_instance(rng)
-        rankings: dict = {}
+        state = GreedyState(problem, initial)
         for divide_by_time in (kwargs["divide_by_time"], not kwargs["divide_by_time"]):
             kwargs["divide_by_time"] = divide_by_time
-            _assert_matches_reference(problem, initial=initial, rankings=rankings, **kwargs)
+            _assert_matches_reference(problem, initial=initial, state=state, **kwargs)
+        _assert_same_state(state, GreedyState(problem, initial))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -324,10 +433,10 @@ def test_long_walks_after_picks_match_reference(seed):
         for user in rng.choice(n_users, size=20, replace=False):
             task = int(rng.integers(n_tasks))
             initial.matrix[user, task] = times[task] <= capacities[user]
-    rankings: dict = {}
+    state = GreedyState(problem, initial)
     for divide_by_time in (True, False):
         _assert_matches_reference(
-            problem, initial=initial, rankings=rankings, divide_by_time=divide_by_time
+            problem, initial=initial, state=state, divide_by_time=divide_by_time
         )
 
 
@@ -382,7 +491,7 @@ def test_tie_skip_margin_matches_reference_fuzz(block):
         kwargs = {"divide_by_time": bool(rng.random() < 0.7)}
         if rng.random() < 0.3:
             kwargs["cost_budget"] = float(rng.uniform(1.0, n_tasks))
-        _assert_matches_reference(problem, rankings={}, **kwargs)
+        _assert_matches_reference(problem, state=GreedyState(problem), **kwargs)
 
 
 def test_tie_scan_runs_when_the_gain_is_subnormal():
@@ -462,12 +571,14 @@ def _per_pair_instance(rng):
 
 @pytest.mark.parametrize("block", range(3))
 def test_per_pair_path_matches_reference_fuzz(block):
-    """30 spatial instances (3 blocks x 10), with a ``rankings`` dict
-    passed as the allocators do (per-pair passes never read it)."""
+    """30 spatial instances (3 blocks x 10), each pass starting from a
+    ``GreedyState`` as the allocators' passes do."""
     rng = np.random.default_rng(7000 + block)
     for _ in range(10):
         problem, initial, kwargs = _per_pair_instance(rng)
-        _assert_matches_reference(problem, initial=initial, rankings={}, **kwargs)
+        state = GreedyState(problem, initial)
+        _assert_matches_reference(problem, initial=initial, state=state, **kwargs)
+        _assert_same_state(state, GreedyState(problem, initial))
 
 
 def test_celf_invariant_refresh_never_increases():
@@ -527,6 +638,114 @@ def test_lazy_on_domain_structured_instance_is_lazy():
     assert outcome.added_pairs == ref.added_pairs
     eager_evaluations = outcome.stats.picks * 100  # ~tasks per domain
     assert outcome.stats.evaluations < eager_evaluations / 2
+
+
+def _min_cost_instance(rng, index):
+    """An Algorithm 2 instance, its allocator and a pure ``observe``.
+
+    ``index`` (position in its block) switches the features on in turn so
+    every block has each: per-pair (spatial) times, eligibility masks,
+    dropouts (NaN payloads), a round budget below one task's cost, and the
+    extra pass on and off; some users always have zero capacity.
+    """
+    n_users = int(rng.integers(4, 41))
+    n_tasks = int(rng.integers(3, 61))
+    n_domains = int(rng.integers(1, 5))
+    domains = rng.integers(0, n_domains, n_tasks)
+    if rng.random() < 0.3:
+        levels = rng.choice([0.5, 1.0, 2.0, 3.0], size=(n_users, n_domains))
+    else:
+        levels = rng.gamma(2.0, 1.5, (n_users, n_domains))
+    expertise = levels[:, domains]
+    if index % 3 == 0:
+        times = rng.uniform(0.3, 2.0, (n_users, n_tasks))
+    else:
+        times = rng.uniform(0.5, 1.5, n_tasks)
+    capacities = rng.uniform(1.0, 8.0, n_users)
+    capacities[rng.random(n_users) < 0.15] = 0.0
+    capacities[int(rng.integers(n_users))] = 0.0
+    eligible = None
+    if index % 4 == 1:
+        eligible = rng.random(n_users) < 0.7
+        eligible[int(rng.integers(n_users))] = True
+    problem = AllocationProblem(
+        expertise=expertise,
+        processing_times=times,
+        capacities=capacities,
+        costs=rng.choice([0.5, 1.0, 2.0], size=n_tasks) if rng.random() < 0.4 else None,
+        eligible=eligible,
+    )
+    if index % 8 == 7:
+        round_budget = 0.5 * float(problem.costs.min())
+    else:
+        round_budget = float(rng.uniform(1.0, max(2.0, n_tasks / 2)))
+    allocator = MinCostAllocator(
+        round_budget=round_budget,
+        error_limit=float(rng.uniform(0.3, 1.0)),
+        confidence=float(rng.choice([0.8, 0.9, 0.95])),
+        max_rounds=int(rng.integers(1, 13)),
+        extra_pass=index % 2 == 0,
+    )
+    truths = rng.uniform(0.0, 20.0, n_tasks)
+    sigmas = rng.uniform(0.5, 2.0, n_tasks)
+    noise = rng.standard_normal((n_users, n_tasks)) * sigmas
+    values = truths + noise / np.maximum(expertise, 0.05)
+    if index % 3 != 1:
+        values[rng.random((n_users, n_tasks)) < 0.2] = np.nan
+
+    def observe(pairs):
+        return [values[user, task] for user, task in pairs]
+
+    return problem, allocator, observe
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_min_cost_matches_rebuilt_passes_fuzz(block):
+    """32 Algorithm 2 runs (4 blocks x 8) against the loop that rebuilds
+    every pass from the running assignment: with the frozen eager greedy,
+    every round's pairs, cost and satisfied count and the final assignment,
+    truths, sigmas and cost are ``==``; with the live kernel rebuilt each
+    pass, so are the merged ``GreedyStats``."""
+    rng = np.random.default_rng(8000 + block)
+    for index in range(8):
+        problem, allocator, observe = _min_cost_instance(rng, index)
+        live = allocator.run(problem, observe)
+        eager = reference_min_cost_run(allocator, problem, observe)
+        assert [
+            (r.added_pairs, r.round_cost, r.satisfied_after) for r in live.rounds
+        ] == [(r.added_pairs, r.round_cost, r.satisfied_after) for r in eager.rounds]
+        assert np.array_equal(live.assignment.matrix, eager.assignment.matrix)
+        assert np.array_equal(live.truths, eager.truths, equal_nan=True)
+        assert np.array_equal(live.sigmas, eager.sigmas, equal_nan=True)
+        assert np.array_equal(live.satisfied, eager.satisfied)
+        assert np.array_equal(live.observations.values, eager.observations.values)
+        assert np.array_equal(live.observations.mask, eager.observations.mask)
+        assert live.total_cost == eager.total_cost
+        rebuilt = reference_min_cost_run(allocator, problem, observe, greedy=lazy_greedy_allocate)
+        assert live.greedy_stats == rebuilt.greedy_stats
+        if index % 8 == 7:
+            assert live.rounds == ()
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_carried_state_equals_a_fresh_build(block, monkeypatch):
+    """After every Algorithm 2 round the carried ``GreedyState`` is ``==``
+    one built from scratch from that round's assignment."""
+    advance = GreedyState.advance
+    checked = []
+
+    def checked_advance(state, outcome):
+        advance(state, outcome)
+        assert np.array_equal(state.assigned, outcome.assignment.matrix)
+        _assert_same_state(state, GreedyState(state.problem, Assignment(state.assigned.copy())))
+        checked.append(outcome)
+
+    monkeypatch.setattr(GreedyState, "advance", checked_advance)
+    rng = np.random.default_rng(9000 + block)
+    for index in range(8):
+        problem, allocator, observe = _min_cost_instance(rng, index)
+        allocator.run(problem, observe)
+    assert len(checked) > 8
 
 
 def _fill_instance(rng):

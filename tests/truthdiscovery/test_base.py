@@ -125,6 +125,41 @@ def test_from_pairs_empty_input():
     assert not obs.values.any()
 
 
+def test_with_pairs_folds_into_new_arrays():
+    """``with_pairs`` is ``from_pairs`` overlaid on a matrix: a finite kept
+    entry is written, a non-finite one leaves its pair as it was, and the
+    result owns new read-only arrays."""
+    before = ObservationMatrix.from_pairs([0, 1], [0, 1], [1.0, 2.0], n_users=3, n_tasks=2)
+    after = before.with_pairs(
+        users=[2, 1, 0, 2, 2],
+        tasks=[1, 1, 1, 0, 0],
+        values=[3.0, np.nan, 4.0, 5.0, np.inf],
+    )
+    assert after.mask.tolist() == [[True, True], [False, True], [False, True]]
+    assert after.values.tolist() == [[1.0, 4.0], [0.0, 2.0], [0.0, 3.0]]
+    assert before.mask.tolist() == [[True, False], [False, True], [False, False]]
+    assert before.values.tolist() == [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]
+    for array in (after.values, after.mask):
+        assert not array.flags.writeable
+        assert not np.shares_memory(array, before.values)
+        assert not np.shares_memory(array, before.mask)
+    new = ObservationMatrix.from_pairs([2, 0, 2], [1, 1, 0], [3.0, 4.0, np.inf], 3, 2)
+    expected = ObservationMatrix(
+        values=np.where(new.mask, new.values, before.values), mask=before.mask | new.mask
+    )
+    folded = before.with_pairs([2, 0, 2], [1, 1, 0], [3.0, 4.0, np.inf])
+    assert np.array_equal(folded.values, expected.values)
+    assert np.array_equal(folded.mask, expected.mask)
+
+
+def test_with_pairs_raises_as_from_pairs_does():
+    obs = ObservationMatrix.from_pairs([], [], [], n_users=2, n_tasks=2)
+    with pytest.raises(ValueError, match="outside"):
+        obs.with_pairs([2], [0], [1.0])
+    with pytest.raises(ValueError, match="one value per pair"):
+        obs.with_pairs([0, 1], [0, 0], [1.0])
+
+
 def test_from_triples_nan_leaves_its_pair_unobserved():
     obs = ObservationMatrix.from_triples([(0, 0, np.nan), (1, 0, 2.0)], n_users=2, n_tasks=1)
     assert obs.mask.tolist() == [[False], [True]]
