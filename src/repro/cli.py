@@ -69,7 +69,6 @@ APPROACHES = {
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_keep=args.checkpoint_keep,
         resume=args.resume,
-        robust=_build_robust(args),
         reputation=_build_reputation(args),
         guards=args.guards,
     ),
@@ -81,7 +80,6 @@ APPROACHES = {
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_keep=args.checkpoint_keep,
         resume=args.resume,
-        robust=_build_robust(args),
         reputation=_build_reputation(args),
         guards=args.guards,
     ),
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-outliers", type=_rate, default=0.0, help="injected per-pair gross-outlier rate"
     )
     robustness = simulate.add_argument_group(
-        "robustness", "Byzantine hardening: adversaries, robust MLE, reputation, guards"
+        "robustness", "Byzantine hardening: adversaries, reputation, guards"
     )
     robustness.add_argument(
         "--adversaries", type=_rate, default=0.0, help="fraction of users given adversarial behaviour"
@@ -253,12 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="colluding",
         dest="adversary_kind",
         help="adversary behaviour model (default: colluding)",
-    )
-    robustness.add_argument(
-        "--robust",
-        choices=("none", "huber", "trimmed"),
-        default="none",
-        help="robust reweighting inside the truth-analysis MLE",
     )
     robustness.add_argument(
         "--guards",
@@ -660,14 +652,6 @@ def _build_fault_profile(args: argparse.Namespace):
     )
 
 
-def _build_robust(args: argparse.Namespace):
-    if args.robust == "none":
-        return None
-    from repro.core.robust import RobustConfig
-
-    return RobustConfig(method=args.robust)
-
-
 def _build_reputation(args: argparse.Namespace):
     """True/False/ReputationConfig for ETA2Approach from the CLI flags."""
     overrides = {
@@ -693,12 +677,8 @@ def _build_reputation(args: argparse.Namespace):
 def _run_simulate(args: argparse.Namespace) -> int:
     if args.checkpoint_dir is not None and args.approach not in ("eta2", "eta2-mc"):
         print(f"note: --checkpoint-dir is ignored for approach {args.approach!r}")
-    if args.approach not in ("eta2", "eta2-mc") and (
-        args.reputation or args.guards is not None or args.robust != "none"
-    ):
-        print(
-            f"note: --reputation/--guards/--robust are ignored for approach {args.approach!r}"
-        )
+    if args.approach not in ("eta2", "eta2-mc") and (args.reputation or args.guards is not None):
+        print(f"note: --reputation/--guards are ignored for approach {args.approach!r}")
     config = ExperimentConfig(replications=1, n_days=args.days, tau=args.tau, seed=args.seed)
     dataset = dataset_factory(args.dataset, config, seed=args.seed)
     try:

@@ -34,7 +34,6 @@ from repro.core.allocation.max_quality import MaxQualityAllocator
 from repro.core.allocation.min_cost import MinCostAllocator
 from repro.core.expertise import ExpertiseMatrix
 from repro.core.hooks import LAYERS, StepHook
-from repro.core.robust import RobustConfig
 from repro.core.truth import SIGMA_FLOOR, estimate_truth
 from repro.core.update import ExpertiseUpdater
 from repro.observability.tracer import NULL_TRACER
@@ -188,7 +187,6 @@ class ETA2System:
         extra_greedy_pass: bool = True,
         exploration_rate: float = 0.0,
         clustering_metric: str = "euclidean",
-        robust: "RobustConfig | None" = None,
         seed=None,
     ):
         capacities = np.asarray(capacities, dtype=float)
@@ -218,9 +216,6 @@ class ETA2System:
         self._warmed_up = False
         #: Per-step MLE iteration counts (consumed by the Fig. 12 experiment).
         self.iteration_log: list = []
-        if robust is not None and not isinstance(robust, RobustConfig):
-            raise TypeError("robust must be a RobustConfig or None")
-        self._robust = robust
         #: Completed warm-up/daily steps (drives checkpoint numbering).
         self.completed_steps = 0
         # Optional layers, all off until their enable_* call: each keeps its
@@ -488,7 +483,7 @@ class ETA2System:
             iterations, converged = 0, False
         elif kind == "warm-up":
             with timer.phase("truth"):
-                batch = estimate_truth(observations, domains, robust=self._robust, tracer=tracer)
+                batch = estimate_truth(observations, domains, tracer=tracer)
                 # Repair before seeding: a repaired estimate is what the
                 # updater must start from.
                 truths, sigmas, expertise, report = self._repair(
@@ -502,7 +497,7 @@ class ETA2System:
         else:
             with timer.phase("truth"):
                 update = self._updater.incorporate(
-                    observations, domains, commit=True, robust=self._robust, tracer=tracer
+                    observations, domains, commit=True, tracer=tracer
                 )
             truths, sigmas, task_expertise, report = self._repair(
                 update.truths, update.sigmas, update.task_expertise, observations, report
@@ -630,5 +625,5 @@ class ETA2System:
         far *without committing it*, returning refreshed truths, sigmas and
         the per-task expertise the confidence-interval check needs.
         """
-        result = self._updater.incorporate(observations, domains, commit=False, robust=self._robust)
+        result = self._updater.incorporate(observations, domains, commit=False)
         return result.truths, result.sigmas, result.task_expertise

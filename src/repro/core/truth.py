@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.expertise import DEFAULT_EXPERTISE, expertise_from_sums
-from repro.core.robust import RobustConfig, robust_weights, weighted_median_truths
 from repro.truthdiscovery.base import ObservationMatrix
 
 __all__ = ["TruthAnalysisResult", "estimate_truth", "update_truths_for_expertise", "SIGMA_FLOOR"]
@@ -59,10 +58,6 @@ class TruthAnalysisResult:
     #: single iteration ran; chaos tests assert on it to tell a *slow* run
     #: (delta just above tolerance) from a *diverging* one.
     final_delta: float = float("nan")
-    #: True when the weighted-median fallback replaced a diverged iterate
-    #: (only possible with a :class:`~repro.core.robust.RobustConfig` whose
-    #: ``fallback`` is enabled).
-    used_fallback: bool = False
 
     def expertise_for_tasks(self, task_domains: np.ndarray) -> np.ndarray:
         """``u_{i, d_j}`` matrix for the given per-task domain-id labels."""
@@ -74,14 +69,12 @@ class TruthAnalysisResult:
 def update_truths_for_expertise(
     observations: ObservationMatrix,
     task_expertise: np.ndarray,
-    robust: "RobustConfig | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """One Eq. 5 pass: truths and base numbers given per-task expertise.
 
     ``task_expertise`` is the ``(n_users, n_tasks)`` matrix ``u_{i, d_j}``.
     Returns ``(truths, sigmas)``; unobserved tasks get NaN truth and the
-    sigma floor.  With a :class:`~repro.core.robust.RobustConfig`, the
-    pass is reweighted once (see :func:`_truth_pass`).
+    sigma floor.
     """
     rows, cols = np.nonzero(observations.mask)
     return _truth_pass(
@@ -90,7 +83,6 @@ def update_truths_for_expertise(
         task_expertise[rows, cols],
         np.bincount(cols, minlength=observations.n_tasks),
         observations.n_tasks,
-        robust,
     )
 
 
@@ -100,7 +92,6 @@ def _truth_pass(
     obs_expertise: np.ndarray,
     task_counts: np.ndarray,
     n_tasks: int,
-    robust: "RobustConfig | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Eq. 5 over the observed entries: the one truth-pass body.
 
@@ -111,14 +102,6 @@ def _truth_pass(
     subset reproduces the full-matrix result bit for bit -- a dense
     ``sum(axis=0)`` does not, its reduction tree changes with the matrix
     width.
-
-    With a ``robust`` config other than ``"none"`` the plain pass becomes
-    a pilot (one IRLS step): each observation's standardized residual
-    ``z = (x - mu) u / sigma`` earns it a Huber or 0/1 trimming weight
-    that multiplies its likelihood weight ``u^2`` in a second pass.  The
-    sigma line then divides by the *robust* observation count (sum of
-    robustness weights), so down-weighted outliers stop inflating base
-    numbers too.
     """
     weights = obs_expertise**2
     weight_totals = np.bincount(cols, weights=weights, minlength=n_tasks)
@@ -130,26 +113,7 @@ def _truth_pass(
     weighted_square = np.bincount(cols, weights=weights * residuals**2, minlength=n_tasks)
     variance = np.where(task_counts > 0, weighted_square / np.maximum(task_counts, 1), 0.0)
     sigmas = np.maximum(np.sqrt(variance), SIGMA_FLOOR)
-    if robust is None or robust.method == "none":
-        return truths, sigmas
-    z = residuals * obs_expertise / sigmas[cols]
-    rw = robust_weights(z, cols, n_tasks, robust)
-    combined = weights * rw
-    weight_totals = np.bincount(cols, weights=combined, minlength=n_tasks)
-    observed = weight_totals > 0
-    weighted_values = np.bincount(cols, weights=combined * values, minlength=n_tasks)
-    # A task whose every observation got zero robust weight keeps its
-    # pilot estimate instead of collapsing to NaN.
-    robust_truths = np.where(
-        observed, weighted_values / np.where(observed, weight_totals, 1.0), truths
-    )
-    safe_truths = np.where(np.isnan(robust_truths), 0.0, robust_truths)
-    residuals = values - safe_truths[cols]
-    weighted_square = np.bincount(cols, weights=combined * residuals**2, minlength=n_tasks)
-    rw_counts = np.bincount(cols, weights=rw, minlength=n_tasks)
-    variance = np.where(rw_counts > 0, weighted_square / np.maximum(rw_counts, 1e-12), 0.0)
-    robust_sigmas = np.where(observed, np.maximum(np.sqrt(variance), SIGMA_FLOOR), sigmas)
-    return robust_truths, robust_sigmas
+    return truths, sigmas
 
 
 class _SparseObservations:
@@ -196,25 +160,10 @@ class _SparseObservations:
             .astype(float)
         )
 
-    def truth_pass(
-        self, expertise: np.ndarray, robust: "RobustConfig | None" = None
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Eq. 5 (optionally reweighted) for the domain-block ``expertise``."""
+    def truth_pass(self, expertise: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Eq. 5 for the domain-block ``expertise``."""
         obs_expertise = expertise[self.rows, self.domain_cols]
-        return _truth_pass(
-            self.cols, self.values, obs_expertise, self.task_counts, self.n_tasks, robust
-        )
-
-    def fallback_truths(self, expertise: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Guaranteed-finite weighted-median estimate for diverged runs."""
-        return weighted_median_truths(
-            self.rows,
-            self.cols,
-            self.values,
-            expertise[self.rows, self.domain_cols],
-            self.n_tasks,
-            SIGMA_FLOOR,
-        )
+        return _truth_pass(self.cols, self.values, obs_expertise, self.task_counts, self.n_tasks)
 
     def denominator_sums(self, truths: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
         """Eq. 6 / Eq. 8 denominators ``sum_j I(d_j = k) w_ij (x_ij - mu_j)^2 / sigma_j^2``.
@@ -269,11 +218,10 @@ def _check_solve_inputs(observations: ObservationMatrix, task_domains, max_itera
     return task_domains
 
 
-def _solve(sparse: _SparseObservations, expertise, refresh, max_iterations, robust):
+def _solve(sparse: _SparseObservations, expertise, refresh, max_iterations):
     """The Section 4 coordinate iteration, shared by Sections 4.1 and 4.2.
 
-    Each sweep runs Eq. 5 on the current domain-block ``expertise``
-    (damped towards the previous truths when ``robust.damping < 1``), then
+    Each sweep runs Eq. 5 on the current domain-block ``expertise``, then
     ``refresh(truths, sigmas)`` for the next expertise: Eq. 6 over the
     batch, or Eqs. 7-9 over the decayed sums.  It stops once the truths
     pass the 5 % test.
@@ -284,18 +232,12 @@ def _solve(sparse: _SparseObservations, expertise, refresh, max_iterations, robu
     ``mle.*`` events; ``final_delta`` is its last entry, NaN when one
     sweep ran.
     """
-    damping = 1.0 if robust is None else robust.damping
     truths = np.full(sparse.n_tasks, np.nan)
     converged = False
     final_delta = float("nan")
     deltas = []
     for iterations in range(1, max_iterations + 1):
-        new_truths, sigmas = sparse.truth_pass(expertise, robust)
-        if damping < 1.0 and iterations > 1:
-            both = ~(np.isnan(new_truths) | np.isnan(truths))
-            new_truths = np.where(
-                both, damping * new_truths + (1.0 - damping) * truths, new_truths
-            )
+        new_truths, sigmas = sparse.truth_pass(expertise)
         expertise = refresh(new_truths, sigmas)
         if iterations > 1:
             converged, final_delta = _convergence(new_truths, truths)
@@ -318,45 +260,6 @@ def _emit_sweeps(deltas, converged: bool, tracer) -> None:
         tracer.emit("mle.iteration", iteration=iteration, delta=delta)
     if converged:
         tracer.emit("mle.converged", iterations=len(deltas), final_delta=deltas[-1])
-
-
-def _fallback(sparse, truths, expertise, final_delta, robust):
-    """Weighted-median ``(truths, sigmas)`` if a non-converged solve diverged.
-
-    A solve counts as diverged when ``robust.fallback`` is on and it left
-    an observed task's truth non-finite or its final delta above
-    ``robust.fallback_delta``.  Returns None otherwise.  The caller
-    reports a replacement with :func:`_report_fallback`.
-    """
-    if robust is None or not robust.fallback:
-        return None
-    observed = sparse.task_counts > 0
-    diverged = (
-        bool(np.any(~np.isfinite(truths[observed])))
-        or not np.isfinite(final_delta)
-        or final_delta > robust.fallback_delta
-    )
-    if not diverged:
-        return None
-    return sparse.fallback_truths(expertise)
-
-
-def _report_fallback(final_delta, robust, n_tasks, tracer) -> None:
-    """Emit ``mle.fallback`` and log a warning for a replaced iterate."""
-    if tracer is not None and tracer.enabled:
-        tracer.emit(
-            "mle.fallback",
-            final_delta=final_delta,
-            fallback_delta=robust.fallback_delta,
-            n_tasks=n_tasks,
-        )
-    _LOG.warning(
-        "truth analysis diverged (relative change %.4g > %.4g); "
-        "using weighted-median fallback for %d tasks",
-        final_delta,
-        robust.fallback_delta,
-        n_tasks,
-    )
 
 
 def _report_non_convergence(n_tasks, n_observations, iterations, final_delta, tracer) -> None:
@@ -385,7 +288,6 @@ def estimate_truth(
     observations: ObservationMatrix,
     task_domains,
     max_iterations: int = 100,
-    robust: "RobustConfig | None" = None,
     tracer=None,
 ) -> TruthAnalysisResult:
     """Run the Section 4.1 MLE over one batch of observations.
@@ -400,20 +302,12 @@ def estimate_truth(
         from the paper's all-ones expertise.
     max_iterations:
         Cap on the Eq. 5-6 sweeps; at least 1.
-    robust:
-        Optional :class:`~repro.core.robust.RobustConfig` enabling Huber /
-        trimmed reweighting of the Eq. 5 truth pass, iteration damping,
-        and the weighted-median divergence fallback.  ``None`` (the
-        default) is bit-identical to the plain paper MLE.  The Eq. 6
-        expertise pass deliberately stays *unweighted*: down-weighting an
-        adversary's residuals there would hand them back a high expertise
-        estimate, which is exactly the wrong direction.
     tracer:
         Optional :class:`~repro.observability.RunTracer`; when enabled it
         receives one ``mle.iteration`` event per Eq. 5-6 sweep (with the
-        max relative truth delta) and a ``mle.converged`` /
-        ``mle.non_convergence`` / ``mle.fallback`` verdict.  The extra
-        delta computations are trace-only and never change the estimate.
+        max relative truth delta) and a ``mle.converged`` or
+        ``mle.non_convergence`` verdict.  The extra delta computations are
+        trace-only and never change the estimate.
     """
     task_domains = _check_solve_inputs(observations, task_domains, max_iterations)
     if observations.observation_count == 0:
@@ -423,7 +317,7 @@ def estimate_truth(
     sparse = _SparseObservations(observations, domain_columns, len(domain_ids))
     expertise = np.full((observations.n_users, len(domain_ids)), DEFAULT_EXPERTISE)
     truths, sigmas, expertise, deltas, converged, final_delta = _solve(
-        sparse, expertise, sparse.expertise_pass, max_iterations, robust
+        sparse, expertise, sparse.expertise_pass, max_iterations
     )
     iterations = len(deltas)
     _emit_sweeps(deltas, converged, tracer)
@@ -432,13 +326,7 @@ def estimate_truth(
             sparse.n_tasks, sparse.cols.size, iterations, final_delta, tracer
         )
     # One more Eq. 5 pass, so the truths match the final expertise.
-    truths, sigmas = sparse.truth_pass(expertise, robust)
-    fallback = None
-    if not converged:
-        fallback = _fallback(sparse, truths, expertise, final_delta, robust)
-    if fallback is not None:
-        _report_fallback(final_delta, robust, sparse.n_tasks, tracer)
-        truths, sigmas = fallback
+    truths, sigmas = sparse.truth_pass(expertise)
     return TruthAnalysisResult(
         truths=truths,
         sigmas=sigmas,
@@ -447,5 +335,4 @@ def estimate_truth(
         iterations=iterations,
         converged=converged,
         final_delta=final_delta,
-        used_fallback=fallback is not None,
     )

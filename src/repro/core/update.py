@@ -27,13 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.expertise import ExpertiseMatrix, expertise_from_sums
-from repro.core.robust import RobustConfig
 from repro.core.truth import (
     TruthAnalysisResult,
     _check_solve_inputs,
     _emit_sweeps,
-    _fallback,
-    _report_fallback,
     _report_non_convergence,
     _solve,
     _SparseObservations,
@@ -61,8 +58,6 @@ class IncorporateResult:
     #: Largest per-task relative truth change at the last inner iteration
     #: (NaN when only one iteration ran).
     final_delta: float = float("nan")
-    #: True when the weighted-median fallback replaced a diverged iterate.
-    used_fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,6 @@ class _Pending:
     observations: ObservationMatrix
     task_domains: np.ndarray
     max_iterations: int
-    robust: "RobustConfig | None"
     columns: np.ndarray
     new_n: np.ndarray
     new_d: np.ndarray
@@ -87,11 +81,10 @@ class _Pending:
     n_observations: int
     result: IncorporateResult
 
-    def matches(self, observations, task_domains, max_iterations, robust) -> bool:
+    def matches(self, observations, task_domains, max_iterations) -> bool:
         return (
             observations is self.observations
             and max_iterations == self.max_iterations
-            and robust == self.robust
             and np.array_equal(task_domains, self.task_domains)
         )
 
@@ -99,12 +92,13 @@ class _Pending:
         """The solve's ``mle.*`` events and warnings, fresh or reused alike."""
         result = self.result
         _emit_sweeps(self.deltas, result.converged, tracer)
-        n_tasks = len(self.task_domains)
-        if result.used_fallback:
-            _report_fallback(result.final_delta, self.robust, n_tasks, tracer)
         if commit and not result.converged:
             _report_non_convergence(
-                n_tasks, self.n_observations, result.iterations, result.final_delta, tracer
+                len(self.task_domains),
+                self.n_observations,
+                result.iterations,
+                result.final_delta,
+                tracer,
             )
 
 
@@ -225,7 +219,6 @@ class ExpertiseUpdater:
         task_domains: np.ndarray,
         max_iterations: int = 100,
         commit: bool = True,
-        robust: "RobustConfig | None" = None,
         tracer=None,
     ) -> IncorporateResult:
         """Fold one time step's new observations into the expertise state.
@@ -242,15 +235,10 @@ class ExpertiseUpdater:
         every recruiting round but must only commit the day's final data.
         (Domains seen for the first time are still registered, with empty
         history.)  The updater keeps the last preview: a call with the same
-        ``observations`` object, equal ``task_domains``, ``max_iterations``
-        and ``robust``, and no change to the sums in between, returns and
-        commits that solve instead of running it again.  Its outputs,
+        ``observations`` object, equal ``task_domains`` and
+        ``max_iterations``, and no change to the sums in between, returns
+        and commits that solve instead of running it again.  Its outputs,
         events and warnings are those of a fresh solve.
-
-        ``robust`` enables the Huber/trimmed Eq. 5 reweighting, iteration
-        damping, and weighted-median fallback (see
-        :class:`~repro.core.robust.RobustConfig`); the Eq. 7-8 sums stay
-        unweighted so misbehaving users keep earning low expertise.
 
         ``tracer`` (an enabled :class:`~repro.observability.RunTracer`)
         receives per-iteration ``mle.iteration`` deltas and the
@@ -260,10 +248,8 @@ class ExpertiseUpdater:
         """
         task_domains = self._check_inputs(observations, task_domains, max_iterations)
         pending = self._pending
-        if pending is None or not pending.matches(
-            observations, task_domains, max_iterations, robust
-        ):
-            pending = self._solve_step(observations, task_domains, max_iterations, robust)
+        if pending is None or not pending.matches(observations, task_domains, max_iterations):
+            pending = self._solve_step(observations, task_domains, max_iterations)
         pending.report(commit, tracer)
         if commit:
             self._numerators[:, pending.columns] = pending.new_n
@@ -273,7 +259,7 @@ class ExpertiseUpdater:
             self._pending = pending
         return pending.result
 
-    def _solve_step(self, observations, task_domains, max_iterations, robust) -> _Pending:
+    def _solve_step(self, observations, task_domains, max_iterations) -> _Pending:
         """Run the Section 4.2 iteration against the current sums (no commit)."""
         columns, inverse, sparse = self._domain_block(observations, task_domains)
         # Snapshots at time T; the decayed base stays fixed across iterations
@@ -292,19 +278,12 @@ class ExpertiseUpdater:
             self._numerators[:, columns], self._denominators[:, columns]
         )
         truths, sigmas, expertise, deltas, converged, final_delta = _solve(
-            sparse, expertise, refresh, max_iterations, robust
+            sparse, expertise, refresh, max_iterations
         )
-        fallback = None
-        if not converged:
-            fallback = _fallback(sparse, truths, expertise, final_delta, robust)
-        if fallback is not None:
-            truths, sigmas = fallback
-            expertise = refresh(truths, sigmas)
         return _Pending(
             observations=observations,
             task_domains=task_domains.copy(),
             max_iterations=max_iterations,
-            robust=robust,
             columns=columns,
             new_n=new_n,
             new_d=new_d,
@@ -317,6 +296,5 @@ class ExpertiseUpdater:
                 converged=converged,
                 task_expertise=expertise[:, inverse],
                 final_delta=final_delta,
-                used_fallback=fallback is not None,
             ),
         )

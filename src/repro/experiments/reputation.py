@@ -7,8 +7,8 @@ two attacked legs) one adversary set:
 
 - **clean** — no adversaries (the error floor),
 - **unprotected** — ``adversary_fraction`` colluders, plain ETA2,
-- **protected** — the same attack with reputation tracking, invariant
-  guards, and (optionally) the robust MLE enabled,
+- **protected** — the same attack with reputation tracking and invariant
+  guards enabled,
 
 and reports detection recall (fraction of adversaries ever quarantined),
 the false-positive rate (honest users still quarantined or on probation at
@@ -106,15 +106,10 @@ def reputation_defense(
     kind: str = "colluding",
     fraction: float = 0.2,
     dataset_name: str = "synthetic",
-    robust: bool = False,
 ) -> ReputationDefense:
     """Run the clean/unprotected/protected triple for each replication."""
     best = config.best_parameters(dataset_name)
     guards = {"reputation": True, "guards": "warn"}
-    if robust:
-        from repro.core.robust import RobustConfig
-
-        guards["robust"] = RobustConfig(method="huber")
     attack = {"adversary_fraction": fraction, "adversary_kind": kind}
     plain = ApproachSpec.eta2(gamma=best["gamma"], alpha=best["alpha"])
     protected_spec = ApproachSpec.eta2(gamma=best["gamma"], alpha=best["alpha"], **guards)

@@ -109,7 +109,6 @@ class _DaySummary:
         self.mle_iterations = 0
         self.final_delta: "float | None" = None
         self.converged: "bool | None" = None
-        self.used_fallback = False
         self.degraded = False
         self.new_domains: list = []
         self.merges: list = []
@@ -141,8 +140,7 @@ class _DaySummary:
             if self.converged is None:
                 verdict = "unknown"
             detail = "" if self.final_delta is None else f", final delta {self.final_delta:.4g}"
-            fallback = ", weighted-median fallback" if self.used_fallback else ""
-            out.append(f"  mle: {self.mle_iterations} iterations, {verdict}{detail}{fallback}")
+            out.append(f"  mle: {self.mle_iterations} iterations, {verdict}{detail}")
         if self.degraded:
             out.append("  DEGRADED: zero observations collected")
         if self.new_domains:
@@ -234,9 +232,6 @@ def summarize_trace(records: list) -> dict:
                 f"{day_label()}: MLE did not converge "
                 f"(final delta {current.final_delta}, {current.mle_iterations} iterations)"
             )
-        elif rtype == "mle.fallback":
-            current.used_fallback = True
-            anomalies.append(f"{day_label()}: weighted-median fallback engaged")
         elif rtype == "clustering.new_domain":
             current.new_domains.append(data.get("domain"))
         elif rtype == "clustering.merge":

@@ -11,7 +11,7 @@ quarantined" after the fact.  :class:`RunTracer` records the loop's
   emitted by :class:`~repro.perf.timers.PhaseTimer`),
 - per-iteration MLE truth deltas from the Eq. 5-6 coordinate iteration
   (``mle.iteration``) and its convergence verdict (``mle.converged`` /
-  ``mle.non_convergence`` / ``mle.fallback``),
+  ``mle.non_convergence``),
 - clustering decisions (``clustering.new_domain`` / ``clustering.merge`` /
   ``clustering.domains``),
 - reputation transitions (``reputation.quarantine`` / ``.probation`` /

@@ -11,7 +11,9 @@ reference kernels have worse complexity), so a quick run is checked
 against the baseline's quick section, never against the full sizes:
 
 - the optimised/reference *speedup ratio* is always compared: it is
-  machine-independent, so CI catches a de-optimised kernel on any runner;
+  machine-independent, so CI catches a de-optimised kernel on any runner.
+  Each timing round runs both sides back to back, and the speedup is the
+  median of the per-round ratios;
 - raw wall-clock (``median_s``) is compared only when the baseline was
   written on the same machine (matching ``meta.node``).
 
@@ -78,18 +80,36 @@ KERNELS = tuple(SIZES)
 _MIN_ROUND_SECONDS = 0.01
 
 
-def _median_seconds(func, rounds: int) -> float:
+def _repeats(func) -> int:
+    """Calls per timing round: one calibration call (which also warms caches)."""
     start = time.perf_counter()
-    func()  # calibration pass; also warms caches
+    func()
     single = time.perf_counter() - start
-    number = min(1000, max(1, math.ceil(_MIN_ROUND_SECONDS / max(single, 1e-9))))
-    samples = []
+    return min(1000, max(1, math.ceil(_MIN_ROUND_SECONDS / max(single, 1e-9))))
+
+
+def _paired_timing(optimised, reference, rounds: int) -> dict:
+    """Median seconds per call of both callables, and their median speedup.
+
+    Each round times ``optimised`` and then ``reference``, so both sides
+    of a round see the same machine load; ``speedup`` is the median of the
+    per-round ``reference / optimised`` ratios, which a slow spell on one
+    round cannot skew the way a ratio of two separate medians can.
+    """
+    numbers = _repeats(optimised), _repeats(reference)
+    samples: "tuple[list, list]" = ([], [])
     for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(number):
-            func()
-        samples.append((time.perf_counter() - start) / number)
-    return float(statistics.median(samples))
+        for func, number, times in zip((optimised, reference), numbers, samples):
+            start = time.perf_counter()
+            for _ in range(number):
+                func()
+            times.append((time.perf_counter() - start) / number)
+    ratios = [ref / opt if opt > 0 else float("inf") for opt, ref in zip(*samples)]
+    return {
+        "median_s": float(statistics.median(samples[0])),
+        "reference_median_s": float(statistics.median(samples[1])),
+        "speedup": float(statistics.median(ratios)),
+    }
 
 
 def _bench_average_linkage(size: dict, rounds: int) -> dict:
@@ -103,9 +123,11 @@ def _bench_average_linkage(size: dict, rounds: int) -> dict:
     np.fill_diagonal(base, 0.0)
     groups = [[i] for i in range(k)]
 
-    optimised = _median_seconds(lambda: AverageLinkage(base, groups), rounds)
-    reference = _median_seconds(lambda: reference_linkage_sums(base, groups), rounds)
-    return {"median_s": optimised, "reference_median_s": reference}
+    return _paired_timing(
+        lambda: AverageLinkage(base, groups),
+        lambda: reference_linkage_sums(base, groups),
+        rounds,
+    )
 
 
 def _bench_average_linkage_merge(size: dict, rounds: int) -> dict:
@@ -122,13 +144,11 @@ def _bench_average_linkage_merge(size: dict, rounds: int) -> dict:
     np.fill_diagonal(base, 0.0)
     groups = [[i] for i in range(k)]
 
-    optimised = _median_seconds(
-        lambda: AverageLinkage(base, groups).merge_until(np.inf), rounds
+    return _paired_timing(
+        lambda: AverageLinkage(base, groups).merge_until(np.inf),
+        lambda: reference_merge_until(AverageLinkage(base, groups), np.inf),
+        rounds,
     )
-    reference = _median_seconds(
-        lambda: reference_merge_until(AverageLinkage(base, groups), np.inf), rounds
-    )
-    return {"median_s": optimised, "reference_median_s": reference}
 
 
 def _random_batch(seed: int, size: dict):
@@ -150,9 +170,11 @@ def _bench_mle_sparse(size: dict, rounds: int) -> dict:
     from repro.perf.reference import reference_estimate_truth
 
     _, observations, domains = _random_batch(5678, size)
-    optimised = _median_seconds(lambda: estimate_truth(observations, domains), rounds)
-    reference = _median_seconds(lambda: reference_estimate_truth(observations, domains), rounds)
-    return {"median_s": optimised, "reference_median_s": reference}
+    return _paired_timing(
+        lambda: estimate_truth(observations, domains),
+        lambda: reference_estimate_truth(observations, domains),
+        rounds,
+    )
 
 
 def _bench_update_sparse(size: dict, rounds: int) -> dict:
@@ -163,14 +185,11 @@ def _bench_update_sparse(size: dict, rounds: int) -> dict:
     rng, observations, domains = _random_batch(91011, size)
     k = size["n_domains"]
     truths, sigmas = rng.normal(5.0, 2.0, domains.size), rng.uniform(0.5, 3.0, domains.size)
-    optimised = _median_seconds(
+    return _paired_timing(
         lambda: _SparseObservations(observations, domains, k).denominator_sums(truths, sigmas),
+        lambda: reference_denominator_sums(observations, domains, k, truths, sigmas),
         rounds,
     )
-    reference = _median_seconds(
-        lambda: reference_denominator_sums(observations, domains, k, truths, sigmas), rounds
-    )
-    return {"median_s": optimised, "reference_median_s": reference}
 
 
 def _bench_allocation_greedy(size: dict, rounds: int) -> dict:
@@ -237,11 +256,11 @@ def _bench_allocation_min_cost(size: dict, rounds: int) -> dict:
         return [values[user, task] for user, task in pairs]
 
     allocator = MinCostAllocator(round_budget=size["round_budget"])
-    optimised = _median_seconds(lambda: allocator.run(problem, observe), rounds)
-    reference = _median_seconds(
-        lambda: reference_min_cost_run(allocator, problem, observe), rounds
+    return _paired_timing(
+        lambda: allocator.run(problem, observe),
+        lambda: reference_min_cost_run(allocator, problem, observe),
+        rounds,
     )
-    return {"median_s": optimised, "reference_median_s": reference}
 
 
 def _time_greedy(problem, rounds: int) -> dict:
@@ -252,9 +271,11 @@ def _time_greedy(problem, rounds: int) -> dict:
     # runs: the state makes the Eq. 11 accuracy matrix and the pass sorts
     # each domain's users (later passes from the same state reuse both).
     # The frozen reference also makes the accuracy matrix per pass.
-    optimised = _median_seconds(lambda: lazy_greedy_allocate(problem), rounds)
-    reference = _median_seconds(lambda: reference_greedy_allocate(problem), rounds)
-    return {"median_s": optimised, "reference_median_s": reference}
+    return _paired_timing(
+        lambda: lazy_greedy_allocate(problem),
+        lambda: reference_greedy_allocate(problem),
+        rounds,
+    )
 
 
 _RUNNERS = {
@@ -277,11 +298,6 @@ def run_benchmarks(quick: bool = False, rounds: "int | None" = None) -> dict:
     for name in KERNELS:
         size = SIZES[name][mode]
         timing = _RUNNERS[name](size, rounds)
-        timing["speedup"] = (
-            timing["reference_median_s"] / timing["median_s"]
-            if timing["median_s"] > 0
-            else float("inf")
-        )
         kernels[name] = {"size": size, "rounds": rounds, **timing}
     return {
         "meta": {

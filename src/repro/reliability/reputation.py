@@ -1,8 +1,8 @@
 """Cross-day worker reputation: residual scoring, quarantine, probation.
 
-The per-day defences (`reliability.sanitize`, `core.robust`) forget
-everything at midnight: a colluding worker who is individually plausible
-every single day never trips them.  This module remembers.  After each
+The per-day defence (`reliability.sanitize`) forgets everything at
+midnight: a colluding worker who is individually plausible every single
+day never trips it.  This module remembers.  After each
 day's truth analysis the tracker folds every user's residuals into decayed
 running sums — the same exponential decay ``alpha`` as the expertise
 updates of Eqs. (7)-(9), so reputation and expertise age on the same

@@ -105,7 +105,6 @@ class ETA2Approach(Approach):
         checkpoint_dir=None,
         checkpoint_keep: int = 3,
         resume: bool = False,
-        robust=None,
         reputation: "bool | object" = False,
         guards: "str | None" = None,
     ):
@@ -131,10 +130,9 @@ class ETA2Approach(Approach):
         self._checkpoint_dir = checkpoint_dir
         self._checkpoint_keep = checkpoint_keep
         self._resume = resume
-        #: Byzantine hardening (all optional): a RobustConfig for the MLE,
-        #: reputation tracking (True for defaults or a ReputationConfig),
-        #: and an invariant-guard policy ("warn"/"raise"/"repair").
-        self._robust = robust
+        #: Byzantine hardening (all optional): reputation tracking (True
+        #: for defaults or a ReputationConfig) and an invariant-guard
+        #: policy ("warn"/"raise"/"repair").
         self._reputation = reputation
         self._guards = guards
         self._system: "ETA2System | None" = None
@@ -169,7 +167,6 @@ class ETA2Approach(Approach):
             min_cost_confidence=self._confidence,
             extra_greedy_pass=self._extra_pass,
             exploration_rate=self._exploration_rate,
-            robust=self._robust,
             seed=seed,
         )
         if self._telemetry is not None:

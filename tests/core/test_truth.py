@@ -6,7 +6,6 @@ import logging
 import numpy as np
 import pytest
 
-from repro.core.robust import RobustConfig
 from repro.core.truth import estimate_truth, update_truths_for_expertise
 from repro.core.update import ExpertiseUpdater
 from repro.truthdiscovery.base import ObservationMatrix
@@ -169,10 +168,6 @@ class _EventLog:
         self.events.append((event_type, sorted(fields.items())))
 
 
-#: SHA-256 over every Section 4 output the pin test below produces.
-SECTION4_DIGEST = "314af6c2638b8e5a972db7a14a6b8eb8ef91f1b9f5e8fe9155245f2cd53e972d"
-
-
 def _section4_batches():
     """A warm-up and a next-day matrix: 12 users, 3 + 1 domains, ~15 % junk."""
     rng = np.random.default_rng(2017)
@@ -191,48 +186,44 @@ def _section4_batches():
     return batches
 
 
-def test_section4_outputs_are_pinned():
-    """Truths, sigmas, expertise, verdicts and ``mle.*`` events of both §4
-    entry points, with the robust options and forced non-convergence, hash
-    to a committed digest."""
+#: SHA-256 over every Section 4 output the pin test below produces.
+SECTION4_PLAIN_DIGEST = "85f7510017fff1159a1085e1c3c14988cd84fe5455c8013ddd232a21c5b73d39"
+
+
+def test_section4_plain_outputs_are_pinned(caplog):
+    """Truths, sigmas, expertise, verdicts, ``mle.*`` events and warnings of
+    both §4 entry points, at 1, 2 and 100 iterations and with ``commit``
+    True and False, hash to a committed digest."""
     (warm_obs, warm_domains), (obs, domains) = _section4_batches()
     warm = estimate_truth(warm_obs, warm_domains)
-    configs = [
-        None,
-        RobustConfig(method="none", fallback=True),
-        RobustConfig(method="huber", damping=0.5),
-        RobustConfig(method="trimmed", fallback_delta=1e-9),
-    ]
+    caplog.set_level(logging.WARNING)
+    caplog.clear()
     digest = hashlib.sha256()
 
     def feed(*arrays, events, **flags):
         for array in arrays:
             digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
-        digest.update(repr((sorted(flags.items()), events)).encode())
+        warnings = [record.getMessage() for record in caplog.records]
+        digest.update(repr((sorted(flags.items()), events, warnings)).encode())
+        caplog.clear()
 
-    for robust in configs:
-        for max_iterations in (1, 2, 100):
+    for max_iterations in (1, 2, 100):
+        log = _EventLog()
+        batch = estimate_truth(warm_obs, warm_domains, max_iterations=max_iterations, tracer=log)
+        feed(
+            batch.truths, batch.sigmas, batch.expertise,
+            events=log.events, iterations=batch.iterations, converged=batch.converged,
+        )
+        for commit in (True, False):
+            updater = ExpertiseUpdater(warm_obs.n_users)
+            updater.seed_from_batch(warm_obs, warm_domains, warm)
             log = _EventLog()
-            batch = estimate_truth(
-                warm_obs, warm_domains, max_iterations=max_iterations, robust=robust, tracer=log
+            step = updater.incorporate(
+                obs, domains, max_iterations=max_iterations, commit=commit, tracer=log
             )
             feed(
-                batch.truths, batch.sigmas, batch.expertise,
-                events=log.events, iterations=batch.iterations,
-                converged=batch.converged, used_fallback=batch.used_fallback,
+                step.truths, step.sigmas, step.task_expertise,
+                updater.task_expertise(updater.domain_ids),
+                events=log.events, iterations=step.iterations, converged=step.converged,
             )
-            for commit in (True, False):
-                updater = ExpertiseUpdater(warm_obs.n_users)
-                updater.seed_from_batch(warm_obs, warm_domains, warm)
-                log = _EventLog()
-                step = updater.incorporate(
-                    obs, domains, max_iterations=max_iterations, commit=commit,
-                    robust=robust, tracer=log,
-                )
-                feed(
-                    step.truths, step.sigmas, step.task_expertise,
-                    updater.task_expertise(updater.domain_ids),
-                    events=log.events, iterations=step.iterations,
-                    converged=step.converged, used_fallback=step.used_fallback,
-                )
-    assert digest.hexdigest() == SECTION4_DIGEST
+    assert digest.hexdigest() == SECTION4_PLAIN_DIGEST

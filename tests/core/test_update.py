@@ -9,7 +9,6 @@ import pytest
 import repro.core.update as update_module
 from repro.core.expertise import DEFAULT_EXPERTISE, EXPERTISE_PRIOR_STRENGTH
 from repro.core.pipeline import ETA2System
-from repro.core.robust import RobustConfig
 from repro.core.serialization import state_fingerprint, updater_to_dict
 from repro.core.truth import TruthAnalysisResult, estimate_truth
 from repro.core.update import ExpertiseUpdater, IncorporateResult
@@ -394,21 +393,12 @@ def _assert_same_result(left: IncorporateResult, right: IncorporateResult):
 
 
 @pytest.mark.parametrize(
-    "options, converged, used_fallback",
-    [
-        ({}, True, False),
-        ({"max_iterations": 1}, False, False),
-        ({"max_iterations": 2, "robust": RobustConfig(method="none", fallback=True)}, False, True),
-        (
-            {"max_iterations": 2, "robust": RobustConfig(method="trimmed", fallback_delta=1e-9)},
-            False,
-            True,
-        ),
-    ],
-    ids=["plain", "non-converged", "fallback", "trimmed-fallback"],
+    "options, converged",
+    [({}, True), ({"max_iterations": 1}, False)],
+    ids=["plain", "non-converged"],
 )
 def test_commit_of_the_previewed_matrix_reuses_the_preview(
-    day, caplog, solve_count, options, converged, used_fallback
+    day, caplog, solve_count, options, converged
 ):
     """Preview then commit of one matrix == a fresh updater's direct commit:
     the same sums (``==``), result fields, ``mle.*`` events and warnings,
@@ -418,7 +408,7 @@ def test_commit_of_the_previewed_matrix_reuses_the_preview(
     expected, expected_events, expected_warnings = _recorded_commit(
         fresh, observations, domains, caplog, **options
     )
-    assert (expected.converged, expected.used_fallback) == (converged, used_fallback)
+    assert expected.converged == converged
     assert any(event == "mle.iteration" for event, _ in expected_events)
     assert bool(expected_warnings) == (not converged)
 
@@ -450,8 +440,8 @@ def _change_domains(updater, observations, domains):
     return observations, changed, {}
 
 
-def _change_robust(updater, observations, domains):
-    return observations, domains, {"robust": RobustConfig(method="huber")}
+def _change_iterations(updater, observations, domains):
+    return observations, domains, {"max_iterations": 1}
 
 
 def _merge(updater, observations, domains):
@@ -480,13 +470,13 @@ def _reseed(updater, observations, domains):
     [
         (_change_matrix, False),
         (_change_domains, False),
-        (_change_robust, False),
+        (_change_iterations, False),
         (_merge, False),
         (_new_domain, False),
         (_reseed, False),
         (_known_domain, True),
     ],
-    ids=["other-matrix", "other-domains", "other-robust", "merge", "new-domain", "seed", "known-domain"],
+    ids=["other-matrix", "other-domains", "other-iterations", "merge", "new-domain", "seed", "known-domain"],
 )
 def test_commit_solves_again_when_anything_changed_since_the_preview(
     day, solve_count, between, reused

@@ -1,9 +1,11 @@
 """The benchmark-regression harness: record shape, comparison, CLI."""
 
 import json
+import statistics
 
 import pytest
 
+from repro.perf import baseline
 from repro.perf.baseline import KERNELS, compare, main, run_benchmarks
 
 
@@ -22,6 +24,31 @@ def test_record_covers_every_kernel(quick_record):
         )
         assert kernel["rounds"] == 1
         assert kernel["size"]
+
+
+def test_paired_timing_alternates_and_takes_the_median_ratio(monkeypatch):
+    """Both sides run once per round, in turn; the speedup is the median of
+    the per-round ratios, not the ratio of the two medians."""
+    now = [0.0]
+    monkeypatch.setattr(baseline.time, "perf_counter", lambda: now[0])
+    calls = []
+    # Seconds per call: the calibration call, then rounds 1-3.  Every call
+    # outlasts a timing round's minimum, so each round makes one call.
+    durations = {"optimised": [1.0, 1.0, 2.0, 4.0], "reference": [1.0, 3.0, 10.0, 4.0]}
+
+    def stub(name):
+        def call():
+            now[0] += durations[name][sum(1 for seen in calls if seen == name)]
+            calls.append(name)
+
+        return call
+
+    timing = baseline._paired_timing(stub("optimised"), stub("reference"), rounds=3)
+    assert calls == ["optimised", "reference"] * 4
+    assert timing["median_s"] == 2.0
+    assert timing["reference_median_s"] == 4.0
+    assert timing["speedup"] == statistics.median([3.0, 5.0, 1.0]) == 3.0
+    assert timing["speedup"] != timing["reference_median_s"] / timing["median_s"]
 
 
 def test_record_is_json_serialisable(quick_record):

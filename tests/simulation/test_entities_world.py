@@ -136,11 +136,17 @@ def test_observe_pairs_matches_scalar_reference(bias_fraction, adversarial, drif
     adversaries = (
         {1: RandomAdversary(), 2: BiasedAdversary(), 3: ColludingAdversary()} if adversarial else {}
     )
-    rng = np.random.default_rng(21)
-    world = World(users, tasks, bias_fraction, drift_rate, adversaries, seed=rng)
+
+    def make_world():
+        rng = np.random.default_rng(21)
+        world = World(users, tasks, bias_fraction, drift_rate, adversaries, seed=rng)
+        if drift_rate:
+            world.advance_day()
+        return world, rng
+
+    world, rng = make_world()
     reference_rng = np.random.default_rng(21)
     if drift_rate:
-        world.advance_day()
         reference_rng.normal(0.0, drift_rate, size=(len(users), 3))
     expertise = world.true_expertise_matrix()
     # An empty batch draws nothing on every path.
@@ -149,12 +155,17 @@ def test_observe_pairs_matches_scalar_reference(bias_fraction, adversarial, drif
     assert rng.bit_generator.state == state
     pairs = [(user, task) for task in range(len(tasks)) for user in range(len(users))]
     pairs += [(4, 0), (0, 3), (0, 3)]
+    # The same pairs as an (n, 2) array, as `experiments.figures` passes them.
+    array_world, array_rng = make_world()
+    array_values = array_world.observe_pairs(np.array(pairs, dtype=np.intp))
     values = world.observe_pairs(pairs)
     expected = _reference_observations(
         users, tasks, expertise, pairs, reference_rng, bias_fraction, adversaries
     )
     assert values == expected
+    assert array_values == expected
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert array_rng.bit_generator.state == reference_rng.bit_generator.state
     # The scalar accessors agree with the batch lookup.
     for user, task in pairs:
         assert world.user_expertise_for_task(user, task) == max(

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import ETA2System, IncomingTask
-from repro.core.robust import RobustConfig
 from repro.core.serialization import state_fingerprint
 from repro.datasets import sfv_dataset, survey_dataset, synthetic_dataset
 from repro.simulation import SimulationConfig, run_simulation
@@ -31,8 +30,6 @@ SFV_ETA2_FINGERPRINT = "a79446f93fc45303a6bcd7004e0e115b8570eb06de6eb624d88d20f2
 SERVED_STATE_FINGERPRINT = "00c930632eea88b5daa7dcf7c5912c0eb29bf1669dfc48a10ac8632e24c283a7"
 MEAN_FINGERPRINT = "88e389db1957b4a5c0c398dbc922069998d78fcd91153d5262d752750287ffc1"
 TRUTHFINDER_FINGERPRINT = "b3bcd26a21a186278f5ff16788af7045451dc3e9d0c7aa196ff0eaff2a9bdea1"
-HUBER_ETA2_FINGERPRINT = "79da3dbb1ccc15e4adf4f70bccedaaa1a5bd462a78f38958db7d6053e83e0729"
-TRIMMED_ETA2_MC_FINGERPRINT = "6264c927bea548ecacb70f29850efd65fd0f5138fa43d20c10ac019577668f13"
 
 
 @pytest.fixture(scope="module")
@@ -40,9 +37,9 @@ def dataset():
     return synthetic_dataset(n_users=24, n_tasks=90, n_domains=6, seed=2017)
 
 
-def run(dataset, *, seed=2017, allocator="max-quality", adversary_fraction=0.0, **kwargs):
+def run(dataset, *, seed=2017, allocator="max-quality", **kwargs):
     approach = ETA2Approach(alpha=0.5, gamma=0.3, allocator=allocator, **kwargs)
-    config = SimulationConfig(n_days=3, seed=seed, adversary_fraction=adversary_fraction)
+    config = SimulationConfig(n_days=3, seed=seed)
     return run_simulation(dataset, approach, config)
 
 
@@ -71,31 +68,6 @@ def test_survey_fingerprint_is_golden(allocator, expected):
 def test_sfv_fingerprint_is_golden():
     result = run(sfv_dataset(seed=2017), guards="warn", reputation=True)
     assert result.fingerprint() == SFV_ETA2_FINGERPRINT
-
-
-@pytest.mark.parametrize(
-    "allocator, robust, expected",
-    [
-        ("max-quality", RobustConfig(method="huber"), HUBER_ETA2_FINGERPRINT),
-        (
-            "min-cost",
-            RobustConfig(method="trimmed", damping=0.5),
-            TRIMMED_ETA2_MC_FINGERPRINT,
-        ),
-    ],
-    ids=["huber-eta2", "trimmed-damped-eta2-mc"],
-)
-def test_robust_fingerprint_is_golden(dataset, allocator, robust, expected):
-    """The robust Section 4 path (reweighting, damping, fallback) under 20 %
-    adversaries."""
-    result = run(
-        dataset,
-        allocator=allocator,
-        min_cost_round_budget=60.0,
-        robust=robust,
-        adversary_fraction=0.2,
-    )
-    assert result.fingerprint() == expected
 
 
 @pytest.mark.parametrize(

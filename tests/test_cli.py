@@ -161,8 +161,6 @@ def test_simulate_with_reputation_and_adversaries(capsys):
         "--reputation",
         "--guards",
         "warn",
-        "--robust",
-        "huber",
     ]
     assert main(args) == 0
     out = capsys.readouterr().out
@@ -173,7 +171,7 @@ def test_simulate_with_reputation_and_adversaries(capsys):
 
 def test_simulate_reputation_ignored_for_baselines(capsys):
     assert main(["simulate", "--approach", "mean", "--days", "2", "--reputation"]) == 0
-    assert "--reputation/--guards/--robust are ignored" in capsys.readouterr().out
+    assert "--reputation/--guards are ignored" in capsys.readouterr().out
 
 
 def test_simulate_trace_and_metrics_out(tmp_path, capsys):
