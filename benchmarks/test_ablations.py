@@ -71,19 +71,15 @@ def test_ablation_domain_knowledge(quick_config):
             if single:
                 # Collapse all tasks to one domain: expertise becomes plain
                 # per-user reliability.
-                flattened = dataset.with_capacities(np.array([u.capacity for u in dataset.users]))
                 from dataclasses import replace as dc_replace
 
-                tasks = tuple(dc_replace(t, true_domain=0) for t in flattened.tasks)
                 from repro.datasets.base import CrowdsourcingDataset
 
                 ds = CrowdsourcingDataset(
                     name="survey-single",
-                    users=tuple(
-                        type(u)(user_id=u.user_id, expertise=(u.expertise[0],), capacity=u.capacity)
-                        for u in flattened.users
-                    ),
-                    tasks=tasks,
+                    tasks=dc_replace(dataset.tasks, true_domain=np.zeros(dataset.n_tasks, dtype=int)),
+                    expertise=dataset.expertise[:, :1],
+                    capacities=dataset.capacities,
                     n_true_domains=1,
                     domains_known=True,
                 )

@@ -27,8 +27,8 @@ def main():
     dataset = survey_dataset(seed=SEED)
     print(f"survey dataset: {dataset.n_users} participants, {dataset.n_tasks} questions")
     print("sample questions:")
-    for task in dataset.tasks[:3]:
-        print(f"  - {task.description}")
+    for description in dataset.descriptions()[:3]:
+        print(f"  - {description}")
     print()
 
     approaches = [

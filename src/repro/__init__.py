@@ -3,7 +3,8 @@
 Reproduction of Zhang, Wu, Huang, Ji & Cao's mobile-crowdsourcing system.
 The most common entry points are re-exported here:
 
-- :class:`ETA2System` / :class:`IncomingTask` — the closed loop of Figure 1,
+- :class:`ETA2System` / :class:`TaskBatch` / :class:`IncomingTask` — the
+  closed loop of Figure 1 and its task inputs (columns, or one record each),
 - :func:`estimate_truth` — the Section 4 batch MLE,
 - :class:`MaxQualityAllocator` / :class:`MinCostAllocator` — Section 5,
 - the three dataset generators and the simulation driver used by the
@@ -16,7 +17,7 @@ and DESIGN.md for the paper-to-module inventory.
 """
 
 from repro.core.allocation import MaxQualityAllocator, MinCostAllocator
-from repro.core.pipeline import ETA2System, IncomingTask, StepResult, default_embedding
+from repro.core.pipeline import ETA2System, IncomingTask, StepResult, TaskBatch, default_embedding
 from repro.core.truth import TruthAnalysisResult, estimate_truth
 from repro.core.update import ExpertiseUpdater
 from repro.datasets import sfv_dataset, survey_dataset, synthetic_dataset
@@ -37,6 +38,7 @@ __all__ = [
     "RunTracer",
     "SimulationConfig",
     "StepResult",
+    "TaskBatch",
     "Telemetry",
     "TruthAnalysisResult",
     "default_embedding",

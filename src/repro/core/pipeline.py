@@ -45,7 +45,7 @@ from repro.semantics.embeddings.corpus import generate_topical_corpus
 from repro.stats.confidence import ConfidenceInterval, truth_half_widths
 from repro.truthdiscovery.base import ObservationMatrix
 
-__all__ = ["IncomingTask", "StepResult", "ETA2System", "default_embedding"]
+__all__ = ["IncomingTask", "TaskBatch", "StepResult", "ETA2System", "default_embedding"]
 
 _LOG = logging.getLogger(__name__)
 
@@ -71,6 +71,54 @@ class IncomingTask:
             raise ValueError("cost must be non-negative")
         if (self.description is None) == (self.domain is None):
             raise ValueError("provide exactly one of description or domain")
+
+
+@dataclass(frozen=True, eq=False)
+class TaskBatch:
+    """One step's new tasks as read-only columns, one entry per task, with
+    exactly one of ``domains`` or ``descriptions`` (as for :class:`IncomingTask`,
+    whose sequences :meth:`of` converts)."""
+
+    processing_times: np.ndarray
+    costs: np.ndarray
+    domains: "np.ndarray | None" = None
+    descriptions: "tuple | None" = None
+
+    def __post_init__(self):
+        if (self.descriptions is None) == (self.domains is None):
+            raise ValueError("provide exactly one of descriptions or domains")
+        if self.descriptions is not None:
+            object.__setattr__(self, "descriptions", tuple(self.descriptions))
+        n_tasks = len(self.domains if self.descriptions is None else self.descriptions)
+        for name, dtype in (("processing_times", float), ("costs", float), ("domains", int)):
+            if getattr(self, name) is not None:
+                column = np.array(getattr(self, name), dtype=dtype)
+                if column.shape != (n_tasks,):
+                    raise ValueError("task batch columns must have one entry per task")
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
+        if np.any(self.processing_times <= 0):
+            raise ValueError("processing_time must be positive")
+        if np.any(self.costs < 0):
+            raise ValueError("cost must be non-negative")
+
+    def __len__(self) -> int:
+        return len(self.processing_times)
+
+    @classmethod
+    def of(cls, tasks) -> "TaskBatch":
+        """``tasks`` as a batch: a batch passes through, and a sequence of
+        :class:`IncomingTask` records (the serving tier's form) must be all
+        text or all pre-known domains."""
+        if isinstance(tasks, TaskBatch):
+            return tasks
+        texts = [task.description for task in tasks]
+        if 0 < texts.count(None) < len(texts):
+            raise ValueError("a batch must be all-text or all-preknown-domain tasks")
+        times, costs = [t.processing_time for t in tasks], [t.cost for t in tasks]
+        if None in texts:
+            return cls(times, costs, domains=[task.domain for task in tasks])
+        return cls(times, costs, descriptions=texts)
 
 
 @dataclass(frozen=True)
@@ -362,40 +410,31 @@ class ETA2System:
             self._embedding = default_embedding()
         return self._embedding
 
-    def _identify_domains(self, tasks: Sequence[IncomingTask]) -> "tuple[np.ndarray, tuple, tuple]":
+    def _identify_domains(self, tasks: TaskBatch) -> "tuple[np.ndarray, tuple, tuple]":
         """Domain ids for a batch of tasks, plus (merges, new_domains)."""
-        with_text = [task.description is not None for task in tasks]
-        if all(with_text):
-            semantics = semantics_for_descriptions(
-                [task.description for task in tasks], self._embedding_model()
-            )
-            vectors = np.vstack([item.concatenated for item in semantics])
-            if self._clustering.is_fitted:
-                result = self._clustering.add(vectors)
-            else:
-                result = self._clustering.fit(vectors)
+        if tasks.descriptions is None:
+            return tasks.domains, (), ()
+        semantics = semantics_for_descriptions(list(tasks.descriptions), self._embedding_model())
+        vectors = np.vstack([item.concatenated for item in semantics])
+        if self._clustering.is_fitted:
+            result = self._clustering.add(vectors)
+        else:
+            result = self._clustering.fit(vectors)
+        for merge in result.merges:
+            self._updater.merge_domains(merge.kept, merge.deleted)
+        if self.tracer.enabled:
+            for domain in result.new_domains:
+                self.tracer.emit("clustering.new_domain", domain=int(domain))
             for merge in result.merges:
-                self._updater.merge_domains(merge.kept, merge.deleted)
-            if self.tracer.enabled:
-                for domain in result.new_domains:
-                    self.tracer.emit("clustering.new_domain", domain=int(domain))
-                for merge in result.merges:
-                    self.tracer.emit(
-                        "clustering.merge",
-                        kept=int(merge.kept),
-                        deleted=int(merge.deleted),
-                    )
-            return result.added_labels, result.merges, result.new_domains
-        if any(with_text):
-            raise ValueError("a batch must be all-text or all-preknown-domain tasks")
-        labels = np.array([task.domain for task in tasks], dtype=int)
-        return labels, (), ()
+                kept, deleted = int(merge.kept), int(merge.deleted)
+                self.tracer.emit("clustering.merge", kept=kept, deleted=deleted)
+        return result.added_labels, result.merges, result.new_domains
 
     # ------------------------------------------------------------------ #
     # Entry points: one step sequence, three ways to gather the data
     # ------------------------------------------------------------------ #
 
-    def warmup(self, tasks: Sequence[IncomingTask], observe: Callable) -> StepResult:
+    def warmup(self, tasks: "TaskBatch | Sequence[IncomingTask]", observe: Callable) -> StepResult:
         """Run the warm-up period: random allocation, then batch MLE.
 
         ``observe(pairs)`` receives ``(user, local_task_index)`` pairs and
@@ -410,7 +449,7 @@ class ETA2System:
         gather = partial(self._gather_random, observe)
         return self._run_step("warm-up", tasks, gather)
 
-    def step(self, tasks: Sequence[IncomingTask], observe: Callable) -> StepResult:
+    def step(self, tasks: "TaskBatch | Sequence[IncomingTask]", observe: Callable) -> StepResult:
         """One time step: identify domains, allocate, collect, analyse."""
         if not self._warmed_up:
             raise RuntimeError("run warmup() first")
@@ -419,7 +458,7 @@ class ETA2System:
         gather = partial(self._gather_allocated, observe)
         return self._run_step("daily", tasks, gather)
 
-    def step_from_batch(self, tasks: Sequence[IncomingTask], reports) -> StepResult:
+    def step_from_batch(self, tasks: "TaskBatch | Sequence[IncomingTask]", reports) -> StepResult:
         """One step driven by externally collected reports.
 
         The streaming service (:mod:`repro.serve`) replays observation
@@ -440,17 +479,18 @@ class ETA2System:
         kind = "daily" if self._warmed_up else "warm-up"
         return self._run_step(kind, tasks, partial(self._gather_reports, reports))
 
-    def _run_step(self, kind: str, tasks: Sequence[IncomingTask], gather: Callable) -> StepResult:
+    def _run_step(self, kind: str, tasks, gather: Callable) -> StepResult:
         """The step sequence behind every entry point.
 
-        Identify the tasks' domains, let ``gather(timer, tasks, domains)``
-        run the allocate/collect phases and return ``(problem, assignment,
-        observations, greedy_stats)``, then analyse: a ``"warm-up"`` step
-        seeds the updater from the batch MLE (Section 4.1), a ``"daily"``
-        step folds the data in with the decayed update (Section 4.2).  The
-        installed hooks check the partition after identify, repair the §4
-        outputs and record every counted step.
+        Take the tasks as a :class:`TaskBatch`, identify their domains, let
+        ``gather(timer, tasks, domains)`` run the allocate/collect phases and
+        return ``(problem, assignment, observations, greedy_stats)``, then
+        analyse: a ``"warm-up"`` step seeds the updater from the batch MLE
+        (Section 4.1), a ``"daily"`` step folds the data in with the decayed
+        update (Section 4.2).  The installed hooks check the partition after
+        identify, repair the §4 outputs and record every counted step.
         """
+        tasks = TaskBatch.of(tasks)
         if self.tracer.enabled:
             self.tracer.emit(
                 "step.start", step=self.completed_steps + 1, kind=kind, n_tasks=len(tasks)
@@ -604,17 +644,17 @@ class ETA2System:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _problem(self, tasks: Sequence[IncomingTask], domains: np.ndarray) -> AllocationProblem:
+    def _problem(self, tasks: TaskBatch, domains: np.ndarray) -> AllocationProblem:
         """This step's allocation problem; the hooks narrow who is eligible."""
         eligible = None
         for hook in self._hooks:
             eligible = hook.eligible(self, eligible)
         return AllocationProblem(
             expertise=self._updater.task_expertise(domains),
-            processing_times=np.array([task.processing_time for task in tasks], dtype=float),
+            processing_times=tasks.processing_times,
             capacities=self._capacities,
             epsilon=self._epsilon,
-            costs=np.array([task.cost for task in tasks], dtype=float),
+            costs=tasks.costs,
             eligible=eligible,
         )
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.rng import ensure_rng
-from repro.simulation.entities import UserSpec
+from repro.simulation.entities import TaskTable, UserSpec
 from repro.simulation.world import World
 
 __all__ = ["CrowdsourcingDataset", "uniform_capacities", "evenly_distributed_days"]
@@ -34,13 +34,15 @@ def evenly_distributed_days(n_tasks: int, n_days: int, rng) -> np.ndarray:
     return base
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrowdsourcingDataset:
-    """A full evaluation dataset: users, tasks, and hidden ground truth."""
+    """A full evaluation dataset: users (hidden expertise matrix, capacity
+    vector), tasks (one :class:`TaskTable`), and hidden ground truth."""
 
     name: str
-    users: tuple
-    tasks: tuple
+    tasks: TaskTable
+    expertise: np.ndarray
+    capacities: np.ndarray
     n_true_domains: int
     #: True when the algorithms may read tasks' domain labels directly (the
     #: synthetic dataset of Section 6.1.3); False when they must cluster the
@@ -48,28 +50,42 @@ class CrowdsourcingDataset:
     domains_known: bool
 
     def __post_init__(self):
-        if not self.users:
+        expertise = np.array(self.expertise, dtype=float)
+        capacities = np.array(self.capacities, dtype=float)
+        if not len(expertise):
             raise ValueError("dataset has no users")
-        if not self.tasks:
+        if not len(self.tasks):
             raise ValueError("dataset has no tasks")
-        for task in self.tasks:
-            if not 0 <= task.true_domain < self.n_true_domains:
-                raise ValueError("task has an out-of-range true domain")
-        for user in self.users:
-            if len(user.expertise) != self.n_true_domains:
-                raise ValueError("user expertise vector length mismatch")
-        if not self.domains_known:
-            for task in self.tasks:
-                if task.description is None:
-                    raise ValueError("text datasets must give every task a description")
+        domains = self.tasks.true_domain
+        if np.any((domains < 0) | (domains >= self.n_true_domains)):
+            raise ValueError("task has an out-of-range true domain")
+        if expertise.ndim != 2 or expertise.shape[1] != self.n_true_domains:
+            raise ValueError("user expertise vector length mismatch")
+        if capacities.shape != (len(expertise),):
+            raise ValueError("capacities must have one entry per user")
+        if np.any(capacities < 0):
+            raise ValueError("capacity must be non-negative")
+        if np.any(expertise < 0):
+            raise ValueError("expertise must be non-negative")
+        descriptions = self.tasks.descriptions
+        if not self.domains_known and (descriptions is None or None in descriptions):
+            raise ValueError("text datasets must give every task a description")
+        for name, column in (("expertise", expertise), ("capacities", capacities)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def n_users(self) -> int:
-        return len(self.users)
+        return len(self.capacities)
 
     @property
     def n_tasks(self) -> int:
         return len(self.tasks)
+
+    def user(self, i: int) -> UserSpec:
+        """User *i* as a row record."""
+        expertise = tuple(self.expertise[i].tolist())
+        return UserSpec(user_id=i, expertise=expertise, capacity=float(self.capacities[i]))
 
     def world(
         self,
@@ -79,31 +95,11 @@ class CrowdsourcingDataset:
         seed=None,
     ) -> World:
         """A :class:`World` sampling observations from this dataset."""
-        return World(
-            users=self.users,
-            tasks=self.tasks,
-            bias_fraction=bias_fraction,
-            drift_rate=drift_rate,
-            adversaries=adversaries,
-            seed=seed,
-        )
+        return World(self.tasks, self.expertise, bias_fraction, drift_rate, adversaries, seed)
 
     def descriptions(self) -> list:
-        return [task.description for task in self.tasks]
+        return list(self.tasks.descriptions or [None] * self.n_tasks)
 
     def with_capacities(self, capacities: np.ndarray) -> "CrowdsourcingDataset":
         """A copy with replaced per-user capacities (for tau sweeps)."""
-        capacities = np.asarray(capacities, dtype=float)
-        if capacities.shape != (self.n_users,):
-            raise ValueError("capacities must have one entry per user")
-        users = tuple(
-            UserSpec(user_id=user.user_id, expertise=user.expertise, capacity=float(capacity))
-            for user, capacity in zip(self.users, capacities)
-        )
-        return CrowdsourcingDataset(
-            name=self.name,
-            users=users,
-            tasks=self.tasks,
-            n_true_domains=self.n_true_domains,
-            domains_known=self.domains_known,
-        )
+        return replace(self, capacities=capacities)

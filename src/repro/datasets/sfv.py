@@ -19,11 +19,13 @@ variants are one call away.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.datasets.base import CrowdsourcingDataset, uniform_capacities
 from repro.datasets.templates import generate_question
 from repro.rng import ensure_rng
 from repro.semantics.vocab import DOMAIN_VOCABULARIES
-from repro.simulation.entities import TaskSpec, UserSpec
+from repro.simulation.entities import TaskTable
 
 __all__ = ["sfv_dataset"]
 
@@ -53,33 +55,21 @@ def sfv_dataset(
         strong = rng.choice(n_domains, size=min(strong_domains_per_user, n_domains), replace=False)
         expertise[user, strong] = rng.uniform(*strong_expertise, size=strong.size)
     capacities = uniform_capacities(n_users, tau, rng)
-    users = tuple(
-        UserSpec(user_id=i, expertise=tuple(expertise[i]), capacity=float(capacities[i]))
-        for i in range(n_users)
-    )
 
     truths = rng.uniform(*truth_range, size=n_tasks)
     base_numbers = rng.uniform(*base_number_range, size=n_tasks)
     times = rng.uniform(*processing_time_range, size=n_tasks)
-    tasks = []
+    task_domains = np.empty(n_tasks, dtype=np.intp)
+    descriptions = []
     for j in range(n_tasks):
-        domain_index = int(rng.integers(n_domains))
-        question, _, _ = generate_question(domains[domain_index], rng)
-        tasks.append(
-            TaskSpec(
-                task_id=j,
-                true_value=float(truths[j]),
-                base_number=float(base_numbers[j]),
-                processing_time=float(times[j]),
-                cost=task_cost,
-                description=question,
-                true_domain=domain_index,
-            )
-        )
+        task_domains[j] = rng.integers(n_domains)
+        descriptions.append(generate_question(domains[task_domains[j]], rng)[0])
+    costs = np.full(n_tasks, task_cost)
     return CrowdsourcingDataset(
         name="sfv",
-        users=users,
-        tasks=tuple(tasks),
+        tasks=TaskTable(truths, base_numbers, times, costs, task_domains, descriptions),
+        expertise=expertise,
+        capacities=capacities,
         n_true_domains=n_domains,
         domains_known=False,
     )

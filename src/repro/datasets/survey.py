@@ -18,11 +18,13 @@ enough for ETA2's expertise awareness to pay off.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.datasets.base import CrowdsourcingDataset, uniform_capacities
 from repro.datasets.templates import generate_question
 from repro.rng import ensure_rng
 from repro.semantics.vocab import DOMAIN_VOCABULARIES
-from repro.simulation.entities import TaskSpec, UserSpec
+from repro.simulation.entities import TaskTable
 
 __all__ = ["survey_dataset"]
 
@@ -59,10 +61,6 @@ def survey_dataset(
         strong = rng.choice(n_domains, size=min(strong_domains_per_user, n_domains), replace=False)
         expertise[user, strong] = rng.uniform(*strong_expertise, size=strong.size)
     capacities = uniform_capacities(n_users, tau, rng)
-    users = tuple(
-        UserSpec(user_id=i, expertise=tuple(expertise[i]), capacity=float(capacities[i]))
-        for i in range(n_users)
-    )
 
     # Base questions, then qualified replicas of randomly chosen base ones
     # (the paper replicated 89 questions into 150 by varying time/location).
@@ -83,22 +81,12 @@ def survey_dataset(
     truths = rng.uniform(*truth_range, size=n_tasks)
     base_numbers = rng.uniform(*base_number_range, size=n_tasks)
     times = rng.uniform(*processing_time_range, size=n_tasks)
-    tasks = tuple(
-        TaskSpec(
-            task_id=j,
-            true_value=float(truths[j]),
-            base_number=float(base_numbers[j]),
-            processing_time=float(times[j]),
-            cost=task_cost,
-            description=descriptions[j],
-            true_domain=question_domains[j],
-        )
-        for j in range(n_tasks)
-    )
+    costs = np.full(n_tasks, task_cost)
     return CrowdsourcingDataset(
         name="survey",
-        users=users,
-        tasks=tasks,
+        tasks=TaskTable(truths, base_numbers, times, costs, question_domains, descriptions),
+        expertise=expertise,
+        capacities=capacities,
         n_true_domains=n_domains,
         domains_known=False,
     )

@@ -9,9 +9,11 @@ tau+4]`` follow the Section 6.2 experimental setting.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.datasets.base import CrowdsourcingDataset, uniform_capacities
 from repro.rng import ensure_rng
-from repro.simulation.entities import TaskSpec, UserSpec
+from repro.simulation.entities import TaskTable
 
 __all__ = ["synthetic_dataset"]
 
@@ -35,31 +37,16 @@ def synthetic_dataset(
 
     expertise = rng.uniform(*expertise_range, size=(n_users, n_domains))
     capacities = uniform_capacities(n_users, tau, rng)
-    users = tuple(
-        UserSpec(user_id=i, expertise=tuple(expertise[i]), capacity=float(capacities[i]))
-        for i in range(n_users)
-    )
 
     domains = rng.integers(0, n_domains, size=n_tasks)
     truths = rng.uniform(*truth_range, size=n_tasks)
     base_numbers = rng.uniform(*base_number_range, size=n_tasks)
     times = rng.uniform(*processing_time_range, size=n_tasks)
-    tasks = tuple(
-        TaskSpec(
-            task_id=j,
-            true_value=float(truths[j]),
-            base_number=float(base_numbers[j]),
-            processing_time=float(times[j]),
-            cost=task_cost,
-            description=None,
-            true_domain=int(domains[j]),
-        )
-        for j in range(n_tasks)
-    )
     return CrowdsourcingDataset(
         name="synthetic",
-        users=users,
-        tasks=tasks,
+        tasks=TaskTable(truths, base_numbers, times, np.full(n_tasks, task_cost), domains),
+        expertise=expertise,
+        capacities=capacities,
         n_true_domains=n_domains,
         domains_known=True,
     )

@@ -116,6 +116,8 @@ class _DaySummary:
         self.probation: list = []
         self.reinstated: list = []
         self.excluded: list = []
+        #: Summed ``allocation.greedy`` work counters (picks/pops/evaluations).
+        self.greedy: "dict | None" = None
         self.guard_violations: list = []
         self.checkpoints: list = []
         self.error: "float | None" = None
@@ -153,6 +155,9 @@ class _DaySummary:
             out.append(f"  reputation: to probation {self.probation}")
         if self.reinstated:
             out.append(f"  reputation: reinstated {self.reinstated}")
+        if self.greedy is not None:
+            counts = ", ".join(f"{count} {name}" for name, count in self.greedy.items())
+            out.append(f"  allocation: greedy {counts}")
         if self.excluded:
             out.append(f"  allocation: excluded quarantined users {self.excluded}")
         for check, phase, count in self.guard_violations:
@@ -243,6 +248,11 @@ def summarize_trace(records: list) -> dict:
             current.probation.extend(data.get("users", []))
         elif rtype == "reputation.reinstate":
             current.reinstated.extend(data.get("users", []))
+        elif rtype == "allocation.greedy":
+            greedy = current.greedy or dict.fromkeys(("picks", "pops", "evaluations"), 0)
+            for name in greedy:
+                greedy[name] += int(data.get(name, 0))
+            current.greedy = greedy
         elif rtype == "allocation.excluded":
             current.excluded.extend(data.get("users", []))
         elif rtype == "guard.violation":

@@ -22,6 +22,7 @@ instead of silently losing data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -218,7 +219,7 @@ class ObservationSanitizer:
                 rejected.append((report, "unknown_user"))
             elif not 0 <= task < schema.n_tasks:
                 rejected.append((report, "unknown_task"))
-            elif not np.isfinite(value):
+            elif not math.isfinite(value):
                 rejected.append((report, "non_finite_value"))
             elif self._bounds is not None and not (self._bounds[0] <= value <= self._bounds[1]):
                 rejected.append((report, "out_of_bounds"))

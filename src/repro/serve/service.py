@@ -502,7 +502,7 @@ class IngestionService:
             return self._rejected(batch, "duplicate")
 
         rejected_reports: tuple = ()
-        reports = batch.reports
+        clean = batch  # already normalised by ReportBatch.__post_init__
         screen = self._screen(batch)
         if screen is not None:
             rejected_reports = tuple(screen.rejected)
@@ -510,7 +510,8 @@ class IngestionService:
                 self._count_rejected_reports(screen)
             if not screen.accepted:
                 return self._rejected(batch, "schema", rejected_reports)
-            reports = tuple(screen.accepted)
+            if screen.rejected:
+                clean = replace(batch, reports=tuple(screen.accepted))
 
         decision = self.admission.offer(batch.submitter, self.queue_depth)
         if not decision.admitted:
@@ -521,15 +522,6 @@ class IngestionService:
                 ).inc(1, reason=decision.reason)
             return self._rejected(batch, decision.reason, rejected_reports)
 
-        if reports is batch.reports:
-            clean = batch  # already normalised by ReportBatch.__post_init__
-        else:
-            clean = ReportBatch(
-                submitter=batch.submitter,
-                day=batch.day,
-                reports=reports,
-                batch_id=batch.batch_id,
-            )
         seq = self.wal.append("batch", data_json=clean.canonical_data_json())
         self._count_wal_record()
         # Durable now: record first-admission order so shedding tie-breaks

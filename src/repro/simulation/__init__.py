@@ -5,7 +5,7 @@ allocates them to mobile users with limited daily processing capability,
 collects noisy observations, and runs truth analysis.  This package
 implements that world so every evaluation experiment can run end to end:
 
-- :mod:`repro.simulation.entities` — tasks and users,
+- :mod:`repro.simulation.entities` — the task table and the row records,
 - :mod:`repro.simulation.world` — ground truth and observation sampling
   (normal observation model, with the Fig. 8 uniform-bias injection),
 - :mod:`repro.simulation.approaches` — the five approaches under comparison
@@ -17,7 +17,7 @@ implements that world so every evaluation experiment can run end to end:
 """
 
 from repro.simulation.engine import DayRecord, SimulationConfig, SimulationResult, run_simulation
-from repro.simulation.entities import TaskSpec, UserSpec
+from repro.simulation.entities import TaskSpec, TaskTable, UserSpec
 from repro.simulation.metrics import (
     expertise_estimation_error,
     match_domains,
@@ -30,6 +30,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "TaskSpec",
+    "TaskTable",
     "UserSpec",
     "World",
     "expertise_estimation_error",

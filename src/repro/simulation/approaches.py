@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro.core.allocation.base import DEFAULT_EPSILON, AllocationProblem, Assignment
 from repro.core.allocation.baselines import RandomAllocator, ReliabilityGreedyAllocator
 from repro.core.expertise import DEFAULT_EXPERTISE
-from repro.core.pipeline import ETA2System, IncomingTask
-
+from repro.core.pipeline import ETA2System, TaskBatch
 from repro.semantics.embeddings.base import EmbeddingModel
+from repro.simulation.entities import TaskTable
 from repro.truthdiscovery.base import ObservationMatrix, TruthDiscovery
 
 __all__ = ["Approach", "DayOutcome", "ETA2Approach", "ReliabilityApproach", "MeanApproach"]
@@ -68,10 +68,10 @@ class Approach(abc.ABC):
     def run_day(
         self,
         day: int,
-        tasks: Sequence,
+        tasks: TaskTable,
         observe: Callable,
     ) -> DayOutcome:
-        """Process one day's tasks; ``observe(pairs)`` collects data."""
+        """Process one day's rows of the task table; ``observe(pairs)`` collects data."""
 
     def expertise_snapshot(self) -> "dict | None":
         """Discovered per-domain expertise (ETA2 only); None otherwise."""
@@ -111,16 +111,19 @@ class ETA2Approach(Approach):
         if resume and checkpoint_dir is None:
             raise ValueError("resume=True requires a checkpoint_dir")
         self.name = "ETA2" if allocator == "max-quality" else "ETA2-mc"
-        self._gamma = gamma
-        self._alpha = alpha
-        self._epsilon = epsilon
-        self._allocator = allocator
-        self._round_budget = min_cost_round_budget
-        self._error_limit = min_cost_error_limit
-        self._confidence = min_cost_confidence
-        self._extra_pass = extra_greedy_pass
-        self._exploration_rate = exploration_rate
-        self._embedding = embedding
+        #: The ETA2System settings every begin() builds its system with.
+        self._settings = dict(
+            gamma=gamma,
+            alpha=alpha,
+            epsilon=epsilon,
+            allocator=allocator,
+            embedding=embedding,
+            min_cost_round_budget=min_cost_round_budget,
+            min_cost_error_limit=min_cost_error_limit,
+            min_cost_confidence=min_cost_confidence,
+            extra_greedy_pass=extra_greedy_pass,
+            exploration_rate=exploration_rate,
+        )
         #: None -> decided by the dataset (cluster iff domains are unknown);
         #: True/False forces it (ablations: oracle domains vs clustering).
         self._use_clustering = use_clustering
@@ -149,25 +152,12 @@ class ETA2Approach(Approach):
             )
 
     def begin(self, dataset, seed) -> None:
-        self._dataset = dataset
         cluster = (not dataset.domains_known) if self._use_clustering is None else self._use_clustering
-        if cluster and any(task.description is None for task in dataset.tasks):
+        if cluster and None in dataset.descriptions():
             raise ValueError("clustering requested but the dataset has no task descriptions")
         self._cluster = cluster
         self._system = ETA2System(
-            n_users=dataset.n_users,
-            capacities=[user.capacity for user in dataset.users],
-            gamma=self._gamma,
-            alpha=self._alpha,
-            epsilon=self._epsilon,
-            allocator=self._allocator,
-            embedding=self._embedding,
-            min_cost_round_budget=self._round_budget,
-            min_cost_error_limit=self._error_limit,
-            min_cost_confidence=self._confidence,
-            extra_greedy_pass=self._extra_pass,
-            exploration_rate=self._exploration_rate,
-            seed=seed,
+            n_users=dataset.n_users, capacities=dataset.capacities, seed=seed, **self._settings
         )
         if self._telemetry is not None:
             self.attach_telemetry(self._telemetry)
@@ -183,33 +173,15 @@ class ETA2Approach(Approach):
                 self._system.restore_latest()
         self._labels = []
 
-    def _incoming(self, tasks: Sequence) -> list:
-        incoming = []
-        for task in tasks:
-            if self._cluster:
-                incoming.append(
-                    IncomingTask(
-                        processing_time=task.processing_time,
-                        cost=task.cost,
-                        description=task.description,
-                    )
-                )
-            else:
-                incoming.append(
-                    IncomingTask(
-                        processing_time=task.processing_time,
-                        cost=task.cost,
-                        domain=task.true_domain,
-                    )
-                )
-        return incoming
-
-    def run_day(self, day: int, tasks: Sequence, observe: Callable) -> DayOutcome:
-        incoming = self._incoming(tasks)
-        if not self._system.is_warmed_up:
-            result = self._system.warmup(incoming, observe)
+    def run_day(self, day: int, tasks: TaskTable, observe: Callable) -> DayOutcome:
+        if self._cluster:
+            batch = TaskBatch(tasks.processing_time, tasks.cost, descriptions=tasks.descriptions)
         else:
-            result = self._system.step(incoming, observe)
+            batch = TaskBatch(tasks.processing_time, tasks.cost, domains=tasks.true_domain)
+        if not self._system.is_warmed_up:
+            result = self._system.warmup(batch, observe)
+        else:
+            result = self._system.step(batch, observe)
         self._labels.extend(result.task_domains.tolist())
         return DayOutcome(
             assignment=result.assignment,
@@ -238,14 +210,14 @@ class _BaselineApproach(Approach):
 
     def begin(self, dataset, seed) -> None:
         self._random = RandomAllocator(seed=seed)
-        self._capacities = np.array([user.capacity for user in dataset.users], dtype=float)
+        self._capacities = dataset.capacities
 
-    def _problem(self, tasks: Sequence) -> AllocationProblem:
+    def _problem(self, tasks: TaskTable) -> AllocationProblem:
         return AllocationProblem(
             expertise=np.full((self._capacities.shape[0], len(tasks)), DEFAULT_EXPERTISE),
-            processing_times=np.array([task.processing_time for task in tasks], dtype=float),
+            processing_times=tasks.processing_time,
             capacities=self._capacities,
-            costs=np.array([task.cost for task in tasks], dtype=float),
+            costs=tasks.cost,
         )
 
 
@@ -266,7 +238,7 @@ class ReliabilityApproach(_BaselineApproach):
         self._cumulative_values = np.zeros((dataset.n_users, 0), dtype=float)
         self._cumulative_mask = np.zeros((dataset.n_users, 0), dtype=bool)
 
-    def run_day(self, day: int, tasks: Sequence, observe: Callable) -> DayOutcome:
+    def run_day(self, day: int, tasks: TaskTable, observe: Callable) -> DayOutcome:
         problem = self._problem(tasks)
         if self._reliabilities is None:
             assignment = self._random.allocate(problem)
@@ -293,7 +265,7 @@ class MeanApproach(_BaselineApproach):
 
     name = "baseline-mean"
 
-    def run_day(self, day: int, tasks: Sequence, observe: Callable) -> DayOutcome:
+    def run_day(self, day: int, tasks: TaskTable, observe: Callable) -> DayOutcome:
         problem = self._problem(tasks)
         assignment = self._random.allocate(problem)
         observations = assignment.collect(observe)

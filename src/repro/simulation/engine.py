@@ -167,10 +167,6 @@ class SimulationResult:
         return float(np.mean(errors)) if errors else float("nan")
 
     @property
-    def final_day_error(self) -> float:
-        return self.days[-1].estimation_error
-
-    @property
     def total_cost(self) -> float:
         return float(sum(day.allocation_cost for day in self.days))
 
@@ -299,22 +295,19 @@ def run_simulation(
         task_indices = np.flatnonzero(schedule == day)
         if task_indices.size == 0:
             continue
-        day_tasks = [dataset.tasks[j] for j in task_indices]
+        day_tasks = dataset.tasks.take(task_indices)
 
         def observe(pairs, _indices=task_indices):
-            # Day-local -> global task translation via one fancy-index pass
-            # rather than a per-pair Python comprehension.
-            pairs_arr = np.asarray(list(pairs), dtype=int).reshape(-1, 2)
-            users = pairs_arr[:, 0]
-            tasks = _indices[pairs_arr[:, 1]]
-            global_pairs = list(zip(users.tolist(), tasks.tolist()))
+            # Day-local -> global task ids in one pass; the world takes the array.
+            global_pairs = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+            global_pairs[:, 1] = _indices[global_pairs[:, 1]]
             values = np.asarray(world.observe_pairs(global_pairs), dtype=float)
             if config.dropout_rate > 0.0:
                 dropped = dropout_rng.random(len(values)) < config.dropout_rate
                 values = np.where(dropped, np.nan, values)
             delivered = ~np.isnan(values)
             if np.any(delivered):
-                du, dt, dv = users[delivered], tasks[delivered], values[delivered]
+                (du, dt), dv = global_pairs[delivered].T, values[delivered]
                 pair_expertise_chunks.append(world.pair_expertise(du, dt))
                 pair_error_chunks.append((dv - true_values[dt]) / base_numbers[dt])
             return values.tolist()
@@ -446,35 +439,31 @@ def generate_traffic(
 
         injector = FaultInjector(faults, seed=fault_rng)
 
-    capacities = tuple(float(user.capacity) for user in dataset.users)
+    capacities = tuple(dataset.capacities.tolist())
     reporters = min(int(reporters_per_task), dataset.n_users)
     if reporters < 1:
         raise ValueError("reporters_per_task must be at least 1")
+    columns = (dataset.tasks.processing_time, dataset.tasks.cost, dataset.tasks.true_domain)
     days = []
     for day in range(n_days):
         task_indices = np.flatnonzero(schedule == day)
         if task_indices.size == 0:
             continue
         tasks = tuple(
-            IncomingTask(
-                processing_time=dataset.tasks[j].processing_time,
-                cost=dataset.tasks[j].cost,
-                domain=dataset.tasks[j].true_domain,
-            )
-            for j in task_indices
+            IncomingTask(processing_time=time, cost=cost, domain=domain)
+            for time, cost, domain in zip(*(c[task_indices].tolist() for c in columns))
         )
-        pairs = []
-        for local, j in enumerate(task_indices.tolist()):
-            for user in pick_rng.choice(dataset.n_users, size=reporters, replace=False):
-                pairs.append((int(user), local, int(j)))
-        values = np.asarray(
-            world.observe_pairs([(user, j) for user, _, j in pairs]), dtype=float
+        users = np.concatenate(
+            [pick_rng.choice(dataset.n_users, size=reporters, replace=False) for _ in task_indices]
         )
+        local = np.repeat(np.arange(task_indices.size), reporters)
+        pairs = np.column_stack((users, task_indices[local]))
+        values = np.asarray(world.observe_pairs(pairs), dtype=float)
         if injector is not None:
             values = injector.corrupt(values)
         per_user: dict = {}
-        for (user, local, _), value in zip(pairs, values.tolist()):
-            per_user.setdefault(user, []).append((user, local, value))
+        for report in zip(users.tolist(), local.tolist(), values.tolist()):
+            per_user.setdefault(report[0], []).append(report)
         batches = tuple(
             ReportBatch(
                 submitter=user,

@@ -18,13 +18,11 @@ benchmark measures that.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.expertise import MIN_EXPERTISE
 from repro.rng import ensure_rng
-from repro.simulation.entities import TaskSpec, UserSpec
+from repro.simulation.entities import TaskTable
 
 __all__ = ["World"]
 
@@ -32,7 +30,8 @@ _SQRT3 = float(np.sqrt(3.0))
 
 
 class World:
-    """Samples observations from the hidden ground truth."""
+    """Samples observations from the hidden ground truth (a task table and
+    the ``(n_users, n_true_domains)`` hidden expertise matrix)."""
 
     #: Drifted expertise never leaves this range (the synthetic generator's
     #: U[0, 3] support).
@@ -40,57 +39,46 @@ class World:
 
     def __init__(
         self,
-        users: Sequence[UserSpec],
-        tasks: Sequence[TaskSpec],
+        tasks: TaskTable,
+        expertise: np.ndarray,
         bias_fraction: float = 0.0,
         drift_rate: float = 0.0,
         adversaries: "dict | None" = None,
         seed=None,
     ):
-        if not users:
+        expertise = np.array(expertise, dtype=float)
+        if expertise.ndim != 2 or not expertise.shape[0]:
             raise ValueError("world needs at least one user")
-        if not tasks:
+        if not len(tasks):
             raise ValueError("world needs at least one task")
         if not 0.0 <= bias_fraction <= 1.0:
             raise ValueError("bias_fraction must lie in [0, 1]")
         if drift_rate < 0.0:
             raise ValueError("drift_rate must be non-negative")
-        self._users = tuple(users)
-        self._tasks = tuple(tasks)
+        self._tasks = tasks
         self._bias_fraction = float(bias_fraction)
         self._drift_rate = float(drift_rate)
         self._adversaries = dict(adversaries) if adversaries else {}
         for user in self._adversaries:
-            if not 0 <= user < len(self._users):
+            if not 0 <= user < expertise.shape[0]:
                 raise ValueError(f"adversary index {user} out of range")
         self._rng = ensure_rng(seed)
-        self._expertise = np.array([user.expertise for user in self._users], dtype=float)
-        self._true_values = np.array([task.true_value for task in self._tasks], dtype=float)
-        self._base_numbers = np.array([task.base_number for task in self._tasks], dtype=float)
-        self._true_domains = np.array([task.true_domain for task in self._tasks], dtype=np.intp)
+        self._expertise = expertise
 
     @property
     def n_users(self) -> int:
-        return len(self._users)
+        return self._expertise.shape[0]
 
     @property
     def n_tasks(self) -> int:
         return len(self._tasks)
-
-    @property
-    def users(self) -> tuple:
-        return self._users
-
-    @property
-    def tasks(self) -> tuple:
-        return self._tasks
 
     def pair_expertise(self, users, tasks) -> np.ndarray:
         """Hidden expertise of each user in its task's true domain, floored.
 
         ``users`` and ``tasks`` are index arrays (or scalars) of equal shape.
         """
-        return np.maximum(self._expertise[users, self._true_domains[tasks]], MIN_EXPERTISE)
+        return np.maximum(self._expertise[users, self._tasks.true_domain[tasks]], MIN_EXPERTISE)
 
     def user_expertise_for_task(self, user: int, task: int) -> float:
         """Hidden expertise of ``user`` in ``task``'s true domain, floored."""
@@ -106,7 +94,7 @@ class World:
 
     def observation_std(self, user: int, task: int) -> float:
         """The model's ``sigma_j / u_ij`` for this pair."""
-        return float(self._base_numbers[task] / self.pair_expertise(user, task))
+        return float(self._tasks.base_number[task] / self.pair_expertise(user, task))
 
     @property
     def adversary_users(self) -> list:
@@ -117,12 +105,13 @@ class World:
         """Sample one observation for the pair (see :meth:`observe_pairs`)."""
         return self.observe_pairs([(user, task)])[0]
 
-    def observe_pairs(self, pairs: Sequence) -> list:
+    def observe_pairs(self, pairs) -> list:
         """Observations for a batch of ``(user, task)`` pairs, in order.
 
         Each pair draws from the normal model, or from the uniform one with
         probability ``bias_fraction``; adversarial users' behaviours
-        override the honest model entirely.  Every ``sigma_j / u_ij`` is
+        override the honest model entirely (they get the task's row record).
+        ``pairs`` may be an ``(n, 2)`` array.  Every ``sigma_j / u_ij`` is
         computed at once.  Without bias or adversaries every pair is one
         normal draw, and one array call to ``Generator.normal`` yields the
         same values and leaves the generator in the same state as the
@@ -131,41 +120,31 @@ class World:
         generator.
         """
         users, tasks = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-        stds = self._base_numbers[tasks] / self.pair_expertise(users, tasks)
-        rng = self._rng
+        stds = self._tasks.base_number[tasks] / self.pair_expertise(users, tasks)
+        mus, rng = self._tasks.true_value[tasks], self._rng
         if self._bias_fraction == 0.0 and not self._adversaries:
-            return rng.normal(self._true_values[tasks], stds).tolist()
+            return rng.normal(mus, stds).tolist()
         values = []
-        for user, task, std in zip(users.tolist(), tasks.tolist(), stds.tolist()):
-            task_spec = self._tasks[task]
+        for user, task, mu, std in zip(users.tolist(), tasks.tolist(), mus.tolist(), stds.tolist()):
             behaviour = self._adversaries.get(user)
             if behaviour is not None:
-                value = behaviour(task_spec, std, rng)
+                value = behaviour(self._tasks[task], std, rng)
             elif self._bias_fraction > 0.0 and rng.random() < self._bias_fraction:
-                mu, half_width = task_spec.true_value, _SQRT3 * std
+                half_width = _SQRT3 * std
                 value = rng.uniform(mu - half_width, mu + half_width)
             else:
-                value = rng.normal(task_spec.true_value, std)
+                value = rng.normal(mu, std)
             values.append(float(value))
         return values
 
     def true_values(self) -> np.ndarray:
-        return self._true_values.copy()
+        return self._tasks.true_value.copy()
 
     def base_numbers(self) -> np.ndarray:
-        return self._base_numbers.copy()
+        return self._tasks.base_number.copy()
 
     def true_domains(self) -> np.ndarray:
-        return self._true_domains.copy()
-
-    def processing_times(self) -> np.ndarray:
-        return np.array([task.processing_time for task in self._tasks], dtype=float)
-
-    def costs(self) -> np.ndarray:
-        return np.array([task.cost for task in self._tasks], dtype=float)
-
-    def capacities(self) -> np.ndarray:
-        return np.array([user.capacity for user in self._users], dtype=float)
+        return self._tasks.true_domain.copy()
 
     def true_expertise_matrix(self) -> np.ndarray:
         """Hidden ``(n_users, n_true_domains)`` expertise matrix.

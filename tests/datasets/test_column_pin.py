@@ -53,16 +53,16 @@ COLUMN_DIGESTS = {
 
 
 def _columns(dataset) -> dict:
-    tasks, users = dataset.tasks, dataset.users
+    tasks = dataset.tasks
     return {
-        "true_value": np.array([t.true_value for t in tasks], dtype=np.float64),
-        "base_number": np.array([t.base_number for t in tasks], dtype=np.float64),
-        "processing_time": np.array([t.processing_time for t in tasks], dtype=np.float64),
-        "cost": np.array([t.cost for t in tasks], dtype=np.float64),
-        "true_domain": np.array([t.true_domain for t in tasks], dtype=np.int64),
-        "descriptions": [t.description for t in tasks],
-        "expertise": np.array([u.expertise for u in users], dtype=np.float64),
-        "capacities": np.array([u.capacity for u in users], dtype=np.float64),
+        "true_value": tasks.true_value,
+        "base_number": tasks.base_number,
+        "processing_time": tasks.processing_time,
+        "cost": tasks.cost,
+        "true_domain": tasks.true_domain.astype(np.int64),
+        "descriptions": dataset.descriptions(),
+        "expertise": dataset.expertise,
+        "capacities": dataset.capacities,
     }
 
 

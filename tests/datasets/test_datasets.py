@@ -5,7 +5,7 @@ import pytest
 
 from repro.datasets import sfv_dataset, survey_dataset, synthetic_dataset, uniform_capacities
 from repro.datasets.base import CrowdsourcingDataset, evenly_distributed_days
-from repro.simulation.entities import TaskSpec, UserSpec
+from repro.simulation.entities import TaskTable, UserSpec
 
 
 class TestHelpers:
@@ -47,7 +47,7 @@ class TestSynthetic:
         assert truths.min() >= 0.0 and truths.max() <= 20.0
         sigmas = ds.world().base_numbers()
         assert sigmas.min() >= 0.5 and sigmas.max() <= 5.0
-        times = ds.world().processing_times()
+        times = ds.tasks.processing_time
         assert times.min() >= 0.5 and times.max() <= 1.5
 
     def test_no_descriptions(self):
@@ -57,8 +57,8 @@ class TestSynthetic:
     def test_seeded_reproducibility(self):
         a = synthetic_dataset(n_users=5, n_tasks=10, seed=2)
         b = synthetic_dataset(n_users=5, n_tasks=10, seed=2)
-        assert a.tasks == b.tasks
-        assert a.users == b.users
+        assert _same_tasks(a.tasks, b.tasks)
+        assert [a.user(i) for i in range(5)] == [b.user(i) for i in range(5)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -72,12 +72,12 @@ class TestSurvey:
         assert ds.n_tasks == 150
         assert not ds.domains_known
         assert all(task.description for task in ds.tasks)
-        times = ds.world().processing_times()
+        times = ds.tasks.processing_time
         assert times.min() >= 2.0 and times.max() <= 4.0
 
     def test_replicated_questions_carry_qualifiers(self):
         ds = survey_dataset(seed=1)
-        replicas = ds.tasks[89:]
+        replicas = [ds.tasks[j] for j in range(89, ds.n_tasks)]
         assert any("during" in t.description or "in the" in t.description for t in replicas)
 
     def test_strong_domains_exist_per_user(self):
@@ -111,35 +111,113 @@ class TestContainer:
         ds = synthetic_dataset(n_users=4, n_tasks=6, seed=3)
         new_caps = np.full(4, 99.0)
         replaced = ds.with_capacities(new_caps)
-        assert np.all(replaced.world().capacities() == 99.0)
-        assert replaced.tasks == ds.tasks
-        with pytest.raises(ValueError):
+        assert np.all(replaced.capacities == 99.0)
+        assert _same_tasks(replaced.tasks, ds.tasks)
+        with pytest.raises(ValueError, match="one entry per user"):
             ds.with_capacities(np.ones(3))
 
     def test_text_dataset_requires_descriptions(self):
-        users = (UserSpec(user_id=0, expertise=(1.0,), capacity=5.0),)
-        tasks = (TaskSpec(task_id=0, true_value=1.0, base_number=1.0, processing_time=1.0),)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="description"):
             CrowdsourcingDataset(
-                name="bad", users=users, tasks=tasks, n_true_domains=1, domains_known=False
+                name="bad",
+                tasks=_one_task(),
+                expertise=[[1.0]],
+                capacities=[5.0],
+                n_true_domains=1,
+                domains_known=False,
             )
 
     def test_domain_bounds_checked(self):
-        users = (UserSpec(user_id=0, expertise=(1.0,), capacity=5.0),)
-        tasks = (
-            TaskSpec(
-                task_id=0, true_value=1.0, base_number=1.0, processing_time=1.0, true_domain=3
-            ),
-        )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out-of-range true domain"):
             CrowdsourcingDataset(
-                name="bad", users=users, tasks=tasks, n_true_domains=1, domains_known=True
+                name="bad",
+                tasks=_one_task(true_domain=3),
+                expertise=[[1.0]],
+                capacities=[5.0],
+                n_true_domains=1,
+                domains_known=True,
             )
 
     def test_expertise_length_checked(self):
-        users = (UserSpec(user_id=0, expertise=(1.0, 2.0), capacity=5.0),)
-        tasks = (TaskSpec(task_id=0, true_value=1.0, base_number=1.0, processing_time=1.0),)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expertise vector length mismatch"):
             CrowdsourcingDataset(
-                name="bad", users=users, tasks=tasks, n_true_domains=1, domains_known=True
+                name="bad",
+                tasks=_one_task(),
+                expertise=[[1.0, 2.0]],
+                capacities=[5.0],
+                n_true_domains=1,
+                domains_known=True,
             )
+
+    @pytest.mark.parametrize(
+        "expertise, capacities, message",
+        [
+            (np.zeros((0, 1)), [], "no users"),
+            ([[1.0]], [-1.0], "capacity must be non-negative"),
+            ([[-1.0]], [1.0], "expertise must be non-negative"),
+        ],
+    )
+    def test_user_columns_checked(self, expertise, capacities, message):
+        with pytest.raises(ValueError, match=message):
+            CrowdsourcingDataset(
+                name="bad",
+                tasks=_one_task(),
+                expertise=expertise,
+                capacities=capacities,
+                n_true_domains=1,
+                domains_known=True,
+            )
+
+    def test_user_rows(self):
+        ds = synthetic_dataset(n_users=4, n_tasks=6, n_domains=3, seed=4)
+        row = ds.user(2)
+        assert row == UserSpec(
+            user_id=2, expertise=tuple(ds.expertise[2]), capacity=float(ds.capacities[2])
+        )
+
+
+class TestTaskTable:
+    def test_rows_and_take(self):
+        ds = survey_dataset(n_users=5, n_tasks=12, seed=5)
+        tasks = ds.tasks
+        row = tasks[7]
+        assert row.task_id == 7
+        assert row.true_value == tasks.true_value[7]
+        assert row.description == ds.descriptions()[7]
+        assert tasks[-1].task_id == len(tasks) - 1
+        assert len(list(tasks)) == len(tasks)
+        with pytest.raises(IndexError):
+            tasks[len(tasks)]
+        picked = tasks.take(np.array([7, 2]))
+        assert len(picked) == 2
+        assert picked.descriptions == (tasks.descriptions[7], tasks.descriptions[2])
+        assert picked[0].base_number == row.base_number
+
+    def test_columns_are_read_only(self):
+        tasks = synthetic_dataset(n_users=3, n_tasks=4, seed=6).tasks
+        with pytest.raises(ValueError):
+            tasks.cost[0] = 2.0
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("base_number", 0.0, "base_number must be positive"),
+            ("processing_time", 0.0, "processing_time must be positive"),
+            ("cost", -1.0, "cost must be non-negative"),
+        ],
+    )
+    def test_columns_checked_like_rows(self, column, value, message):
+        with pytest.raises(ValueError, match=message):
+            _one_task(**{column: value})
+        with pytest.raises(ValueError, match="one entry per task"):
+            TaskTable([1.0, 2.0], [1.0], [1.0], [1.0], [0])
+
+
+def _one_task(true_value=1.0, base_number=1.0, processing_time=1.0, cost=1.0, true_domain=0):
+    return TaskTable([true_value], [base_number], [processing_time], [cost], [true_domain])
+
+
+def _same_tasks(a: TaskTable, b: TaskTable) -> bool:
+    columns = ("true_value", "base_number", "processing_time", "cost", "true_domain")
+    same = all(np.array_equal(getattr(a, name), getattr(b, name)) for name in columns)
+    return same and a.descriptions == b.descriptions

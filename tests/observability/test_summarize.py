@@ -89,6 +89,23 @@ class TestRenderSummary:
         assert "anomalies: none" in text
 
 
+class TestSimulatedRunTrace:
+    def test_every_event_type_of_a_run_is_summarized(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "run.jsonl"
+        assert main(["simulate", "--days", "5", "--seed", "2017", "--trace-out", str(path)]) == 0
+        summary = summarize_trace(read_trace(path))
+        assert summary["unknown_types"] == {}
+        warmup, *daily = summary["days"]
+        assert warmup.greedy is None
+        assert all(day.greedy["picks"] > 0 for day in daily)
+        assert all(day.greedy["evaluations"] >= day.greedy["pops"] for day in daily)
+        first = daily[0].greedy
+        line = f"allocation: greedy {first['picks']} picks, {first['pops']} pops"
+        assert line in render_summary(summary)
+
+
 class TestReadTrace:
     def test_reads_tracer_output(self, tmp_path):
         path = tmp_path / "t.jsonl"

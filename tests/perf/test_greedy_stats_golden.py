@@ -38,13 +38,11 @@ def _quick_kernel_problem():
 
 def _synthetic_day_problem(seed, day):
     dataset = synthetic_dataset(seed=seed)
-    tasks = dataset.tasks[200 * day : 200 * (day + 1)]
-    expertise = np.array([user.expertise for user in dataset.users])
-    domains = [task.true_domain for task in tasks]
+    tasks = dataset.tasks.take(np.arange(200 * day, 200 * (day + 1)))
     return AllocationProblem(
-        expertise=expertise[:, domains],
-        processing_times=np.array([task.processing_time for task in tasks]),
-        capacities=np.array([user.capacity for user in dataset.users]),
+        expertise=dataset.expertise[:, tasks.true_domain],
+        processing_times=tasks.processing_time,
+        capacities=dataset.capacities,
     )
 
 

@@ -29,7 +29,7 @@ def test_approach_spec_builds_fresh_instances():
     a, b = spec(), spec()
     assert isinstance(a, ETA2Approach) and isinstance(b, ETA2Approach)
     assert a is not b
-    assert a._gamma == 0.4 and a._alpha == 0.6
+    assert a._settings["gamma"] == 0.4 and a._settings["alpha"] == 0.6
     assert isinstance(ApproachSpec(kind="mean")(), MeanApproach)
     assert isinstance(ApproachSpec(kind="truthfinder")(), ReliabilityApproach)
 

@@ -64,7 +64,7 @@ class TestBaselineCollection:
         approach = make()
         approach.begin(dataset, seed=7)
         outcome = approach.run_day(
-            0, dataset.tasks[:10], lambda pairs: [np.inf if user % 2 else 5.0 for user, _ in pairs]
+            0, dataset.tasks.take(np.arange(10)), lambda pairs: [np.inf if user % 2 else 5.0 for user, _ in pairs]
         )
         assert outcome.observations.mask[::2].any()
         assert not outcome.observations.mask[1::2].any()
@@ -74,7 +74,7 @@ class TestBaselineCollection:
         approach = make()
         approach.begin(dataset, seed=8)
         with pytest.raises(ValueError, match="one value per pair"):
-            approach.run_day(0, dataset.tasks[:10], lambda pairs: [1.0] * (len(pairs) - 1))
+            approach.run_day(0, dataset.tasks.take(np.arange(10)), lambda pairs: [1.0] * (len(pairs) - 1))
 
 
 class TestAccuracyExpertiseBridge:

@@ -6,21 +6,16 @@ import pytest
 from repro.datasets import synthetic_dataset
 from repro.simulation import SimulationConfig, run_simulation
 from repro.simulation.approaches import ETA2Approach
-from repro.simulation.entities import TaskSpec, UserSpec
+from repro.simulation.entities import TaskTable
 from repro.simulation.world import World
 
 
 def _world(drift_rate, seed=0):
     rng = np.random.default_rng(seed)
-    users = tuple(
-        UserSpec(user_id=i, expertise=tuple(rng.uniform(0.5, 2.5, 2)), capacity=5.0)
-        for i in range(5)
-    )
-    tasks = tuple(
-        TaskSpec(task_id=j, true_value=1.0, base_number=1.0, processing_time=1.0, true_domain=j % 2)
-        for j in range(4)
-    )
-    return World(users, tasks, drift_rate=drift_rate, seed=seed)
+    expertise = rng.uniform(0.5, 2.5, (5, 2))
+    ones = np.ones(4)
+    tasks = TaskTable(ones, ones, ones, ones, true_domain=np.arange(4) % 2)
+    return World(tasks, expertise, drift_rate=drift_rate, seed=seed)
 
 
 def test_no_drift_keeps_expertise_fixed():

@@ -5,31 +5,22 @@ import pytest
 
 from repro.core.expertise import MIN_EXPERTISE
 from repro.simulation.adversaries import BiasedAdversary, ColludingAdversary, RandomAdversary
-from repro.simulation.entities import TaskSpec, UserSpec
+from repro.simulation.entities import TaskSpec, TaskTable, UserSpec
 from repro.simulation.world import World
 
 
 def _specs(n_users=4, n_tasks=6, n_domains=2, seed=0):
+    """Hidden expertise ``(n_users, n_domains)`` and a task table."""
     rng = np.random.default_rng(seed)
-    users = tuple(
-        UserSpec(
-            user_id=i,
-            expertise=tuple(rng.uniform(0.2, 3.0, n_domains)),
-            capacity=float(rng.uniform(5.0, 10.0)),
-        )
-        for i in range(n_users)
+    expertise = rng.uniform(0.2, 3.0, (n_users, n_domains))
+    tasks = TaskTable(
+        true_value=rng.uniform(0.0, 20.0, n_tasks),
+        base_number=rng.uniform(0.5, 3.0, n_tasks),
+        processing_time=rng.uniform(0.5, 1.5, n_tasks),
+        cost=np.ones(n_tasks),
+        true_domain=rng.integers(n_domains, size=n_tasks),
     )
-    tasks = tuple(
-        TaskSpec(
-            task_id=j,
-            true_value=float(rng.uniform(0.0, 20.0)),
-            base_number=float(rng.uniform(0.5, 3.0)),
-            processing_time=float(rng.uniform(0.5, 1.5)),
-            true_domain=int(rng.integers(n_domains)),
-        )
-        for j in range(n_tasks)
-    )
-    return users, tasks
+    return expertise, tasks
 
 
 class TestSpecs:
@@ -50,32 +41,31 @@ class TestSpecs:
 
 class TestWorld:
     def test_observation_std_matches_model(self):
-        users, tasks = _specs()
-        world = World(users, tasks, seed=1)
+        expertise, tasks = _specs()
+        world = World(tasks, expertise, seed=1)
         user, task = 0, 0
         expected = tasks[task].base_number / max(
-            users[user].expertise[tasks[task].true_domain], MIN_EXPERTISE
+            expertise[user, tasks[task].true_domain], MIN_EXPERTISE
         )
         assert world.observation_std(user, task) == pytest.approx(expected)
 
     def test_observations_center_on_truth(self):
-        users, tasks = _specs()
-        world = World(users, tasks, seed=2)
+        expertise, tasks = _specs()
+        world = World(tasks, expertise, seed=2)
         samples = [world.observe(1, 2) for _ in range(4000)]
         std = world.observation_std(1, 2)
         assert np.mean(samples) == pytest.approx(tasks[2].true_value, abs=4 * std / np.sqrt(4000))
         assert np.std(samples) == pytest.approx(std, rel=0.1)
 
     def test_expertise_floor_applied(self):
-        users = (UserSpec(user_id=0, expertise=(0.0,), capacity=1.0),)
-        tasks = (TaskSpec(task_id=0, true_value=0.0, base_number=1.0, processing_time=1.0),)
-        world = World(users, tasks, seed=3)
+        tasks = TaskTable([0.0], [1.0], [1.0], [1.0], [0])
+        world = World(tasks, np.zeros((1, 1)), seed=3)
         assert world.user_expertise_for_task(0, 0) == MIN_EXPERTISE
         assert np.isfinite(world.observe(0, 0))
 
     def test_bias_injection_preserves_moments(self):
-        users, tasks = _specs()
-        world = World(users, tasks, bias_fraction=1.0, seed=4)
+        expertise, tasks = _specs()
+        world = World(tasks, expertise, bias_fraction=1.0, seed=4)
         samples = np.array([world.observe(0, 0) for _ in range(6000)])
         std = world.observation_std(0, 0)
         # Uniform with matched mean/std: bounded support, same two moments.
@@ -83,31 +73,31 @@ class TestWorld:
         assert np.std(samples) == pytest.approx(std, rel=0.1)
 
     def test_observe_pairs_batch(self):
-        users, tasks = _specs()
-        world = World(users, tasks, seed=5)
+        expertise, tasks = _specs()
+        world = World(tasks, expertise, seed=5)
         values = world.observe_pairs([(0, 0), (1, 1)])
         assert len(values) == 2
 
     def test_array_accessors(self):
-        users, tasks = _specs()
-        world = World(users, tasks, seed=6)
+        expertise, tasks = _specs()
+        world = World(tasks, expertise, seed=6)
         assert world.true_values().shape == (6,)
         assert world.base_numbers().shape == (6,)
         assert world.true_domains().dtype.kind == "i"
-        assert world.capacities().shape == (4,)
+        assert (world.n_users, world.n_tasks) == (4, 6)
         assert world.true_expertise_matrix().shape == (4, 2)
 
     def test_validation(self):
-        users, tasks = _specs()
+        expertise, tasks = _specs()
         with pytest.raises(ValueError):
-            World((), tasks)
+            World(tasks, np.zeros((0, 2)))
         with pytest.raises(ValueError):
-            World(users, ())
+            World(tasks.take(np.array([], dtype=int)), expertise)
         with pytest.raises(ValueError):
-            World(users, tasks, bias_fraction=1.5)
+            World(tasks, expertise, bias_fraction=1.5)
 
 
-def _reference_observations(users, tasks, expertise, pairs, rng, bias_fraction, adversaries):
+def _reference_observations(tasks, expertise, pairs, rng, bias_fraction, adversaries):
     """The Section 2.4 sampler written one scalar pair at a time."""
     values = []
     for user, task in pairs:
@@ -130,16 +120,17 @@ def _reference_observations(users, tasks, expertise, pairs, rng, bias_fraction, 
     ids=["honest", "biased", "adversarial", "drifted"],
 )
 def test_observe_pairs_matches_scalar_reference(bias_fraction, adversarial, drift_rate):
-    users, tasks = _specs(n_users=5, n_tasks=8, n_domains=3, seed=9)
+    expertise, tasks = _specs(n_users=5, n_tasks=8, n_domains=3, seed=9)
     # User 4 has no expertise at all, so the MIN_EXPERTISE floor is exercised.
-    users = users[:4] + (UserSpec(user_id=4, expertise=(0.0, 0.0, 0.0), capacity=1.0),)
+    expertise[4] = 0.0
+    n_users = len(expertise)
     adversaries = (
         {1: RandomAdversary(), 2: BiasedAdversary(), 3: ColludingAdversary()} if adversarial else {}
     )
 
     def make_world():
         rng = np.random.default_rng(21)
-        world = World(users, tasks, bias_fraction, drift_rate, adversaries, seed=rng)
+        world = World(tasks, expertise, bias_fraction, drift_rate, adversaries, seed=rng)
         if drift_rate:
             world.advance_day()
         return world, rng
@@ -147,20 +138,20 @@ def test_observe_pairs_matches_scalar_reference(bias_fraction, adversarial, drif
     world, rng = make_world()
     reference_rng = np.random.default_rng(21)
     if drift_rate:
-        reference_rng.normal(0.0, drift_rate, size=(len(users), 3))
-    expertise = world.true_expertise_matrix()
+        reference_rng.normal(0.0, drift_rate, size=(n_users, 3))
+    drifted = world.true_expertise_matrix()
     # An empty batch draws nothing on every path.
     state = rng.bit_generator.state
     assert world.observe_pairs([]) == []
     assert rng.bit_generator.state == state
-    pairs = [(user, task) for task in range(len(tasks)) for user in range(len(users))]
+    pairs = [(user, task) for task in range(len(tasks)) for user in range(n_users)]
     pairs += [(4, 0), (0, 3), (0, 3)]
     # The same pairs as an (n, 2) array, as `experiments.figures` passes them.
     array_world, array_rng = make_world()
     array_values = array_world.observe_pairs(np.array(pairs, dtype=np.intp))
     values = world.observe_pairs(pairs)
     expected = _reference_observations(
-        users, tasks, expertise, pairs, reference_rng, bias_fraction, adversaries
+        tasks, drifted, pairs, reference_rng, bias_fraction, adversaries
     )
     assert values == expected
     assert array_values == expected
@@ -169,8 +160,8 @@ def test_observe_pairs_matches_scalar_reference(bias_fraction, adversarial, drif
     # The scalar accessors agree with the batch lookup.
     for user, task in pairs:
         assert world.user_expertise_for_task(user, task) == max(
-            float(expertise[user, tasks[task].true_domain]), MIN_EXPERTISE
+            float(drifted[user, tasks[task].true_domain]), MIN_EXPERTISE
         )
     assert world.observe(0, 0) == _reference_observations(
-        users, tasks, expertise, [(0, 0)], reference_rng, bias_fraction, adversaries
+        tasks, drifted, [(0, 0)], reference_rng, bias_fraction, adversaries
     )[0]
