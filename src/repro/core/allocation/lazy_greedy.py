@@ -30,10 +30,7 @@ re-evaluated: a popped entry whose user no longer fits, and every task
 right after its pick, are re-evaluated inline in the loop body, one code
 path for both.  The loop keeps its state in plain lists indexed by task or
 user (cached user, its ``p`` and the pair's time; coverage; remaining
-capacity) and the assigned pairs in a set.  The numpy copies of the
-assignment and capacity state (``avail``, ``remaining_eps``) take the picks
-made since their last update only just before a vectorised scan reads
-them.
+capacity) and the assigned pairs in a set.
 
 With the paper's per-task processing times (a stride-0 ``pair_times``
 broadcast, which is how the pipeline builds every problem), a task's gain
@@ -47,21 +44,16 @@ over that ranking, in scalar arithmetic:
   on the :class:`GreedyState` in a list indexed by task; tasks with equal
   accuracy columns (one expertise domain) share one sort, so each domain
   is sorted once per allocation however many passes run from the state;
-- the pointer walks at most ``_WALK_LIMIT`` spent users before jumping to
-  the next feasible one with a single vectorised scan over the rest of the
-  ranking (capacity-1 instances spend users faster than any one task is
-  re-evaluated);
 - the gain is ``p * miss / t`` in Python floats — the same IEEE operations
   as the vectorised form — and a short scan over the following runs of
   equal gain keeps ``np.argmax``'s lowest-index tie-break, since rounding
-  can give a slightly smaller ``p`` the leader's gain.  The scan is
-  skipped when the next run's ``p`` is below ``p * (1 - 2**-40)`` and
-  ``p * miss`` is a normal float: rounding (monotone, with relative error
-  at most ``2**-53`` per operation) cannot close that gap.
+  can give a slightly smaller ``p`` the leader's gain.
 
 Per-pair (spatial) times break the shared ranking, so there re-evaluation
 stays one vectorised masked-argmax over the task's column, a branch of the
-same loop body.
+same loop body.  That branch alone reads numpy copies of the assignment
+and capacity state (``avail``, ``remaining_eps``); they take the picks
+made since their last update just before each scan.
 
 **One start state per allocation.**  A pass starts from a
 :class:`GreedyState`: the problem's fixed inputs (Fortran-order Eq. 11
@@ -91,8 +83,8 @@ the frozen eager copy
 (:func:`repro.perf.reference.reference_greedy_allocate`) across spatial
 pair-times, eligibility masks, cost budgets, warm starts, tie-heavy
 expertise and zero-capacity users, with blocks of larger per-task-time
-instances for the pointer walk, warm starts of 50-300 prior pairs and a
-hand-built rounding tie; it also fuzzes
+instances for the pointer walk, warm starts of 50-300 prior pairs and
+hand-built rounding ties; it also fuzzes
 :class:`~repro.core.allocation.min_cost.MinCostAllocator` against
 :func:`repro.perf.reference.reference_min_cost_run`, which rebuilds every
 pass from the running assignment.
@@ -108,20 +100,6 @@ import numpy as np
 from repro.core.allocation.base import AllocationProblem, Assignment
 
 __all__ = ["GreedyStats", "GreedyOutcome", "GreedyState", "lazy_greedy_allocate"]
-
-#: Longest scalar pointer walk over a task's ranking before the kernel
-#: jumps to the next feasible user with one vectorised scan.
-_WALK_LIMIT = 128
-
-#: A run of equal ``p`` whose successor's ``p`` is below ``p * _TIE_MARGIN``
-#: cannot tie its gain after rounding, so its tie scan is skipped.
-_TIE_MARGIN = 1.0 - 2.0**-40
-
-#: Smallest normal float64: the tie-skip margin needs normal gains.
-_MIN_NORMAL = 2.0**-1022
-
-#: Task times below this could overflow a gain; the tie skip is then off.
-_MIN_TIME = 2.0**-1000
 
 
 @dataclass(frozen=True)
@@ -193,10 +171,10 @@ class GreedyState:
     ``pair_times`` and their column-access layout ``times_f`` (a broadcast
     per-task time row -- stride 0 -- is already free to slice; per-pair
     times get a Fortran copy), ``eligible`` and the task ``costs``; with
-    per-task times also the ``task_times``, the ``tie_floor`` of the tie
-    scan and the user rankings the kernel resolves (a ranking depends on
-    the problem's eligibility and accuracy, so a state never outlives its
-    problem).  The values the assignment so far implies:
+    per-task times also the ``task_times`` and the user rankings the
+    kernel resolves (a ranking depends on the problem's eligibility and
+    accuracy, so a state never outlives its problem).  The values the
+    assignment so far implies:
 
     - ``assigned``, the boolean ``s_ij`` matrix;
     - ``remaining``, each user's capacity minus its assigned time;
@@ -239,13 +217,6 @@ class GreedyState:
             self.task_rankings: list = [None] * n_tasks
             self.rankings: dict = {}
             self.ranking_column = _equal_columns(self.accuracy)
-            # A tie scan is skipped only while ``p * miss`` and the gain are
-            # normal floats: ``p * miss >= tie_floor`` guarantees both, since
-            # no time exceeds the largest.  Times so small that a gain
-            # (``p * miss <= 1`` over ``t``) could overflow turn the skip off.
-            self.tie_floor = float("inf")
-            if min(self.task_times, default=1.0) >= _MIN_TIME:
-                self.tie_floor = _MIN_NORMAL * max(1.0, max(self.task_times, default=1.0))
         self.assigned = assigned
         self.remaining = remaining
         # A column with no assigned user has miss exactly 1.0.
@@ -398,20 +369,11 @@ def lazy_greedy_allocate(
     heapify(heap)
 
     # The pass's own copies of what its picks change: ``remaining`` (with
-    # ``remaining_eps``, ``remaining + 1e-12``, mirrored in
-    # ``remaining_list`` for scalar reads), ``miss``, ``taken`` and
-    # ``avail``.  The scalar state is the live one: a pick writes only
-    # lists and the set, and ``avail`` / ``remaining_eps`` take the picks
-    # made since their last update (``added[synced:]``) just before a
-    # vectorised scan reads them.  All of it is value-identical to the
-    # frozen eager loop: boolean algebra is exact, and ``x * True`` /
-    # ``x * False`` equal ``np.where``'s ``x`` / ``0.0`` for these finite
-    # non-negative gains.
-    avail = state.avail.copy(order="F")
+    # ``remaining + 1e-12`` in ``remaining_list`` for the fit test),
+    # ``miss`` and ``taken``.  A pick writes only these lists and the set.
     remaining = state.remaining.tolist()
     remaining_list = remaining_eps.tolist()
     taken = state.taken.copy()
-    synced = 0
 
     if per_task_times:
         # Every user's gain on a task is ``p * (miss / t)`` for one task
@@ -422,8 +384,15 @@ def lazy_greedy_allocate(
         rankings, task_ranking = state.rankings, state.task_rankings
         ranking_column = state.ranking_column
         pointer = [0] * n_tasks
-        tie_floor = state.tie_floor
     else:
+        # The masked argmax reads numpy copies of ``avail`` and
+        # ``remaining_eps``; they take the picks made since their last
+        # update (``added[synced:]``) just before each scan.  The result is
+        # value-identical to the frozen eager loop: boolean algebra is
+        # exact, and ``x * True`` / ``x * False`` equal ``np.where``'s
+        # ``x`` / ``0.0`` for these finite non-negative gains.
+        avail = state.avail.copy(order="F")
+        synced = 0
         feas_buf = np.empty(n_users, dtype=bool)
         gain_buf = np.empty(n_users, dtype=float)
 
@@ -475,24 +444,13 @@ def lazy_greedy_allocate(
                 ranking = task_ranking[task] = _task_ranking(
                     rankings, p_f, eligible, ranking_column[task]
                 )
-            users, ranked_p, run_end, clear, n, order = ranking
+            users, ranked_p, run_end, n = ranking
             k = pointer[task]
-            stop = k + _WALK_LIMIT
-            if stop > n:
-                stop = n
-            while k < stop:
+            while k < n:
                 user = users[k]
                 if t <= remaining_list[user] and user * n_tasks + task not in taken:
                     break
                 k += 1
-            else:
-                if k < n:
-                    # A long run of spent users: one vectorised scan finds
-                    # the first feasible rank in the rest of the ranking.
-                    synced = _apply_picks(added, synced, avail, remaining_eps, remaining_list)
-                    rest = order[k:]
-                    feasible = (t <= remaining_eps[rest]) & avail[rest, task]
-                    k = k + int(np.argmax(feasible)) if feasible.any() else n
             pointer[task] = k
             if k == n:
                 value = 0.0
@@ -500,9 +458,10 @@ def lazy_greedy_allocate(
                 scale = miss[task]
                 best = users[k]
                 best_p = ranked_p[k]
-                head = best_p * scale
-                value = head / t if divide_by_time else head
-                if not (clear[k] and head >= tie_floor) and value > 0.0:
+                value = best_p * scale
+                if divide_by_time:
+                    value /= t
+                if value > 0.0:
                     # Rounding can give a smaller p the same gain, and
                     # np.argmax takes the lowest user index among equal
                     # gains.  Ranks after ``k`` in its own run of equal p
@@ -528,7 +487,10 @@ def lazy_greedy_allocate(
             # Same operations (element-wise, in the same order) as the
             # frozen eager loop's best_for_task — efficiencies must stay
             # bit-identical.
-            synced = _apply_picks(added, synced, avail, remaining_eps, remaining_list)
+            for picked_user, picked_task in added[synced:]:
+                avail[picked_user, picked_task] = False
+                remaining_eps[picked_user] = remaining_list[picked_user]
+            synced = len(added)
             feasible = np.less_equal(times_f[:, task], remaining_eps, out=feas_buf)
             feasible &= avail[:, task]
             if feasible.any():
@@ -583,11 +545,8 @@ def _task_ranking(rankings: dict, p_f: np.ndarray, eligible: np.ndarray, index: 
     """The eligible users of accuracy column ``index`` by ``(-p, user)``,
     sorted once and kept in ``rankings``.
 
-    Returns ``(users, ranked_p, run_end, clear, n, order)``: ``run_end[k]`` is
-    the first rank past rank ``k``'s run of equal ``p``, and ``clear[k]``
-    says that the next run's ``p`` is below ``ranked_p[k] * (1 - 2**-40)``
-    (or that there is none), a gap that rounding of normal floats cannot
-    close.
+    Returns ``(users, ranked_p, run_end, n)``: ``run_end[k]`` is the first
+    rank past rank ``k``'s run of equal ``p``.
     """
     ranking = rankings.get(index)
     if ranking is None:
@@ -598,15 +557,11 @@ def _task_ranking(rankings: dict, p_f: np.ndarray, eligible: np.ndarray, index: 
         starts = np.flatnonzero(np.concatenate(([True], ranked_p[1:] != ranked_p[:-1])))
         ends = np.append(starts[1:], len(order))
         run_end = np.repeat(ends, ends - starts)
-        next_p = np.append(ranked_p, -np.inf)[run_end]
-        clear = next_p < ranked_p * _TIE_MARGIN
         ranking = rankings[index] = (
             order.tolist(),
             ranked_p.tolist(),
             run_end.tolist(),
-            clear.tolist(),
             len(order),
-            order,
         )
     return ranking
 
@@ -650,13 +605,3 @@ def _column_miss(p: np.ndarray, assigned: np.ndarray, columns: np.ndarray) -> np
     np.subtract(1.0, factors, out=factors)
     return np.multiply.reduce(factors, axis=0, where=assigned[:, columns], initial=1.0)
 
-
-def _apply_picks(
-    added: list, synced: int, avail: np.ndarray, remaining_eps: np.ndarray, remaining_list: list
-) -> int:
-    """Write the picks ``added[synced:]`` into the numpy copies of the
-    assignment and capacity state; returns the new ``synced``."""
-    for user, task in added[synced:]:
-        avail[user, task] = False
-        remaining_eps[user] = remaining_list[user]
-    return len(added)

@@ -3,12 +3,15 @@
 ``python -m repro.perf.baseline --write`` times each optimised kernel and
 its frozen pre-optimisation reference (:mod:`repro.perf.reference`) at the
 full sizes *and* the reduced quick sizes, and records the medians in
-``BENCH_core.json``.  ``--check`` re-times the kernels (``--quick`` uses
-the reduced sizes for CI) and fails when a kernel regressed more than
-``--threshold`` (default 2x) against the committed baseline.  Only
-size-matched entries are compared — speedups are size-dependent (the
-reference kernels have worse complexity), so a quick run is checked
-against the baseline's quick section, never against the full sizes:
+``BENCH_core.json``.  A write runs the suite three times and records, for
+each kernel and each size, the run with the median speedup, so one noisy
+run cannot move the baseline that CI checks against.  ``--check``
+re-times the kernels once (``--quick`` uses the reduced sizes for CI) and
+fails when a kernel regressed more than ``--threshold`` (default 2x)
+against the committed baseline.  Only size-matched entries are compared —
+speedups are size-dependent (the reference kernels have worse
+complexity), so a quick run is checked against the baseline's quick
+section, never against the full sizes:
 
 - the optimised/reference *speedup ratio* is always compared: it is
   machine-independent, so CI catches a de-optimised kernel on any runner.
@@ -73,6 +76,9 @@ SIZES = {
 
 KERNELS = tuple(SIZES)
 
+
+#: Suite runs per ``--write``; each kernel records its median-speedup run.
+_WRITE_RUNS = 3
 
 #: Minimum wall-clock per timing round.  Sub-millisecond kernels (the quick
 #: sizes) are repeated until a round lasts this long, timeit-style —
@@ -313,6 +319,17 @@ def run_benchmarks(quick: bool = False, rounds: "int | None" = None) -> dict:
     }
 
 
+def _median_record(quick: bool, rounds: "int | None") -> dict:
+    """``_WRITE_RUNS`` suite runs in one record: each kernel's entry is the
+    run with its median ``speedup``."""
+    records = [run_benchmarks(quick=quick, rounds=rounds) for _ in range(_WRITE_RUNS)]
+    record = records[0]
+    for name in record["kernels"]:
+        runs = sorted((run["kernels"][name] for run in records), key=lambda entry: entry["speedup"])
+        record["kernels"][name] = runs[len(runs) // 2]
+    return record
+
+
 def compare(current: dict, baseline: dict, threshold: float = 2.0) -> list:
     """Regressions of ``current`` against ``baseline`` (empty = pass).
 
@@ -374,7 +391,10 @@ def main(argv=None) -> int:
     if args.rounds is not None and args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
-    record = run_benchmarks(quick=args.quick, rounds=args.rounds)
+    if args.write:
+        record = _median_record(args.quick, args.rounds)
+    else:
+        record = run_benchmarks(quick=args.quick, rounds=args.rounds)
     for name, kernel in record["kernels"].items():
         print(
             f"{name}: optimised {kernel['median_s']:.4f}s, "
@@ -390,7 +410,7 @@ def main(argv=None) -> int:
         if not args.quick:
             # A full-size baseline also records the quick sizes, so CI's
             # --check --quick has size-matched entries to compare against.
-            quick_record = run_benchmarks(quick=True, rounds=args.rounds)
+            quick_record = _median_record(True, args.rounds)
             record["quick_kernels"] = quick_record["kernels"]
             for name, kernel in quick_record["kernels"].items():
                 print(f"{name} (quick): speedup {kernel['speedup']:.2f}x")

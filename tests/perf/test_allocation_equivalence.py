@@ -24,19 +24,22 @@ out unchanged.
 
 Per-task processing times (the paper's setting, and the only kind the
 pipeline builds) take the kernel's ranked-pointer path, so a second fuzz
-block draws only those, at sizes where pointer walks outgrow their bound
-and jump, with capacity-1 saturation and shared domain columns; its two
-passes per instance start from one ``GreedyState``.
-Hand-built instances pin a jump past a warm-started user and the rounding
-ties the pointer walk must break the way ``np.argmax`` does.
+block draws only those, at sizes with long pointer walks, with capacity-1
+saturation and shared domain columns; its two passes per instance start
+from one ``GreedyState``.  Hand-built instances pin a walk past a
+warm-started user and the rounding ties the pointer walk must break the
+way ``np.argmax`` does.
 
-Three more blocks cover the single heap loop's shortcuts: per-task
-instances with more than 128 users where a vectorised jump follows picks
-(the numpy copies of the assignment and capacity state are brought up to
-date only before such a scan), users whose ``p`` sits a rounding step
-below a leader or at the tie-skip margin ``p * (1 - 2**-40)`` (plus
-hand-built subnormal and overflowing gains, where that margin does not
-hold), and spatial per-pair instances through the same loop.
+Three more blocks cover the single heap loop: per-task instances where
+every re-evaluation after a pick walks past 135-149 spent users; users
+whose ``p`` sits one or two rounding steps, or a relative ``2**-40``,
+below a leader (plus hand-built subnormal and overflowing gains), where
+the tie scan must end exactly at the first run whose gain differs; and
+spatial per-pair instances through the same loop, whose masked argmax
+reads numpy copies of the assignment and capacity state that take the
+picks only just before each scan.  Two distinct accuracy columns with
+the same weighted sum check that the per-domain ranking cache keeps them
+apart.
 
 The CELF invariant test asserts the submodularity precondition the kernel
 relies on: re-evaluating a stale heap entry never *increases* its
@@ -68,7 +71,7 @@ import pytest
 
 from repro.core.allocation.base import AllocationProblem, Assignment
 from repro.core.allocation.baselines import random_first_fit
-from repro.core.allocation.lazy_greedy import GreedyState, lazy_greedy_allocate
+from repro.core.allocation.lazy_greedy import GreedyState, _equal_columns, lazy_greedy_allocate
 from repro.core.allocation.min_cost import MinCostAllocator
 from repro.perf.reference import (
     reference_greedy_allocate,
@@ -328,7 +331,7 @@ def test_ranked_pointer_path_matches_reference_fuzz(block):
 @pytest.mark.parametrize("seed", range(3))
 def test_ranked_pointer_jumps_match_reference(seed):
     """Capacity-1 instances in the benchmark kernel's shape, where most
-    re-evaluations find more spent users ahead than the walk bound."""
+    re-evaluations walk past a long run of spent users."""
     rng = np.random.default_rng(3000 + seed)
     domains = rng.integers(0, 8, 400)
     problem = AllocationProblem(
@@ -341,7 +344,7 @@ def test_ranked_pointer_jumps_match_reference(seed):
 
 
 def test_jump_skips_a_warm_started_user():
-    """The vectorised jump must skip users already assigned to the task,
+    """A long pointer walk must skip users already assigned to the task,
     not only users out of capacity."""
     expertise = np.linspace(3.0, 0.5, 200)[:, None]  # rank order == index order
     capacities = np.full(200, 5.0)
@@ -405,11 +408,10 @@ def test_rounding_tie_skips_a_lower_index_that_cannot_take_the_task(tie):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_long_walks_after_picks_match_reference(seed):
-    """More than ``_WALK_LIMIT`` (128) users, of whom the most skilled
-    135-149 have no capacity today: every task's first re-evaluation,
-    right after its first pick, walks past them into the vectorised scan,
-    which must see the picks made since the numpy copies of the assignment
-    and capacity state were last updated (the pick just made included)."""
+    """150-220 users, of whom the most skilled 135-149 have no capacity
+    today: every task's first re-evaluation, right after its first pick,
+    walks past them and must see every pick made so far (the pick just
+    made included) and every warm-started pair."""
     rng = np.random.default_rng(5000 + seed)
     n_users = int(rng.integers(150, 221))
     n_tasks = int(rng.integers(40, 161))
@@ -452,14 +454,15 @@ class _GivenAccuracy(AllocationProblem):
 
 
 def _at_the_margin(leader: float) -> list:
-    """``p`` values around the tie-skip margin below ``leader``."""
+    """``p`` values a few rounding steps, and a relative ``2**-40``, below
+    ``leader``."""
     margin = leader * (1.0 - 2.0**-40)
     return [
         leader,
         np.nextafter(leader, 0.0),  # one rounding step below the leader
         np.nextafter(np.nextafter(leader, 0.0), 0.0),
-        margin,  # exactly at the margin: the tie scan runs
-        np.nextafter(margin, 0.0),  # just past it: the scan is skipped
+        margin,  # a relative gap of 2**-40
+        np.nextafter(margin, 0.0),  # and one step either side of it
         np.nextafter(margin, 1.0),
     ]
 
@@ -467,10 +470,11 @@ def _at_the_margin(leader: float) -> list:
 @pytest.mark.parametrize("block", range(4))
 def test_tie_skip_margin_matches_reference_fuzz(block):
     """40 per-task-time instances (4 blocks x 10) whose users' ``p`` sit
-    one or two rounding steps below a domain's leader, exactly at the
-    tie-skip margin ``p * (1 - 2**-40)`` or one step either side of it,
-    in shuffled user order so that a rounding tie must break toward a
-    lower user index than the ranking's."""
+    one or two rounding steps below a domain's leader, or at
+    ``p * (1 - 2**-40)`` and one step either side of it, in shuffled user
+    order: a rounding tie must break toward a lower user index than the
+    ranking's, and the tie scan must stop at the first run whose gain
+    differs."""
     rng = np.random.default_rng(6000 + block)
     for _ in range(10):
         n_users = int(rng.integers(8, 160))
@@ -495,10 +499,11 @@ def test_tie_skip_margin_matches_reference_fuzz(block):
 
 
 def test_tie_scan_runs_when_the_gain_is_subnormal():
-    """Past the margin, ``p`` values still round to one gain once the
-    task's coverage ``miss`` is subnormal.  User 0's ``p`` is just past
-    the margin below the others'; after 21 picks ``miss`` is ``2**-1050``
-    and user 0 ties user 22, so ``np.argmax`` takes user 0."""
+    """``p`` values a relative ``2**-40`` apart still round to one gain
+    once the task's coverage ``miss`` is subnormal.  User 0's ``p`` is
+    just over a relative ``2**-40`` below the others'; after 21 picks
+    ``miss`` is ``2**-1050`` and user 0 ties user 22, so ``np.argmax``
+    takes user 0."""
     leader = 1.0 - 2.0**-50
     accuracy = np.full((23, 1), leader)
     accuracy[0, 0] = np.nextafter(leader * (1.0 - 2.0**-40), 0.0)
@@ -515,8 +520,9 @@ def test_tie_scan_runs_when_the_gain_is_subnormal():
 
 def test_tie_scan_runs_when_gains_overflow():
     """A time so small that every gain overflows to ``inf``: all users
-    tie, and after user 0's pick ``np.argmax`` takes user 1, whose ``p``
-    is far below the ranking's leader, user 2."""
+    tie, however far apart their ``p``, and after user 0's pick
+    ``np.argmax`` takes user 1, whose ``p`` is far below the ranking's
+    leader, user 2."""
     problem = _GivenAccuracy(
         expertise=np.ones((3, 1)),
         processing_times=np.array([1e-310]),
@@ -528,6 +534,28 @@ def test_tie_scan_runs_when_gains_overflow():
         assert ref.added_pairs == ((0, 0), (1, 0), (2, 0))
         _assert_matches_reference(problem)
 
+
+
+def test_columns_sharing_a_weighted_sum_keep_their_own_ranking():
+    """``_equal_columns`` groups columns by one weighted sum and then checks
+    them entry by entry.  Two different columns with the same sum must
+    stay apart (each task ranks its users by its own ``p``; the second
+    copy of ``second`` finds ``first`` under the sum and so gets a sort of
+    its own), and both greedy passes from one state must match the eager
+    loop."""
+    first, second = [0.25, 0.0, 0.25], [0.0, 0.5, 0.0]
+    accuracy = np.array([first, second, first, second]).T
+    assert np.linspace(1.0, 2.0, 3) @ accuracy[:, 0] == np.linspace(1.0, 2.0, 3) @ accuracy[:, 1]
+    assert _equal_columns(accuracy) == [0, 1, 0, 3]
+    problem = _GivenAccuracy(
+        expertise=np.ones((3, 4)),
+        processing_times=np.array([1.0, 0.5, 0.8, 1.2]),
+        capacities=np.array([2.0, 1.5, 2.0]),
+        accuracy=accuracy,
+    )
+    state = GreedyState(problem)
+    for divide_by_time in (True, False):
+        _assert_matches_reference(problem, state=state, divide_by_time=divide_by_time)
 
 def _per_pair_instance(rng):
     """A per-pair-time (spatial) instance at the pipeline's scale, with

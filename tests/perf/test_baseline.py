@@ -133,6 +133,39 @@ def test_cli_write_then_check(tmp_path):
     assert out.exists()
 
 
+def test_write_records_the_median_speedup_of_three_runs(tmp_path, monkeypatch):
+    """A write runs the suite three times per size and keeps, for each
+    kernel, the whole entry of the run with the median speedup."""
+    speedups = iter([1.0, 5.0, 3.0] * 2)  # the full sizes, then the quick sizes
+    calls = []
+
+    def stub(quick=False, rounds=None):
+        calls.append(quick)
+        speedup = next(speedups)
+        kernel = {
+            "size": {"quick": quick},
+            "rounds": 1,
+            "median_s": 1.0 / speedup,
+            "reference_median_s": 1.0,
+            "speedup": speedup,
+        }
+        return {
+            "meta": {"mode": "quick" if quick else "full"},
+            "kernels": {name: dict(kernel) for name in KERNELS},
+        }
+
+    monkeypatch.setattr(baseline, "run_benchmarks", stub)
+    path = tmp_path / "BENCH_core.json"
+    assert main(["--write", "--path", str(path)]) == 0
+    assert calls == [False] * 3 + [True] * 3
+    written = json.loads(path.read_text())
+    for section in ("kernels", "quick_kernels"):
+        assert set(written[section]) == set(KERNELS)
+        for kernel in written[section].values():
+            assert kernel["speedup"] == 3.0
+            assert kernel["median_s"] == 1.0 / 3.0
+
+
 def test_cli_check_fails_on_doctored_baseline(tmp_path):
     path = tmp_path / "BENCH_core.json"
     main(["--write", "--quick", "--rounds", "1", "--path", str(path)])
