@@ -217,23 +217,24 @@ class Assignment:
     def pair_count(self) -> int:
         return int(self.matrix.sum())
 
-    def pairs(self) -> list:
-        """Assigned ``(user, task)`` pairs."""
-        users, tasks = np.nonzero(self.matrix)
-        return list(zip(users.tolist(), tasks.tolist()))
+    def pairs(self) -> np.ndarray:
+        """Assigned pairs as an ``(n, 2)`` intp array of ``(user, task)``
+        rows, in row-major (``np.argwhere``) order."""
+        return np.column_stack(np.nonzero(self.matrix))
 
     def collect(self, observe: Callable) -> ObservationMatrix:
         """Ask ``observe(pairs)`` for every assigned pair and fold the replies.
 
-        ``pairs`` come in :meth:`pairs` order and the reply must hold one
-        value per pair.  A non-finite value is a *dropout* (an assigned user
+        ``pairs`` is :meth:`pairs`, and the reply must be a sequence of one
+        float per row.  A non-finite value is a *dropout* (an assigned user
         that never delivered) or a corrupt payload: its pair stays
         unobserved, though the capacity it consumed is already spent — see
         :meth:`ObservationMatrix.from_pairs`.  ``observe`` is not called
         for an empty assignment.
         """
-        users, tasks = np.nonzero(self.matrix)
-        values = observe(list(zip(users.tolist(), tasks.tolist()))) if users.size else ()
+        pairs = self.pairs()
+        values = observe(pairs) if len(pairs) else ()
+        users, tasks = pairs.T
         return ObservationMatrix.from_pairs(users, tasks, values, *self.matrix.shape)
 
     def users_of_task(self, task: int) -> np.ndarray:

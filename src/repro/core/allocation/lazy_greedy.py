@@ -94,6 +94,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappushpop
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -145,7 +146,8 @@ class GreedyOutcome:
     """Result of one greedy pass."""
 
     assignment: Assignment
-    added_pairs: tuple
+    #: Read-only ``(n, 2)`` intp ``(user, task)`` rows, in pick order.
+    added_pairs: np.ndarray
     objective: float
     spent_cost: float
     #: Lazy-kernel work counters (None for outcomes built elsewhere).
@@ -237,11 +239,11 @@ class GreedyState:
         they touched; the coverage of the tasks they touched is the pass's
         own ``miss``.
         """
-        if not outcome.added_pairs:
+        if not len(outcome.added_pairs):
             return
         self.shared_gain = None
         n_users, n_tasks = self.problem.n_users, self.problem.n_tasks
-        users, tasks = _pair_arrays(outcome.added_pairs)
+        users, tasks = outcome.added_pairs.T
         self.assigned[users, tasks] = True
         self.avail[users, tasks] = False
         self.taken.update((users * n_tasks + tasks).tolist())
@@ -519,8 +521,10 @@ def lazy_greedy_allocate(
     # order, which can differ in the last bits).
     assigned = state.assigned.copy()
     miss_after = state.miss
+    added_pairs = np.fromiter(chain.from_iterable(added), np.intp, 2 * len(added)).reshape(-1, 2)
+    added_pairs.setflags(write=False)
     if added:
-        users, tasks = _pair_arrays(added)
+        users, tasks = added_pairs.T
         assigned[users, tasks] = True
         miss_after = miss_after.copy()
         picked = _touched(tasks, n_tasks)
@@ -528,7 +532,7 @@ def lazy_greedy_allocate(
         miss_after.setflags(write=False)
     return GreedyOutcome(
         assignment=Assignment(matrix=assigned),
-        added_pairs=tuple(added),
+        added_pairs=added_pairs,
         objective=float(np.sum(1.0 - miss_after)),
         spent_cost=spent,
         stats=GreedyStats(
@@ -580,12 +584,6 @@ def _equal_columns(p: np.ndarray) -> list:
     differs = np.flatnonzero(~(p == p[:, same]).all(axis=0))
     same[differs] = differs
     return same.tolist()
-
-
-def _pair_arrays(pairs) -> tuple:
-    """``(users, tasks)`` index arrays of a sequence of ``(user, task)`` pairs."""
-    users, tasks = zip(*pairs)
-    return np.array(users, dtype=np.intp), np.array(tasks, dtype=np.intp)
 
 
 def _touched(indices: np.ndarray, size: int) -> np.ndarray:

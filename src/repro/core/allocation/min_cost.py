@@ -27,7 +27,8 @@ that rebuilds every pass from the running assignment
 The allocator is driven through two callbacks so it works both in the
 simulation engine and against recorded datasets:
 
-- ``observe(pairs)`` returns the observed values for newly assigned pairs;
+- ``observe(pairs)`` gets the newly assigned pairs as one ``(n, 2)`` intp
+  array of ``(user, task)`` rows and returns one float per row;
 - ``estimate(observations)`` returns ``(truths, sigmas, task_expertise)``
   from the cumulative observations — by default Eq. 5 with the problem's
   prior expertise, the pipeline passes the full expertise-aware analysis.
@@ -54,7 +55,8 @@ __all__ = ["MinCostRound", "MinCostOutcome", "MinCostAllocator"]
 class MinCostRound:
     """Bookkeeping for one Algorithm 2 iteration."""
 
-    added_pairs: tuple
+    #: Read-only ``(n, 2)`` intp ``(user, task)`` rows, in pick order.
+    added_pairs: np.ndarray
     round_cost: float
     satisfied_after: int
 
@@ -119,9 +121,9 @@ class MinCostAllocator:
     ) -> MinCostOutcome:
         """Run the iterative allocation until the quality requirement holds.
 
-        ``observe(pairs)`` must return one observed value per ``(user,
-        task)`` pair.  ``estimate(observations)`` must return ``(truths,
-        sigmas, task_expertise)`` over the full task set.
+        ``observe(pairs)`` gets each round's :attr:`MinCostRound.added_pairs`
+        and must return one observed value per row.  ``estimate(observations)``
+        must return ``(truths, sigmas, task_expertise)`` over the full task set.
         """
         n_users, n_tasks = problem.n_users, problem.n_tasks
         if estimate is None:
@@ -155,7 +157,7 @@ class MinCostAllocator:
             )
             if stats is not None:
                 greedy_stats = stats.merged(greedy_stats)
-            if not outcome.added_pairs:
+            if not len(outcome.added_pairs):
                 break
             assignment = outcome.assignment
             state.advance(outcome)
@@ -170,10 +172,8 @@ class MinCostAllocator:
             # arrays: the one handed to ``estimate`` is a value its holder
             # may keep (the updater keys its last preview on it), so it never
             # changes later.
-            users, tasks = (
-                np.array(column, dtype=np.intp) for column in zip(*outcome.added_pairs)
-            )
-            values = np.asarray(observe(list(outcome.added_pairs)), dtype=float)
+            users, tasks = outcome.added_pairs.T
+            values = np.asarray(observe(outcome.added_pairs), dtype=float)
             observations = observations.with_pairs(users, tasks, values)
             truths, sigmas, task_expertise = estimate(observations)
             # Only tasks with new usable observations can newly pass the

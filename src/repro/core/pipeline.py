@@ -7,8 +7,10 @@ expertise domains, allocate with the expertise-aware allocator, collect
 data, and run expertise-aware truth analysis to update user expertise.
 
 The system is environment-agnostic: data collection happens through an
-``observe(pairs) -> values`` callback, so the same object runs against the
-simulation world, a recorded dataset, or (in principle) live users.
+``observe(pairs) -> values`` callback (``pairs`` an ``(n, 2)`` intp array of
+``(user, local_task_index)`` rows, ``values`` any length-``n`` float
+sequence), so the same object runs against the simulation world, a
+recorded dataset, or (in principle) live users.
 
 Two allocation modes mirror the paper's two problem formulations:
 
@@ -437,8 +439,8 @@ class ETA2System:
     def warmup(self, tasks: "TaskBatch | Sequence[IncomingTask]", observe: Callable) -> StepResult:
         """Run the warm-up period: random allocation, then batch MLE.
 
-        ``observe(pairs)`` receives ``(user, local_task_index)`` pairs and
-        must return one observed value per pair.  Pass a
+        ``observe(pairs)`` gets an ``(n, 2)`` intp array of ``(user,
+        local_task_index)`` rows and must return one value per row.  Pass a
         :class:`~repro.reliability.observer.ResilientObserver` to retry,
         circuit-break and salvage a failing collection channel.
         """

@@ -128,21 +128,18 @@ def run_incentive_loop(
         values = np.zeros((n_users, tasks_per_day))
         mask = assignment.matrix.copy()
         high_effort = 0
-        answered = 0
-        observation_effort: dict = {}
-        for user_index, task in assignment.pairs():
+        pairs = assignment.pairs()
+        for user_index, task in pairs:
             choice = users[user_index].choose_effort(int(domains[task]), scheme, eps_bar)
-            answered += 1
             high_effort += choice.effort == "high"
             std = sigmas[task] / choice.effective_expertise
             values[user_index, task] = truths[task] + rng.standard_normal() * std
-            observation_effort[(user_index, task)] = choice.effort
         observations = ObservationMatrix(values=values, mask=mask)
         result = updater.incorporate(observations, domains)
 
         # Pay per the scheme, auditing accuracy against the final estimates.
         payout = 0.0
-        for user_index, task in assignment.pairs():
+        for user_index, task in pairs:
             estimate = result.truths[task]
             if np.isnan(estimate):
                 accurate = False
@@ -154,7 +151,7 @@ def run_incentive_loop(
 
         day_errors[day] = float(np.nanmean(np.abs(result.truths - truths) / sigmas))
         day_payouts[day] = payout
-        day_high_effort[day] = high_effort / max(answered, 1)
+        day_high_effort[day] = high_effort / max(len(pairs), 1)
     return day_errors, day_payouts, day_high_effort
 
 

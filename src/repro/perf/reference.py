@@ -393,7 +393,7 @@ def reference_min_cost_run(allocator, problem, observe, estimate=None, greedy=No
                 outcome = cardinality
         if stats is not None:
             greedy_stats = stats.merged(greedy_stats)
-        if not outcome.added_pairs:
+        if not len(outcome.added_pairs):
             break
         assignment = outcome.assignment
         total_cost += outcome.spent_cost

@@ -11,7 +11,7 @@ against ``ChaosWorld`` unchanged.
 
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
 
 from repro.reliability.faults import FaultInjector, FaultProfile, VirtualClock
 
@@ -40,9 +40,9 @@ class ChaosWorld:
     def fault_counts(self) -> dict:
         return dict(self.injector.counts)
 
-    def observe_pairs(self, pairs: Sequence) -> list:
+    def observe_pairs(self, pairs) -> np.ndarray:
         self.injector.before_call()
-        return list(self.injector.corrupt(self._world.observe_pairs(pairs)))
+        return self.injector.corrupt(self._world.observe_pairs(pairs))
 
     def observe(self, user: int, task: int) -> float:
         return self.observe_pairs([(user, task)])[0]

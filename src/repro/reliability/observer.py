@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -144,8 +144,10 @@ class ObserverReport:
 class ResilientObserver:
     """Wrap an ``observe(pairs)`` callback so it degrades instead of failing.
 
-    The wrapper is itself a valid ``observe`` callback: it returns one float
-    per pair, with NaN for pairs whose collection ultimately failed (the
+    The wrapper is itself a valid ``observe`` callback: it passes the
+    ``(n, 2)`` pair array (or, salvaging, one-row slices of it) to the
+    wrapped callback and returns one float per row, with NaN for pairs whose
+    collection ultimately failed (the
     pipeline already treats NaN as a missing observation).  The fault-free
     fast path adds only two clock reads and a couple of comparisons on top
     of the wrapped call — see the ``observer`` row of
@@ -202,9 +204,7 @@ class ResilientObserver:
 
     # ------------------------------------------------------------------ #
 
-    def __call__(self, pairs: Sequence) -> np.ndarray:
-        if type(pairs) is not list:  # the wrapped callback expects a list;
-            pairs = list(pairs)  # skip the copy on the common case
+    def __call__(self, pairs) -> np.ndarray:
         n = len(pairs)
         report = self.report
         report.calls += 1
@@ -230,14 +230,12 @@ class ResilientObserver:
 
     # ------------------------------------------------------------------ #
 
-    def _single_call(self, pairs: list) -> "np.ndarray | None":
+    def _single_call(self, pairs) -> "np.ndarray | None":
         """One call to the wrapped callback; None on any failure."""
         report = self.report
         start = self._clock()
         try:
-            values = self._observe(pairs)
-            if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
-                values = np.asarray(values, dtype=float)
+            values = np.asarray(self._observe(pairs), dtype=float)
         except Exception as error:  # noqa: BLE001 — any transport error degrades
             report.exceptions += 1
             _LOG.debug("observe() raised %r for %d pairs", error, len(pairs))
@@ -255,7 +253,7 @@ class ResilientObserver:
             return None
         return values
 
-    def _attempt(self, pairs: list) -> "np.ndarray | None":
+    def _attempt(self, pairs) -> "np.ndarray | None":
         """Call with retries/backoff; None once the batch is given up on."""
         for attempt in range(1, self._retry.max_attempts + 1):
             values = self._single_call(pairs)
@@ -269,17 +267,17 @@ class ResilientObserver:
             self._sleep(self._retry.delay(attempt))
         return None
 
-    def _salvage_pairs(self, pairs: list) -> np.ndarray:
+    def _salvage_pairs(self, pairs) -> np.ndarray:
         """Single-pair fallback after a batch exhausted its retries."""
         report = self.report
         out = np.full(len(pairs), np.nan)
-        for k, pair in enumerate(pairs):
+        for k in range(len(pairs)):
             if not self.breaker.allow():
                 report.short_circuits += 1
                 report.failed_pairs += len(pairs) - k
                 break
             report.salvage_calls += 1
-            values = self._single_call([pair])
+            values = self._single_call(pairs[k : k + 1])
             if values is None:
                 self.breaker.record_failure()
                 report.failed_pairs += 1

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -139,19 +138,20 @@ class ObservationSanitizer:
         self._bounds = value_bounds
         self.report = SanitizeReport()
 
-    def sanitize(self, pairs: Sequence, values) -> np.ndarray:
+    def sanitize(self, pairs: np.ndarray, values) -> np.ndarray:
         """Return a cleaned copy of ``values``; rejected entries become NaN.
 
-        ``pairs`` are the ``(user, task)`` pairs the values belong to —
-        outlier detection groups by task.  NaN inputs pass through unchanged
-        (they are already the missing-observation marker) but are counted.
+        ``pairs`` are the ``(n, 2)`` ``(user, task)`` rows the values belong
+        to — outlier detection groups by task.  NaN inputs pass through
+        unchanged (they are already the missing-observation marker) but are
+        counted.
         """
         values = np.array(values, dtype=float)
-        pairs = list(pairs)
-        if values.shape != (len(pairs),):
+        tasks = np.asarray(pairs).reshape(-1, 2)[:, 1]
+        if values.shape != tasks.shape:
             raise ValueError("values must have one entry per pair")
         report = self.report
-        report.pairs += len(pairs)
+        report.pairs += len(tasks)
 
         nan_in = np.isnan(values)
         report.nan_payloads += int(nan_in.sum())
@@ -167,7 +167,6 @@ class ObservationSanitizer:
             report.out_of_bounds += int(bad.sum())
             values[bad] = np.nan
 
-        tasks = np.array([task for _, task in pairs], dtype=int) if pairs else np.zeros(0, int)
         for task in np.unique(tasks):
             members = np.flatnonzero(tasks == task)
             finite = members[np.isfinite(values[members])]

@@ -298,9 +298,9 @@ def run_simulation(
         day_tasks = dataset.tasks.take(task_indices)
 
         def observe(pairs, _indices=task_indices):
-            # Day-local -> global task ids in one pass; the world takes the array.
-            global_pairs = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
-            global_pairs[:, 1] = _indices[global_pairs[:, 1]]
+            # Day-local -> global task ids; the world takes the (n, 2) array.
+            users, tasks = pairs.T
+            global_pairs = np.column_stack((users, _indices[tasks]))
             values = np.asarray(world.observe_pairs(global_pairs), dtype=float)
             if config.dropout_rate > 0.0:
                 dropped = dropout_rng.random(len(values)) < config.dropout_rate
@@ -310,7 +310,7 @@ def run_simulation(
                 (du, dt), dv = global_pairs[delivered].T, values[delivered]
                 pair_expertise_chunks.append(world.pair_expertise(du, dt))
                 pair_error_chunks.append((dv - true_values[dt]) / base_numbers[dt])
-            return values.tolist()
+            return values
 
         collect = observe
         if resilience is not None:

@@ -105,25 +105,25 @@ class World:
         """Sample one observation for the pair (see :meth:`observe_pairs`)."""
         return self.observe_pairs([(user, task)])[0]
 
-    def observe_pairs(self, pairs) -> list:
+    def observe_pairs(self, pairs) -> np.ndarray:
         """Observations for a batch of ``(user, task)`` pairs, in order.
 
         Each pair draws from the normal model, or from the uniform one with
         probability ``bias_fraction``; adversarial users' behaviours
         override the honest model entirely (they get the task's row record).
-        ``pairs`` may be an ``(n, 2)`` array.  Every ``sigma_j / u_ij`` is
-        computed at once.  Without bias or adversaries every pair is one
-        normal draw, and one array call to ``Generator.normal`` yields the
-        same values and leaves the generator in the same state as the
-        per-pair calls; otherwise the draws stay one pair at a time because
-        the bias roll and the adversaries interleave with them on one
-        generator.
+        ``pairs`` is an ``(n, 2)`` array of ``(user, task)`` rows and the
+        result a float array.  Every ``sigma_j / u_ij`` is computed at once.
+        Without bias or adversaries every pair is one normal draw, and one
+        array call to ``Generator.normal`` yields the same values and leaves
+        the generator in the same state as the per-pair calls; otherwise the
+        draws stay one pair at a time because the bias roll and the
+        adversaries interleave with them on one generator.
         """
         users, tasks = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
         stds = self._tasks.base_number[tasks] / self.pair_expertise(users, tasks)
         mus, rng = self._tasks.true_value[tasks], self._rng
         if self._bias_fraction == 0.0 and not self._adversaries:
-            return rng.normal(mus, stds).tolist()
+            return rng.normal(mus, stds)
         values = []
         for user, task, mu, std in zip(users.tolist(), tasks.tolist(), mus.tolist(), stds.tolist()):
             behaviour = self._adversaries.get(user)
@@ -134,8 +134,8 @@ class World:
                 value = rng.uniform(mu - half_width, mu + half_width)
             else:
                 value = rng.normal(mu, std)
-            values.append(float(value))
-        return values
+            values.append(value)
+        return np.array(values, dtype=float)
 
     def true_values(self) -> np.ndarray:
         return self._tasks.true_value.copy()

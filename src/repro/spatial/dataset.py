@@ -62,19 +62,17 @@ class SpatialDataset:
         """Hidden ``u_{i, d_j}`` matrix, floored for the observation model."""
         return np.maximum(self.true_expertise[:, self.task_domains], MIN_EXPERTISE)
 
-    def observe_pairs(self, pairs, rng) -> list:
-        """Honest observations for ``(user, task)`` pairs (Section 2.4 model)."""
-        rng = ensure_rng(rng)
-        expertise = self.task_expertise()
-        return [
-            float(
-                rng.normal(
-                    self.true_values[task],
-                    self.base_numbers[task] / expertise[user, task],
-                )
-            )
-            for user, task in pairs
-        ]
+    def observe_pairs(self, pairs, rng) -> np.ndarray:
+        """Honest observations for an ``(n, 2)`` array of ``(user, task)``
+        rows (Section 2.4 model).
+
+        One array call to ``Generator.normal`` yields the same values and
+        leaves the generator in the same state as one call per pair.
+        """
+        users, tasks = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+        expertise = np.maximum(self.true_expertise[users, self.task_domains[tasks]], MIN_EXPERTISE)
+        stds = self.base_numbers[tasks] / expertise
+        return ensure_rng(rng).normal(self.true_values[tasks], stds)
 
 
 def spatial_synthetic_dataset(

@@ -97,14 +97,15 @@ class TestAssignment:
     def test_empty(self):
         assignment = Assignment.empty(2, 3)
         assert assignment.pair_count == 0
-        assert assignment.pairs() == []
+        assert assignment.pairs().shape == (0, 2)
+        assert assignment.pairs().dtype == np.intp
 
     def test_pairs_and_lookups(self):
         matrix = np.zeros((2, 3), dtype=bool)
         matrix[0, 1] = True
         matrix[1, 1] = True
         assignment = Assignment(matrix=matrix)
-        assert assignment.pairs() == [(0, 1), (1, 1)]
+        assert assignment.pairs().tolist() == [[0, 1], [1, 1]]
         assert assignment.users_of_task(1).tolist() == [0, 1]
         assert assignment.tasks_of_user(0).tolist() == [1]
 
@@ -140,11 +141,13 @@ class TestAssignment:
         asked = []
 
         def observe(pairs):
-            asked.append(list(pairs))
+            asked.append(pairs)
             return [1.0, np.nan, 3.0, 4.0]
 
         observations = Assignment(matrix=matrix).collect(observe)
-        assert asked == [[(0, 1), (0, 2), (1, 0), (1, 2)]]
+        assert len(asked) == 1
+        assert asked[0].dtype == np.intp
+        assert asked[0].tolist() == [[0, 1], [0, 2], [1, 0], [1, 2]]
         assert observations.mask.tolist() == [[False, True, False], [True, False, True]]
         assert observations.values.tolist() == [[0.0, 1.0, 0.0], [3.0, 0.0, 4.0]]
 

@@ -57,7 +57,7 @@ def test_greedy_prefers_high_expertise_users():
     )
     outcome = lazy_greedy_allocate(problem)
     # The expert is chosen first.
-    assert outcome.added_pairs[0] == (0, 0)
+    assert outcome.added_pairs[0].tolist() == [0, 0]
 
 
 def test_greedy_respects_initial_assignment():
@@ -66,7 +66,7 @@ def test_greedy_respects_initial_assignment():
     initial.matrix[0, 0] = True
     outcome = lazy_greedy_allocate(problem, initial=initial)
     assert outcome.assignment.matrix[0, 0]
-    assert (0, 0) not in outcome.added_pairs
+    assert [0, 0] not in outcome.added_pairs.tolist()
     # Initial workload was deducted from user 0's capacity.
     assert outcome.assignment.respects_capacities(problem)
 

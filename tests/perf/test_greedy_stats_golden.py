@@ -85,6 +85,6 @@ def test_unit_cost_budgeted_pass_stops_at_the_budget():
     problem = _synthetic_day_problem(2017, 0)
     full = lazy_greedy_allocate(problem)
     budgeted = lazy_greedy_allocate(problem, cost_budget=500.0)
-    assert budgeted.added_pairs == full.added_pairs[:500]
+    assert np.array_equal(budgeted.added_pairs, full.added_pairs[:500])
     assert budgeted.spent_cost == 500.0
     assert budgeted.stats.pops == budgeted.stats.evaluations

@@ -8,7 +8,10 @@ datasets, whose tasks go through text clustering — and of the mean and
 TruthFinder baselines on the synthetic data to committed values, so any
 change to the numbers a simulation produces — not just a large one —
 fails here.  A served run (``ETA2System.step_from_batch`` from cold to
-warm) is pinned by its learned-state fingerprint.  A change that is meant
+warm) is pinned by its learned-state fingerprint, and a fault-injected
+eta2-mc run (exceptions that force retries and per-pair salvage, NaN and
+outlier payloads, dropouts) pins the chaos, resilient-observer and
+sanitizer path together with its counters.  A change that is meant
 to move the numbers must update the constants below and say why.
 """
 
@@ -18,6 +21,7 @@ import pytest
 from repro.core.pipeline import ETA2System, IncomingTask
 from repro.core.serialization import state_fingerprint
 from repro.datasets import sfv_dataset, survey_dataset, synthetic_dataset
+from repro.reliability.faults import FaultProfile
 from repro.simulation import SimulationConfig, run_simulation
 from repro.simulation.approaches import ETA2Approach, MeanApproach, ReliabilityApproach
 from repro.truthdiscovery import TruthFinder
@@ -30,6 +34,7 @@ SFV_ETA2_FINGERPRINT = "a79446f93fc45303a6bcd7004e0e115b8570eb06de6eb624d88d20f2
 SERVED_STATE_FINGERPRINT = "00c930632eea88b5daa7dcf7c5912c0eb29bf1669dfc48a10ac8632e24c283a7"
 MEAN_FINGERPRINT = "88e389db1957b4a5c0c398dbc922069998d78fcd91153d5262d752750287ffc1"
 TRUTHFINDER_FINGERPRINT = "b3bcd26a21a186278f5ff16788af7045451dc3e9d0c7aa196ff0eaff2a9bdea1"
+FAULTY_ETA2_MC_FINGERPRINT = "94bc18f76585ff314521da7a9b96f9a0a80d973fad2cd93e65d0f7d1bb41306d"
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +86,46 @@ def test_sfv_fingerprint_is_golden():
 def test_baseline_fingerprint_is_golden(dataset, make, expected):
     result = run_simulation(dataset, make(), SimulationConfig(n_days=3, seed=2017))
     assert result.fingerprint() == expected
+
+
+def test_faulty_eta2_mc_fingerprint_is_golden(dataset):
+    """Seven in ten transport calls raise, so batches exhaust their retries
+    and fall back to per-pair salvage; NaN and outlier payloads reach the
+    sanitizer, and one in ten delivered pairs drops out."""
+    faults = FaultProfile(exception_rate=0.7, nan_rate=0.05, outlier_rate=0.03)
+    approach = ETA2Approach(alpha=0.5, gamma=0.3, allocator="min-cost", min_cost_round_budget=60.0)
+    config = SimulationConfig(n_days=3, seed=2017, faults=faults, dropout_rate=0.1)
+    result = run_simulation(dataset, approach, config)
+    assert result.fingerprint() == FAULTY_ETA2_MC_FINGERPRINT
+    assert result.observer_report.as_dict() == {
+        "calls": 12,
+        "retries": 16,
+        "exceptions": 186,
+        "timeouts": 0,
+        "malformed": 0,
+        "short_circuits": 0,
+        "salvage_calls": 233,
+        "salvaged_pairs": 68,
+        "failed_pairs": 165,
+        "delivered_pairs": 648,
+    }
+    assert result.fault_counts == {
+        "exceptions": 186,
+        "timeouts": 0,
+        "latency": 0,
+        "drops": 0,
+        "nan_payloads": 43,
+        "outliers": 24,
+    }
+    assert result.sanitize_report.as_dict() == {
+        "pairs": 881,
+        "nan_payloads": 285,
+        "inf_payloads": 0,
+        "out_of_bounds": 0,
+        "outliers": 33,
+        "accepted": 563,
+    }
+
 
 def test_served_state_fingerprint_is_golden():
     """Four days of partial reports replayed cold-to-warm through the

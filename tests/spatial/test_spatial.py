@@ -68,6 +68,28 @@ class TestSpatialDataset:
         std = dataset.base_numbers[0] / expertise
         assert np.mean(samples) == pytest.approx(dataset.true_values[0], abs=4 * std / np.sqrt(3000))
 
+    def test_observe_pairs_matches_a_per_pair_loop(self):
+        """One batched draw gives the values of one ``normal`` call per pair
+        and leaves the generator where those calls leave it."""
+        dataset = spatial_synthetic_dataset(n_users=6, n_tasks=9, seed=5)
+        rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
+        pairs = np.argwhere(np.random.default_rng(9).random((6, 9)) < 0.5)
+        pairs = np.concatenate([pairs, [[2, 4], [2, 4]]])
+        expertise = dataset.task_expertise()
+        expected = [
+            float(
+                reference_rng.normal(
+                    dataset.true_values[task], dataset.base_numbers[task] / expertise[user, task]
+                )
+            )
+            for user, task in pairs.tolist()
+        ]
+        values = dataset.observe_pairs(pairs, rng)
+        assert values.dtype == np.float64
+        assert values.tolist() == expected
+        assert dataset.observe_pairs(np.empty((0, 2), dtype=np.intp), rng).shape == (0,)
+        assert rng.random() == reference_rng.random()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             spatial_synthetic_dataset(n_users=0)
@@ -99,7 +121,7 @@ class TestPairTimeAllocation:
             capacities=np.array([10.0, 10.0]),
         )
         outcome = lazy_greedy_allocate(problem)
-        assert outcome.added_pairs[0] == (0, 0)
+        assert outcome.added_pairs[0].tolist() == [0, 0]
 
     def test_broadcast_matches_vector_times(self):
         rng = np.random.default_rng(6)
