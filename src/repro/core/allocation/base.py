@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from repro.stats.normal import symmetric_tail_probability
-from repro.truthdiscovery.base import ObservationMatrix
+from repro.truthdiscovery.base import ObservationMatrix, nonzero_coordinates
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -220,7 +220,7 @@ class Assignment:
     def pairs(self) -> np.ndarray:
         """Assigned pairs as an ``(n, 2)`` intp array of ``(user, task)``
         rows, in row-major (``np.argwhere``) order."""
-        return np.column_stack(np.nonzero(self.matrix))
+        return np.column_stack(nonzero_coordinates(self.matrix))
 
     def collect(self, observe: Callable) -> ObservationMatrix:
         """Ask ``observe(pairs)`` for every assigned pair and fold the replies.

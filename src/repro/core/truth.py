@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.expertise import DEFAULT_EXPERTISE, expertise_from_sums
-from repro.truthdiscovery.base import ObservationMatrix
+from repro.core.expertise import DEFAULT_EXPERTISE, expertise_from_own_sums
+from repro.truthdiscovery.base import ObservationMatrix, nonzero_coordinates
 
 __all__ = ["TruthAnalysisResult", "estimate_truth", "update_truths_for_expertise", "SIGMA_FLOOR"]
 
@@ -76,7 +76,7 @@ def update_truths_for_expertise(
     Returns ``(truths, sigmas)``; unobserved tasks get NaN truth and the
     sigma floor.
     """
-    rows, cols = np.nonzero(observations.mask)
+    rows, cols = nonzero_coordinates(observations.mask)
     return _truth_pass(
         cols,
         observations.values[rows, cols],
@@ -123,20 +123,20 @@ class _SparseObservations:
     per-iteration Eq. 5/6/8 passes work on the ``nnz`` observed entries
     (gathers plus ``bincount`` scatter-sums) instead of full
     ``(n_users, n_tasks)`` products.  Everything that does not depend on
-    the current truths/expertise -- the observed coordinates, their values,
-    the per-observation domain column, per-task counts, and the Eq. 6
-    numerators (pure observation counts) -- is computed once per solve.
-    The expertise arrays the passes take are ``(n_users, n_domains)``
-    blocks whose columns ``domain_columns`` indexes.
+    the current truths/expertise -- the observed coordinates (row-major,
+    the order of ``np.nonzero``), their values, each one's flat index
+    into the ``(n_users, n_domains)`` expertise block, per-task counts,
+    the observed tasks, and the Eq. 6 numerators (pure observation
+    counts) -- is computed once per solve.  The expertise arrays the
+    passes take are such blocks, whose columns ``domain_columns`` indexes.
     """
 
     __slots__ = (
-        "rows",
         "cols",
         "values",
-        "domain_cols",
         "flat_user_domain",
         "task_counts",
+        "observed_tasks",
         "count_sums",
         "n_users",
         "n_tasks",
@@ -147,11 +147,11 @@ class _SparseObservations:
         self.n_users = observations.n_users
         self.n_tasks = observations.n_tasks
         self.n_domains = int(n_domains)
-        self.rows, self.cols = np.nonzero(observations.mask)
-        self.values = observations.values[self.rows, self.cols]
-        self.domain_cols = domain_columns[self.cols]
-        self.flat_user_domain = self.rows * self.n_domains + self.domain_cols
+        rows, self.cols = nonzero_coordinates(observations.mask)
+        self.values = observations.values[rows, self.cols]
+        self.flat_user_domain = rows * self.n_domains + domain_columns[self.cols]
         self.task_counts = np.bincount(self.cols, minlength=self.n_tasks)
+        self.observed_tasks = np.flatnonzero(self.task_counts)
         # Eq. 6 / Eq. 7 numerators: per-(user, domain) observation counts.
         # They are independent of the iterate, so they are counted once.
         self.count_sums = (
@@ -162,7 +162,7 @@ class _SparseObservations:
 
     def truth_pass(self, expertise: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Eq. 5 for the domain-block ``expertise``."""
-        obs_expertise = expertise[self.rows, self.domain_cols]
+        obs_expertise = expertise.take(self.flat_user_domain)
         return _truth_pass(self.cols, self.values, obs_expertise, self.task_counts, self.n_tasks)
 
     def denominator_sums(self, truths: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -183,29 +183,30 @@ class _SparseObservations:
         """Eq. 6 over the batch's own sums."""
         # The shrinkage prior keeps low-data estimates near the default and
         # makes (0, 0) sums yield exactly the uninformed default.
-        return expertise_from_sums(self.count_sums, self.denominator_sums(truths, sigmas))
+        return expertise_from_own_sums(self.count_sums, self.denominator_sums(truths, sigmas))
 
 
 def _convergence(new: np.ndarray, old: np.ndarray) -> "tuple[bool, float]":
     """The 5 % test between consecutive iterates, and the largest change.
 
-    The test passes when every task that both iterates estimate moved by
-    at most ``RELATIVE_TOLERANCE`` of its old truth or by at most
+    ``new`` and ``old`` hold the truths of the tasks both iterates
+    estimate: the observed tasks, whose Eq. 5 truths are finite for
+    finite observations.  The test passes when every one moved by at most
+    ``RELATIVE_TOLERANCE`` of its old truth or by at most
     ``ABSOLUTE_TOLERANCE``.  The reported delta is the largest relative
     move with the scale floored at ``ABSOLUTE_TOLERANCE /
     RELATIVE_TOLERANCE``, so near-zero truths report their absolute
     movement on the same 5 %-comparable footing.  Both tolerances are read
     at call time.
     """
-    both = ~(np.isnan(new) | np.isnan(old))
-    if not np.any(both):
+    if not new.size:
         return True, 0.0
-    delta = np.abs(new[both] - old[both])
-    scale = np.abs(old[both])
+    delta = np.abs(new - old)
+    scale = np.abs(old)
     relative_ok = delta <= RELATIVE_TOLERANCE * np.maximum(scale, 1e-12)
     absolute_ok = delta <= ABSOLUTE_TOLERANCE
     floored = np.maximum(scale, ABSOLUTE_TOLERANCE / RELATIVE_TOLERANCE)
-    return bool(np.all(relative_ok | absolute_ok)), float(np.max(delta / floored))
+    return bool((relative_ok | absolute_ok).all()), float((delta / floored).max())
 
 
 def _check_solve_inputs(observations: ObservationMatrix, task_domains, max_iterations: int):
@@ -224,7 +225,8 @@ def _solve(sparse: _SparseObservations, expertise, refresh, max_iterations):
     Each sweep runs Eq. 5 on the current domain-block ``expertise``, then
     ``refresh(truths, sigmas)`` for the next expertise: Eq. 6 over the
     batch, or Eqs. 7-9 over the decayed sums.  It stops once the truths
-    pass the 5 % test.
+    pass the 5 % test, which compares the observed tasks' truths only
+    (the others are NaN in every sweep).
 
     Returns ``(truths, sigmas, expertise, deltas, converged,
     final_delta)``.  ``deltas`` holds each sweep's largest truth change
@@ -232,17 +234,19 @@ def _solve(sparse: _SparseObservations, expertise, refresh, max_iterations):
     ``mle.*`` events; ``final_delta`` is its last entry, NaN when one
     sweep ran.
     """
-    truths = np.full(sparse.n_tasks, np.nan)
+    observed = sparse.observed_tasks
+    previous = None
     converged = False
     final_delta = float("nan")
     deltas = []
     for iterations in range(1, max_iterations + 1):
-        new_truths, sigmas = sparse.truth_pass(expertise)
-        expertise = refresh(new_truths, sigmas)
+        truths, sigmas = sparse.truth_pass(expertise)
+        expertise = refresh(truths, sigmas)
+        estimated = truths.take(observed)
         if iterations > 1:
-            converged, final_delta = _convergence(new_truths, truths)
+            converged, final_delta = _convergence(estimated, previous)
         deltas.append(final_delta if iterations > 1 else None)
-        truths = new_truths
+        previous = estimated
         if converged:
             break
     return truths, sigmas, expertise, deltas, converged, final_delta

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.expertise import ExpertiseMatrix, expertise_from_sums
+from repro.core.expertise import ExpertiseMatrix, expertise_from_own_sums, expertise_from_sums
 from repro.core.truth import (
     TruthAnalysisResult,
     _check_solve_inputs,
@@ -61,31 +61,51 @@ class IncorporateResult:
 
 
 @dataclass(frozen=True)
+class _Day:
+    """What every solve over one day's tasks shares while the sums stand still.
+
+    Algorithm 2 previews the update after every recruiting round, all over
+    the same tasks, and then commits the day; these are computed once for
+    all of them.  The updater drops them whenever it drops a pending solve.
+    """
+
+    task_domains: np.ndarray
+    #: The updater columns of the tasks' distinct domains (sorted ids).
+    columns: np.ndarray
+    #: Each task's index into ``columns``.
+    inverse: np.ndarray
+    #: ``alpha * N`` and ``alpha * D`` at time T (the Eqs. 7-8 decayed base).
+    decayed_n: np.ndarray
+    decayed_d: np.ndarray
+    #: Eq. 9 expertise from the sums at time T: every solve's start.
+    expertise: np.ndarray
+
+
+@dataclass(frozen=True)
 class _Pending:
     """One solved update, held until it is committed or superseded.
 
     A preview keeps it so that a commit of the same data stores its sums
     instead of solving again (Algorithm 2 previews every round, then the
     pipeline commits the last round's matrix).  The key is the matrix
-    *object* plus the tasks' domains and the solve settings: an
-    :class:`ObservationMatrix` and its arrays are read-only.
+    *object* plus the day's constants (equal tasks' domains) and the solve
+    settings: an :class:`ObservationMatrix` and its arrays are read-only.
     """
 
     observations: ObservationMatrix
-    task_domains: np.ndarray
+    day: _Day
     max_iterations: int
-    columns: np.ndarray
     new_n: np.ndarray
     new_d: np.ndarray
     deltas: list
     n_observations: int
     result: IncorporateResult
 
-    def matches(self, observations, task_domains, max_iterations) -> bool:
+    def matches(self, observations, day, max_iterations) -> bool:
         return (
             observations is self.observations
+            and day is self.day
             and max_iterations == self.max_iterations
-            and np.array_equal(task_domains, self.task_domains)
         )
 
     def report(self, commit: bool, tracer) -> None:
@@ -94,7 +114,7 @@ class _Pending:
         _emit_sweeps(self.deltas, result.converged, tracer)
         if commit and not result.converged:
             _report_non_convergence(
-                len(self.task_domains),
+                len(self.day.task_domains),
                 self.n_observations,
                 result.iterations,
                 result.final_delta,
@@ -107,8 +127,9 @@ class ExpertiseUpdater:
 
     The sums are two ``(n_users, n_domains)`` arrays; ``_columns`` maps each
     domain id to its column (in column order: new domains are appended and
-    a merge deletes the absorbed column).  ``_pending`` is the last
-    uncommitted solve; every change to the sums or columns drops it.
+    a merge deletes the absorbed column).  ``_day`` holds the constants of
+    the last tasks solved for and ``_pending`` the last uncommitted solve;
+    every change to the sums or columns drops both.
     """
 
     def __init__(self, n_users: int, alpha: float = 0.5):
@@ -121,6 +142,7 @@ class ExpertiseUpdater:
         self._columns: dict = {}
         self._numerators = np.zeros((self._n_users, 0))
         self._denominators = np.zeros((self._n_users, 0))
+        self._day: "_Day | None" = None
         self._pending: "_Pending | None" = None
 
     @property
@@ -138,7 +160,7 @@ class ExpertiseUpdater:
     def ensure_domain(self, domain_id: int) -> None:
         """Register ``domain_id`` with empty history (no-op if present)."""
         if domain_id not in self._columns:
-            self._pending = None
+            self._sums_changed()
             self._columns[domain_id] = self._numerators.shape[1]
             empty = np.zeros((self._n_users, 1))
             self._numerators = np.hstack([self._numerators, empty])
@@ -151,7 +173,7 @@ class ExpertiseUpdater:
         self.ensure_domain(kept)
         if deleted not in self._columns:
             return
-        self._pending = None
+        self._sums_changed()
         target, source = self._columns[kept], self._columns.pop(deleted)
         self._numerators[:, target] += self._numerators[:, source]
         self._denominators[:, target] += self._denominators[:, source]
@@ -174,16 +196,36 @@ class ExpertiseUpdater:
         """The ``(n_users, n_tasks)`` matrix ``u_{i, d_j}``; unseen domains default."""
         return self.expertise_matrix().for_tasks(task_domains)
 
-    def _domain_block(
-        self, observations: ObservationMatrix, task_domains: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray, _SparseObservations]":
-        """Register the tasks' domains; their columns, each task's index into them, the layout."""
+    def _sums_changed(self) -> None:
+        """Drop what was computed from the sums and columns as they stood."""
+        self._day = None
+        self._pending = None
+
+    def _day_for(self, task_domains: np.ndarray) -> _Day:
+        """The constants of solves over these tasks, registering their domains.
+
+        Kept until the sums or columns change, so a day's previews and its
+        commit compute them once.
+        """
+        day = self._day
+        if day is not None and np.array_equal(task_domains, day.task_domains):
+            return day
         distinct, inverse = np.unique(task_domains, return_inverse=True)
         domain_ids = distinct.tolist()
         for domain_id in domain_ids:
             self.ensure_domain(domain_id)
         columns = np.array([self._columns[d] for d in domain_ids], dtype=np.intp)
-        return columns, inverse, _SparseObservations(observations, inverse, len(columns))
+        numerators = self._numerators[:, columns]
+        denominators = self._denominators[:, columns]
+        self._day = _Day(
+            task_domains=task_domains.copy(),
+            columns=columns,
+            inverse=inverse,
+            decayed_n=self._alpha * numerators,
+            decayed_d=self._alpha * denominators,
+            expertise=expertise_from_sums(numerators, denominators),
+        )
+        return self._day
 
     def _check_inputs(self, observations, task_domains, max_iterations: int) -> np.ndarray:
         """``task_domains`` as an array once the inputs fit this updater."""
@@ -208,10 +250,11 @@ class ExpertiseUpdater:
         shape = (observations.n_tasks,)
         if np.shape(result.truths) != shape or np.shape(result.sigmas) != shape:
             raise ValueError("result must have one truth and one sigma per task")
-        columns, _, sparse = self._domain_block(observations, task_domains)
-        self._pending = None
-        self._numerators[:, columns] += sparse.count_sums
-        self._denominators[:, columns] += sparse.denominator_sums(result.truths, result.sigmas)
+        day = self._day_for(task_domains)
+        sparse = _SparseObservations(observations, day.inverse, len(day.columns))
+        self._sums_changed()
+        self._numerators[:, day.columns] += sparse.count_sums
+        self._denominators[:, day.columns] += sparse.denominator_sums(result.truths, result.sigmas)
 
     def incorporate(
         self,
@@ -247,44 +290,41 @@ class ExpertiseUpdater:
         day's actual update.
         """
         task_domains = self._check_inputs(observations, task_domains, max_iterations)
+        day = self._day_for(task_domains)
         pending = self._pending
-        if pending is None or not pending.matches(observations, task_domains, max_iterations):
-            pending = self._solve_step(observations, task_domains, max_iterations)
+        if pending is None or not pending.matches(observations, day, max_iterations):
+            pending = self._solve_step(observations, day, max_iterations)
         pending.report(commit, tracer)
         if commit:
-            self._numerators[:, pending.columns] = pending.new_n
-            self._denominators[:, pending.columns] = pending.new_d
-            self._pending = None
+            self._numerators[:, day.columns] = pending.new_n
+            self._denominators[:, day.columns] = pending.new_d
+            self._sums_changed()
         else:
             self._pending = pending
         return pending.result
 
-    def _solve_step(self, observations, task_domains, max_iterations) -> _Pending:
+    def _solve_step(self, observations, day: _Day, max_iterations) -> _Pending:
         """Run the Section 4.2 iteration against the current sums (no commit)."""
-        columns, inverse, sparse = self._domain_block(observations, task_domains)
-        # Snapshots at time T; the decayed base stays fixed across iterations
-        # and the fresh Eq. 7 counts do not depend on the iterate.
-        new_n = self._alpha * self._numerators[:, columns] + sparse.count_sums
-        base_d = self._alpha * self._denominators[:, columns]
+        sparse = _SparseObservations(observations, day.inverse, len(day.columns))
+        # The decayed base stays fixed across iterations and the fresh
+        # Eq. 7 counts do not depend on the iterate.
+        new_n = day.decayed_n + sparse.count_sums
+        base_d = day.decayed_d
         new_d = base_d
 
         def refresh(truths: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
             # Eqs. 8-9; the last sums are the ones a commit stores.
             nonlocal new_d
             new_d = base_d + sparse.denominator_sums(truths, sigmas)
-            return expertise_from_sums(new_n, new_d)
+            return expertise_from_own_sums(new_n, new_d)
 
-        expertise = expertise_from_sums(
-            self._numerators[:, columns], self._denominators[:, columns]
-        )
         truths, sigmas, expertise, deltas, converged, final_delta = _solve(
-            sparse, expertise, refresh, max_iterations
+            sparse, day.expertise, refresh, max_iterations
         )
         return _Pending(
             observations=observations,
-            task_domains=task_domains.copy(),
+            day=day,
             max_iterations=max_iterations,
-            columns=columns,
             new_n=new_n,
             new_d=new_d,
             deltas=deltas,
@@ -294,7 +334,7 @@ class ExpertiseUpdater:
                 sigmas=sigmas,
                 iterations=len(deltas),
                 converged=converged,
-                task_expertise=expertise[:, inverse],
+                task_expertise=expertise[:, day.inverse],
                 final_delta=final_delta,
             ),
         )

@@ -7,7 +7,8 @@ layer replaced:
   :class:`~repro.clustering.linkage.AverageLinkage`'s cluster-sum matrix,
 - :func:`reference_labels_from_clusters` — the per-point label loop,
 - :func:`reference_estimate_truth` — the dense §4.1 batch MLE (full
-  ``(n_users, n_tasks)`` products every coordinate iteration),
+  ``(n_users, n_tasks)`` products every coordinate iteration) with its own
+  copy of the Eq. 5 pass, so the live pass is never checked against itself,
 - :func:`reference_greedy_allocate` — the eager Algorithm 1 greedy that
   re-evaluates every stale task after every pick (the loop the CELF
   lazy-greedy kernel in :mod:`repro.core.allocation.lazy_greedy`
@@ -22,7 +23,10 @@ layer replaced:
 - :func:`reference_min_cost_run` — the Algorithm 2 loop whose every
   greedy pass rebuilt its start state from the running assignment and
   whose rounds folded observations into a full-size matrix (``==`` the
-  loop that carries one greedy state across its rounds).
+  loop that carries one greedy state across its rounds),
+- :func:`reference_sanitize` — the observation sanitizer whose outlier
+  check scanned the whole batch once per distinct task (``==`` on values
+  and report counters against the one grouped pass).
 
 They exist so that (a) ``tests/perf/test_equivalence.py`` can prove the
 optimised kernels produce identical clusters and ``allclose`` truths, and
@@ -40,8 +44,8 @@ from repro.core.expertise import DEFAULT_EXPERTISE, clamp_expertise, expertise_f
 from repro.core.truth import (
     ABSOLUTE_TOLERANCE,
     RELATIVE_TOLERANCE,
+    SIGMA_FLOOR,
     TruthAnalysisResult,
-    update_truths_for_expertise,
 )
 from repro.truthdiscovery.base import ObservationMatrix
 
@@ -54,6 +58,7 @@ __all__ = [
     "reference_random_first_fit",
     "reference_merge_until",
     "reference_min_cost_run",
+    "reference_sanitize",
 ]
 
 
@@ -233,6 +238,28 @@ def _reference_update_expertise(
     return expertise_from_sums(numerators, denominators)
 
 
+def _reference_update_truths(
+    observations: ObservationMatrix, task_expertise: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The Eq. 5 pass :func:`reference_estimate_truth` was checked with: the
+    row-major ``np.nonzero`` entries, scatter-summed per task."""
+    rows, cols = np.nonzero(observations.mask)
+    values = observations.values[rows, cols]
+    n_tasks = observations.n_tasks
+    task_counts = np.bincount(cols, minlength=n_tasks)
+    weights = task_expertise[rows, cols] ** 2
+    weight_totals = np.bincount(cols, weights=weights, minlength=n_tasks)
+    weighted_values = np.bincount(cols, weights=weights * values, minlength=n_tasks)
+    observed = weight_totals > 0
+    truths = np.where(observed, weighted_values / np.where(observed, weight_totals, 1.0), np.nan)
+    safe_truths = np.where(np.isnan(truths), 0.0, truths)
+    residuals = values - safe_truths[cols]
+    weighted_square = np.bincount(cols, weights=weights * residuals**2, minlength=n_tasks)
+    variance = np.where(task_counts > 0, weighted_square / np.maximum(task_counts, 1), 0.0)
+    sigmas = np.maximum(np.sqrt(variance), SIGMA_FLOOR)
+    return truths, sigmas
+
+
 def _reference_truths_converged(new: np.ndarray, old: np.ndarray) -> bool:
     both = ~(np.isnan(new) | np.isnan(old))
     if not np.any(both):
@@ -279,7 +306,7 @@ def reference_estimate_truth(
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         task_expertise = expertise[:, domain_columns]
-        new_truths, sigmas = update_truths_for_expertise(observations, task_expertise)
+        new_truths, sigmas = _reference_update_truths(observations, task_expertise)
         expertise = _reference_update_expertise(
             observations, new_truths, sigmas, domain_columns, n_domains
         )
@@ -290,7 +317,7 @@ def reference_estimate_truth(
         truths = new_truths
 
     task_expertise = expertise[:, domain_columns]
-    truths, sigmas = update_truths_for_expertise(observations, task_expertise)
+    truths, sigmas = _reference_update_truths(observations, task_expertise)
     return TruthAnalysisResult(
         truths=truths,
         sigmas=sigmas,
@@ -435,3 +462,48 @@ def reference_min_cost_run(allocator, problem, observe, estimate=None, greedy=No
         total_cost=total_cost,
         greedy_stats=greedy_stats,
     )
+
+
+def reference_sanitize(sanitizer, pairs, values) -> np.ndarray:
+    """``ObservationSanitizer.sanitize`` of ``sanitizer`` (a
+    :class:`~repro.reliability.sanitize.ObservationSanitizer`) with the
+    outlier check as one loop over the distinct tasks, each scanning the
+    whole batch for its members.  Counts into ``sanitizer.report``."""
+    from repro.reliability.sanitize import _MAD_SCALE
+
+    values = np.array(values, dtype=float)
+    tasks = np.asarray(pairs).reshape(-1, 2)[:, 1]
+    if values.shape != tasks.shape:
+        raise ValueError("values must have one entry per pair")
+    report = sanitizer.report
+    report.pairs += len(tasks)
+
+    nan_in = np.isnan(values)
+    report.nan_payloads += int(nan_in.sum())
+
+    inf_in = np.isinf(values)
+    report.inf_payloads += int(inf_in.sum())
+    values[inf_in] = np.nan
+
+    if sanitizer._bounds is not None:
+        low, high = sanitizer._bounds
+        with np.errstate(invalid="ignore"):
+            bad = (values < low) | (values > high)
+        report.out_of_bounds += int(bad.sum())
+        values[bad] = np.nan
+
+    for task in np.unique(tasks):
+        members = np.flatnonzero(tasks == task)
+        finite = members[np.isfinite(values[members])]
+        if finite.size < sanitizer._min_obs:
+            continue
+        sample = values[finite]
+        median = float(np.median(sample))
+        mad = float(np.median(np.abs(sample - median)))
+        scale = max(_MAD_SCALE * mad, 1e-12)
+        bad = finite[np.abs(sample - median) / scale > sanitizer._zscore]
+        report.outliers += int(bad.size)
+        values[bad] = np.nan
+
+    report.accepted += int(np.isfinite(values).sum())
+    return values

@@ -103,6 +103,14 @@ class ScreenResult:
         return counts
 
 
+def _middle(ordered: np.ndarray, offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.median`` of each group of ``ordered``, whose groups lie sorted at
+    ``offsets`` with ``counts`` entries each."""
+    low = ordered[offsets + (counts - 1) // 2]
+    high = ordered[offsets + counts // 2]
+    return np.where(counts % 2 == 1, low, (low + high) / 2)
+
+
 class ObservationSanitizer:
     """Reject NaN/inf and gross outliers from one batch of observations.
 
@@ -167,21 +175,39 @@ class ObservationSanitizer:
             report.out_of_bounds += int(bad.sum())
             values[bad] = np.nan
 
-        for task in np.unique(tasks):
-            members = np.flatnonzero(tasks == task)
-            finite = members[np.isfinite(values[members])]
-            if finite.size < self._min_obs:
-                continue
-            sample = values[finite]
-            median = float(np.median(sample))
-            mad = float(np.median(np.abs(sample - median)))
-            scale = max(_MAD_SCALE * mad, 1e-12)
-            bad = finite[np.abs(sample - median) / scale > self._zscore]
-            report.outliers += int(bad.size)
-            values[bad] = np.nan
+        bad = self._outliers(tasks, values)
+        report.outliers += int(bad.size)
+        values[bad] = np.nan
 
         report.accepted += int(np.isfinite(values).sum())
         return values
+
+    def _outliers(self, tasks: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Indices of the gross outliers among the finite ``values``, per task.
+
+        One sort groups the finite entries by task and orders each group
+        by value, so every group's median is read at its middle; a second
+        sort orders the absolute deviations for the MAD.  Each median is
+        ``np.median``'s: the middle value, or the mean of the two middle
+        ones.  Tasks with fewer than ``min_task_observations`` finite
+        values are skipped.
+        """
+        finite = np.flatnonzero(np.isfinite(values))
+        order = finite[np.lexsort((values[finite], tasks[finite]))]
+        grouped = tasks[order]
+        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        counts = np.diff(np.r_[starts, order.size])
+        keep = counts >= self._min_obs
+        members = order[np.repeat(keep, counts)]
+        counts = counts[keep]
+        offsets = np.cumsum(counts) - counts
+        group = np.repeat(np.arange(counts.size), counts)
+        sample = values[members]
+        median = _middle(sample, offsets, counts)
+        deviation = np.abs(sample - median[group])
+        mad = _middle(deviation[np.lexsort((deviation, group))], offsets, counts)
+        scale = np.maximum(_MAD_SCALE * mad, 1e-12)
+        return members[deviation / scale[group] > self._zscore]
 
     def screen_reports(
         self, reports, schema: IngestSchema, day: "int | None" = None

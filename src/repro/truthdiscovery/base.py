@@ -8,7 +8,17 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["ObservationMatrix", "TruthEstimate", "TruthDiscovery"]
+__all__ = ["ObservationMatrix", "TruthEstimate", "TruthDiscovery", "nonzero_coordinates"]
+
+
+def nonzero_coordinates(mask: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``np.nonzero`` of a 2-D mask from one flat scan: the rows and columns
+    of its True entries as intp arrays, in row-major order.
+
+    The flat scan plus one ``divmod`` returns the same arrays as the 2-D
+    ``np.nonzero`` several times faster at the sizes a day's matrices have.
+    """
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import pytest
 import repro.core.update as update_module
 from repro.core.expertise import DEFAULT_EXPERTISE, EXPERTISE_PRIOR_STRENGTH
 from repro.core.pipeline import ETA2System
-from repro.core.serialization import state_fingerprint, updater_to_dict
+from repro.core.serialization import state_fingerprint, updater_from_dict, updater_to_dict
 from repro.core.truth import TruthAnalysisResult, estimate_truth
 from repro.core.update import ExpertiseUpdater, IncorporateResult
 from repro.truthdiscovery.base import ObservationMatrix
@@ -349,6 +349,20 @@ def solve_count(monkeypatch):
 
 
 @pytest.fixture
+def days_used(monkeypatch):
+    """Every day-constants object the updaters hand their solves, in order."""
+    used = []
+    original = ExpertiseUpdater._day_for
+
+    def recording(self, task_domains):
+        used.append(original(self, task_domains))
+        return used[-1]
+
+    monkeypatch.setattr(ExpertiseUpdater, "_day_for", recording)
+    return used
+
+
+@pytest.fixture
 def day(setup):
     """A seeded updater's inputs: warm-up batch and result, and one day.
 
@@ -459,30 +473,50 @@ def _known_domain(updater, observations, domains):
     return observations, domains, {}
 
 
+def _commit(updater, observations, domains):
+    updater.incorporate(observations, domains)
+    return observations, domains, {}
+
+
 def _reseed(updater, observations, domains):
-    warm_domains = np.zeros(observations.n_tasks, dtype=int)
-    updater.seed_from_batch(observations, warm_domains, estimate_truth(observations, warm_domains))
+    # The day's own tasks, so only the dropped constants tell the sums changed.
+    updater.seed_from_batch(observations, domains, estimate_truth(observations, domains))
     return observations, domains, {}
 
 
 @pytest.mark.parametrize(
-    "between, reused",
+    "between, reused, fresh_day",
     [
-        (_change_matrix, False),
-        (_change_domains, False),
-        (_change_iterations, False),
-        (_merge, False),
-        (_new_domain, False),
-        (_reseed, False),
-        (_known_domain, True),
+        (_change_matrix, False, False),
+        (_change_domains, False, True),
+        (_change_iterations, False, False),
+        (_merge, False, True),
+        (_new_domain, False, True),
+        (_reseed, False, True),
+        (_commit, False, True),
+        (_known_domain, True, False),
     ],
-    ids=["other-matrix", "other-domains", "other-iterations", "merge", "new-domain", "seed", "known-domain"],
+    ids=[
+        "other-matrix",
+        "other-domains",
+        "other-iterations",
+        "merge",
+        "new-domain",
+        "seed",
+        "commit",
+        "known-domain",
+    ],
 )
 def test_commit_solves_again_when_anything_changed_since_the_preview(
-    day, solve_count, between, reused
+    day, solve_count, days_used, between, reused, fresh_day
 ):
     """A changed input or a mutated updater discards the preview; either way
-    the commit equals the same sequence run without the preview."""
+    the commit equals the same sequence run without the preview, and the
+    same commit on an updater restored from the state the change left.
+    Other domains and every change to the sums or columns also drop the
+    day's constants, so the commit starts from constants built after the
+    change; another matrix or iteration cap over the same tasks keeps
+    them."""
     warm, warm_domains, batch, observations, domains = day
     plain = _seeded(warm, warm_domains, batch)
     commit_obs, commit_domains, options = between(plain, observations, domains)
@@ -490,9 +524,53 @@ def test_commit_solves_again_when_anything_changed_since_the_preview(
 
     updater = _seeded(warm, warm_domains, batch)
     updater.incorporate(observations, domains, commit=False)
+    preview_day = days_used[-1]
     solve_count[0] = 0
     commit_obs, commit_domains, options = between(updater, observations, domains)
+    restored = updater_from_dict(updater_to_dict(updater))
     result = updater.incorporate(commit_obs, commit_domains, **options)
     assert solve_count[0] == (0 if reused else 1)
+    assert (days_used[-1] is not preview_day) == fresh_day
     assert updater_to_dict(updater) == updater_to_dict(plain)
     _assert_same_result(result, expected)
+    _assert_same_result(result, restored.incorporate(commit_obs, commit_domains, **options))
+    assert updater_to_dict(updater) == updater_to_dict(restored)
+
+
+@pytest.mark.parametrize(
+    "options", [{}, {"max_iterations": 1}], ids=["plain", "non-converged"]
+)
+def test_preview_sequence_equals_fresh_previews(day, solve_count, days_used, options):
+    """Algorithm 2's rounds on one updater: the matrix grows by
+    ``with_pairs`` each round and every round is previewed.  Each preview
+    is ``==``, field by field, to the same preview on a freshly seeded
+    updater, and so is the day's commit (result and sums); the day's
+    constants are built once for all of them."""
+    warm, warm_domains, batch, observations, domains = day
+    users, tasks = np.nonzero(observations.mask)
+    rounds = np.array_split(np.random.default_rng(3).permutation(users.size), 4)
+    n_users, n_tasks = observations.mask.shape
+    matrix = ObservationMatrix(
+        values=np.zeros((n_users, n_tasks)), mask=np.zeros((n_users, n_tasks), dtype=bool)
+    )
+    updater = _seeded(warm, warm_domains, batch)
+    solve_count[0] = 0
+    for picked in rounds:
+        matrix = matrix.with_pairs(
+            users[picked], tasks[picked], observations.values[users[picked], tasks[picked]]
+        )
+        result = updater.incorporate(matrix, domains, commit=False, **options)
+        sequence_day = days_used[-1]
+        expected = _seeded(warm, warm_domains, batch).incorporate(
+            matrix, domains, commit=False, **options
+        )
+        _assert_same_result(result, expected)
+    assert solve_count[0] == 2 * len(rounds)
+    assert np.array_equal(matrix.mask, observations.mask)
+
+    committed = updater.incorporate(matrix, domains, **options)
+    fresh = _seeded(warm, warm_domains, batch)
+    _assert_same_result(committed, fresh.incorporate(matrix, domains, **options))
+    assert updater_to_dict(updater) == updater_to_dict(fresh)
+    assert solve_count[0] == 2 * len(rounds) + 1  # the commit reused the last preview
+    assert sum(used is sequence_day for used in days_used) == len(rounds) + 1

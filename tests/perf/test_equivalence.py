@@ -5,8 +5,9 @@ pre-optimisation copy in :mod:`repro.perf.reference` on seeded random
 inputs: exact cluster structure, ``allclose`` (rtol 1e-10) truths,
 sigmas and expertise for the MLE (bincount scatter-sums order additions
 differently than dense pairwise summation, so last-bit drift is expected
-and bounded), ``==`` Eq. 8 sums for the Section 4.2 update, and ``==`` merge logs and
-members for the §3.3.1 merge loop.
+and bounded), ``==`` Eq. 8 sums for the Section 4.2 update, ``==`` merge logs and
+members for the §3.3.1 merge loop, and ``==`` values and report counters
+for the observation sanitizer.
 """
 
 import numpy as np
@@ -21,7 +22,9 @@ from repro.perf.reference import (
     reference_labels_from_clusters,
     reference_linkage_sums,
     reference_merge_until,
+    reference_sanitize,
 )
+from repro.reliability.sanitize import ObservationSanitizer
 from repro.truthdiscovery.base import ObservationMatrix
 
 
@@ -202,3 +205,49 @@ def test_denominator_sums_match_dense_reference_exactly(seed, n_users, tasks_per
     frozen = reference_denominator_sums(observations, inverse, k, truths, sigmas)
     assert np.array_equal(fresh, frozen)
     assert np.all(fresh[:, -1] == 0.0)
+
+
+# --------------------------------------------------------------------- #
+# Observation sanitizer
+# --------------------------------------------------------------------- #
+
+
+def _sanitizer_batch(rng):
+    """Pairs and values with NaN/inf payloads, gross outliers, exact ties
+    (zero MADs), signed zeros, and groups from one to hundreds of values."""
+    n_pairs = int(rng.integers(0, 400))
+    n_tasks = int(rng.choice([1, 3, 20, 150, 1000]))
+    pairs = np.column_stack([rng.integers(0, 50, n_pairs), rng.integers(0, n_tasks, n_pairs)])
+    if rng.random() < 0.5:
+        values = rng.normal(10.0, rng.uniform(0.1, 5.0), n_pairs)
+    else:
+        values = rng.integers(-3, 4, n_pairs).astype(float)  # ties, even-count medians
+    for kind, value in ((0.05, np.nan), (0.03, np.inf), (0.03, -np.inf), (0.05, -0.0)):
+        values[rng.random(n_pairs) < kind] = value
+    outliers = rng.random(n_pairs) < 0.05
+    values[outliers] = rng.choice([-1.0, 1.0], outliers.sum()) * 10.0 ** rng.uniform(2, 12, outliers.sum())
+    return pairs, values
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sanitize_matches_reference_fuzz(seed):
+    """The grouped outlier pass == the per-task loop it replaced: cleaned
+    values (NaN where rejected) and every report counter, over calls that
+    accumulate into one report."""
+    rng = np.random.default_rng(seed)
+    outliers = 0
+    for _ in range(20):
+        options = {
+            "outlier_zscore": float(rng.choice([0.5, 3.0, 8.0])),
+            "min_task_observations": int(rng.integers(3, 6)),
+            "value_bounds": None if rng.random() < 0.5 else (-50.0, 1e6),
+        }
+        fast, frozen = ObservationSanitizer(**options), ObservationSanitizer(**options)
+        for _ in range(3):
+            pairs, values = _sanitizer_batch(rng)
+            cleaned = fast.sanitize(pairs, values)
+            expected = reference_sanitize(frozen, pairs, values)
+            assert np.array_equal(cleaned, expected, equal_nan=True)
+            assert fast.report.as_dict() == frozen.report.as_dict()
+        outliers += frozen.report.outliers
+    assert outliers > 0
