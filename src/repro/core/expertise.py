@@ -69,14 +69,11 @@ def expertise_from_own_sums(numerators: np.ndarray, denominators: np.ndarray) ->
     """:func:`expertise_from_sums` for float sums the caller built non-negative.
 
     The Section 4 sweeps refresh expertise from sums they accumulated
-    themselves, so they skip the input checks; the arithmetic, the
-    NaN -> default rule and the clamp are the same.
+    themselves, so they skip the input checks; the arithmetic and the
+    clamp are the same.
     """
-    expertise = np.sqrt(
-        (numerators + EXPERTISE_PRIOR_STRENGTH) / (denominators + EXPERTISE_PRIOR_STRENGTH)
-    )
-    expertise[np.isnan(expertise)] = DEFAULT_EXPERTISE
-    return np.clip(expertise, MIN_EXPERTISE, MAX_EXPERTISE, out=expertise)
+    squared = (numerators + EXPERTISE_PRIOR_STRENGTH) / (denominators + EXPERTISE_PRIOR_STRENGTH)
+    return clamp_expertise(np.sqrt(squared))
 
 
 class ExpertiseMatrix:

@@ -126,9 +126,9 @@ class _SparseObservations:
     the current truths/expertise -- the observed coordinates (row-major,
     the order of ``np.nonzero``), their values, each one's flat index
     into the ``(n_users, n_domains)`` expertise block, per-task counts,
-    the observed tasks, and the Eq. 6 numerators (pure observation
-    counts) -- is computed once per solve.  The expertise arrays the
-    passes take are such blocks, whose columns ``domain_columns`` indexes.
+    and the Eq. 6 numerators (pure observation counts) -- is computed once
+    per solve.  The expertise arrays the passes take are such blocks,
+    whose columns ``domain_columns`` indexes.
     """
 
     __slots__ = (
@@ -136,7 +136,6 @@ class _SparseObservations:
         "values",
         "flat_user_domain",
         "task_counts",
-        "observed_tasks",
         "count_sums",
         "n_users",
         "n_tasks",
@@ -151,7 +150,6 @@ class _SparseObservations:
         self.values = observations.values[rows, self.cols]
         self.flat_user_domain = rows * self.n_domains + domain_columns[self.cols]
         self.task_counts = np.bincount(self.cols, minlength=self.n_tasks)
-        self.observed_tasks = np.flatnonzero(self.task_counts)
         # Eq. 6 / Eq. 7 numerators: per-(user, domain) observation counts.
         # They are independent of the iterate, so they are counted once.
         self.count_sums = (
@@ -190,9 +188,8 @@ def _convergence(new: np.ndarray, old: np.ndarray) -> "tuple[bool, float]":
     """The 5 % test between consecutive iterates, and the largest change.
 
     ``new`` and ``old`` hold the truths of the tasks both iterates
-    estimate: the observed tasks, whose Eq. 5 truths are finite for
-    finite observations.  The test passes when every one moved by at most
-    ``RELATIVE_TOLERANCE`` of its old truth or by at most
+    estimate (see :func:`_solve`).  The test passes when every one moved
+    by at most ``RELATIVE_TOLERANCE`` of its old truth or by at most
     ``ABSOLUTE_TOLERANCE``.  The reported delta is the largest relative
     move with the scale floored at ``ABSOLUTE_TOLERANCE /
     RELATIVE_TOLERANCE``, so near-zero truths report their absolute
@@ -225,8 +222,10 @@ def _solve(sparse: _SparseObservations, expertise, refresh, max_iterations):
     Each sweep runs Eq. 5 on the current domain-block ``expertise``, then
     ``refresh(truths, sigmas)`` for the next expertise: Eq. 6 over the
     batch, or Eqs. 7-9 over the decayed sums.  It stops once the truths
-    pass the 5 % test, which compares the observed tasks' truths only
-    (the others are NaN in every sweep).
+    pass the 5 % test, which compares the tasks the first sweep
+    estimates.  Eq. 5 weights are positive and finite in every sweep, so a
+    task whose truth is NaN once (no observations, or a NaN observation)
+    is NaN in every sweep; the set is fixed once per solve.
 
     Returns ``(truths, sigmas, expertise, deltas, converged,
     final_delta)``.  ``deltas`` holds each sweep's largest truth change
@@ -234,7 +233,7 @@ def _solve(sparse: _SparseObservations, expertise, refresh, max_iterations):
     ``mle.*`` events; ``final_delta`` is its last entry, NaN when one
     sweep ran.
     """
-    observed = sparse.observed_tasks
+    estimated_tasks = None
     previous = None
     converged = False
     final_delta = float("nan")
@@ -242,7 +241,9 @@ def _solve(sparse: _SparseObservations, expertise, refresh, max_iterations):
     for iterations in range(1, max_iterations + 1):
         truths, sigmas = sparse.truth_pass(expertise)
         expertise = refresh(truths, sigmas)
-        estimated = truths.take(observed)
+        if estimated_tasks is None:
+            estimated_tasks = np.flatnonzero(~np.isnan(truths))
+        estimated = truths.take(estimated_tasks)
         if iterations > 1:
             converged, final_delta = _convergence(estimated, previous)
         deltas.append(final_delta if iterations > 1 else None)

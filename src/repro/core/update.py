@@ -201,6 +201,15 @@ class ExpertiseUpdater:
         self._day = None
         self._pending = None
 
+    def _domain_columns(self, task_domains: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Register the tasks' domains; their columns and each task's index into them."""
+        distinct, inverse = np.unique(task_domains, return_inverse=True)
+        domain_ids = distinct.tolist()
+        for domain_id in domain_ids:
+            self.ensure_domain(domain_id)
+        columns = np.array([self._columns[d] for d in domain_ids], dtype=np.intp)
+        return columns, inverse
+
     def _day_for(self, task_domains: np.ndarray) -> _Day:
         """The constants of solves over these tasks, registering their domains.
 
@@ -210,11 +219,7 @@ class ExpertiseUpdater:
         day = self._day
         if day is not None and np.array_equal(task_domains, day.task_domains):
             return day
-        distinct, inverse = np.unique(task_domains, return_inverse=True)
-        domain_ids = distinct.tolist()
-        for domain_id in domain_ids:
-            self.ensure_domain(domain_id)
-        columns = np.array([self._columns[d] for d in domain_ids], dtype=np.intp)
+        columns, inverse = self._domain_columns(task_domains)
         numerators = self._numerators[:, columns]
         denominators = self._denominators[:, columns]
         self._day = _Day(
@@ -250,11 +255,11 @@ class ExpertiseUpdater:
         shape = (observations.n_tasks,)
         if np.shape(result.truths) != shape or np.shape(result.sigmas) != shape:
             raise ValueError("result must have one truth and one sigma per task")
-        day = self._day_for(task_domains)
-        sparse = _SparseObservations(observations, day.inverse, len(day.columns))
+        columns, inverse = self._domain_columns(task_domains)
+        sparse = _SparseObservations(observations, inverse, len(columns))
         self._sums_changed()
-        self._numerators[:, day.columns] += sparse.count_sums
-        self._denominators[:, day.columns] += sparse.denominator_sums(result.truths, result.sigmas)
+        self._numerators[:, columns] += sparse.count_sums
+        self._denominators[:, columns] += sparse.denominator_sums(result.truths, result.sigmas)
 
     def incorporate(
         self,

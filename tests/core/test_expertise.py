@@ -44,6 +44,10 @@ class TestFromSums:
         value = expertise_from_sums([1.0], [0.0])[0]
         assert value <= np.sqrt(5.0) + 1e-9
 
+    def test_scalar_sums_give_a_scalar(self):
+        assert expertise_from_sums(0.0, 0.0) == DEFAULT_EXPERTISE
+        assert expertise_from_sums(1.0, 2.0) == np.sqrt(1.25 / 2.25)
+
     def test_negative_sums_rejected(self):
         with pytest.raises(ValueError):
             expertise_from_sums([-1.0], [0.0])

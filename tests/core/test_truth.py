@@ -156,6 +156,43 @@ class TestDegenerateDomains:
         assert caplog.records == []
 
 
+class TestNaNObservation:
+    """A NaN value under a True mask leaves its task's truth NaN in every
+    sweep; the 5 % test leaves that task out, as the dense oracle does."""
+
+    def make_matrix(self):
+        rng = np.random.default_rng(5)
+        domains = rng.integers(0, 3, 20)
+        mask = rng.random((12, 20)) < 0.5
+        values = np.where(mask, rng.normal(10.0, 2.0, (12, 20)), 0.0)
+        user, task = np.argwhere(mask)[7]
+        values[user, task] = np.nan
+        return ObservationMatrix(values=values, mask=mask), domains, task
+
+    def test_estimate_converges_like_the_reference(self):
+        from repro.perf.reference import reference_estimate_truth
+
+        observations, domains, task = self.make_matrix()
+        result = estimate_truth(observations, domains)
+        expected = reference_estimate_truth(observations, domains)
+        assert result.converged and expected.converged
+        assert result.iterations == expected.iterations > 1
+        assert np.isfinite(result.final_delta)
+        assert np.flatnonzero(np.isnan(result.truths)).tolist() == [task]
+
+    @pytest.mark.parametrize("commit", [False, True])
+    def test_incorporate_converges(self, commit):
+        observations, domains, task = self.make_matrix()
+        batch = estimate_truth(observations, domains)
+        result = ExpertiseUpdater(observations.n_users).incorporate(
+            observations, domains, commit=commit
+        )
+        assert result.converged
+        assert result.iterations == batch.iterations
+        assert result.final_delta == batch.final_delta
+        assert np.flatnonzero(np.isnan(result.truths)).tolist() == [task]
+
+
 class _EventLog:
     """A minimal enabled tracer recording every event it is handed."""
 
