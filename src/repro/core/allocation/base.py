@@ -75,10 +75,7 @@ class AllocationProblem:
         ``(n_users, n_tasks)`` matrix ``u_{i, d_j}`` — each user's expertise
         in each task's domain.
     processing_times:
-        ``t_j`` per task (the paper's model), **or** a ``(n_users,
-        n_tasks)`` matrix ``t_ij`` of per-pair times — the spatial
-        extension, where a task costs each user its sensing time plus the
-        travel to the task's location.
+        ``t_j`` per task, the same for every user (Eq. 13).
     capacities:
         ``T_i`` per user.
     epsilon:
@@ -110,10 +107,8 @@ class AllocationProblem:
         if expertise.ndim != 2:
             raise ValueError("expertise must be a (n_users, n_tasks) matrix")
         n_users, n_tasks = expertise.shape
-        if times.shape not in ((n_tasks,), (n_users, n_tasks)):
-            raise ValueError(
-                "processing_times must have one entry per task or be a (n_users, n_tasks) matrix"
-            )
+        if times.shape != (n_tasks,):
+            raise ValueError("processing_times must have one entry per task")
         if capacities.shape != (n_users,):
             raise ValueError("capacities must have one entry per user")
         # NaN slips through every ordered comparison below and would leave
@@ -162,21 +157,6 @@ class AllocationProblem:
     @property
     def n_tasks(self) -> int:
         return self.expertise.shape[1]
-
-    @property
-    def has_pair_times(self) -> bool:
-        """True when processing times are per (user, task) pair."""
-        return self.processing_times.ndim == 2
-
-    def pair_times(self) -> np.ndarray:
-        """Processing times as a ``(n_users, n_tasks)`` matrix.
-
-        Broadcasts the paper's per-task ``t_j`` across users; the spatial
-        extension's ``t_ij`` passes through unchanged.
-        """
-        if self.has_pair_times:
-            return self.processing_times
-        return np.broadcast_to(self.processing_times[None, :], (self.n_users, self.n_tasks))
 
     def eligible_mask(self) -> np.ndarray:
         """Per-user eligibility as a concrete boolean array (all-True default)."""
@@ -244,15 +224,8 @@ class Assignment:
         return np.flatnonzero(self.matrix[user, :])
 
     def workloads(self, processing_times: np.ndarray) -> np.ndarray:
-        """Total assigned processing time per user.
-
-        Accepts the paper's per-task vector or the spatial extension's
-        per-pair matrix.
-        """
-        processing_times = np.asarray(processing_times, dtype=float)
-        if processing_times.ndim == 2:
-            return (self.matrix * processing_times).sum(axis=1)
-        return self.matrix @ processing_times
+        """Total assigned processing time per user, ``sum_j s_ij * t_j``."""
+        return self.matrix @ np.asarray(processing_times, dtype=float)
 
     def respects_capacities(self, problem: AllocationProblem) -> bool:
         return bool(np.all(self.workloads(problem.processing_times) <= problem.capacities + 1e-9))

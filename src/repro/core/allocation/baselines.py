@@ -26,7 +26,7 @@ def random_first_fit(problem: AllocationProblem, budget: np.ndarray, rng) -> Ass
     still fits in its user's remaining budget.  Users are independent under
     this rule, so each eligible user walks only its own pairs, in
     permutation order, on plain Python floats (the same IEEE operations as
-    NumPy's float64), and stops once its remaining budget is below its
+    NumPy's float64), and stops once its remaining budget is below the
     shortest task: no later pair could fit.  The result and the
     generator's state equal those of one walk over the whole permutation
     (:func:`repro.perf.reference.reference_random_first_fit`).
@@ -41,24 +41,21 @@ def random_first_fit(problem: AllocationProblem, budget: np.ndarray, rng) -> Ass
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     visits = np.argsort(rank.reshape(n_users, n_tasks), axis=1)
-    times = problem.pair_times()
-    shortest = times.min(axis=1).tolist()
-    # Per-task times are one row broadcast over users (stride 0): convert
-    # that row once instead of n_users copies of it.
-    times = [times[0].tolist()] * n_users if times.strides[0] == 0 else times.tolist()
+    times = problem.processing_times.tolist()
+    shortest = min(times)
     eligible = problem.eligible_mask().tolist()
     remaining = np.asarray(budget, dtype=float).tolist()
     taken = []
     for user in range(n_users):
-        left, floor, user_times = remaining[user], shortest[user], times[user]
-        if not eligible[user] or left + 1e-12 < floor:
+        left = remaining[user]
+        if not eligible[user] or left + 1e-12 < shortest:
             continue
         for task in visits[user].tolist():
-            t = user_times[task]
+            t = times[task]
             if t <= left + 1e-12:
                 left -= t
                 taken.append(user * n_tasks + task)
-                if left + 1e-12 < floor:
+                if left + 1e-12 < shortest:
                     break
     matrix.flat[taken] = True
     return Assignment(matrix=matrix)
@@ -106,12 +103,11 @@ class ReliabilityGreedyAllocator:
         if self._reliabilities.shape != (problem.n_users,):
             raise ValueError("reliabilities must have one entry per user")
         n_users = problem.n_users
-        times = problem.pair_times()
+        times = problem.processing_times
         remaining = problem.capacities.astype(float).copy()
         eligible = problem.eligible_mask()
         matrix = np.zeros((n_users, problem.n_tasks), dtype=bool)
-        # Shortest-first by each task's mean time across users.
-        task_order = np.argsort(times.mean(axis=0), kind="stable")
+        task_order = np.argsort(times, kind="stable")
         # Each user's rank in the descending-reliability order; ineligible
         # users rank +inf so a masked argmin below returns exactly the user
         # a first-feasible scan down the reliability order would.
@@ -122,15 +118,11 @@ class ReliabilityGreedyAllocator:
         while progressed:
             progressed = False
             for task in task_order:
-                feasible = (
-                    ~matrix[:, task]
-                    & eligible
-                    & (times[:, task] <= remaining + 1e-12)
-                )
+                feasible = ~matrix[:, task] & eligible & (times[task] <= remaining + 1e-12)
                 if not np.any(feasible):
                     continue
                 user = int(np.argmin(np.where(feasible, rank, np.inf)))
                 matrix[user, task] = True
-                remaining[user] -= times[user, task]
+                remaining[user] -= times[task]
                 progressed = True
         return Assignment(matrix=matrix)

@@ -29,15 +29,14 @@ fresh top-of-heap entry is the true global maximum.
 re-evaluated: a popped entry whose user no longer fits, and every task
 right after its pick, are re-evaluated inline in the loop body, one code
 path for both.  The loop keeps its state in plain lists indexed by task or
-user (cached user, its ``p`` and the pair's time; coverage; remaining
+user (cached user and its ``p``; the task's time; coverage; remaining
 capacity) and the assigned pairs in a set.
 
-With the paper's per-task processing times (a stride-0 ``pair_times``
-broadcast, which is how the pipeline builds every problem), a task's gain
-``p_ij * miss_j / t_j`` scales all users by one scalar, so the task's user
-ranking by ``(-p, index)`` is fixed for the whole pass — and every way a
+Processing times are per task (Eq. 13), so a task's gain
+``p_ij * miss_j / t_j`` scales all users by one scalar: the task's user
+ranking by ``(-p, index)`` is fixed for the whole pass, and every way a
 user leaves the feasible set (assigned to the task, or ``t_j`` above its
-remaining capacity) is permanent.  Re-evaluation is then a forward pointer
+remaining capacity) is permanent.  Re-evaluation is a forward pointer
 over that ranking, in scalar arithmetic:
 
 - rankings are built lazily, when a task is first re-evaluated, and kept
@@ -49,15 +48,9 @@ over that ranking, in scalar arithmetic:
   equal gain keeps ``np.argmax``'s lowest-index tie-break, since rounding
   can give a slightly smaller ``p`` the leader's gain.
 
-Per-pair (spatial) times break the shared ranking, so there re-evaluation
-stays one vectorised masked-argmax over the task's column, a branch of the
-same loop body.  That branch alone reads numpy copies of the assignment
-and capacity state (``avail``, ``remaining_eps``); they take the picks
-made since their last update just before each scan.
-
 **One start state per allocation.**  A pass starts from a
 :class:`GreedyState`: the problem's fixed inputs (Fortran-order Eq. 11
-accuracies, pair times, eligibility, rankings) and what the assignment so
+accuracies, task times, eligibility, rankings) and what the assignment so
 far implies (remaining capacity, each task's coverage miss, the
 available pairs, the taken set).  Both passes of a best-of-two step read
 one state and copy only what their picks change; the second takes the
@@ -74,17 +67,17 @@ rebuilt from scratch.
 
 **Bit-identical picks.**  Heap entries order by ``(-efficiency, task)``,
 so ties in efficiency break toward the lowest task index — exactly
-``np.argmax`` over the per-task efficiency array — and both re-evaluation
-paths compute every efficiency with the same element-wise operations in
-the same order as the eager loop's ``best_for_task``, so every value and
+``np.argmax`` over the per-task efficiency array — and the build and the
+pointer walk compute every efficiency with the same operations in the
+same order as the eager loop's ``best_for_task``, so every value and
 every user tie-break is bit-identical too.
 ``tests/perf/test_allocation_equivalence.py`` fuzzes the kernel against
 the frozen eager copy
-(:func:`repro.perf.reference.reference_greedy_allocate`) across spatial
-pair-times, eligibility masks, cost budgets, warm starts, tie-heavy
-expertise and zero-capacity users, with blocks of larger per-task-time
-instances for the pointer walk, warm starts of 50-300 prior pairs and
-hand-built rounding ties; it also fuzzes
+(:func:`repro.perf.reference.reference_greedy_allocate`) across
+tie-heavy times and expertise, eligibility masks, cost budgets, warm
+starts and zero-capacity users, with blocks of larger instances for long
+pointer walks, warm starts of 50-300 prior pairs and hand-built rounding
+ties; it also fuzzes
 :class:`~repro.core.allocation.min_cost.MinCostAllocator` against
 :func:`repro.perf.reference.reference_min_cost_run`, which rebuilds every
 pass from the running assignment.
@@ -107,11 +100,11 @@ __all__ = ["GreedyStats", "GreedyOutcome", "GreedyState", "lazy_greedy_allocate"
 class GreedyStats:
     """Work counters of one lazy-greedy run (telemetry + CELF audits).
 
-    ``evaluations`` counts per-task re-evaluations (pointer walks or
-    masked argmaxes) after the initial build (the build itself evaluates
-    all ``n_tasks`` columns in one shot): one right after every pick, plus
-    one per popped entry whose cached user no longer fits, so
-    ``evaluations - picks`` is the number of refreshes.  The eager
+    ``evaluations`` counts per-task re-evaluations (pointer walks) after
+    the initial build (the build itself evaluates all ``n_tasks`` columns
+    in one shot): one right after every pick, plus one per popped entry
+    whose cached user no longer fits, so ``evaluations - picks`` is the
+    number of refreshes.  The eager
     reference instead re-evaluates every task sharing the picked user
     after every pick.  When no capacity ever binds, no entry goes stale
     and ``pops == evaluations == picks``.  A budgeted pass stops as soon
@@ -170,13 +163,10 @@ class GreedyState:
 
     The problem's fixed inputs, made once per state: the Eq. 11
     ``accuracy`` in Fortran order (``[:, task]`` slices are contiguous),
-    ``pair_times`` and their column-access layout ``times_f`` (a broadcast
-    per-task time row -- stride 0 -- is already free to slice; per-pair
-    times get a Fortran copy), ``eligible`` and the task ``costs``; with
-    per-task times also the ``task_times`` and the user rankings the
-    kernel resolves (a ranking depends on the problem's eligibility and
-    accuracy, so a state never outlives its problem).  The values the
-    assignment so far implies:
+    ``eligible``, the task ``costs`` and ``task_times``, and the user
+    rankings the kernel resolves (a ranking depends on the problem's
+    eligibility and accuracy, so a state never outlives its problem).  The
+    values the assignment so far implies:
 
     - ``assigned``, the boolean ``s_ij`` matrix;
     - ``remaining``, each user's capacity minus its assigned time;
@@ -200,25 +190,20 @@ class GreedyState:
             if initial.matrix.shape != (n_users, n_tasks):
                 raise ValueError("initial assignment shape does not match the problem")
             assigned = initial.matrix.copy()
-        times = problem.pair_times()
-        remaining = problem.capacities - (assigned * times).sum(axis=1)
+        remaining = problem.capacities - (assigned * problem.processing_times).sum(axis=1)
         if np.any(remaining < -1e-9):
             raise ValueError("initial assignment already exceeds capacities")
         self.problem = problem
-        self.per_task_times = times.strides[0] == 0
-        self.pair_times = times
-        self.times_f = times if self.per_task_times else np.asfortranarray(times)
         self.accuracy = np.asfortranarray(problem.accuracy_matrix())
         self.eligible = problem.eligible_mask()
         self.costs = problem.costs.tolist()
-        if self.per_task_times:
-            # Per-task times only: each task's user ranking, resolved when a
-            # pass first re-evaluates the task, and the sorts behind them,
-            # one per distinct accuracy column (one per expertise domain).
-            self.task_times = times[0].tolist()
-            self.task_rankings: list = [None] * n_tasks
-            self.rankings: dict = {}
-            self.ranking_column = _equal_columns(self.accuracy)
+        self.task_times = problem.processing_times.tolist()
+        # Each task's user ranking, resolved when a pass first re-evaluates
+        # the task, and the sorts behind them, one per distinct accuracy
+        # column (one per expertise domain).
+        self.task_rankings: list = [None] * n_tasks
+        self.rankings: dict = {}
+        self.ranking_column = _equal_columns(self.accuracy)
         self.assigned = assigned
         self.remaining = remaining
         # A column with no assigned user has miss exactly 1.0.
@@ -248,9 +233,8 @@ class GreedyState:
         self.avail[users, tasks] = False
         self.taken.update((users * n_tasks + tasks).tolist())
         rows = _touched(users, n_users)
-        times = self.pair_times[:1] if self.per_task_times else self.pair_times[rows]
         self.remaining[rows] = self.problem.capacities[rows] - (
-            self.assigned[rows] * times
+            self.assigned[rows] * self.problem.processing_times
         ).sum(axis=1)
         self.miss = outcome.miss
 
@@ -293,9 +277,8 @@ def lazy_greedy_allocate(
         raise ValueError("pass either an initial assignment or a state, not both")
     elif state.problem is not problem:
         raise ValueError("the state belongs to another problem")
-    n_users, n_tasks = problem.n_users, problem.n_tasks
-    p_f, times_f, eligible = state.accuracy, state.times_f, state.eligible
-    per_task_times = state.per_task_times
+    n_tasks = problem.n_tasks
+    p_f, eligible, times = state.accuracy, state.eligible, problem.processing_times
 
     if active_tasks is not None:
         active_tasks = np.asarray(active_tasks, dtype=bool)
@@ -314,10 +297,10 @@ def lazy_greedy_allocate(
     remaining_eps = state.remaining + 1e-12
     if active_tasks is None:
         key, columns = None, np.arange(n_tasks)
-        times_a = times_f[:1] if per_task_times else times_f
+        times_a = times[None, :]
     else:
         key, columns = active_tasks.tobytes(), np.flatnonzero(active_tasks)
-        times_a = times_f[:1, columns] if per_task_times else times_f[:, columns]
+        times_a = times[None, columns]
     shared = state.shared_gain
     if shared is not None and shared[0] == key:
         state.shared_gain = None
@@ -345,12 +328,12 @@ def lazy_greedy_allocate(
     # From here on the loop reads and writes one scalar at a time, where
     # plain lists are several times cheaper than ndarrays (and Python
     # floats perform the same IEEE operations as NumPy's float64).  Each
-    # task caches the user its heap entry was evaluated for, that user's
-    # ``p`` and the pair's time ``t``: the entry is fresh while ``t`` fits
-    # that user.  With per-task times ``cached_t`` is the state's list of
-    # task times, never written.  Only active tasks enter the heap and an
-    # unaffordable one leaves it for good, so the loop never re-evaluates
-    # any other; the per-task lists are filled for those alone.
+    # task caches the user its heap entry was evaluated for and that
+    # user's ``p``; the entry is fresh while the task's time ``t`` fits
+    # that user.
+    # Only active tasks enter the heap and an unaffordable one leaves it
+    # for good, so the loop never re-evaluates any other; the per-task
+    # lists are filled for those alone.
     cached_user = [0] * n_tasks
     cached_p = [0.0] * n_tasks
     for task, user, p_user in zip(
@@ -358,12 +341,7 @@ def lazy_greedy_allocate(
     ):
         cached_user[task] = user
         cached_p[task] = p_user
-    if per_task_times:
-        cached_t = state.task_times
-    else:
-        cached_t = [0.0] * n_tasks
-        for task, t_user in zip(heap_tasks, times_f[build_user, build_tasks].tolist()):
-            cached_t[task] = t_user
+    task_times = state.task_times
     miss = state.miss.tolist()
     costs = state.costs
     spent = 0.0
@@ -377,26 +355,14 @@ def lazy_greedy_allocate(
     remaining_list = remaining_eps.tolist()
     taken = state.taken.copy()
 
-    if per_task_times:
-        # Every user's gain on a task is ``p * (miss / t)`` for one task
-        # scalar, so the task's user ranking by ``(-p, index)`` holds for
-        # the whole pass, and every way a user leaves the feasible set
-        # (assignment, spent capacity) is permanent: re-evaluation is a
-        # forward pointer over the ranking.
-        rankings, task_ranking = state.rankings, state.task_rankings
-        ranking_column = state.ranking_column
-        pointer = [0] * n_tasks
-    else:
-        # The masked argmax reads numpy copies of ``avail`` and
-        # ``remaining_eps``; they take the picks made since their last
-        # update (``added[synced:]``) just before each scan.  The result is
-        # value-identical to the frozen eager loop: boolean algebra is
-        # exact, and ``x * True`` / ``x * False`` equal ``np.where``'s
-        # ``x`` / ``0.0`` for these finite non-negative gains.
-        avail = state.avail.copy(order="F")
-        synced = 0
-        feas_buf = np.empty(n_users, dtype=bool)
-        gain_buf = np.empty(n_users, dtype=float)
+    # Every user's gain on a task is ``p * (miss / t)`` for one task scalar,
+    # so the task's user ranking by ``(-p, index)`` holds for the whole
+    # pass, and every way a user leaves the feasible set (assignment, spent
+    # capacity) is permanent: re-evaluation is a forward pointer over the
+    # ranking.
+    rankings, task_ranking = state.rankings, state.task_rankings
+    ranking_column = state.ranking_column
+    pointer = [0] * n_tasks
 
     refreshes = 0
     blocked = 0
@@ -414,7 +380,7 @@ def lazy_greedy_allocate(
     while top is not None:
         neg_value, task = top
         user = cached_user[task]
-        t = cached_t[task]
+        t = task_times[task]
         refresh = t > remaining_list[user]
         if refresh:
             # The cached user no longer fits: re-evaluate and re-insert.
@@ -440,73 +406,50 @@ def lazy_greedy_allocate(
                 break
 
         # Re-evaluate ``task``: its best feasible user and gain ``value``.
-        if per_task_times:
-            ranking = task_ranking[task]
-            if ranking is None:
-                ranking = task_ranking[task] = _task_ranking(
-                    rankings, p_f, eligible, ranking_column[task]
-                )
-            users, ranked_p, run_end, n = ranking
-            k = pointer[task]
-            while k < n:
-                user = users[k]
-                if t <= remaining_list[user] and user * n_tasks + task not in taken:
-                    break
-                k += 1
-            pointer[task] = k
-            if k == n:
-                value = 0.0
-            else:
-                scale = miss[task]
-                best = users[k]
-                best_p = ranked_p[k]
-                value = best_p * scale
-                if divide_by_time:
-                    value /= t
-                if value > 0.0:
-                    # Rounding can give a smaller p the same gain, and
-                    # np.argmax takes the lowest user index among equal
-                    # gains.  Ranks after ``k`` in its own run of equal p
-                    # all have higher indices, so the scan starts at the
-                    # next run.
-                    k = run_end[k]
-                    while k < n:
-                        gain = ranked_p[k] * scale
-                        if divide_by_time:
-                            gain /= t
-                        if gain != value:
-                            break
-                        for user in users[k : run_end[k]]:
-                            if user > best:
-                                break
-                            if t <= remaining_list[user] and user * n_tasks + task not in taken:
-                                best, best_p = user, ranked_p[k]
-                                break
-                        k = run_end[k]
-                cached_user[task] = best
-                cached_p[task] = best_p
+        ranking = task_ranking[task]
+        if ranking is None:
+            ranking = task_ranking[task] = _task_ranking(
+                rankings, p_f, eligible, ranking_column[task]
+            )
+        users, ranked_p, run_end, n = ranking
+        k = pointer[task]
+        while k < n:
+            user = users[k]
+            if t <= remaining_list[user] and user * n_tasks + task not in taken:
+                break
+            k += 1
+        pointer[task] = k
+        if k == n:
+            value = 0.0
         else:
-            # Same operations (element-wise, in the same order) as the
-            # frozen eager loop's best_for_task — efficiencies must stay
-            # bit-identical.
-            for picked_user, picked_task in added[synced:]:
-                avail[picked_user, picked_task] = False
-                remaining_eps[picked_user] = remaining_list[picked_user]
-            synced = len(added)
-            feasible = np.less_equal(times_f[:, task], remaining_eps, out=feas_buf)
-            feasible &= avail[:, task]
-            if feasible.any():
-                gain = np.multiply(p_f[:, task], miss[task], out=gain_buf)
-                if divide_by_time:
-                    gain /= times_f[:, task]
-                np.multiply(gain, feasible, out=gain)
-                best = int(np.argmax(gain))
-                value = float(gain[best])
-                cached_user[task] = best
-                cached_p[task] = float(p_f[best, task])
-                cached_t[task] = float(times_f[best, task])
-            else:
-                value = 0.0
+            scale = miss[task]
+            best = users[k]
+            best_p = ranked_p[k]
+            value = best_p * scale
+            if divide_by_time:
+                value /= t
+            if value > 0.0:
+                # Rounding can give a smaller p the same gain, and
+                # np.argmax takes the lowest user index among equal
+                # gains.  Ranks after ``k`` in its own run of equal p
+                # all have higher indices, so the scan starts at the
+                # next run.
+                k = run_end[k]
+                while k < n:
+                    gain = ranked_p[k] * scale
+                    if divide_by_time:
+                        gain /= t
+                    if gain != value:
+                        break
+                    for user in users[k : run_end[k]]:
+                        if user > best:
+                            break
+                        if t <= remaining_list[user] and user * n_tasks + task not in taken:
+                            best, best_p = user, ranked_p[k]
+                            break
+                    k = run_end[k]
+            cached_user[task] = best
+            cached_p[task] = best_p
 
         if refresh and value + neg_value > max_refresh_delta:
             max_refresh_delta = value + neg_value

@@ -53,7 +53,6 @@ REPORT_SECTIONS = {
     ).render(),
     "ext-adversarial": lambda cfg: adversarial_robustness(cfg).render(),
     "ext-reputation": lambda cfg: _reputation_section(cfg),
-    "ext-spatial": lambda cfg: _spatial_section(cfg),
     "ext-incentives": lambda cfg: _incentive_section(cfg),
 }
 
@@ -68,12 +67,6 @@ def _incentive_section(config: ExperimentConfig) -> str:
     from repro.experiments.incentives import incentive_comparison
 
     return incentive_comparison(replications=config.replications, seed=config.seed).render()
-
-
-def _spatial_section(config: ExperimentConfig) -> str:
-    from repro.experiments.spatial import spatial_comparison
-
-    return spatial_comparison(replications=config.replications, seed=config.seed).render()
 
 
 def generate_report(

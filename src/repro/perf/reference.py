@@ -81,7 +81,7 @@ def reference_greedy_allocate(
 
     n_users, n_tasks = problem.n_users, problem.n_tasks
     p = problem.accuracy_matrix()
-    times = problem.pair_times()  # (n_users, n_tasks); per-task t_j broadcast
+    times = np.broadcast_to(problem.processing_times, (n_users, n_tasks))
     costs = problem.costs
     eligible = problem.eligible_mask()
 
@@ -336,7 +336,7 @@ def reference_random_first_fit(problem, budget: np.ndarray, rng):
     n_users, n_tasks = problem.n_users, problem.n_tasks
     order = rng.permutation(n_users * n_tasks)
     users, tasks = np.divmod(order, n_tasks)
-    times = problem.pair_times()[users, tasks].tolist()
+    times = problem.processing_times[tasks].tolist()
     eligible = problem.eligible_mask().tolist()
     remaining = np.asarray(budget, dtype=float).tolist()
     taken = []

@@ -59,6 +59,16 @@ class TestAllocationProblem:
                 capacities=np.ones(3),
             )
 
+    def test_per_pair_times_rejected(self):
+        # Times are the paper's t_j per task; a (n_users, n_tasks) matrix
+        # of per-pair times is not a form the allocators take.
+        with pytest.raises(ValueError, match="processing_times must have one entry per task"):
+            AllocationProblem(
+                expertise=np.ones((2, 3)),
+                processing_times=np.ones((2, 3)),
+                capacities=np.ones(2),
+            )
+
     def test_value_checks(self):
         with pytest.raises(ValueError):
             AllocationProblem(

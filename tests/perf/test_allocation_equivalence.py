@@ -9,7 +9,7 @@ and spent cost, on every instance.  The fuzz below therefore asserts
 adversarial structure the kernel's staleness reasoning must survive:
 
 - tie-heavy expertise (few discrete levels shared across users/domains),
-- per-task and per-pair (spatial) processing times, also tie-heavy,
+- tie-heavy processing times (a few quantized levels),
 - zero-capacity users and eligibility masks,
 - cost budgets that block tasks mid-run (Algorithm 2's ``c^o``),
 - warm initial assignments (min-cost rounds),
@@ -22,24 +22,19 @@ coverage quantile active; both passes start from one ``GreedyState`` (the
 second takes the masked gain the first built), and the state must come
 out unchanged.
 
-Per-task processing times (the paper's setting, and the only kind the
-pipeline builds) take the kernel's ranked-pointer path, so a second fuzz
-block draws only those, at sizes with long pointer walks, with capacity-1
-saturation and shared domain columns; its two passes per instance start
-from one ``GreedyState``.  Hand-built instances pin a walk past a
-warm-started user and the rounding ties the pointer walk must break the
-way ``np.argmax`` does.
+A third fuzz block draws larger instances, at sizes with long pointer
+walks, with capacity-1 saturation and shared domain columns; its two
+passes per instance start from one ``GreedyState``.  Hand-built
+instances pin a walk past a warm-started user and the rounding ties the
+pointer walk must break the way ``np.argmax`` does.
 
-Three more blocks cover the single heap loop: per-task instances where
-every re-evaluation after a pick walks past 135-149 spent users; users
+Two more blocks cover the single heap loop: instances where every
+re-evaluation after a pick walks past 135-149 spent users, and users
 whose ``p`` sits one or two rounding steps, or a relative ``2**-40``,
 below a leader (plus hand-built subnormal and overflowing gains), where
-the tie scan must end exactly at the first run whose gain differs; and
-spatial per-pair instances through the same loop, whose masked argmax
-reads numpy copies of the assignment and capacity state that take the
-picks only just before each scan.  Two distinct accuracy columns with
-the same weighted sum check that the per-domain ranking cache keeps them
-apart.
+the tie scan must end exactly at the first run whose gain differs.  Two
+distinct accuracy columns with the same weighted sum check that the
+per-domain ranking cache keeps them apart.
 
 The CELF invariant test asserts the submodularity precondition the kernel
 relies on: re-evaluating a stale heap entry never *increases* its
@@ -53,7 +48,7 @@ runs :class:`~repro.core.allocation.min_cost.MinCostAllocator` against
 :func:`~repro.perf.reference.reference_min_cost_run`, which rebuilds every
 pass from the running assignment, over dropouts (NaN payloads),
 eligibility masks, a round budget below one task's cost, zero-capacity
-users, per-pair times and the extra pass on and off: ``==`` on every
+users, a wider time range and the extra pass on and off: ``==`` on every
 round and on the outcome with the frozen eager greedy, and on the merged
 ``GreedyStats`` with the live kernel rebuilt per pass.  After every round
 the carried state must equal a fresh build and the full-matrix forms.
@@ -104,10 +99,10 @@ def _random_instance(rng, warm=False):
 
     roll = rng.random()
     if roll < 0.4:
-        # Spatial per-pair times, quantized for more exact ties.
-        times = rng.choice([0.5, 1.0, 1.5], size=(n_users, n_tasks))
+        # Quantized for more exact ties.
+        times = rng.choice([0.5, 1.0, 1.5], size=n_tasks)
     elif roll < 0.7:
-        times = rng.uniform(0.3, 2.0, (n_users, n_tasks))
+        times = rng.uniform(0.3, 2.0, n_tasks)
     else:
         times = rng.choice([0.5, 1.0, 2.0], size=n_tasks)
 
@@ -140,14 +135,14 @@ def _random_instance(rng, warm=False):
     if rng.random() < 0.3:
         # Warm start: a few random feasible pairs, as min-cost rounds do.
         initial = Assignment.empty(n_users, n_tasks)
-        pair_times = problem.pair_times()
+        times = problem.processing_times
         remaining = problem.capacities.copy()
         for _ in range(int(rng.integers(1, 6))):
             user = int(rng.integers(n_users))
             task = int(rng.integers(n_tasks))
-            if not initial.matrix[user, task] and pair_times[user, task] <= remaining[user]:
+            if not initial.matrix[user, task] and times[task] <= remaining[user]:
                 initial.matrix[user, task] = True
-                remaining[user] -= pair_times[user, task]
+                remaining[user] -= times[task]
     return problem, initial, kwargs
 
 
@@ -161,7 +156,7 @@ def _warm_instance(rng):
     else:
         levels = rng.gamma(2.0, 1.5, (n_users, n_domains))
     if rng.random() < 0.3:
-        times = rng.uniform(0.3, 2.0, (n_users, n_tasks))
+        times = rng.uniform(0.3, 2.0, n_tasks)
     else:
         times = rng.uniform(0.5, 1.5, n_tasks)
     capacities = rng.uniform(4.0, 14.0, n_users)
@@ -221,7 +216,7 @@ def _assert_same_state(state, fresh):
     assert np.array_equal(state.assigned, assigned)
     assert np.array_equal(state.remaining, fresh.remaining)
     assert np.array_equal(
-        state.remaining, problem.capacities - (assigned * problem.pair_times()).sum(axis=1)
+        state.remaining, problem.capacities - (assigned * problem.processing_times).sum(axis=1)
     )
     assert np.array_equal(state.miss, fresh.miss)
     assert np.array_equal(
@@ -258,8 +253,8 @@ def test_warm_started_passes_match_reference_fuzz(block):
         _assert_same_state(state, GreedyState(problem, initial))
 
 
-def _per_task_instance(rng):
-    """A larger instance with per-task times only (the ranked-pointer path)."""
+def _large_instance(rng):
+    """A larger instance, at sizes with long pointer walks."""
     n_users = int(rng.integers(30, 201))
     # Capacity-1 saturation: each user fits about one task, and with more
     # tasks than users a task's leading users are spent long before it is
@@ -322,12 +317,12 @@ def _per_task_instance(rng):
 
 @pytest.mark.parametrize("block", range(4))
 def test_ranked_pointer_path_matches_reference_fuzz(block):
-    """60 per-task-time instances (4 blocks x 15), both greedy passes
+    """60 larger instances (4 blocks x 15), both greedy passes
     starting from one ``GreedyState`` (and so sharing its ``rankings``) as
     the allocators do: picks bit-identical, and the state unchanged."""
     rng = np.random.default_rng(2000 + block)
     for _ in range(15):
-        problem, initial, kwargs = _per_task_instance(rng)
+        problem, initial, kwargs = _large_instance(rng)
         state = GreedyState(problem, initial)
         for divide_by_time in (kwargs["divide_by_time"], not kwargs["divide_by_time"]):
             kwargs["divide_by_time"] = divide_by_time
@@ -478,7 +473,7 @@ def _at_the_margin(leader: float) -> list:
 
 @pytest.mark.parametrize("block", range(4))
 def test_near_tie_accuracies_match_reference_fuzz(block):
-    """40 per-task-time instances (4 blocks x 10) whose users' ``p`` sit
+    """40 instances (4 blocks x 10) whose users' ``p`` sit
     one or two rounding steps below a domain's leader, or at
     ``p * (1 - 2**-40)`` and one step either side of it, in shuffled user
     order: a rounding tie must break toward a lower user index than the
@@ -566,57 +561,6 @@ def test_columns_sharing_a_weighted_sum_keep_their_own_ranking():
     for divide_by_time in (True, False):
         _assert_matches_reference(problem, state=state, divide_by_time=divide_by_time)
 
-def _per_pair_instance(rng):
-    """A per-pair-time (spatial) instance at the pipeline's scale, with
-    capacities that bind, so the masked-argmax branch of the loop runs
-    after every pick and on many refreshes."""
-    n_users = int(rng.integers(20, 80))
-    n_tasks = int(rng.integers(20, 120))
-    domains = rng.integers(0, int(rng.integers(1, 6)), n_tasks)
-    expertise = rng.gamma(2.0, 2.0, (n_users, 6))[:, domains]
-    if rng.random() < 0.3:
-        expertise = np.round(expertise)  # tie-heavy
-    times = rng.uniform(0.3, 2.0, (n_users, n_tasks))
-    if rng.random() < 0.4:
-        times = np.round(times * 2.0) / 2.0 + 0.5
-    eligible = rng.random(n_users) < 0.8 if rng.random() < 0.3 else None
-    if eligible is not None:
-        eligible[int(rng.integers(n_users))] = True
-    problem = AllocationProblem(
-        expertise=expertise,
-        processing_times=times,
-        capacities=rng.uniform(0.0, 6.0, n_users),
-        costs=rng.choice([0.5, 1.0, 2.0], size=n_tasks) if rng.random() < 0.4 else None,
-        eligible=eligible,
-    )
-    kwargs = {"divide_by_time": bool(rng.random() < 0.7)}
-    if rng.random() < 0.3:
-        kwargs["cost_budget"] = float(rng.uniform(1.0, n_tasks))
-    if rng.random() < 0.2:
-        kwargs["active_tasks"] = rng.random(n_tasks) < 0.6
-    initial = None
-    if rng.random() < 0.3:
-        initial = Assignment.empty(n_users, n_tasks)
-        remaining = problem.capacities.copy()
-        for _ in range(int(rng.integers(1, 30))):
-            user, task = int(rng.integers(n_users)), int(rng.integers(n_tasks))
-            if not initial.matrix[user, task] and times[user, task] <= remaining[user]:
-                initial.matrix[user, task] = True
-                remaining[user] -= times[user, task]
-    return problem, initial, kwargs
-
-
-@pytest.mark.parametrize("block", range(3))
-def test_per_pair_path_matches_reference_fuzz(block):
-    """30 spatial instances (3 blocks x 10), each pass starting from a
-    ``GreedyState`` as the allocators' passes do."""
-    rng = np.random.default_rng(7000 + block)
-    for _ in range(10):
-        problem, initial, kwargs = _per_pair_instance(rng)
-        state = GreedyState(problem, initial)
-        _assert_matches_reference(problem, initial=initial, state=state, **kwargs)
-        _assert_same_state(state, GreedyState(problem, initial))
-
 
 def test_celf_invariant_refresh_never_increases():
     """Submodularity in floats: stale heap values are upper bounds."""
@@ -639,17 +583,16 @@ def test_stats_accounting():
         assert stats.evaluations <= stats.pops
 
 
-@pytest.mark.parametrize("per_pair", [False, True], ids=["per-task-times", "per-pair-times"])
-def test_slack_capacities_never_refresh(per_pair):
+def test_slack_capacities_never_refresh():
     """An entry is stale only when its cached user no longer fits.  With
     room for every task on every user no capacity binds, so every pop is
     a pick and the only evaluations are the ones right after a pick."""
-    rng = np.random.default_rng(4000 + per_pair)
+    rng = np.random.default_rng(4000)
     n_users, n_tasks = 12, 40
     domains = rng.integers(0, 4, n_tasks)
     problem = AllocationProblem(
         expertise=rng.gamma(2.0, 2.0, (n_users, 4))[:, domains],
-        processing_times=rng.uniform(0.5, 1.5, (n_users, n_tasks) if per_pair else n_tasks),
+        processing_times=rng.uniform(0.5, 1.5, n_tasks),
         capacities=np.full(n_users, 1.5 * n_tasks + 1.0),
     )
     lazy = lazy_greedy_allocate(problem)
@@ -681,7 +624,7 @@ def _min_cost_instance(rng, index):
     """An Algorithm 2 instance, its allocator and a pure ``observe``.
 
     ``index`` (position in its block) switches the features on in turn so
-    every block has each: per-pair (spatial) times, eligibility masks,
+    every block has each: a wider time range, eligibility masks,
     dropouts (NaN payloads), a round budget below one task's cost, and the
     extra pass on and off; some users always have zero capacity.
     """
@@ -695,7 +638,7 @@ def _min_cost_instance(rng, index):
         levels = rng.gamma(2.0, 1.5, (n_users, n_domains))
     expertise = levels[:, domains]
     if index % 3 == 0:
-        times = rng.uniform(0.3, 2.0, (n_users, n_tasks))
+        times = rng.uniform(0.3, 2.0, n_tasks)
     else:
         times = rng.uniform(0.5, 1.5, n_tasks)
     capacities = rng.uniform(1.0, 8.0, n_users)
@@ -791,8 +734,8 @@ def _fill_instance(rng):
     n_users = int(rng.integers(1, 30))
     n_tasks = int(rng.integers(1, 60))
     if rng.random() < 0.5:
-        # Spatial per-pair times, quantized for budgets that land exactly.
-        times = rng.choice([0.25, 0.5, 1.0, 1.5], size=(n_users, n_tasks))
+        # Quantized for budgets that land exactly.
+        times = rng.choice([0.25, 0.5, 1.0, 1.5], size=n_tasks)
     else:
         times = rng.uniform(0.2, 2.0, n_tasks)
     eligible = None
@@ -806,7 +749,6 @@ def _fill_instance(rng):
         capacities=np.ones(n_users),
         eligible=eligible,
     )
-    pair_times = problem.pair_times()
     budget = rng.uniform(0.0, 6.0, n_users)
     budget[rng.random(n_users) < 0.2] = 0.0
     # Budgets within 1e-12 of a sum of the user's own task times, so the
@@ -815,7 +757,7 @@ def _fill_instance(rng):
     for user in np.flatnonzero(edge):
         picks = rng.choice(n_tasks, size=int(rng.integers(1, min(n_tasks, 4) + 1)), replace=False)
         offset = rng.choice([-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12])
-        budget[user] = max(0.0, float(pair_times[user, picks].sum()) + offset)
+        budget[user] = max(0.0, float(problem.processing_times[picks].sum()) + offset)
     return problem, budget
 
 
