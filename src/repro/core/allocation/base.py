@@ -19,6 +19,7 @@ two differ with probability zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -91,6 +92,9 @@ class AllocationProblem:
         boolean mask — not infinite processing times — because
         ``False * inf`` is NaN under IEEE rules and would silently poison
         workload arithmetic.
+
+    A problem is a value: its arrays are not changed after construction,
+    and what it derives from them (:attr:`column_groups`) is kept.
     """
 
     expertise: np.ndarray
@@ -164,9 +168,52 @@ class AllocationProblem:
             return np.ones(self.n_users, dtype=bool)
         return self.eligible
 
+    @cached_property
+    def column_groups(self) -> "tuple[np.ndarray, np.ndarray]":
+        """``(first, group)`` of the bit-equal expertise columns: ``first[g]``
+        is the first task of the ``g``-th distinct column and ``group[j]``
+        task ``j``'s ``g``.
+
+        The model gives each user one expertise per domain, so the tasks of
+        one domain share a column: Eq. 11 and the greedy's user rankings
+        are made once per group.  Made on first use and kept (read-only).
+        """
+        first, group = _distinct_columns(self.expertise)
+        first.setflags(write=False)
+        group.setflags(write=False)
+        return first, group
+
     def accuracy_matrix(self) -> np.ndarray:
-        """The ``p_ij`` matrix of Eq. 11."""
-        return accuracy_probabilities(self.expertise, self.epsilon)
+        """The ``p_ij`` matrix of Eq. 11: one ``erf`` per distinct expertise
+        column (:attr:`column_groups`), gathered to every task.  Equal bits
+        in give equal bits out, so it is ``==`` the element-wise form."""
+        first, group = self.column_groups
+        return accuracy_probabilities(self.expertise[:, first], self.epsilon)[:, group]
+
+
+def _distinct_columns(matrix: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(first, group)`` of the bit-equal columns of a float ``matrix``
+    (see :attr:`AllocationProblem.column_groups`).
+
+    Columns are keyed by the XOR of their entries' bits, so equal columns
+    always share a key, and then compared bit by bit with the first column
+    of their key.  Columns that differ from it (different columns can share
+    a key: a column and any permutation of it do) are grouped among
+    themselves the same way, until none is left.  So two columns share a
+    group exactly when every entry has the same bits.
+    """
+    bits = matrix.view(np.uint64)
+    keys = np.bitwise_xor.reduce(bits, axis=0)
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    differs = np.flatnonzero((bits != bits[:, first[group]]).any(axis=0))
+    while len(differs):
+        _, lead, inverse = np.unique(keys[differs], return_index=True, return_inverse=True)
+        lead = differs[lead]
+        same = (bits[:, differs] == bits[:, lead[inverse]]).all(axis=0)
+        group[differs[same]] = len(first) + inverse[same]
+        first = np.concatenate((first, lead))
+        differs = differs[~same]
+    return first, group
 
 
 @dataclass

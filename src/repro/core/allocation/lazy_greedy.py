@@ -29,7 +29,7 @@ fresh top-of-heap entry is the true global maximum.
 re-evaluated: a popped entry whose user no longer fits, and every task
 right after its pick, are re-evaluated inline in the loop body, one code
 path for both.  The loop keeps its state in plain lists indexed by task or
-user (cached user and its ``p``; the task's time; coverage; remaining
+user (cached user; the task's time and ``p`` by user; coverage; remaining
 capacity) and the assigned pairs in a set.
 
 Processing times are per task (Eq. 13), so a task's gain
@@ -39,10 +39,12 @@ user leaves the feasible set (assigned to the task, or ``t_j`` above its
 remaining capacity) is permanent.  Re-evaluation is a forward pointer
 over that ranking, in scalar arithmetic:
 
-- rankings are built lazily, when a task is first re-evaluated, and kept
-  on the :class:`GreedyState` in a list indexed by task; tasks with equal
-  accuracy columns (one expertise domain) share one sort, so each domain
-  is sorted once per allocation however many passes run from the state;
+- rankings are built with the :class:`GreedyState`, one sort per group
+  of bit-equal expertise columns
+  (:attr:`~repro.core.allocation.base.AllocationProblem.column_groups`,
+  one group per domain, the groups Eq. 11 runs over), and shared by the
+  group's tasks in a list indexed by task, so each domain is sorted once
+  per allocation however many passes run from the state;
 - the gain is ``p * miss / t`` in Python floats — the same IEEE operations
   as the vectorised form — and a short scan over the following runs of
   equal gain keeps ``np.argmax``'s lowest-index tie-break, since rounding
@@ -52,10 +54,12 @@ over that ranking, in scalar arithmetic:
 :class:`GreedyState`: the problem's fixed inputs (Fortran-order Eq. 11
 accuracies, task times, eligibility, rankings) and what the assignment so
 far implies (remaining capacity, each task's coverage miss, the
-available pairs, the taken set).  Both passes of a best-of-two step read
-one state and copy only what their picks change; the second takes the
-masked gain ``p * miss`` the first built (the two builds differ only by
-the division by ``t_j``).  Algorithm 2 carries one state through its
+available pairs, the taken set), with the list forms the loop copies
+made once per state and the active tasks' columns, time row and
+cheapest cost once per active set.  Both passes of a best-of-two step
+read one state and copy only what their picks change; the second takes
+the masked gain ``p * miss`` the first built (the two builds differ only
+by the division by ``t_j``).  Algorithm 2 carries one state through its
 rounds, and :meth:`GreedyState.advance` moves it with the winning pass's
 pairs, recomputing only the rows and columns they touched.  A pass
 recomputes the coverage of the columns it picked into, in ascending user
@@ -87,11 +91,11 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappushpop
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from repro.core.allocation.base import AllocationProblem, Assignment
+from repro.truthdiscovery.base import nonzero_coordinates
 
 __all__ = ["GreedyStats", "GreedyOutcome", "GreedyState", "lazy_greedy_allocate"]
 
@@ -163,15 +167,18 @@ class GreedyState:
 
     The problem's fixed inputs, made once per state: the Eq. 11
     ``accuracy`` in Fortran order (``[:, task]`` slices are contiguous),
-    ``eligible``, the task ``costs`` and ``task_times``, and the user
-    rankings the kernel resolves (a ranking depends on the problem's
-    eligibility and accuracy, so a state never outlives its problem).  The
-    values the assignment so far implies:
+    ``eligible``, the task ``costs`` and ``task_times``, and per task its
+    user ranking (``task_rankings``) and ``p`` by user
+    (``task_accuracy``), one of each per group of equal expertise columns
+    (a ranking depends on the problem's eligibility and accuracy, so a
+    state never outlives its problem).  The values the assignment so far
+    implies, starting from the empty assignment plus ``initial``'s pairs:
 
     - ``assigned``, the boolean ``s_ij`` matrix;
-    - ``remaining``, each user's capacity minus its assigned time;
+    - ``remaining``, each user's capacity minus its assigned time, with
+      ``fit = remaining + 1e-12`` and both as lists;
     - ``miss`` (read-only), each task's coverage miss ``prod (1 - p_ij)``
-      over its assigned users;
+      over its assigned users, also as a list;
     - ``avail`` (Fortran), not assigned and eligible;
     - ``taken``, the assigned pairs as ``user * n_tasks + task``.
 
@@ -184,38 +191,98 @@ class GreedyState:
 
     def __init__(self, problem: AllocationProblem, initial: "Assignment | None" = None):
         n_users, n_tasks = problem.n_users, problem.n_tasks
-        if initial is None:
-            assigned = np.zeros((n_users, n_tasks), dtype=bool)
-        else:
-            if initial.matrix.shape != (n_users, n_tasks):
-                raise ValueError("initial assignment shape does not match the problem")
-            assigned = initial.matrix.copy()
-        remaining = problem.capacities - (assigned * problem.processing_times).sum(axis=1)
-        if np.any(remaining < -1e-9):
-            raise ValueError("initial assignment already exceeds capacities")
         self.problem = problem
         self.accuracy = np.asfortranarray(problem.accuracy_matrix())
         self.eligible = problem.eligible_mask()
         self.costs = problem.costs.tolist()
         self.task_times = problem.processing_times.tolist()
-        # Each task's user ranking, resolved when a pass first re-evaluates
-        # the task, and the sorts behind them, one per distinct accuracy
-        # column (one per expertise domain).
-        self.task_rankings: list = [None] * n_tasks
-        self.rankings: dict = {}
-        self.ranking_column = _equal_columns(self.accuracy)
-        self.assigned = assigned
-        self.remaining = remaining
-        # A column with no assigned user has miss exactly 1.0.
-        self.miss = np.ones(n_tasks)
-        covered = np.flatnonzero(assigned.any(axis=0))
-        self.miss[covered] = _column_miss(self.accuracy, assigned, covered)
-        self.miss.setflags(write=False)
-        self.avail = np.asfortranarray(~assigned & self.eligible[:, None])
-        self.taken = set(np.flatnonzero(assigned).tolist())
+        # Each task's user ranking and ``p`` by user: one sort and one list
+        # per group of equal expertise columns (one per domain), shared by
+        # the group's tasks.
+        first, group = problem.column_groups
+        group = group.tolist()
+        accuracy = self.accuracy[:, first]
+        rankings = _rankings(accuracy, self.eligible)
+        self.task_rankings = [rankings[g] for g in group]
+        accuracy = accuracy.T.tolist()
+        self.task_accuracy = [accuracy[g] for g in group]
+        # The empty assignment: full capacity, and a column with no
+        # assigned user has miss exactly 1.0.
+        self.assigned = np.zeros((n_users, n_tasks), dtype=bool)
+        self.avail = np.array(
+            np.broadcast_to(self.eligible[:, None], (n_users, n_tasks)), order="F"
+        )
+        self.taken: set = set()
+        self._set_remaining(problem.capacities.copy())
+        miss = np.ones(n_tasks)
+        if initial is not None:
+            if initial.matrix.shape != (n_users, n_tasks):
+                raise ValueError("initial assignment shape does not match the problem")
+            users, tasks = nonzero_coordinates(initial.matrix)
+            self._assign(users, tasks)
+            if np.any(self.remaining < -1e-9):
+                raise ValueError("initial assignment already exceeds capacities")
+            covered = _touched(tasks, n_tasks)
+            miss[covered] = _column_miss(self.accuracy, self.assigned, covered)
+        miss.setflags(write=False)
+        self._set_miss(miss)
+        # The last active set a pass ran over (see :meth:`active_set`).
+        self._active = None
         # ``(active-task key, masked p * miss)`` of the last pass's build,
         # until a pass over the same active tasks takes it.
         self.shared_gain = None
+
+    def _assign(self, users: np.ndarray, tasks: np.ndarray) -> None:
+        """Assign the ``(users, tasks)`` pairs and recompute the remaining
+        capacity of the users they touch."""
+        problem = self.problem
+        self.assigned[users, tasks] = True
+        self.avail[users, tasks] = False
+        self.taken.update((users * problem.n_tasks + tasks).tolist())
+        rows = _touched(users, problem.n_users)
+        remaining = self.remaining
+        remaining[rows] = problem.capacities[rows] - (
+            self.assigned[rows] * problem.processing_times
+        ).sum(axis=1)
+        self._set_remaining(remaining)
+
+    def _set_remaining(self, remaining: np.ndarray) -> None:
+        """Keep ``remaining``, the fit bound ``remaining + 1e-12`` and the
+        list forms a pass copies."""
+        self.remaining = remaining
+        self.fit = remaining + 1e-12
+        self.remaining_list = remaining.tolist()
+        self.fit_list = self.fit.tolist()
+
+    def _set_miss(self, miss: np.ndarray) -> None:
+        self.miss = miss
+        self.miss_list = miss.tolist()
+
+    def active_set(self, active_tasks: "np.ndarray | None") -> tuple:
+        """``(key, columns, column_list, times, cheapest)`` of the tasks a
+        pass may assign: ``key`` is ``None`` for all tasks (else the mask's
+        bytes), ``columns`` their indices (also as a list), ``times`` their
+        ``(1, n)`` row of ``t_j`` and ``cheapest`` their lowest cost.  Made
+        once per active set, so both passes of a step share it."""
+        n_tasks = self.problem.n_tasks
+        key = None
+        if active_tasks is not None:
+            active_tasks = np.asarray(active_tasks, dtype=bool)
+            if active_tasks.shape != (n_tasks,):
+                raise ValueError("active_tasks must have one flag per task")
+            if not active_tasks.all():
+                key = active_tasks.tobytes()
+        active = self._active
+        if active is None or active[0] != key:
+            times = self.problem.processing_times
+            if key is None:
+                columns, row = np.arange(n_tasks), times[None, :]
+            else:
+                columns = np.flatnonzero(active_tasks)
+                row = times[None, columns]
+            cheapest = float(self.problem.costs[columns].min()) if len(columns) else 0.0
+            active = self._active = (key, columns, columns.tolist(), row, cheapest)
+        return active
 
     def advance(self, outcome: GreedyOutcome) -> None:
         """Move to the end of ``outcome``, a pass that started from this state.
@@ -227,16 +294,9 @@ class GreedyState:
         if not len(outcome.added_pairs):
             return
         self.shared_gain = None
-        n_users, n_tasks = self.problem.n_users, self.problem.n_tasks
         users, tasks = outcome.added_pairs.T
-        self.assigned[users, tasks] = True
-        self.avail[users, tasks] = False
-        self.taken.update((users * n_tasks + tasks).tolist())
-        rows = _touched(users, n_users)
-        self.remaining[rows] = self.problem.capacities[rows] - (
-            self.assigned[rows] * self.problem.processing_times
-        ).sum(axis=1)
-        self.miss = outcome.miss
+        self._assign(users, tasks)
+        self._set_miss(outcome.miss)
 
 
 def lazy_greedy_allocate(
@@ -278,14 +338,8 @@ def lazy_greedy_allocate(
     elif state.problem is not problem:
         raise ValueError("the state belongs to another problem")
     n_tasks = problem.n_tasks
-    p_f, eligible, times = state.accuracy, state.eligible, problem.processing_times
-
-    if active_tasks is not None:
-        active_tasks = np.asarray(active_tasks, dtype=bool)
-        if active_tasks.shape != (n_tasks,):
-            raise ValueError("active_tasks must have one flag per task")
-        if active_tasks.all():
-            active_tasks = None
+    p_f = state.accuracy
+    key, columns, column_list, times_a, cheapest = state.active_set(active_tasks)
 
     # Initial build: one vectorised masked-argmax over the active columns
     # (later min-cost rounds leave only a few tasks active), the same
@@ -294,65 +348,58 @@ def lazy_greedy_allocate(
     # both passes of a step: the first pass leaves it on the state and the
     # second takes it (``x / t`` of a masked ``0.0`` is ``0.0`` again).
     # So the build holds at most two full-size float arrays.
-    remaining_eps = state.remaining + 1e-12
-    if active_tasks is None:
-        key, columns = None, np.arange(n_tasks)
-        times_a = times[None, :]
-    else:
-        key, columns = active_tasks.tobytes(), np.flatnonzero(active_tasks)
-        times_a = times[None, columns]
     shared = state.shared_gain
     if shared is not None and shared[0] == key:
         state.shared_gain = None
         gain = shared[1]
     else:
-        if active_tasks is None:
+        if key is None:
             p_a, avail_a, miss_a = p_f, state.avail, state.miss
         else:
             p_a, avail_a, miss_a = p_f[:, columns], state.avail[:, columns], state.miss[columns]
+        # ``gain`` is ``>= 0``, so multiplying by the feasibility mask zeroes
+        # exactly the infeasible pairs; the mask is made in Fortran order,
+        # as ``gain`` and ``avail`` are.
         gain = p_a * miss_a
-        np.copyto(gain, 0.0, where=~(avail_a & (times_a <= remaining_eps[:, None])))
+        feasible = np.less_equal(times_a, state.fit[:, None], order="F")
+        feasible &= avail_a
+        gain *= feasible
         gain.setflags(write=False)
         state.shared_gain = (key, gain)
-        del p_a, avail_a
+        del p_a, avail_a, feasible
     del shared
     if divide_by_time:
         gain = gain / times_a
     build_user = np.argmax(gain, axis=0)
-    build_eff = gain[build_user, np.arange(len(columns))]
-    live = np.flatnonzero(build_eff > 0.0)
-    build_user, build_tasks = build_user[live], columns[live]
-    heap_tasks = build_tasks.tolist()
+    build_eff = gain[build_user, np.arange(len(columns))].tolist()
     del gain
 
     # From here on the loop reads and writes one scalar at a time, where
     # plain lists are several times cheaper than ndarrays (and Python
     # floats perform the same IEEE operations as NumPy's float64).  Each
-    # task caches the user its heap entry was evaluated for and that
-    # user's ``p``; the entry is fresh while the task's time ``t`` fits
-    # that user.
-    # Only active tasks enter the heap and an unaffordable one leaves it
-    # for good, so the loop never re-evaluates any other; the per-task
-    # lists are filled for those alone.
-    cached_user = [0] * n_tasks
-    cached_p = [0.0] * n_tasks
-    for task, user, p_user in zip(
-        heap_tasks, build_user.tolist(), p_f[build_user, build_tasks].tolist()
-    ):
-        cached_user[task] = user
-        cached_p[task] = p_user
+    # task caches the user its heap entry was evaluated for (its ``p`` is
+    # ``task_accuracy[task][user]``); the entry is fresh while the task's
+    # time ``t`` fits that user.
+    # Only active tasks with a positive gain enter the heap and an
+    # unaffordable one leaves it for good, so the loop never reads the
+    # cached user of any other.
+    cached = np.zeros(n_tasks, dtype=np.intp)
+    cached[columns] = build_user
+    cached_user = cached.tolist()
+    del cached, build_user
     task_times = state.task_times
-    miss = state.miss.tolist()
+    task_accuracy = state.task_accuracy
     costs = state.costs
     spent = 0.0
-    heap = list(zip((-build_eff[live]).tolist(), heap_tasks))
+    heap = [(-value, task) for value, task in zip(build_eff, column_list) if value > 0.0]
     heapify(heap)
 
     # The pass's own copies of what its picks change: ``remaining`` (with
     # ``remaining + 1e-12`` in ``remaining_list`` for the fit test),
     # ``miss`` and ``taken``.  A pick writes only these lists and the set.
-    remaining = state.remaining.tolist()
-    remaining_list = remaining_eps.tolist()
+    remaining = state.remaining_list.copy()
+    remaining_list = state.fit_list.copy()
+    miss = state.miss_list.copy()
     taken = state.taken.copy()
 
     # Every user's gain on a task is ``p * (miss / t)`` for one task scalar,
@@ -360,8 +407,7 @@ def lazy_greedy_allocate(
     # pass, and every way a user leaves the feasible set (assignment, spent
     # capacity) is permanent: re-evaluation is a forward pointer over the
     # ranking.
-    rankings, task_ranking = state.rankings, state.task_rankings
-    ranking_column = state.ranking_column
+    task_ranking = state.task_rankings
     pointer = [0] * n_tasks
 
     refreshes = 0
@@ -372,7 +418,6 @@ def lazy_greedy_allocate(
     # every later pop would be blocked, or refreshed and then blocked: the
     # loop ends there.
     budget = float("inf") if cost_budget is None else cost_budget + 1e-12
-    cheapest = float(problem.costs[columns].min()) if len(columns) else 0.0
     # A re-evaluated entry goes back in and the next top comes out in one
     # ``heappushpop``: heap keys ``(-value, task)`` are distinct (one entry
     # per task), so it returns exactly what a push and then a pop would.
@@ -395,23 +440,19 @@ def lazy_greedy_allocate(
             # Fresh top of heap == the eager loop's np.argmax winner.  The
             # picked task is stale by construction (its coverage changed
             # and its user is now on it): it is re-evaluated right below.
-            taken.add(user * n_tasks + task)
+            pair = user * n_tasks + task
+            taken.add(pair)
             left = remaining[user] - t
             remaining[user] = left
             remaining_list[user] = left + 1e-12
-            miss[task] *= 1.0 - cached_p[task]
+            miss[task] *= 1.0 - task_accuracy[task][user]
             spent += costs[task]
-            added.append((user, task))
+            added.append(pair)
             if spent + cheapest > budget:
                 break
 
         # Re-evaluate ``task``: its best feasible user and gain ``value``.
-        ranking = task_ranking[task]
-        if ranking is None:
-            ranking = task_ranking[task] = _task_ranking(
-                rankings, p_f, eligible, ranking_column[task]
-            )
-        users, ranked_p, run_end, n = ranking
+        users, ranked_p, run_end, n = task_ranking[task]
         k = pointer[task]
         while k < n:
             user = users[k]
@@ -424,8 +465,7 @@ def lazy_greedy_allocate(
         else:
             scale = miss[task]
             best = users[k]
-            best_p = ranked_p[k]
-            value = best_p * scale
+            value = ranked_p[k] * scale
             if divide_by_time:
                 value /= t
             if value > 0.0:
@@ -445,11 +485,10 @@ def lazy_greedy_allocate(
                         if user > best:
                             break
                         if t <= remaining_list[user] and user * n_tasks + task not in taken:
-                            best, best_p = user, ranked_p[k]
+                            best = user
                             break
                     k = run_end[k]
             cached_user[task] = best
-            cached_p[task] = best_p
 
         if refresh and value + neg_value > max_refresh_delta:
             max_refresh_delta = value + neg_value
@@ -462,13 +501,17 @@ def lazy_greedy_allocate(
     # picked into differ from the state's, and each is recomputed from the
     # matrix in ascending user order (the scalar ``miss`` multiplied in pick
     # order, which can differ in the last bits).
+    # ``added`` holds each pick as ``user * n_tasks + task``, its flat index
+    # in the C-order ``assigned``.
+    codes = np.array(added, dtype=np.intp)
+    added_pairs = np.empty((len(added), 2), dtype=np.intp)
+    np.divmod(codes, n_tasks, out=(added_pairs[:, 0], added_pairs[:, 1]))
+    added_pairs.setflags(write=False)
     assigned = state.assigned.copy()
     miss_after = state.miss
-    added_pairs = np.fromiter(chain.from_iterable(added), np.intp, 2 * len(added)).reshape(-1, 2)
-    added_pairs.setflags(write=False)
     if added:
-        users, tasks = added_pairs.T
-        assigned[users, tasks] = True
+        assigned.reshape(-1)[codes] = True
+        tasks = added_pairs[:, 1]
         miss_after = miss_after.copy()
         picked = _touched(tasks, n_tasks)
         miss_after[picked] = _column_miss(p_f, assigned, picked)
@@ -476,7 +519,7 @@ def lazy_greedy_allocate(
     return GreedyOutcome(
         assignment=Assignment(matrix=assigned),
         added_pairs=added_pairs,
-        objective=float(np.sum(1.0 - miss_after)),
+        objective=float((1.0 - miss_after).sum()),
         spent_cost=spent,
         stats=GreedyStats(
             picks=len(added),
@@ -488,45 +531,29 @@ def lazy_greedy_allocate(
     )
 
 
-def _task_ranking(rankings: dict, p_f: np.ndarray, eligible: np.ndarray, index: int) -> tuple:
-    """The eligible users of accuracy column ``index`` by ``(-p, user)``,
-    sorted once and kept in ``rankings``.
+def _rankings(p: np.ndarray, eligible: np.ndarray) -> list:
+    """The eligible users of each column of ``p`` by ``(-p, user)``.
 
-    Returns ``(users, ranked_p, run_end, n)``: ``run_end[k]`` is the first
-    rank past rank ``k``'s run of equal ``p``.
+    One ``(users, ranked_p, run_end, n)`` per column, as lists:
+    ``run_end[k]`` is the first rank past rank ``k``'s run of equal ``p``.
+    Every column ranks the same ``n`` eligible users, so the columns are
+    sorted and cut in one go; a stable sort of the eligible rows, which
+    are in ascending user order, breaks ties by user.
     """
-    ranking = rankings.get(index)
-    if ranking is None:
-        column = p_f[:, index]
-        order = np.argsort(-column, kind="stable")
-        order = order[eligible[order]]
-        ranked_p = column[order]
-        starts = np.flatnonzero(np.concatenate(([True], ranked_p[1:] != ranked_p[:-1])))
-        ends = np.append(starts[1:], len(order))
-        run_end = np.repeat(ends, ends - starts)
-        ranking = rankings[index] = (
-            order.tolist(),
-            ranked_p.tolist(),
-            run_end.tolist(),
-            len(order),
-        )
-    return ranking
-
-
-def _equal_columns(p: np.ndarray) -> list:
-    """For each column of ``p``, the first column equal to it (its own index
-    when none comes before it).  Columns are grouped by one weighted sum of
-    their entries and then compared entry by entry, so a sum that two
-    different columns share only costs a sort of its own."""
-    first: dict = {}
-    weights = np.linspace(1.0, 2.0, p.shape[0])
-    same = np.array(
-        [first.setdefault(total, j) for j, total in enumerate((weights @ p).tolist())],
-        dtype=np.intp,
-    )
-    differs = np.flatnonzero(~(p == p[:, same]).all(axis=0))
-    same[differs] = differs
-    return same.tolist()
+    users = np.flatnonzero(eligible)
+    ranked_p = p[users].T
+    order = np.argsort(-ranked_p, axis=1, kind="stable")
+    ranked_p = np.take_along_axis(ranked_p, order, axis=1)
+    order = users[order]
+    n_columns, n = order.shape
+    # A rank's run ends at the first later rank whose ``p`` differs.
+    run_end = np.full((n_columns, n), n)
+    run_end[:, :-1] = np.where(ranked_p[:, 1:] != ranked_p[:, :-1], np.arange(1, n), n)
+    run_end = np.minimum.accumulate(run_end[:, ::-1], axis=1)[:, ::-1]
+    return [
+        (users, ranked, ends, n)
+        for users, ranked, ends in zip(order.tolist(), ranked_p.tolist(), run_end.tolist())
+    ]
 
 
 def _touched(indices: np.ndarray, size: int) -> np.ndarray:

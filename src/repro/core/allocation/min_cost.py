@@ -15,12 +15,15 @@ passes or no further assignment is possible (capacities exhausted).
 
 The rounds share one greedy start state
 (:class:`~repro.core.allocation.lazy_greedy.GreedyState`): the accuracy
-matrix, pair times and user rankings are made once per allocation, both
-passes of a round start from the state, and the winning pass's pairs move
-it forward, recomputing only the users and tasks they touched.  Each round
+matrix (one ``erf`` per distinct expertise column), the task times and
+the per-domain user rankings are made once per allocation, both passes of
+a round start from the state, and when tasks are left unsatisfied the
+winning pass's pairs move it forward, recomputing only the users and
+tasks they touched.  Each round
 writes its finite observations into a copy of the running matrix
 (:meth:`~repro.truthdiscovery.base.ObservationMatrix.with_pairs`) and
-re-checks only the tasks among them.  Outputs are ``==`` those of the loop
+re-checks only the tasks among them; Eq. 24's ``Z_{alpha/2}`` is made once
+per confidence level.  Outputs are ``==`` those of the loop
 that rebuilds every pass from the running assignment
 (:func:`repro.perf.reference.reference_min_cost_run`).
 
@@ -130,7 +133,7 @@ class MinCostAllocator:
             estimate = self._default_estimator(problem)
 
         # One greedy start state carries the problem's fixed inputs (the
-        # Eq. 11 accuracy matrix, the pair times, the per-domain user
+        # Eq. 11 accuracy matrix, the task times, the per-domain user
         # rankings) and the assignment so far through every round: both
         # passes of a round start from it, and the winner's pairs move it
         # forward, touching only their rows and columns.
@@ -160,7 +163,6 @@ class MinCostAllocator:
             if not len(outcome.added_pairs):
                 break
             assignment = outcome.assignment
-            state.advance(outcome)
             total_cost += outcome.spent_cost
 
             # Dropout or corrupt (non-finite) payload: the recruiting cost is
@@ -179,13 +181,14 @@ class MinCostAllocator:
             # Only tasks with new usable observations can newly pass the
             # Line 12-15 check; satisfied tasks are latched (they were
             # removed from active_tasks and receive no further data).
+            delivered = np.bincount(tasks[np.isfinite(values)], minlength=n_tasks)
             satisfied = self._check_quality(
                 observations.mask,
                 truths,
                 sigmas,
                 task_expertise,
                 satisfied=satisfied,
-                recheck=np.unique(tasks[np.isfinite(values)]),
+                recheck=np.flatnonzero(delivered),
             )
             rounds.append(
                 MinCostRound(
@@ -196,6 +199,8 @@ class MinCostAllocator:
             )
             if np.all(satisfied):
                 break
+            # The next round's passes start from this round's pairs.
+            state.advance(outcome)
 
         return MinCostOutcome(
             assignment=assignment,

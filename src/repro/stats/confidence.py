@@ -17,6 +17,7 @@ Algorithm 2 accepts a task once this interval is no wider than
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -68,13 +69,23 @@ class ConfidenceInterval:
 
 
 def _fisher_information(expertise, selected, sigmas) -> np.ndarray:
-    """Eq. 23 per task: ``sum_i s_ij * u_ij^2 / sigma_j^2`` (axis 0 = users)."""
+    """Eq. 23 per task: ``sum_i s_ij * u_ij^2 / sigma_j^2`` (axis 0 = users).
+
+    Callers hold ``np.errstate`` for the division: a zero sigma is theirs
+    to mask.
+    """
     u = np.asarray(expertise, dtype=float)
-    if np.any(selected & (u < 0)):
+    if (selected & (u < 0)).any():
         raise ValueError("expertise values must be non-negative")
     sigmas = np.asarray(sigmas, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.sum(np.where(selected, u * u, 0.0), axis=0) / (sigmas * sigmas)
+    return np.where(selected, u * u, 0.0).sum(axis=0) / (sigmas * sigmas)
+
+
+@lru_cache(maxsize=16)
+def _critical_value(confidence: float) -> float:
+    """Eq. 24's ``Z_{alpha/2}`` for ``alpha = 1 - confidence``, made once per level."""
+    alpha = 1.0 - confidence
+    return float(standard_normal_quantile(1.0 - alpha / 2.0))
 
 
 def truth_half_widths(expertise, selected, sigmas, confidence: float = 0.95) -> np.ndarray:
@@ -90,10 +101,9 @@ def truth_half_widths(expertise, selected, sigmas, confidence: float = 0.95) -> 
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    info = _fisher_information(expertise, selected, sigmas)
-    alpha = 1.0 - confidence
-    z = float(standard_normal_quantile(1.0 - alpha / 2.0))
+    z = _critical_value(confidence)
     with np.errstate(divide="ignore", invalid="ignore"):
+        info = _fisher_information(expertise, selected, sigmas)
         return np.where(info <= 0.0, np.inf, z / np.sqrt(info))
 
 
@@ -105,7 +115,8 @@ def truth_fisher_information(expertise: Sequence[float], sigma: float) -> float:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return float(_fisher_information(expertise, True, sigma))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(_fisher_information(expertise, True, sigma))
 
 
 def mle_truth_confidence_interval(

@@ -58,11 +58,11 @@ class ObservationMatrix:
         the same ordered stream always rebuilds the same matrix.  A pair
         outside ``n_users x n_tasks`` raises ``ValueError``.
         """
-        users, tasks, values = _kept_pairs(users, tasks, values, n_users, n_tasks)
+        flat, values = _kept_pairs(users, tasks, values, n_users, n_tasks)
         matrix = np.zeros((n_users, n_tasks), dtype=float)
         mask = np.zeros((n_users, n_tasks), dtype=bool)
-        matrix[users, tasks] = values
-        mask[users, tasks] = True
+        matrix.reshape(-1)[flat] = values
+        mask.reshape(-1)[flat] = True
         return cls(values=matrix, mask=mask)
 
     def with_pairs(self, users, tasks, values) -> "ObservationMatrix":
@@ -74,11 +74,11 @@ class ObservationMatrix:
         ``ValueError`` as :meth:`from_pairs` does.
         """
         n_users, n_tasks = self.values.shape
-        users, tasks, values = _kept_pairs(users, tasks, values, n_users, n_tasks)
+        flat, values = _kept_pairs(users, tasks, values, n_users, n_tasks)
         matrix = self.values.copy()
         mask = self.mask.copy()
-        matrix[users, tasks] = values
-        mask[users, tasks] = True
+        matrix.reshape(-1)[flat] = values
+        mask.reshape(-1)[flat] = True
         return type(self)(values=matrix, mask=mask)
 
     @classmethod
@@ -138,9 +138,10 @@ class ObservationMatrix:
 
 
 def _kept_pairs(users, tasks, values, n_users: int, n_tasks: int) -> tuple:
-    """The ``(users, tasks, values)`` a fold writes: each pair's last entry,
-    where it is finite.  Raises ``ValueError`` for mismatched lengths or a
-    pair outside ``n_users x n_tasks``."""
+    """The ``(flat, values)`` a fold writes: each pair's last entry, where it
+    is finite, with the pair as its flat index ``user * n_tasks + task`` in
+    a C-order matrix (ascending).  Raises ``ValueError`` for mismatched
+    lengths or a pair outside ``n_users x n_tasks``."""
     users = np.asarray(users, dtype=np.intp)
     tasks = np.asarray(tasks, dtype=np.intp)
     values = np.asarray(values, dtype=float)
@@ -155,12 +156,16 @@ def _kept_pairs(users, tasks, values, n_users: int, n_tasks: int) -> tuple:
             f"pair ({users[k]}, {tasks[k]}) lies outside the {n_users} x {n_tasks} matrix"
         )
     # Fancy assignment leaves the winner of a repeated index unspecified:
-    # keep each pair's last entry explicitly (first in the reversed order).
+    # keep each pair's last entry explicitly, the last of its run in a
+    # stable sort.
     flat = users * n_tasks + tasks
-    _, first_reversed = np.unique(flat[::-1], return_index=True)
-    keep = flat.size - 1 - first_reversed
-    keep = keep[np.isfinite(values[keep])]
-    return users[keep], tasks[keep], values[keep]
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    kept = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=kept[:-1])
+    values = values[order]
+    kept &= np.isfinite(values)
+    return flat[kept], values[kept]
 
 
 @dataclass(frozen=True)

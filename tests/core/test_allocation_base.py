@@ -10,7 +10,8 @@ from repro.core.allocation import (
     accuracy_probabilities,
     allocation_objective,
 )
-from repro.stats.normal import standard_normal_cdf
+from repro.core.allocation.lazy_greedy import GreedyState
+from repro.stats.normal import standard_normal_cdf, symmetric_tail_probability
 
 
 def _problem(n_users=3, n_tasks=4, seed=0, epsilon=0.5):
@@ -101,6 +102,66 @@ class TestAllocationProblem:
     def test_default_costs_are_unit(self):
         problem = _problem()
         assert np.all(problem.costs == 1.0)
+
+    def test_accuracy_matrix_per_column_is_eq11_per_pair_bit_for_bit(self):
+        """Eq. 11 runs once per distinct expertise column and is gathered to
+        the tasks: the result has the bits of the element-wise form, and a
+        greedy start state shares a ranking only between bit-equal columns.
+
+        Domain 1 copies domain 0's column, domain 2 saturates (``p == 1.0``
+        for users of different expertise), some entries are zero, tasks
+        repeat domains, and some users are ineligible.
+        """
+        rng = np.random.default_rng(37)
+        for index in range(60):
+            n_users, n_domains = int(rng.integers(1, 50)), int(rng.integers(3, 7))
+            levels = rng.gamma(2.0, 1.5, (n_users, n_domains))
+            levels[rng.random(levels.shape) < 0.15] = 0.0
+            levels[:, 1] = levels[:, 0]
+            levels[:, 2] = rng.uniform(90.0, 300.0, n_users)
+            domains = rng.integers(0, n_domains, int(rng.integers(0, 60)))
+            expertise = levels[:, rng.permutation(np.concatenate(([0, 1, 2], domains)))]
+            if index % 2:
+                expertise = np.asfortranarray(expertise)
+            eligible = None
+            if index % 3 == 1:
+                eligible = rng.random(n_users) < 0.6
+                eligible[int(rng.integers(n_users))] = True
+            problem = AllocationProblem(
+                expertise=expertise,
+                processing_times=np.ones(expertise.shape[1]),
+                capacities=np.ones(n_users),
+                epsilon=float(rng.choice([0.1, 0.5])),
+                eligible=eligible,
+            )
+            p = problem.accuracy_matrix()
+            want = symmetric_tail_probability(problem.epsilon * problem.expertise)
+            assert p.shape == want.shape
+            assert np.array_equal(p.view(np.uint64), want.view(np.uint64))
+            saturated = (problem.expertise == levels[:, [2]]).all(axis=0)
+            assert saturated.any() and np.all(p[:, saturated] == 1.0)
+
+            # One group per distinct column; a group's tasks are bit-equal.
+            first, group = problem.column_groups
+            bits = problem.expertise.view(np.uint64)
+            assert len(first) == len(np.unique(bits.T, axis=0))
+            assert np.array_equal(bits, bits[:, first[group]])
+            copies = np.flatnonzero((bits == levels[:, [0]].view(np.uint64)).all(axis=0))
+            assert len(set(group[copies].tolist())) == 1
+
+            # Each task ranks the eligible users by (-p, user); tasks share
+            # a ranking only when their accuracy columns are bit-equal.
+            state = GreedyState(problem)
+            users = np.flatnonzero(problem.eligible_mask()).tolist()
+            p_bits = p.view(np.uint64)
+            for task in range(problem.n_tasks):
+                ranked, ranked_p, _, n = state.task_rankings[task]
+                assert ranked == sorted(users, key=lambda user: (-p[user, task], user))
+                assert ranked_p == p[ranked, task].tolist() and n == len(users)
+                assert state.task_accuracy[task] == p[:, task].tolist()
+                for other in range(task):
+                    if state.task_rankings[other] is state.task_rankings[task]:
+                        assert np.array_equal(p_bits[:, other], p_bits[:, task])
 
 
 class TestAssignment:

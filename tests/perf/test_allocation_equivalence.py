@@ -33,8 +33,8 @@ re-evaluation after a pick walks past 135-149 spent users, and users
 whose ``p`` sits one or two rounding steps, or a relative ``2**-40``,
 below a leader (plus hand-built subnormal and overflowing gains), where
 the tie scan must end exactly at the first run whose gain differs.  Two
-distinct accuracy columns with the same weighted sum check that the
-per-domain ranking cache keeps them apart.
+distinct accuracy columns with the same grouping key (the XOR of their
+bits) check that the per-domain rankings keep them apart.
 
 The CELF invariant test asserts the submodularity precondition the kernel
 relies on: re-evaluating a stale heap entry never *increases* its
@@ -48,7 +48,9 @@ runs :class:`~repro.core.allocation.min_cost.MinCostAllocator` against
 :func:`~repro.perf.reference.reference_min_cost_run`, which rebuilds every
 pass from the running assignment, over dropouts (NaN payloads),
 eligibility masks, a round budget below one task's cost, zero-capacity
-users, a wider time range and the extra pass on and off: ``==`` on every
+users, a wider time range, the extra pass on and off, and in every
+instance two domains with identical expertise columns and a saturated
+domain (``p == 1.0`` for every user): ``==`` on every
 round and on the outcome with the frozen eager greedy, and on the merged
 ``GreedyStats`` with the live kernel rebuilt per pass.  After every round
 the carried state must equal a fresh build and the full-matrix forms.
@@ -60,13 +62,14 @@ whole permutation.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from repro.core.allocation.base import AllocationProblem, Assignment
+from repro.core.allocation.base import AllocationProblem, Assignment, _distinct_columns
 from repro.core.allocation.baselines import random_first_fit
-from repro.core.allocation.lazy_greedy import GreedyState, _equal_columns, lazy_greedy_allocate
+from repro.core.allocation.lazy_greedy import GreedyState, lazy_greedy_allocate
 from repro.core.allocation.min_cost import MinCostAllocator
 from repro.perf.reference import (
     reference_greedy_allocate,
@@ -224,7 +227,13 @@ def _assert_same_state(state, fresh):
     )
     assert np.array_equal(state.avail, fresh.avail)
     assert np.array_equal(state.avail, ~assigned & problem.eligible_mask()[:, None])
+    assert state.avail.flags.f_contiguous
     assert state.taken == fresh.taken == set(np.flatnonzero(assigned).tolist())
+    # The list forms a pass copies follow the arrays.
+    assert np.array_equal(state.fit, state.remaining + 1e-12)
+    assert state.remaining_list == state.remaining.tolist()
+    assert state.fit_list == state.fit.tolist()
+    assert state.miss_list == state.miss.tolist()
 
 
 @pytest.mark.parametrize("block", range(8))
@@ -449,12 +458,18 @@ def test_long_walks_after_picks_match_reference(seed):
 @dataclass(frozen=True)
 class _GivenAccuracy(AllocationProblem):
     """A problem whose Eq. 11 accuracies are given directly, so a test can
-    place users' ``p`` a rounding step apart."""
+    place users' ``p`` a rounding step apart.  Its tasks share a ranking
+    only when their given accuracy columns are bit-equal (its expertise is
+    all ones)."""
 
     accuracy: "np.ndarray | None" = None
 
     def accuracy_matrix(self) -> np.ndarray:
         return self.accuracy
+
+    @cached_property
+    def column_groups(self) -> "tuple[np.ndarray, np.ndarray]":
+        return _distinct_columns(self.accuracy)
 
 
 def _at_the_margin(leader: float) -> list:
@@ -540,17 +555,19 @@ def test_tie_scan_runs_when_gains_overflow():
 
 
 
-def test_columns_sharing_a_weighted_sum_keep_their_own_ranking():
-    """``_equal_columns`` groups columns by one weighted sum and then checks
-    them entry by entry.  Two different columns with the same sum must
-    stay apart (each task ranks its users by its own ``p``; the second
-    copy of ``second`` finds ``first`` under the sum and so gets a sort of
-    its own), and both greedy passes from one state must match the eager
-    loop."""
-    first, second = [0.25, 0.0, 0.25], [0.0, 0.5, 0.0]
+def test_columns_sharing_a_grouping_key_keep_their_own_ranking():
+    """``_distinct_columns`` keys columns by the XOR of their bits and then
+    checks them bit by bit.  Two different columns with the same key (here
+    a column and its permutation) must stay apart: each task ranks its
+    users by its own ``p``, the copies of ``second`` differ from ``first``
+    and form a group and a sort of their own, and both greedy passes from
+    one state must match the eager loop."""
+    first, second = [0.25, 0.5, 0.0], [0.5, 0.25, 0.0]
     accuracy = np.array([first, second, first, second]).T
-    assert np.linspace(1.0, 2.0, 3) @ accuracy[:, 0] == np.linspace(1.0, 2.0, 3) @ accuracy[:, 1]
-    assert _equal_columns(accuracy) == [0, 1, 0, 3]
+    keys = np.bitwise_xor.reduce(accuracy.view(np.uint64), axis=0)
+    assert keys[0] == keys[1] and not np.array_equal(accuracy[:, 0], accuracy[:, 1])
+    leaders, group = _distinct_columns(accuracy)
+    assert leaders[group].tolist() == [0, 1, 0, 1]
     problem = _GivenAccuracy(
         expertise=np.ones((3, 4)),
         processing_times=np.array([1.0, 0.5, 0.8, 1.2]),
@@ -558,6 +575,9 @@ def test_columns_sharing_a_weighted_sum_keep_their_own_ranking():
         accuracy=accuracy,
     )
     state = GreedyState(problem)
+    assert state.task_rankings[0] is state.task_rankings[2]
+    assert state.task_rankings[1] is state.task_rankings[3]
+    assert state.task_rankings[0][0] == [1, 0, 2] and state.task_rankings[1][0] == [0, 1, 2]
     for divide_by_time in (True, False):
         _assert_matches_reference(problem, state=state, divide_by_time=divide_by_time)
 
@@ -602,6 +622,19 @@ def test_slack_capacities_never_refresh():
     _assert_same_pairs(lazy.added_pairs, reference_greedy_allocate(problem).added_pairs)
 
 
+def test_problem_without_tasks_allocates_nothing():
+    """A day with no tasks has no columns to group, rank or build over:
+    both passes add nothing and score 0."""
+    problem = AllocationProblem(
+        expertise=np.ones((3, 0)), processing_times=np.ones(0), capacities=np.ones(3)
+    )
+    state = GreedyState(problem)
+    assert state.task_rankings == [] and len(problem.column_groups[0]) == 0
+    for divide_by_time in (True, False):
+        outcome = lazy_greedy_allocate(problem, divide_by_time=divide_by_time, state=state)
+        assert outcome.added_pairs.shape == (0, 2) and outcome.objective == 0.0
+
+
 def test_lazy_on_domain_structured_instance_is_lazy():
     """On the benchmark's domain structure the kernel must do far fewer
     re-evaluations than the eager loop's ~picks * tasks-per-domain."""
@@ -626,16 +659,22 @@ def _min_cost_instance(rng, index):
     ``index`` (position in its block) switches the features on in turn so
     every block has each: a wider time range, eligibility masks,
     dropouts (NaN payloads), a round budget below one task's cost, and the
-    extra pass on and off; some users always have zero capacity.
+    extra pass on and off; some users always have zero capacity.  Every
+    instance has two domains with identical expertise columns (one Eq. 11
+    column and one ranking for both) and a saturated domain, whose users'
+    expertise differs but whose ``p`` is exactly 1.0 for all of them.
     """
     n_users = int(rng.integers(4, 41))
     n_tasks = int(rng.integers(3, 61))
     n_domains = int(rng.integers(1, 5))
-    domains = rng.integers(0, n_domains, n_tasks)
     if rng.random() < 0.3:
         levels = rng.choice([0.5, 1.0, 2.0, 3.0], size=(n_users, n_domains))
     else:
         levels = rng.gamma(2.0, 1.5, (n_users, n_domains))
+    saturated = rng.uniform(90.0, 300.0, n_users)
+    levels = np.column_stack((levels, levels[:, 0], saturated))
+    domains = rng.integers(0, n_domains + 2, n_tasks)
+    domains[:3] = rng.permutation([0, n_domains, n_domains + 1])
     expertise = levels[:, domains]
     if index % 3 == 0:
         times = rng.uniform(0.3, 2.0, n_tasks)

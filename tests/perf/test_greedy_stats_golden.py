@@ -13,8 +13,14 @@ re-evaluates a task would pass every other gate.  These tests pin
   capacity 1.0), one efficiency pass;
 - two synthetic-dataset days in the pipeline's shape (100 users x 200
   tasks, 8 domains, capacities ``U[8, 16]``), allocated by
-  :class:`MaxQualityAllocator` (both greedy passes, merged counters).
+  :class:`MaxQualityAllocator` (both greedy passes, merged counters);
+- one synthetic eta2-mc day as the end-to-end benchmark runs it (seed
+  2017, round budget 100, day 1 of 5): Algorithm 2's merged counters,
+  its round count and each round's pairs, through the pipeline's
+  previews.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,7 +28,10 @@ import pytest
 from repro.core.allocation.base import AllocationProblem
 from repro.core.allocation.lazy_greedy import GreedyStats, lazy_greedy_allocate
 from repro.core.allocation.max_quality import MaxQualityAllocator
+from repro.core.allocation.min_cost import MinCostAllocator
 from repro.datasets import synthetic_dataset
+from repro.simulation import SimulationConfig, run_simulation
+from repro.simulation.approaches import ETA2Approach
 
 
 def _quick_kernel_problem():
@@ -88,3 +97,35 @@ def test_unit_cost_budgeted_pass_stops_at_the_budget():
     assert np.array_equal(budgeted.added_pairs, full.added_pairs[:500])
     assert budgeted.spent_cost == 500.0
     assert budgeted.stats.pops == budgeted.stats.evaluations
+
+
+def test_synthetic_mc_day_work_is_golden(monkeypatch):
+    """Day 1 of a seed-2017 synthetic eta2-mc run (round budget 100, the
+    first Algorithm 2 day): three rounds of 100 picks, each round's pairs
+    pinned by a digest of their ``(user, task)`` rows in pick order."""
+    outcomes = []
+    run = MinCostAllocator.run
+
+    def recording(allocator, problem, observe, estimate=None):
+        outcome = run(allocator, problem, observe, estimate)
+        outcomes.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(MinCostAllocator, "run", recording)
+    approach = ETA2Approach(allocator="min-cost", min_cost_round_budget=100.0)
+    run_simulation(
+        synthetic_dataset(seed=2017), approach, SimulationConfig(n_days=5, seed=2017, end_day=2)
+    )
+    (outcome,) = outcomes
+    assert outcome.greedy_stats == GreedyStats(
+        picks=600, pops=744, evaluations=744, max_refresh_delta=0.0
+    )
+    assert outcome.round_count == 3
+    assert [
+        hashlib.sha256(round_.added_pairs.astype(np.int64).tobytes()).hexdigest()
+        for round_ in outcome.rounds
+    ] == [
+        "61e9b58ba82c094cde1a6512607364b31756076bd41bd6f80a88058771305686",
+        "d587408ec4fd551f708a26892d2c9468b370ef6756a6eacf0bbeedc1b162d5ff",
+        "1e2d7f99675de950a8931d68146f2ca734341fc87f8018dafaef7fc113b58f32",
+    ]
