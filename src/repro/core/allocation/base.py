@@ -19,7 +19,6 @@ two differ with probability zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -73,8 +72,8 @@ class AllocationProblem:
     Attributes
     ----------
     expertise:
-        ``(n_users, n_tasks)`` matrix ``u_{i, d_j}`` — each user's expertise
-        in each task's domain.
+        ``(n_users, n_domains)`` block ``u_i^k`` — each user's expertise in
+        each domain the tasks draw on.
     processing_times:
         ``t_j`` per task, the same for every user (Eq. 13).
     capacities:
@@ -92,9 +91,14 @@ class AllocationProblem:
         boolean mask — not infinite processing times — because
         ``False * inf`` is NaN under IEEE rules and would silently poison
         workload arithmetic.
+    domain_columns:
+        Each task's column ``d_j`` in ``expertise``, so task ``j`` reads
+        ``u_i^{d_j} = expertise[i, domain_columns[j]]``.  ``None`` gives
+        every task its own column (``expertise`` is then ``(n_users,
+        n_tasks)``).  Eq. 11 runs once per column and the greedy ranks
+        each column's users once, shared by its tasks.
 
-    A problem is a value: its arrays are not changed after construction,
-    and what it derives from them (:attr:`column_groups`) is kept.
+    A problem is a value: its arrays are not changed after construction.
     """
 
     expertise: np.ndarray
@@ -103,14 +107,24 @@ class AllocationProblem:
     epsilon: float = DEFAULT_EPSILON
     costs: "np.ndarray | None" = None
     eligible: "np.ndarray | None" = None
+    domain_columns: "np.ndarray | None" = None
 
     def __post_init__(self):
         expertise = np.asarray(self.expertise, dtype=float)
         times = np.asarray(self.processing_times, dtype=float)
         capacities = np.asarray(self.capacities, dtype=float)
         if expertise.ndim != 2:
-            raise ValueError("expertise must be a (n_users, n_tasks) matrix")
-        n_users, n_tasks = expertise.shape
+            raise ValueError("expertise must be a (n_users, n_domains) matrix")
+        n_users, n_columns = expertise.shape
+        if self.domain_columns is None:
+            domain_columns = np.arange(n_columns)
+        else:
+            domain_columns = np.asarray(self.domain_columns)
+            if domain_columns.ndim != 1 or domain_columns.dtype.kind not in "iu":
+                raise ValueError("domain_columns must be a 1-D integer array")
+            if np.any((domain_columns < 0) | (domain_columns >= n_columns)):
+                raise ValueError("domain_columns must index the expertise columns")
+        n_tasks = len(domain_columns)
         if times.shape != (n_tasks,):
             raise ValueError("processing_times must have one entry per task")
         if capacities.shape != (n_users,):
@@ -153,6 +167,7 @@ class AllocationProblem:
         object.__setattr__(self, "capacities", capacities)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "eligible", eligible)
+        object.__setattr__(self, "domain_columns", domain_columns)
 
     @property
     def n_users(self) -> int:
@@ -160,7 +175,7 @@ class AllocationProblem:
 
     @property
     def n_tasks(self) -> int:
-        return self.expertise.shape[1]
+        return len(self.domain_columns)
 
     def eligible_mask(self) -> np.ndarray:
         """Per-user eligibility as a concrete boolean array (all-True default)."""
@@ -168,52 +183,12 @@ class AllocationProblem:
             return np.ones(self.n_users, dtype=bool)
         return self.eligible
 
-    @cached_property
-    def column_groups(self) -> "tuple[np.ndarray, np.ndarray]":
-        """``(first, group)`` of the bit-equal expertise columns: ``first[g]``
-        is the first task of the ``g``-th distinct column and ``group[j]``
-        task ``j``'s ``g``.
-
-        The model gives each user one expertise per domain, so the tasks of
-        one domain share a column: Eq. 11 and the greedy's user rankings
-        are made once per group.  Made on first use and kept (read-only).
-        """
-        first, group = _distinct_columns(self.expertise)
-        first.setflags(write=False)
-        group.setflags(write=False)
-        return first, group
-
     def accuracy_matrix(self) -> np.ndarray:
-        """The ``p_ij`` matrix of Eq. 11: one ``erf`` per distinct expertise
-        column (:attr:`column_groups`), gathered to every task.  Equal bits
-        in give equal bits out, so it is ``==`` the element-wise form."""
-        first, group = self.column_groups
-        return accuracy_probabilities(self.expertise[:, first], self.epsilon)[:, group]
-
-
-def _distinct_columns(matrix: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """``(first, group)`` of the bit-equal columns of a float ``matrix``
-    (see :attr:`AllocationProblem.column_groups`).
-
-    Columns are keyed by the XOR of their entries' bits, so equal columns
-    always share a key, and then compared bit by bit with the first column
-    of their key.  Columns that differ from it (different columns can share
-    a key: a column and any permutation of it do) are grouped among
-    themselves the same way, until none is left.  So two columns share a
-    group exactly when every entry has the same bits.
-    """
-    bits = matrix.view(np.uint64)
-    keys = np.bitwise_xor.reduce(bits, axis=0)
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    differs = np.flatnonzero((bits != bits[:, first[group]]).any(axis=0))
-    while len(differs):
-        _, lead, inverse = np.unique(keys[differs], return_index=True, return_inverse=True)
-        lead = differs[lead]
-        same = (bits[:, differs] == bits[:, lead[inverse]]).all(axis=0)
-        group[differs[same]] = len(first) + inverse[same]
-        first = np.concatenate((first, lead))
-        differs = differs[~same]
-    return first, group
+        """The ``(n_users, n_tasks)`` ``p_ij`` matrix of Eq. 11: one ``erf``
+        per expertise column, gathered to the tasks by
+        :attr:`domain_columns`.  It is ``==`` the element-wise form over the
+        gathered ``u_i^{d_j}``."""
+        return accuracy_probabilities(self.expertise, self.epsilon)[:, self.domain_columns]
 
 
 @dataclass

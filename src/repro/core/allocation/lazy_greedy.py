@@ -39,11 +39,11 @@ user leaves the feasible set (assigned to the task, or ``t_j`` above its
 remaining capacity) is permanent.  Re-evaluation is a forward pointer
 over that ranking, in scalar arithmetic:
 
-- rankings are built with the :class:`GreedyState`, one sort per group
-  of bit-equal expertise columns
-  (:attr:`~repro.core.allocation.base.AllocationProblem.column_groups`,
-  one group per domain, the groups Eq. 11 runs over), and shared by the
-  group's tasks in a list indexed by task, so each domain is sorted once
+- rankings are built with the :class:`GreedyState`, one sort per
+  expertise column the tasks read
+  (:attr:`~repro.core.allocation.base.AllocationProblem.domain_columns`,
+  one column per domain, the columns Eq. 11 runs over), and shared by the
+  column's tasks in a list indexed by task, so each domain is sorted once
   per allocation however many passes run from the state;
 - the gain is ``p * miss / t`` in Python floats — the same IEEE operations
   as the vectorised form — and a short scan over the following runs of
@@ -169,7 +169,7 @@ class GreedyState:
     ``accuracy`` in Fortran order (``[:, task]`` slices are contiguous),
     ``eligible``, the task ``costs`` and ``task_times``, and per task its
     user ranking (``task_rankings``) and ``p`` by user
-    (``task_accuracy``), one of each per group of equal expertise columns
+    (``task_accuracy``), one of each per expertise column the tasks read
     (a ranking depends on the problem's eligibility and accuracy, so a
     state never outlives its problem).  The values the assignment so far
     implies, starting from the empty assignment plus ``initial``'s pairs:
@@ -197,15 +197,15 @@ class GreedyState:
         self.costs = problem.costs.tolist()
         self.task_times = problem.processing_times.tolist()
         # Each task's user ranking and ``p`` by user: one sort and one list
-        # per group of equal expertise columns (one per domain), shared by
-        # the group's tasks.
-        first, group = problem.column_groups
-        group = group.tolist()
+        # per expertise column the tasks read (one per domain), shared
+        # through the problem's ``domain_columns``.
+        _, first, column = np.unique(problem.domain_columns, return_index=True, return_inverse=True)
+        column = column.tolist()
         accuracy = self.accuracy[:, first]
         rankings = _rankings(accuracy, self.eligible)
-        self.task_rankings = [rankings[g] for g in group]
+        self.task_rankings = [rankings[c] for c in column]
         accuracy = accuracy.T.tolist()
-        self.task_accuracy = [accuracy[g] for g in group]
+        self.task_accuracy = [accuracy[c] for c in column]
         # The empty assignment: full capacity, and a column with no
         # assigned user has miss exactly 1.0.
         self.assigned = np.zeros((n_users, n_tasks), dtype=bool)

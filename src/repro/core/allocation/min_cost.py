@@ -15,7 +15,7 @@ passes or no further assignment is possible (capacities exhausted).
 
 The rounds share one greedy start state
 (:class:`~repro.core.allocation.lazy_greedy.GreedyState`): the accuracy
-matrix (one ``erf`` per distinct expertise column), the task times and
+matrix (one ``erf`` per expertise column), the task times and
 the per-domain user rankings are made once per allocation, both passes of
 a round start from the state, and when tasks are left unsatisfied the
 winning pass's pairs move it forward, recomputing only the users and
@@ -253,8 +253,10 @@ class MinCostAllocator:
     def _default_estimator(problem: AllocationProblem) -> Callable:
         """Eq. 5 with the problem's prior expertise held fixed."""
 
+        task_expertise = problem.expertise[:, problem.domain_columns]
+
         def estimate(observations: ObservationMatrix):
-            truths, sigmas = update_truths_for_expertise(observations, problem.expertise)
-            return truths, sigmas, problem.expertise
+            truths, sigmas = update_truths_for_expertise(observations, task_expertise)
+            return truths, sigmas, task_expertise
 
         return estimate

@@ -130,11 +130,6 @@ class ExpertiseMatrix:
         """User ``i``'s expertise vector ``U^i`` as a domain-id -> value map."""
         return {d: float(self._values[user, self._columns[d]]) for d in self.domain_ids}
 
-    def for_tasks(self, task_domains: Sequence) -> np.ndarray:
-        """The ``(n_users, n_tasks)`` matrix ``u_{i, d_j}`` for given task domains."""
-        columns = [self._columns.get(d, -1) for d in np.asarray(task_domains).tolist()]
-        return self._values[:, np.array(columns, dtype=np.intp)]
-
     def as_dict(self) -> Mapping:
         """Snapshot as ``{domain_id: ndarray of per-user expertise}``."""
         return {d: self._values[:, self._columns[d]].copy() for d in self.domain_ids}

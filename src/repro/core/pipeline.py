@@ -521,7 +521,8 @@ class ETA2System:
                 self.tracer.emit("step.degraded", kind=kind, n_tasks=int(observations.n_tasks))
             truths = np.full(observations.n_tasks, np.nan)
             sigmas = np.full(observations.n_tasks, SIGMA_FLOOR)
-            task_expertise = self._updater.task_expertise(domains)
+            # No sum has moved since the problem was built.
+            task_expertise = problem.expertise[:, problem.domain_columns]
             iterations, converged = 0, False
         elif kind == "warm-up":
             with timer.phase("truth"):
@@ -651,8 +652,10 @@ class ETA2System:
         eligible = None
         for hook in self._hooks:
             eligible = hook.eligible(self, eligible)
+        expertise, domain_columns = self._updater.domain_expertise(domains)
         return AllocationProblem(
-            expertise=self._updater.task_expertise(domains),
+            expertise=expertise,
+            domain_columns=domain_columns,
             processing_times=tasks.processing_times,
             capacities=self._capacities,
             epsilon=self._epsilon,

@@ -58,11 +58,16 @@ class TruthAnalysisResult:
     #: single iteration ran; chaos tests assert on it to tell a *slow* run
     #: (delta just above tolerance) from a *diverging* one.
     final_delta: float = float("nan")
+    #: Each solved task's column in ``expertise`` (None for results built
+    #: elsewhere).
+    domain_columns: "np.ndarray | None" = None
 
     def expertise_for_tasks(self, task_domains: np.ndarray) -> np.ndarray:
-        """``u_{i, d_j}`` matrix for the given per-task domain-id labels."""
-        column_of = {domain_id: k for k, domain_id in enumerate(self.domain_ids)}
-        columns = np.array([column_of[d] for d in task_domains], dtype=int)
+        """``u_{i, d_j}`` of the solved tasks, whose labels ``task_domains``
+        must be, gathered by :attr:`domain_columns`."""
+        columns = self.domain_columns
+        if columns is None or not np.array_equal(np.take(self.domain_ids, columns), task_domains):
+            raise ValueError("task_domains are not the labels this result was solved for")
         return self.expertise[:, columns]
 
 
@@ -340,4 +345,5 @@ def estimate_truth(
         iterations=iterations,
         converged=converged,
         final_delta=final_delta,
+        domain_columns=domain_columns,
     )

@@ -40,6 +40,12 @@ from repro.truthdiscovery.base import ObservationMatrix
 __all__ = ["ExpertiseUpdater", "IncorporateResult"]
 
 
+def _distinct_domains(task_domains) -> "tuple[list, np.ndarray]":
+    """The tasks' distinct domain ids (sorted) and each task's index into them."""
+    distinct, inverse = np.unique(np.asarray(task_domains), return_inverse=True)
+    return distinct.tolist(), inverse
+
+
 @dataclass(frozen=True)
 class IncorporateResult:
     """Truths/sigmas of one time step's new tasks plus convergence info.
@@ -185,16 +191,24 @@ class ExpertiseUpdater:
 
     def expertise_column(self, domain_id: int) -> np.ndarray:
         """Current ``u_i^k`` for one domain (Eq. 9), defaults where unseen."""
-        return self.task_expertise([domain_id])[:, 0]
+        return self.domain_expertise([domain_id])[0][:, 0]
 
     def expertise_matrix(self) -> ExpertiseMatrix:
         """Snapshot of all domains as an :class:`ExpertiseMatrix` (Eq. 9)."""
         values = expertise_from_sums(self._numerators, self._denominators)
         return ExpertiseMatrix(values, list(self._columns))
 
-    def task_expertise(self, task_domains) -> np.ndarray:
-        """The ``(n_users, n_tasks)`` matrix ``u_{i, d_j}``; unseen domains default."""
-        return self.expertise_matrix().for_tasks(task_domains)
+    def domain_expertise(self, task_domains) -> "tuple[np.ndarray, np.ndarray]":
+        """The allocation inputs of tasks with these domains: the Eq. 9 block
+        over their distinct domains (sorted ids) and each task's column in
+        it.  Registers no domain; one not yet registered reads the default."""
+        domain_ids, domain_columns = _distinct_domains(task_domains)
+        known = [k for k, domain_id in enumerate(domain_ids) if domain_id in self._columns]
+        columns = [self._columns[domain_ids[k]] for k in known]
+        # Unregistered domains keep zero sums, whose Eq. 9 value is the default.
+        sums = np.zeros((2, self._n_users, len(domain_ids)))
+        sums[:, :, known] = self._numerators[:, columns], self._denominators[:, columns]
+        return expertise_from_sums(*sums), domain_columns
 
     def _sums_changed(self) -> None:
         """Drop what was computed from the sums and columns as they stood."""
@@ -203,8 +217,7 @@ class ExpertiseUpdater:
 
     def _domain_columns(self, task_domains: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Register the tasks' domains; their columns and each task's index into them."""
-        distinct, inverse = np.unique(task_domains, return_inverse=True)
-        domain_ids = distinct.tolist()
+        domain_ids, inverse = _distinct_domains(task_domains)
         for domain_id in domain_ids:
             self.ensure_domain(domain_id)
         columns = np.array([self._columns[d] for d in domain_ids], dtype=np.intp)

@@ -98,33 +98,27 @@ def categorical_day_loop(
         day_domains = dataset.task_domains[task_indices]
         times = np.ones(task_indices.size)
 
-        if day == 0 or approach == "majority-vote":
-            problem = AllocationProblem(
-                expertise=np.ones((n_users, task_indices.size)),
-                processing_times=times,
-                capacities=capacities,
-            )
-            assignment = random_allocator.allocate(problem)
-        elif approach == "dawid-skene":
-            problem = AllocationProblem(
-                expertise=np.ones((n_users, task_indices.size)),
-                processing_times=times,
-                capacities=capacities,
-            )
-            assignment = ReliabilityGreedyAllocator(scalar_reliability).allocate(problem)
-        else:  # expertise-voting
+        if day > 0 and approach == "expertise-voting":
+            distinct, domain_columns = np.unique(day_domains, return_inverse=True)
             accuracy = np.vstack(
-                [
-                    domain_accuracy.get(d, np.full(n_users, 0.5))
-                    for d in day_domains.tolist()
-                ]
+                [domain_accuracy.get(d, np.full(n_users, 0.5)) for d in distinct.tolist()]
             ).T
-            problem = AllocationProblem(
-                expertise=expertise_for_accuracy(accuracy),
-                processing_times=times,
-                capacities=capacities,
-            )
-            assignment = MaxQualityAllocator().allocate(problem)
+            expertise, allocator = expertise_for_accuracy(accuracy), MaxQualityAllocator()
+        else:
+            # Expertise-free: one default column read by every task.
+            expertise = np.ones((n_users, 1))
+            domain_columns = np.zeros(task_indices.size, dtype=np.intp)
+            if day == 0 or approach == "majority-vote":
+                allocator = random_allocator
+            else:  # dawid-skene
+                allocator = ReliabilityGreedyAllocator(scalar_reliability)
+        problem = AllocationProblem(
+            expertise=expertise,
+            domain_columns=domain_columns,
+            processing_times=times,
+            capacities=capacities,
+        )
+        assignment = allocator.allocate(problem)
 
         day_answers = CategoricalObservations(
             answers=dataset_observe_columns(dataset, assignment.matrix, task_indices, observe_rng),

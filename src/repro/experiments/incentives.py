@@ -112,18 +112,18 @@ def run_incentive_loop(
         times = np.ones(tasks_per_day)
 
         if day == 0:
-            expertise = np.ones((n_users, tasks_per_day))
-            problem = AllocationProblem(
-                expertise=expertise, processing_times=times, capacities=capacities
-            )
-            assignment = random_allocator.allocate(problem)
+            # Expertise-free: one default column read by every task.
+            expertise = np.ones((n_users, 1))
+            domain_columns = np.zeros(tasks_per_day, dtype=np.intp)
         else:
-            problem = AllocationProblem(
-                expertise=updater.task_expertise(domains),
-                processing_times=times,
-                capacities=capacities,
-            )
-            assignment = allocator.allocate(problem)
+            expertise, domain_columns = updater.domain_expertise(domains)
+        problem = AllocationProblem(
+            expertise=expertise,
+            domain_columns=domain_columns,
+            processing_times=times,
+            capacities=capacities,
+        )
+        assignment = (random_allocator if day == 0 else allocator).allocate(problem)
 
         values = np.zeros((n_users, tasks_per_day))
         mask = assignment.matrix.copy()

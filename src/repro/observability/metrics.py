@@ -2,8 +2,8 @@
 
 Counters, gauges, and histograms for the quantities the closed loop
 already computes but never aggregates — tasks per domain, observations
-collected, allocator cost, MLE iterations-to-convergence, distance-cache
-hit rate, checkpoint bytes.  The registry is plain Python (no external
+collected, allocator cost, MLE iterations-to-convergence, checkpoint
+bytes.  The registry is plain Python (no external
 client library, per the repo's stdlib+numpy constraint) and exports in
 the two formats operators actually consume:
 

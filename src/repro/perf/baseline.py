@@ -210,7 +210,8 @@ def _bench_allocation_greedy(size: dict, rounds: int) -> dict:
     domains = rng.integers(0, size["n_domains"], n_tasks)
     user_domain = rng.gamma(2.0, 2.0, (n_users, size["n_domains"]))
     problem = AllocationProblem(
-        expertise=user_domain[:, domains],
+        expertise=user_domain,
+        domain_columns=domains,
         processing_times=rng.uniform(0.5, 1.5, n_tasks),
         capacities=np.full(n_users, float(size["capacity"])),
     )
@@ -229,7 +230,8 @@ def _bench_allocation_greedy_day(size: dict, rounds: int) -> dict:
     domains = rng.integers(0, size["n_domains"], n_tasks)
     user_domain = rng.uniform(0.0, 3.0, (n_users, size["n_domains"]))
     problem = AllocationProblem(
-        expertise=user_domain[:, domains],
+        expertise=user_domain,
+        domain_columns=domains,
         processing_times=rng.uniform(0.5, 1.5, n_tasks),
         capacities=rng.uniform(tau - 4.0, tau + 4.0, n_users),
     )
@@ -249,14 +251,16 @@ def _bench_allocation_min_cost(size: dict, rounds: int) -> dict:
     rng = np.random.default_rng(181920)
     n_users, n_tasks, tau = size["n_users"], size["n_tasks"], size["tau"]
     domains = rng.integers(0, size["n_domains"], n_tasks)
-    expertise = rng.uniform(0.0, 3.0, (n_users, size["n_domains"]))[:, domains]
+    user_domain = rng.uniform(0.0, 3.0, (n_users, size["n_domains"]))
     problem = AllocationProblem(
-        expertise=expertise,
+        expertise=user_domain,
+        domain_columns=domains,
         processing_times=rng.uniform(0.5, 1.5, n_tasks),
         capacities=rng.uniform(tau - 4.0, tau + 4.0, n_users),
     )
     truths = rng.uniform(0.0, 20.0, n_tasks)
-    values = truths + rng.standard_normal((n_users, n_tasks)) / np.maximum(expertise, 0.05)
+    noise = rng.standard_normal((n_users, n_tasks))
+    values = truths + noise / np.maximum(user_domain[:, domains], 0.05)
 
     def observe(pairs):
         return [values[user, task] for user, task in pairs]

@@ -214,7 +214,8 @@ class _BaselineApproach(Approach):
 
     def _problem(self, tasks: TaskTable) -> AllocationProblem:
         return AllocationProblem(
-            expertise=np.full((self._capacities.shape[0], len(tasks)), DEFAULT_EXPERTISE),
+            expertise=np.full((self._capacities.shape[0], 1), DEFAULT_EXPERTISE),
+            domain_columns=np.zeros(len(tasks), dtype=np.intp),
             processing_times=tasks.processing_time,
             capacities=self._capacities,
             costs=tasks.cost,

@@ -104,9 +104,10 @@ class TestAllocationProblem:
         assert np.all(problem.costs == 1.0)
 
     def test_accuracy_matrix_per_column_is_eq11_per_pair_bit_for_bit(self):
-        """Eq. 11 runs once per distinct expertise column and is gathered to
-        the tasks: the result has the bits of the element-wise form, and a
-        greedy start state shares a ranking only between bit-equal columns.
+        """Eq. 11 runs once per expertise column and is gathered to the
+        tasks by ``domain_columns``: the result has the bits of the
+        element-wise form over ``u_i^{d_j}``, and a greedy start state
+        shares a ranking exactly between the tasks of one column.
 
         Domain 1 copies domain 0's column, domain 2 saturates (``p == 1.0``
         for users of different expertise), some entries are zero, tasks
@@ -120,48 +121,57 @@ class TestAllocationProblem:
             levels[:, 1] = levels[:, 0]
             levels[:, 2] = rng.uniform(90.0, 300.0, n_users)
             domains = rng.integers(0, n_domains, int(rng.integers(0, 60)))
-            expertise = levels[:, rng.permutation(np.concatenate(([0, 1, 2], domains)))]
+            domain_columns = rng.permutation(np.concatenate(([0, 1, 2], domains)))
             if index % 2:
-                expertise = np.asfortranarray(expertise)
+                levels = np.asfortranarray(levels)
             eligible = None
             if index % 3 == 1:
                 eligible = rng.random(n_users) < 0.6
                 eligible[int(rng.integers(n_users))] = True
             problem = AllocationProblem(
-                expertise=expertise,
-                processing_times=np.ones(expertise.shape[1]),
+                expertise=levels,
+                domain_columns=domain_columns,
+                processing_times=np.ones(len(domain_columns)),
                 capacities=np.ones(n_users),
                 epsilon=float(rng.choice([0.1, 0.5])),
                 eligible=eligible,
             )
             p = problem.accuracy_matrix()
-            want = symmetric_tail_probability(problem.epsilon * problem.expertise)
+            want = symmetric_tail_probability(problem.epsilon * levels[:, domain_columns])
             assert p.shape == want.shape
             assert np.array_equal(p.view(np.uint64), want.view(np.uint64))
-            saturated = (problem.expertise == levels[:, [2]]).all(axis=0)
+            saturated = domain_columns == 2
             assert saturated.any() and np.all(p[:, saturated] == 1.0)
 
-            # One group per distinct column; a group's tasks are bit-equal.
-            first, group = problem.column_groups
-            bits = problem.expertise.view(np.uint64)
-            assert len(first) == len(np.unique(bits.T, axis=0))
-            assert np.array_equal(bits, bits[:, first[group]])
-            copies = np.flatnonzero((bits == levels[:, [0]].view(np.uint64)).all(axis=0))
-            assert len(set(group[copies].tolist())) == 1
-
             # Each task ranks the eligible users by (-p, user); tasks share
-            # a ranking only when their accuracy columns are bit-equal.
+            # a ranking exactly when they have one index.
             state = GreedyState(problem)
             users = np.flatnonzero(problem.eligible_mask()).tolist()
-            p_bits = p.view(np.uint64)
             for task in range(problem.n_tasks):
                 ranked, ranked_p, _, n = state.task_rankings[task]
                 assert ranked == sorted(users, key=lambda user: (-p[user, task], user))
                 assert ranked_p == p[ranked, task].tolist() and n == len(users)
                 assert state.task_accuracy[task] == p[:, task].tolist()
                 for other in range(task):
-                    if state.task_rankings[other] is state.task_rankings[task]:
-                        assert np.array_equal(p_bits[:, other], p_bits[:, task])
+                    shared = state.task_rankings[other] is state.task_rankings[task]
+                    assert shared == (domain_columns[other] == domain_columns[task])
+
+    def test_domain_columns_checks(self):
+        for columns in ([0, 3], [-1, 0], [[0, 1]], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="domain_columns"):
+                AllocationProblem(
+                    expertise=np.ones((2, 3)),
+                    domain_columns=np.array(columns),
+                    processing_times=np.ones(2),
+                    capacities=np.ones(2),
+                )
+        with pytest.raises(ValueError, match="one entry per task"):
+            AllocationProblem(
+                expertise=np.ones((2, 1)),
+                domain_columns=np.zeros(3, dtype=int),
+                processing_times=np.ones(2),
+                capacities=np.ones(2),
+            )
 
 
 class TestAssignment:

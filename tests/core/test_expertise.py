@@ -89,16 +89,6 @@ class TestExpertiseMatrix:
         with pytest.raises(ValueError):
             ExpertiseMatrix(np.ones((2, 2)), domain_ids=[0, 0])
 
-    def test_for_tasks_maps_domains(self):
-        matrix = ExpertiseMatrix(np.array([[1.0, 2.0], [1.0, 0.5]]), domain_ids=[0, 1])
-        task_expertise = matrix.for_tasks([1, 0, 7])
-        assert task_expertise.shape == (2, 3)
-        assert task_expertise[0, 0] == 2.0
-        assert task_expertise[1, 1] == 1.0
-        assert task_expertise[0, 2] == DEFAULT_EXPERTISE  # unseen domain
-        task_expertise[0, 0] = 9.0  # a fresh array, not a view of the snapshot
-        assert matrix.expertise(0, 1) == 2.0
-
     def test_profile(self):
         matrix = ExpertiseMatrix(np.array([[2.0, 1.0], [2.5, 1.0]]), domain_ids=[4, 3])
         assert matrix.profile(1) == {3: DEFAULT_EXPERTISE, 4: 2.5}

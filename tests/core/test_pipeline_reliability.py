@@ -138,6 +138,95 @@ class TestDegradedDays:
         assert [v.check for v in result.guard_report.violations] == ["valid_partition"]
 
 
+def _nan_observe(pairs):
+    return [float("nan")] * len(pairs)
+
+
+def _domain_tasks(rng, domains):
+    return [
+        IncomingTask(processing_time=float(rng.uniform(0.5, 1.5)), domain=int(domain))
+        for domain in domains
+    ]
+
+
+def _registration(system, degraded_days=0):
+    """The domains a system tracks, as every reader of them sees it.
+
+    A degraded day logs zero MLE iterations; the fingerprint is taken
+    without the last ``degraded_days`` entries of that log, so it tells
+    whether anything else in the state moved.
+    """
+    from repro.core.serialization import state_fingerprint
+
+    gauge = system.metrics.gauge("repro_domains").value()
+    log = system.iteration_log
+    if degraded_days:
+        assert log[-degraded_days:] == [0] * degraded_days
+    system.iteration_log = log[: len(log) - degraded_days]
+    fingerprint = state_fingerprint(system)
+    system.iteration_log = log
+    return system.expertise_matrix().domain_ids, gauge, fingerprint
+
+
+def _telemetry_system(**kwargs):
+    from repro.observability import MetricsRegistry
+
+    system = ETA2System(n_users=10, capacities=np.full(10, 8.0), alpha=0.5, seed=0, **kwargs)
+    system.enable_telemetry(metrics=MetricsRegistry())
+    return system
+
+
+class TestDegradedDayRegistration:
+    """Which domains a zero-data day registers.
+
+    A degraded warm-up and a degraded max-quality day register none, not
+    even the new domain the day's tasks bring: the domain list, the
+    ``repro_domains`` gauge and the state fingerprint stay as they were.
+    A degraded min-cost day previews its rounds, and a preview registers
+    the day's domains with empty history; the gauge (set only after a
+    counted step) stays.
+    """
+
+    def test_degraded_warmup_registers_no_domain(self):
+        rng = np.random.default_rng(11)
+        system = _telemetry_system()
+        before = _registration(system)
+        assert before[0] == []
+        result = system.warmup(_domain_tasks(rng, [0, 1, 2, 1]), _nan_observe)
+        assert result.degraded
+        assert _registration(system, degraded_days=1) == before
+
+    def test_degraded_max_quality_day_registers_no_new_domain(self):
+        rng = np.random.default_rng(12)
+        system = _telemetry_system()
+        system.warmup(_domain_tasks(rng, [0, 1, 2] * 4), _good_observe(rng))
+        before = _registration(system)
+        assert before[:2] == ([0, 1, 2], 3.0)
+        result = system.step(_domain_tasks(rng, [2, 5, 5, 0]), _nan_observe)
+        assert result.degraded
+        assert _registration(system, degraded_days=1) == before
+
+    def test_degraded_min_cost_day_registers_its_domains_through_previews(self):
+        rng = np.random.default_rng(13)
+        system = _telemetry_system(allocator="min-cost")
+        warmup = _domain_tasks(rng, [0, 1, 2] * 4)
+        system.warmup(warmup, _good_observe(np.random.default_rng(14)))
+        before = system.expertise_matrix()
+        result = system.step(_domain_tasks(rng, [2, 5, 5, 0]), _nan_observe)
+        assert result.degraded
+        domain_ids, gauge, fingerprint = _registration(system, degraded_days=1)
+        assert (domain_ids, gauge) == ([0, 1, 2, 5], 3.0)
+        after = system.expertise_matrix()
+        for domain_id in before.domain_ids:
+            assert np.array_equal(after.column(domain_id), before.column(domain_id))
+        assert np.all(after.column(5) == 1.0)
+        # The state is the warmed-up one plus domain 5 with empty history.
+        expected = _telemetry_system(allocator="min-cost")
+        expected.warmup(warmup, _good_observe(np.random.default_rng(14)))
+        expected._updater.ensure_domain(5)
+        assert fingerprint == _registration(expected)[2]
+
+
 def _inject_bad_truth(result, observations):
     """Corrupt the first observed task's estimate: infinite truth, zero sigma."""
     task = int(np.flatnonzero(observations.mask.any(axis=0))[0])

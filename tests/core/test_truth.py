@@ -258,9 +258,9 @@ def test_section4_plain_outputs_are_pinned(caplog):
             step = updater.incorporate(
                 obs, domains, max_iterations=max_iterations, commit=commit, tracer=log
             )
+            expertise, columns = updater.domain_expertise(updater.domain_ids)
             feed(
-                step.truths, step.sigmas, step.task_expertise,
-                updater.task_expertise(updater.domain_ids),
+                step.truths, step.sigmas, step.task_expertise, expertise[:, columns],
                 events=log.events, iterations=step.iterations, converged=step.converged,
             )
     assert digest.hexdigest() == SECTION4_PLAIN_DIGEST

@@ -38,6 +38,32 @@ def test_unknown_domain_reads_default():
     assert np.all(column == DEFAULT_EXPERTISE)
 
 
+def test_domain_expertise_is_the_eq9_block_of_the_tasks_domains(setup):
+    """One column per distinct domain (sorted ids) and each task's index
+    into it: the snapshot's Eq. 9 values where registered, the default
+    elsewhere, and no domain registered."""
+    rng, true_expertise = setup
+    updater = ExpertiseUpdater(n_users=30, alpha=0.5)
+    domains = rng.integers(0, 3, 40)
+    updater.incorporate(_batch(rng, true_expertise, domains, 40)[0], domains)
+    updater.ensure_domain(4)
+    snapshot = updater.expertise_matrix()
+    state = updater_to_dict(updater)
+
+    expertise, columns = updater.domain_expertise([7, 2, 4, 0, 2])
+    assert expertise.shape == (30, 4)
+    assert columns.tolist() == [3, 1, 2, 0, 1]
+    for k, domain_id in enumerate([0, 2, 4]):
+        assert np.array_equal(expertise[:, k], snapshot.column(domain_id))
+    assert np.all(snapshot.column(4) == DEFAULT_EXPERTISE)
+    assert np.all(expertise[:, 3] == DEFAULT_EXPERTISE)  # domain 7: not registered
+    assert updater.domain_ids == [0, 1, 2, 4]
+    assert updater_to_dict(updater) == state
+
+    empty, columns = updater.domain_expertise([])
+    assert empty.shape == (30, 0) and columns.shape == (0,)
+
+
 def test_seed_from_batch_initialises_history(setup):
     rng, true_expertise = setup
     domains = rng.integers(0, 3, 60)
@@ -79,7 +105,8 @@ def test_incorporate_estimates_new_task_truths(setup):
     assert error < 0.5
     assert result.converged
     assert result.task_expertise.shape == (30, 50)
-    assert np.array_equal(result.task_expertise, updater.task_expertise(domains))
+    expertise, columns = updater.domain_expertise(domains)
+    assert np.array_equal(result.task_expertise, expertise[:, columns])
 
 
 def test_preview_mode_leaves_state_untouched(setup):

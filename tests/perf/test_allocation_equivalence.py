@@ -33,8 +33,8 @@ re-evaluation after a pick walks past 135-149 spent users, and users
 whose ``p`` sits one or two rounding steps, or a relative ``2**-40``,
 below a leader (plus hand-built subnormal and overflowing gains), where
 the tie scan must end exactly at the first run whose gain differs.  Two
-distinct accuracy columns with the same grouping key (the XOR of their
-bits) check that the per-domain rankings keep them apart.
+domains whose expertise columns are permutations of each other check that
+each domain keeps its own ranking.
 
 The CELF invariant test asserts the submodularity precondition the kernel
 relies on: re-evaluating a stale heap entry never *increases* its
@@ -50,7 +50,8 @@ pass from the running assignment, over dropouts (NaN payloads),
 eligibility masks, a round budget below one task's cost, zero-capacity
 users, a wider time range, the extra pass on and off, and in every
 instance two domains with identical expertise columns and a saturated
-domain (``p == 1.0`` for every user): ``==`` on every
+domain (``p == 1.0`` for every user), given as an expertise block and each
+task's column in it: ``==`` on every
 round and on the outcome with the frozen eager greedy, and on the merged
 ``GreedyStats`` with the live kernel rebuilt per pass.  After every round
 the carried state must equal a fresh build and the full-matrix forms.
@@ -62,12 +63,11 @@ whole permutation.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import pytest
 
-from repro.core.allocation.base import AllocationProblem, Assignment, _distinct_columns
+from repro.core.allocation.base import AllocationProblem, Assignment
 from repro.core.allocation.baselines import random_first_fit
 from repro.core.allocation.lazy_greedy import GreedyState, lazy_greedy_allocate
 from repro.core.allocation.min_cost import MinCostAllocator
@@ -98,7 +98,6 @@ def _random_instance(rng, warm=False):
         levels = rng.choice([0.0, 0.5, 1.0, 2.0], size=(n_users, n_domains))
     else:
         levels = rng.gamma(2.0, 1.5, (n_users, n_domains))
-    expertise = levels[:, domains]
 
     roll = rng.random()
     if roll < 0.4:
@@ -120,7 +119,8 @@ def _random_instance(rng, warm=False):
             eligible[int(rng.integers(n_users))] = True
 
     problem = AllocationProblem(
-        expertise=expertise,
+        expertise=levels,
+        domain_columns=domains,
         processing_times=times,
         capacities=capacities,
         costs=costs,
@@ -169,7 +169,8 @@ def _warm_instance(rng):
         eligible = rng.random(n_users) < 0.8
         eligible[int(rng.integers(n_users))] = True
     problem = AllocationProblem(
-        expertise=levels[:, domains],
+        expertise=levels,
+        domain_columns=domains,
         processing_times=times,
         capacities=capacities,
         costs=rng.choice([0.5, 1.0, 2.0], size=n_tasks) if rng.random() < 0.4 else None,
@@ -284,10 +285,11 @@ def _large_instance(rng):
     else:
         levels = rng.uniform(0.0, 3.0, (n_users, n_domains))
     # Domain columns shared across tasks (the ranking cache), occasionally
-    # perturbed per task so that some tasks get a ranking of their own.
-    expertise = levels[:, domains]
+    # perturbed per task so that every task gets a column of its own.
+    expertise, domain_columns = levels, domains
     if rng.random() < 0.2:
-        expertise = expertise + rng.uniform(0.0, 0.1, expertise.shape)
+        expertise = levels[:, domains] + rng.uniform(0.0, 0.1, (n_users, n_tasks))
+        domain_columns = None
     times = rng.uniform(0.5, 1.5, n_tasks)
     if saturated:
         capacities = np.ones(n_users)
@@ -301,6 +303,7 @@ def _large_instance(rng):
         eligible[int(rng.integers(n_users))] = True
     problem = AllocationProblem(
         expertise=expertise,
+        domain_columns=domain_columns,
         processing_times=times,
         capacities=capacities,
         costs=costs,
@@ -346,7 +349,8 @@ def test_capacity_one_walks_past_spent_users_match_reference(seed):
     rng = np.random.default_rng(3000 + seed)
     domains = rng.integers(0, 8, 400)
     problem = AllocationProblem(
-        expertise=rng.gamma(2.0, 2.0, (200, 8))[:, domains],
+        expertise=rng.gamma(2.0, 2.0, (200, 8)),
+        domain_columns=domains,
         processing_times=rng.uniform(0.5, 1.5, 400),
         capacities=np.ones(200),
     )
@@ -431,12 +435,13 @@ def test_long_walks_after_picks_match_reference(seed):
     n_domains = int(rng.integers(1, 4))
     domains = rng.integers(0, n_domains, n_tasks)
     skill = rng.gamma(2.0, 2.0, n_users)
-    expertise = (skill[:, None] * rng.uniform(0.99, 1.01, (n_users, n_domains)))[:, domains]
+    levels = skill[:, None] * rng.uniform(0.99, 1.01, (n_users, n_domains))
     capacities = rng.uniform(2.0, 16.0, n_users)
     capacities[np.argsort(-skill)[: int(rng.integers(135, 150))]] = 0.0
     times = rng.uniform(0.5, 1.5, n_tasks)
     problem = AllocationProblem(
-        expertise=expertise,
+        expertise=levels,
+        domain_columns=domains,
         processing_times=times,
         capacities=capacities,
         eligible=rng.random(n_users) < 0.95 if seed % 3 == 0 else None,
@@ -459,17 +464,14 @@ def test_long_walks_after_picks_match_reference(seed):
 class _GivenAccuracy(AllocationProblem):
     """A problem whose Eq. 11 accuracies are given directly, so a test can
     place users' ``p`` a rounding step apart.  Its tasks share a ranking
-    only when their given accuracy columns are bit-equal (its expertise is
-    all ones)."""
+    when they share a ``domain_columns`` index, so the tasks of one index
+    must be given bit-equal accuracy columns (its expertise is all
+    ones)."""
 
     accuracy: "np.ndarray | None" = None
 
     def accuracy_matrix(self) -> np.ndarray:
         return self.accuracy
-
-    @cached_property
-    def column_groups(self) -> "tuple[np.ndarray, np.ndarray]":
-        return _distinct_columns(self.accuracy)
 
 
 def _at_the_margin(leader: float) -> list:
@@ -503,13 +505,14 @@ def test_near_tie_accuracies_match_reference_fuzz(block):
         for domain in range(n_domains):
             values = [v for leader in rng.uniform(0.05, 0.95, 2) for v in _at_the_margin(leader)]
             columns[:, domain] = rng.choice(values, size=n_users)
-        accuracy = columns[:, rng.integers(0, n_domains, n_tasks)]
+        domains = rng.integers(0, n_domains, n_tasks)
         problem = _GivenAccuracy(
-            expertise=np.ones((n_users, n_tasks)),
+            expertise=np.ones((n_users, n_domains)),
+            domain_columns=domains,
             processing_times=rng.uniform(0.3, 2.0, n_tasks),
             capacities=rng.uniform(0.5, 4.0, n_users),
             costs=rng.choice([0.5, 1.0], size=n_tasks) if rng.random() < 0.3 else None,
-            accuracy=accuracy,
+            accuracy=columns[:, domains],
         )
         kwargs = {"divide_by_time": bool(rng.random() < 0.7)}
         if rng.random() < 0.3:
@@ -555,24 +558,19 @@ def test_tie_scan_runs_when_gains_overflow():
 
 
 
-def test_columns_sharing_a_grouping_key_keep_their_own_ranking():
-    """``_distinct_columns`` keys columns by the XOR of their bits and then
-    checks them bit by bit.  Two different columns with the same key (here
-    a column and its permutation) must stay apart: each task ranks its
-    users by its own ``p``, the copies of ``second`` differ from ``first``
-    and form a group and a sort of their own, and both greedy passes from
-    one state must match the eager loop."""
-    first, second = [0.25, 0.5, 0.0], [0.5, 0.25, 0.0]
-    accuracy = np.array([first, second, first, second]).T
-    keys = np.bitwise_xor.reduce(accuracy.view(np.uint64), axis=0)
-    assert keys[0] == keys[1] and not np.array_equal(accuracy[:, 0], accuracy[:, 1])
-    leaders, group = _distinct_columns(accuracy)
-    assert leaders[group].tolist() == [0, 1, 0, 1]
-    problem = _GivenAccuracy(
-        expertise=np.ones((3, 4)),
+def test_permuted_domain_columns_keep_their_own_rankings():
+    """Two domains whose expertise columns are permutations of each other
+    (the same values in another user order) rank their users apart: the
+    tasks of one domain share a ranking, the two domains sort their users
+    in their own orders, and both greedy passes from one state must match
+    the eager loop."""
+    expertise = np.array([[1.0, 3.0], [3.0, 1.0], [0.0, 0.0]])
+    problem = AllocationProblem(
+        expertise=expertise,
+        domain_columns=np.array([0, 1, 0, 1]),
         processing_times=np.array([1.0, 0.5, 0.8, 1.2]),
         capacities=np.array([2.0, 1.5, 2.0]),
-        accuracy=accuracy,
+        epsilon=0.5,
     )
     state = GreedyState(problem)
     assert state.task_rankings[0] is state.task_rankings[2]
@@ -611,7 +609,8 @@ def test_slack_capacities_never_refresh():
     n_users, n_tasks = 12, 40
     domains = rng.integers(0, 4, n_tasks)
     problem = AllocationProblem(
-        expertise=rng.gamma(2.0, 2.0, (n_users, 4))[:, domains],
+        expertise=rng.gamma(2.0, 2.0, (n_users, 4)),
+        domain_columns=domains,
         processing_times=rng.uniform(0.5, 1.5, n_tasks),
         capacities=np.full(n_users, 1.5 * n_tasks + 1.0),
     )
@@ -623,13 +622,13 @@ def test_slack_capacities_never_refresh():
 
 
 def test_problem_without_tasks_allocates_nothing():
-    """A day with no tasks has no columns to group, rank or build over:
-    both passes add nothing and score 0."""
+    """A day with no tasks has no columns to rank or build over: both
+    passes add nothing and score 0."""
     problem = AllocationProblem(
         expertise=np.ones((3, 0)), processing_times=np.ones(0), capacities=np.ones(3)
     )
     state = GreedyState(problem)
-    assert state.task_rankings == [] and len(problem.column_groups[0]) == 0
+    assert state.task_rankings == [] and problem.domain_columns.shape == (0,)
     for divide_by_time in (True, False):
         outcome = lazy_greedy_allocate(problem, divide_by_time=divide_by_time, state=state)
         assert outcome.added_pairs.shape == (0, 2) and outcome.objective == 0.0
@@ -640,9 +639,9 @@ def test_lazy_on_domain_structured_instance_is_lazy():
     re-evaluations than the eager loop's ~picks * tasks-per-domain."""
     rng = np.random.default_rng(121314)
     domains = rng.integers(0, 4, 400)
-    expertise = rng.gamma(2.0, 2.0, (100, 4))[:, domains]
     problem = AllocationProblem(
-        expertise=expertise,
+        expertise=rng.gamma(2.0, 2.0, (100, 4)),
+        domain_columns=domains,
         processing_times=rng.uniform(0.5, 1.5, 400),
         capacities=np.full(100, 1.0),
     )
@@ -660,9 +659,10 @@ def _min_cost_instance(rng, index):
     every block has each: a wider time range, eligibility masks,
     dropouts (NaN payloads), a round budget below one task's cost, and the
     extra pass on and off; some users always have zero capacity.  Every
-    instance has two domains with identical expertise columns (one Eq. 11
-    column and one ranking for both) and a saturated domain, whose users'
-    expertise differs but whose ``p`` is exactly 1.0 for all of them.
+    instance has two domains with identical expertise columns (bit-equal
+    Eq. 11 columns, each ranked on its own) and a saturated domain, whose
+    users' expertise differs but whose ``p`` is exactly 1.0 for all of
+    them.
     """
     n_users = int(rng.integers(4, 41))
     n_tasks = int(rng.integers(3, 61))
@@ -675,7 +675,6 @@ def _min_cost_instance(rng, index):
     levels = np.column_stack((levels, levels[:, 0], saturated))
     domains = rng.integers(0, n_domains + 2, n_tasks)
     domains[:3] = rng.permutation([0, n_domains, n_domains + 1])
-    expertise = levels[:, domains]
     if index % 3 == 0:
         times = rng.uniform(0.3, 2.0, n_tasks)
     else:
@@ -688,7 +687,8 @@ def _min_cost_instance(rng, index):
         eligible = rng.random(n_users) < 0.7
         eligible[int(rng.integers(n_users))] = True
     problem = AllocationProblem(
-        expertise=expertise,
+        expertise=levels,
+        domain_columns=domains,
         processing_times=times,
         capacities=capacities,
         costs=rng.choice([0.5, 1.0, 2.0], size=n_tasks) if rng.random() < 0.4 else None,
@@ -708,7 +708,7 @@ def _min_cost_instance(rng, index):
     truths = rng.uniform(0.0, 20.0, n_tasks)
     sigmas = rng.uniform(0.5, 2.0, n_tasks)
     noise = rng.standard_normal((n_users, n_tasks)) * sigmas
-    values = truths + noise / np.maximum(expertise, 0.05)
+    values = truths + noise / np.maximum(levels[:, domains], 0.05)
     if index % 3 != 1:
         values[rng.random((n_users, n_tasks)) < 0.2] = np.nan
 

@@ -39,7 +39,8 @@ def _quick_kernel_problem():
     domains = rng.integers(0, 8, 600)
     user_domain = rng.gamma(2.0, 2.0, (300, 8))
     return AllocationProblem(
-        expertise=user_domain[:, domains],
+        expertise=user_domain,
+        domain_columns=domains,
         processing_times=rng.uniform(0.5, 1.5, 600),
         capacities=np.full(300, 1.0),
     )
@@ -49,7 +50,8 @@ def _synthetic_day_problem(seed, day):
     dataset = synthetic_dataset(seed=seed)
     tasks = dataset.tasks.take(np.arange(200 * day, 200 * (day + 1)))
     return AllocationProblem(
-        expertise=dataset.expertise[:, tasks.true_domain],
+        expertise=dataset.expertise,
+        domain_columns=tasks.true_domain,
         processing_times=tasks.processing_time,
         capacities=dataset.capacities,
     )

@@ -12,7 +12,6 @@ from repro.core.allocation import (
     lazy_greedy_allocate,
 )
 from repro.core.pipeline import ETA2System, IncomingTask
-from repro.core.expertise import ExpertiseMatrix
 
 
 class TestClusteringEdges:
@@ -122,12 +121,6 @@ class TestPipelineEdges:
                 [IncomingTask(processing_time=1.0, domain=0)],
                 observe=lambda pairs: [1.0] * (len(pairs) + 2),
             )
-
-
-class TestExpertiseMatrixEdges:
-    def test_for_tasks_empty(self):
-        matrix = ExpertiseMatrix(np.ones((3, 1)), domain_ids=[0])
-        assert matrix.for_tasks([]).shape == (3, 0)
 
 
 class TestAssignmentEdges:
