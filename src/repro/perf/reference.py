@@ -27,6 +27,9 @@ layer replaced:
 - :func:`reference_sanitize` — the observation sanitizer whose outlier
   check scanned the whole batch once per distinct task (``==`` on values
   and report counters against the one grouped pass).
+- :func:`reference_erf` — :func:`scipy.special.erf`, which Eq. 11 and
+  ``Phi`` called before :func:`repro.stats.normal.erf` ported its Cephes
+  kernel (``==`` bit for bit); scipy is imported on call.
 
 They exist so that (a) ``tests/perf/test_equivalence.py`` can prove the
 optimised kernels produce identical clusters and ``allclose`` truths, and
@@ -59,6 +62,7 @@ __all__ = [
     "reference_merge_until",
     "reference_min_cost_run",
     "reference_sanitize",
+    "reference_erf",
 ]
 
 
@@ -507,3 +511,10 @@ def reference_sanitize(sanitizer, pairs, values) -> np.ndarray:
 
     report.accepted += int(np.isfinite(values).sum())
     return values
+
+
+def reference_erf(x):
+    """The seed error function: :func:`scipy.special.erf` on float64 ``x``."""
+    from scipy import special
+
+    return special.erf(np.asarray(x, dtype=float))

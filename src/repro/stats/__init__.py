@@ -10,9 +10,13 @@ The paper leans on a handful of classical statistical tools:
 - descriptive statistics for the evaluation figures (histograms for Fig. 2,
   boxplot summaries for Fig. 7, empirical CDFs for Fig. 12).
 
-Everything here is implemented from first principles on top of numpy/scipy
-special functions so that the algorithmic content of the paper is visible in
-this repository rather than hidden behind a stats package.
+Everything here is implemented from first principles on top of numpy, so
+that the algorithmic content of the paper is visible in this repository
+rather than hidden behind a stats package: Eq. 11's ``erf`` is a numpy port
+of the Cephes kernel.  Only the normal quantile (``erfinv``, Eq. 24) and the
+chi-square survival function (``gammaincc``) call :mod:`scipy.special`,
+imported inside those two functions, so importing this package loads no
+scipy.
 """
 
 from repro.stats.chi_square import (

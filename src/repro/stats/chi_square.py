@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import special
 
-from repro.stats.normal import normal_cdf
+from repro.stats.normal import normal_cdf, normal_quantile
 
 __all__ = [
     "ChiSquareResult",
@@ -56,8 +55,11 @@ def chi_square_sf(statistic: float, dof: int) -> float:
 
     Implemented via the regularised upper incomplete gamma function
     ``Q(dof/2, x/2)`` — the textbook identity — rather than a distribution
-    object, keeping the dependency surface to scipy.special.
+    object, keeping the dependency surface to scipy.special, which is
+    imported here on first call so that loading this module loads no scipy.
     """
+    from scipy import special
+
     if dof <= 0:
         raise ValueError("degrees of freedom must be positive")
     if statistic < 0:
@@ -124,7 +126,7 @@ def chi_square_normality_test(
     k = _bin_count(x.size, bins)
     # Equiprobable interior edges under the fitted normal; outer edges open.
     probs = np.arange(1, k) / k
-    edges = mean + std * np.sqrt(2.0) * special.erfinv(2.0 * probs - 1.0)
+    edges = normal_quantile(probs, mean, std)
     counts = np.zeros(k, dtype=float)
     idx = np.searchsorted(edges, x, side="right")
     for i in idx:

@@ -11,7 +11,8 @@ from repro.core.allocation import (
     allocation_objective,
 )
 from repro.core.allocation.lazy_greedy import GreedyState
-from repro.stats.normal import standard_normal_cdf, symmetric_tail_probability
+from repro.perf.reference import reference_erf
+from repro.stats.normal import standard_normal_cdf
 
 
 def _problem(n_users=3, n_tasks=4, seed=0, epsilon=0.5):
@@ -106,7 +107,8 @@ class TestAllocationProblem:
     def test_accuracy_matrix_per_column_is_eq11_per_pair_bit_for_bit(self):
         """Eq. 11 runs once per expertise column and is gathered to the
         tasks by ``domain_columns``: the result has the bits of the
-        element-wise form over ``u_i^{d_j}``, and a greedy start state
+        element-wise form over ``u_i^{d_j}`` under the frozen scipy
+        ``erf`` (``perf.reference.reference_erf``), and a greedy start state
         shares a ranking exactly between the tasks of one column.
 
         Domain 1 copies domain 0's column, domain 2 saturates (``p == 1.0``
@@ -137,7 +139,7 @@ class TestAllocationProblem:
                 eligible=eligible,
             )
             p = problem.accuracy_matrix()
-            want = symmetric_tail_probability(problem.epsilon * levels[:, domain_columns])
+            want = reference_erf(problem.epsilon * levels[:, domain_columns] / np.sqrt(2.0))
             assert p.shape == want.shape
             assert np.array_equal(p.view(np.uint64), want.view(np.uint64))
             saturated = domain_columns == 2
